@@ -5,7 +5,10 @@ checks report exact zero/nonzero residuals, never approximations.
 
 The submodules group by subject:
 
-- :mod:`ybalg.tensoralg` — words, graded tensors, maps, block permutations.
+- :mod:`ybalg.sparse` — the sparse exact-vector kernel: the one place that
+  builds, adds, scales, multiplies and purges coefficient dicts.
+- :mod:`ybalg.tensoralg` — words, graded tensors, maps, block permutations,
+  all stored as :mod:`ybalg.sparse` vectors.
 - :mod:`ybalg.linalg` — fraction-free row reduction, ranks, nullspaces.
 - :mod:`ybalg.ybe` — classical/associative/quantum residuals and the
   combination identity.
@@ -38,6 +41,7 @@ from .fixtures import (
 )
 from .harness import Job, JobSpec, Report, default_suite, fixture_search, run_suite
 from .io import SchemaError, parse_inputs
+from .sparse import frac
 from .tensoralg import (
     BlockPermutation,
     GradedTensor,
@@ -46,7 +50,6 @@ from .tensoralg import (
     block_permutation_expand,
     commutator,
     embed_components,
-    frac,
     sigma_prime,
 )
 from .ybe import (

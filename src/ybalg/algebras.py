@@ -1,8 +1,8 @@
 """Finite truncated algebras: polynomial quotients, free and path algebras,
 and (deformed) preprojective quotients computed by exact row reduction.
 
-Elements are sparse dictionaries ``{basis_index: Fraction}``.  Each algebra
-carries a truncation ``mode``:
+Elements are sparse vectors ``{basis_index: Fraction}`` of
+:mod:`ybalg.sparse`.  Each algebra carries a truncation ``mode``:
 
 * ``"quotient"`` — products beyond the cap are genuinely zero (the algebra is
   the intended quotient, like a truncated polynomial ring);
@@ -17,8 +17,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import sparse
 from .linalg import rref
-from .tensoralg import ONE, ZERO, frac
+from .sparse import ONE, ZERO
 
 Element = dict[int, Fraction]
 
@@ -27,27 +28,6 @@ _OVERFLOW = object()
 
 class TruncationOverflow(Exception):
     """A product left the truncation window."""
-
-
-def el(pairs) -> Element:
-    out: Element = {}
-    for idx, coeff in dict(pairs).items():
-        c = frac(coeff)
-        if c:
-            out[idx] = c
-    return out
-
-
-def el_add(x: Element, y: Element) -> Element:
-    out = dict(x)
-    for idx, coeff in y.items():
-        out[idx] = out.get(idx, ZERO) + coeff
-    return {i: c for i, c in out.items() if c}
-
-
-def el_scale(x: Element, scalar) -> Element:
-    c = frac(scalar)
-    return {i: c * v for i, v in x.items()} if c else {}
 
 
 class TruncatedAlgebra:
@@ -77,7 +57,7 @@ class TruncatedAlgebra:
         self.labels = list(labels)
         self.degrees = list(degrees)
         self.table = table
-        self.unit = el(unit)
+        self.unit = sparse.vector(unit)
         self.mode = mode
         self.cap = cap
         self.idempotents = idempotents
@@ -106,9 +86,10 @@ class TruncatedAlgebra:
         out: Element = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                for k, ck in self.mul_basis(i, j).items():
-                    out[k] = out.get(k, ZERO) + ci * cj * ck
-        return {k: c for k, c in out.items() if c}
+                value = self.mul_basis(i, j)
+                if value:
+                    sparse.accumulate(out, value.items(), ci * cj)
+        return sparse.purge(out)
 
     def check_associativity(self):
         """Exact check of (ab)c = a(bc) on all basis triples within the cap.
@@ -127,7 +108,7 @@ class TruncatedAlgebra:
                     except TruncationOverflow:
                         skipped += 1
                         continue
-                    if el_add(left, el_scale(right, -1)):
+                    if left != right:
                         return False, (i, j, k), skipped
         return True, None, skipped
 
@@ -356,9 +337,9 @@ def preprojective_relation(q: Quiver, algebra: TruncatedAlgebra) -> Element:
     for label, _, _ in q.edges:
         e = algebra.element(label)
         estar = algebra.element(f"{label}*")
-        rel = el_add(rel, algebra.mul(e, estar))
-        rel = el_add(rel, el_scale(algebra.mul(estar, e), -1))
-    return rel
+        sparse.accumulate(rel, algebra.mul(e, estar).items())
+        sparse.accumulate(rel, algebra.mul(estar, e).items(), -1)
+    return sparse.purge(rel)
 
 
 def quotient_algebra(
@@ -459,9 +440,9 @@ def deformed_preprojective_algebra(
     """Quotient by ``lambda - sum_e (e e* - e* e)`` with vertexwise weights."""
     doubled = double_quiver(q)
     parent = path_algebra(doubled, cap, mode="window")
-    relation = el_scale(preprojective_relation(q, parent), -1)
+    relation = sparse.scale(preprojective_relation(q, parent), -1)
     for v, weight in weights.items():
-        relation = el_add(relation, el_scale(parent.element(f"e_{v}"), weight))
+        relation = sparse.add(relation, sparse.scale(parent.element(f"e_{v}"), weight))
     out = quotient_algebra(parent, relation, relation_degree_span=2)
     out.info["kind"] = "deformed_preprojective"
     return out

@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Element, TruncatedAlgebra, TruncationOverflow, el_add, el_scale
-from .tensoralg import ONE, ZERO, TensorMap, Word, embed_components, word_permute
+from . import sparse
+from .algebras import Element, TruncatedAlgebra, TruncationOverflow
+from .sparse import ONE
+from .tensoralg import TensorMap, Word, embed_components, word_permute
 from .ybe import aybe_prime_residual, aybe_residual, cybe_residual, is_skew
 
 Elt2 = dict[tuple[int, int], Fraction]  # sparse elements of A (x) A
@@ -38,21 +40,6 @@ CONVENTIONS: dict[str, str] = {
 }
 
 
-def _purge(t: dict) -> dict:
-    return {k: c for k, c in t.items() if c}
-
-
-def t2_add(x: Elt2, y: Elt2) -> Elt2:
-    out = dict(x)
-    for key, coeff in y.items():
-        out[key] = out.get(key, ZERO) + coeff
-    return _purge(out)
-
-
-def t2_scale(x: Elt2, scalar: Fraction) -> Elt2:
-    return _purge({k: scalar * c for k, c in x.items()})
-
-
 def t2_swap(x: Elt2) -> Elt2:
     return {(l, k): c for (k, l), c in x.items()}
 
@@ -63,10 +50,12 @@ def _mul_slot(algebra: TruncatedAlgebra, t: dict, slot: int, a: Element, side: s
     for key, coeff in t.items():
         target = {key[slot]: ONE}
         prod = algebra.mul(a, target) if side == "left" else algebra.mul(target, a)
-        for idx, c2 in prod.items():
-            new_key = key[:slot] + (idx,) + key[slot + 1 :]
-            out[new_key] = out.get(new_key, ZERO) + coeff * c2
-    return _purge(out)
+        sparse.accumulate(
+            out,
+            ((key[:slot] + (idx,) + key[slot + 1 :], c2) for idx, c2 in prod.items()),
+            coeff,
+        )
+    return sparse.purge(out)
 
 
 class DoubleBracket:
@@ -84,7 +73,8 @@ class DoubleBracket:
         overflow_pairs: frozenset[tuple[int, int]] = frozenset(),
     ):
         self.algebra = algebra
-        self.table = {key: _purge(val) for key, val in table.items() if _purge(val)}
+        purged = ((key, sparse.purge(val)) for key, val in table.items())
+        self.table = {key: val for key, val in purged if val}
         self.overflow_pairs = overflow_pairs
 
     def value(self, i: int, j: int) -> Elt2:
@@ -96,8 +86,8 @@ class DoubleBracket:
         total: Elt2 = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                total = t2_add(total, t2_scale(self.value(i, j), ci * cj))
-        return total
+                sparse.accumulate(total, self.value(i, j).items(), ci * cj)
+        return sparse.purge(total)
 
     def as_tensor_map(self) -> TensorMap:
         """The bracket as a map on the square of the basis-index alphabet."""
@@ -169,9 +159,10 @@ def extend_by_derivations(
                 for (k, l), coeff in db(i, g).items():
                     for ridx, rc in rest.items():
                         prod = algebra.mul({l: ONE}, {ridx: ONE})
-                        for m, pc in prod.items():
-                            term2[(k, m)] = term2.get((k, m), ZERO) + coeff * rc * pc
-                result = t2_add(term1, _purge(term2))
+                        sparse.accumulate(
+                            term2, (((k, m), pc) for m, pc in prod.items()), coeff * rc
+                        )
+                result = sparse.add(term1, term2)
                 break
             if which == "first" and fact[i] is not None:
                 g, rest = fact[i]
@@ -181,26 +172,27 @@ def extend_by_derivations(
                 for (k, l), coeff in db(g, j).items():
                     for ridx, rc in rest.items():
                         prod = algebra.mul({k: ONE}, {ridx: ONE})
-                        for m, pc in prod.items():
-                            term2[(m, l)] = term2.get((m, l), ZERO) + coeff * rc * pc
-                result = t2_add(term1, _purge(term2))
+                        sparse.accumulate(
+                            term2, (((m, l), pc) for m, pc in prod.items()), coeff * rc
+                        )
+                result = sparse.add(term1, term2)
                 break
         if result is None:
-            result = _purge(dict(generator_values.get(key, {})))
+            result = sparse.purge(generator_values.get(key, {}))
         cache[key] = result
         return result
 
     def db_el(i: int, y: Element) -> Elt2:
         total: Elt2 = {}
         for j, cj in y.items():
-            total = t2_add(total, t2_scale(db(i, j), cj))
-        return total
+            sparse.accumulate(total, db(i, j).items(), cj)
+        return sparse.purge(total)
 
     def db_el_first(x: Element, j: int) -> Elt2:
         total: Elt2 = {}
         for i, ci in x.items():
-            total = t2_add(total, t2_scale(db(i, j), ci))
-        return total
+            sparse.accumulate(total, db(i, j).items(), ci)
+        return sparse.purge(total)
 
     n = algebra.nbasis
     table: dict[tuple[int, int], Elt2] = {}
@@ -227,7 +219,7 @@ def extension_consistency_check(
         for j in range(n):
             if (i, j) in a.overflow_pairs or (i, j) in b.overflow_pairs:
                 continue  # only comparable where both routes stayed in the window
-            if t2_add(a.value(i, j), t2_scale(b.value(i, j), -1)):
+            if a.value(i, j) != b.value(i, j):
                 return False, (i, j)
     return True, None
 
@@ -238,17 +230,17 @@ def extension_consistency_check(
 
 
 def dbskew_defect(db: DoubleBracket, i: int, j: int) -> Elt2:
-    return t2_add(db.value(j, i), t2_swap(db.value(i, j)))
+    return sparse.add(db.value(j, i), t2_swap(db.value(i, j)))
 
 
 def _inner_first(db: DoubleBracket, a: int, value: Elt2) -> Elt3:
     """{{a, -}} applied to the first slot of a tensor-square element."""
     out: Elt3 = {}
     for (k, l), coeff in value.items():
-        for (x, y), c2 in db.value(a, k).items():
-            key = (x, y, l)
-            out[key] = out.get(key, ZERO) + coeff * c2
-    return _purge(out)
+        sparse.accumulate(
+            out, (((x, y, l), c2) for (x, y), c2 in db.value(a, k).items()), coeff
+        )
+    return sparse.purge(out)
 
 
 def dbjac_residual(db: DoubleBracket, i: int, j: int, k: int) -> Elt3:
@@ -259,15 +251,17 @@ def dbjac_residual(db: DoubleBracket, i: int, j: int, k: int) -> Elt3:
         return _inner_first(db, a, db.value(b, c))
 
     total: Elt3 = dict(T(i, j, k))
-    t1 = T(j, k, i)
-    for key, coeff in t1.items():
-        new = word_permute(cycle, key)
-        total[new] = total.get(new, ZERO) + coeff
-    t2 = T(k, i, j)
-    for key, coeff in t2.items():
-        new = word_permute(cycle, word_permute(cycle, key))
-        total[new] = total.get(new, ZERO) + coeff
-    return _purge(total)
+    sparse.accumulate(
+        total, ((word_permute(cycle, key), c) for key, c in T(j, k, i).items())
+    )
+    sparse.accumulate(
+        total,
+        (
+            (word_permute(cycle, word_permute(cycle, key)), c)
+            for key, c in T(k, i, j).items()
+        ),
+    )
+    return sparse.purge(total)
 
 
 def dbpoiss_defect(db: DoubleBracket, i: int, j: int, k: int) -> Elt2:
@@ -276,7 +270,7 @@ def dbpoiss_defect(db: DoubleBracket, i: int, j: int, k: int) -> Elt2:
     lhs = db.value_el({i: ONE}, algebra.mul_basis(j, k))
     term1 = _mul_slot(algebra, db.value(i, k), 0, {j: ONE}, "left")
     term2 = _mul_slot(algebra, db.value(i, j), 1, {k: ONE}, "right")
-    return t2_add(lhs, t2_scale(t2_add(term1, term2), -1))
+    return sparse.add(lhs, sparse.scale(sparse.add(term1, term2), -1))
 
 
 @dataclass(frozen=True)
@@ -448,14 +442,6 @@ def left_mult_operator(algebra: TruncatedAlgebra, a: int) -> TensorMap:
     return TensorMap(algebra.nbasis, 1, 1, entries)
 
 
-def right_mult_operator(algebra: TruncatedAlgebra, b: int) -> TensorMap:
-    entries = {}
-    for x in range(algebra.nbasis):
-        for k, coeff in algebra.mul_basis(x, b).items():
-            entries[((k,), (x,))] = coeff
-    return TensorMap(algebra.nbasis, 1, 1, entries)
-
-
 @dataclass(frozen=True)
 class MultCompareReport:
     algebra_kind: str
@@ -567,10 +553,10 @@ def _apply3(map3: TensorMap, x: Element, y: Element, z: Element) -> Elt3:
     for i, ci in x.items():
         for j, cj in y.items():
             for k, ck in z.items():
-                img = map3.apply_word((i, j, k))
-                for word, coeff in img.terms.items():
-                    out[word] = out.get(word, ZERO) + ci * cj * ck * coeff
-    return _purge(out)
+                sparse.accumulate(
+                    out, map3.apply_word((i, j, k)).terms.items(), ci * cj * ck
+                )
+    return sparse.purge(out)
 
 
 def _expansion_identity_holds(
@@ -588,11 +574,10 @@ def _expansion_identity_holds(
     t1 = _mul_slot(algebra, _apply3(aybe, {a: ONE}, {b2: ONE}, {c: ONE}), 0, {b1: ONE}, "left")
     t2 = _mul_slot(algebra, _apply3(aybe_p, {a: ONE}, {b2: ONE}, {c: ONE}), 2, {b1: ONE}, "left")
     t3 = _mul_slot(algebra, _apply3(cybe, {a: ONE}, {b1: ONE}, {c: ONE}), 1, {b2: ONE}, "right")
-    rhs: Elt3 = {}
-    for term, sign in ((t1, ONE), (t2, -ONE), (t3, ONE)):
-        for key, coeff in term.items():
-            rhs[key] = rhs.get(key, ZERO) + sign * coeff
-    return _purge(rhs) == lhs
+    rhs: Elt3 = dict(t1)
+    sparse.accumulate(rhs, t2.items(), -1)
+    sparse.accumulate(rhs, t3.items())
+    return sparse.purge(rhs) == lhs
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +587,9 @@ def _expansion_identity_holds(
 
 def _diff_op(algebra: TruncatedAlgebra, a: int, t: Elt2) -> Elt2:
     """Apply ``a (x) 1 - 1 (x) a`` by multiplication to a tensor-square element."""
-    return t2_add(
+    return sparse.add(
         _mul_slot(algebra, t, 0, {a: ONE}, "left"),
-        t2_scale(_mul_slot(algebra, t, 1, {a: ONE}, "left"), -1),
+        sparse.scale(_mul_slot(algebra, t, 1, {a: ONE}, "left"), -1),
     )
 
 
@@ -647,8 +632,8 @@ def commutative_remark_checks(db: DoubleBracket) -> CommutativeRemarkReport:
     for i in range(n):
         for j in range(n):
             try:
-                if el_add(
-                    algebra.mul_basis(i, j), el_scale(algebra.mul_basis(j, i), -1)
+                if sparse.add(
+                    algebra.mul_basis(i, j), sparse.scale(algebra.mul_basis(j, i), -1)
                 ):
                     commutative = False
             except TruncationOverflow:
@@ -729,10 +714,9 @@ def one_variable_lambda_bracket(power: int, lam) -> DoubleBracket:
     descends to the quotient; all axioms hold exactly there.
     """
     from .algebras import polynomial_quotient_algebra
-    from .tensoralg import frac
 
     algebra = polynomial_quotient_algebra(power)
-    lam = frac(lam)
+    lam = sparse.frac(lam)
     x = algebra.index("x")
     one = algebra.index("1")
     generator_values = {(x, x): {(x, one): lam, (one, x): -lam}}

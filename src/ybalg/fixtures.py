@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .sparse import ONE, frac
 from .tensoralg import TensorMap, Word, words
 from .twisted import PolynomialPoissonBracket
 from .ybe import RESIDUALS, is_skew
@@ -43,10 +44,9 @@ def skew_map_from_orbit_values(dim: int, values) -> TensorMap:
         raise ValueError("one value per entry orbit required")
     entries: dict[tuple[Word, Word], Fraction] = {}
     for (rep, partner), val in zip(orbits, values):
-        c = Fraction(val)
-        if c:
-            entries[rep] = c
-            entries[partner] = -c
+        c = frac(val)
+        entries[rep] = c
+        entries[partner] = -c
     return TensorMap(dim, 2, 2, entries)
 
 
@@ -78,9 +78,7 @@ def random_map(dim: int, deg: int, rng: random.Random, density: float = 0.5) -> 
     for out_w in words(dim, deg):
         for in_w in words(dim, deg):
             if rng.random() < density:
-                c = Fraction(rng.randint(-2, 2))
-                if c:
-                    entries[(out_w, in_w)] = c
+                entries[(out_w, in_w)] = Fraction(rng.randint(-2, 2))
     return TensorMap(dim, deg, deg, entries)
 
 
@@ -91,11 +89,10 @@ def diagonal_unitary_qybe_solution(dim: int = 2) -> TensorMap:
     satisfies the quantum equation (both sides act diagonally with the same
     scalar) and unitarity (``eps_{ij} eps_{ji} = 1``).
     """
-    eps = [[1, -1], [-1, 1]]
-    if dim != 2:
-        eps = [[1 if i == j else -1 for j in range(dim)] for i in range(dim)]
     entries = {
-        ((i, j), (i, j)): Fraction(eps[i][j]) for i in range(dim) for j in range(dim)
+        ((i, j), (i, j)): Fraction(1 if i == j else -1)
+        for i in range(dim)
+        for j in range(dim)
     }
     return TensorMap(dim, 2, 2, entries)
 
@@ -105,10 +102,9 @@ def sl2_poisson_bracket() -> PolynomialPoissonBracket:
 
     Generators are ordered (e, h, f) = (0, 1, 2).
     """
-    one = Fraction(1)
     table = {
-        (0, 2): {(1,): one},  # {e, f} = h
-        (0, 1): {(0,): -2 * one},  # {e, h} = -2e
-        (1, 2): {(2,): -2 * one},  # {h, f} = -2f
+        (0, 2): {(1,): ONE},  # {e, f} = h
+        (0, 1): {(0,): -2 * ONE},  # {e, h} = -2e
+        (1, 2): {(2,): -2 * ONE},  # {h, f} = -2f
     }
     return PolynomialPoissonBracket(3, table)

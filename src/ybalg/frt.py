@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from . import ybe
+from . import sparse, ybe
 from .linalg import Vector, rank, row_space_equal, rref
+from .sparse import ONE, ZERO
 from .tensoralg import (
     Perm,
     TensorMap,
@@ -41,9 +42,6 @@ from .tensoralg import (
     perm_str,
     words,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +62,18 @@ class GroupAlgebraElement:
         if m < 1:
             raise ValueError("the symmetric group index must be at least 1")
         self.m = m
-        purged: dict[Perm, Fraction] = {}
-        for perm, coeff in (terms or {}).items():
-            p = tuple(perm)
-            if len(p) != m or not is_perm(p):
+        terms = terms or {}
+        for perm in terms:
+            if len(perm) != m or not is_perm(perm):
                 raise ValueError(f"not a permutation of {m} letters: {perm!r}")
-            c = Fraction(coeff)
-            if c:
-                purged[p] = c
-        self.terms = purged
+        self.terms = sparse.vector((tuple(p), c) for p, c in terms.items())
+
+    def _of(self, terms: dict[Perm, Fraction]) -> "GroupAlgebraElement":
+        """An element of the same group algebra wrapping a purged kernel vector."""
+        x = object.__new__(GroupAlgebraElement)
+        x.m = self.m
+        x.terms = terms
+        return x
 
     @classmethod
     def identity(cls, m: int) -> "GroupAlgebraElement":
@@ -92,10 +93,7 @@ class GroupAlgebraElement:
         return sum(self.terms.values(), ZERO)
 
     def scale(self, scalar) -> "GroupAlgebraElement":
-        c = Fraction(scalar)
-        return GroupAlgebraElement(
-            self.m, {p: c * v for p, v in self.terms.items()}
-        )
+        return self._of(sparse.scale(self.terms, scalar))
 
     def __neg__(self) -> "GroupAlgebraElement":
         return self.scale(-1)
@@ -106,22 +104,14 @@ class GroupAlgebraElement:
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check_m(other)
-        total = dict(self.terms)
-        for p, c in other.terms.items():
-            total[p] = total.get(p, ZERO) + c
-        return GroupAlgebraElement(self.m, total)
+        return self._of(sparse.add(self.terms, other.terms))
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-other)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check_m(other)
-        total: dict[Perm, Fraction] = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                key = perm_compose(p, q)
-                total[key] = total.get(key, ZERO) + cp * cq
-        return GroupAlgebraElement(self.m, total)
+        return self._of(sparse.product(self.terms, other.terms, perm_compose))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -276,12 +266,7 @@ def young_symmetrizer(lam: YoungDiagram | Sequence[int]) -> GroupAlgebraElement:
 
 def permutation_operator(p: Perm, dim: int) -> TensorMap:
     """The operator sending the slot-``j`` factor to slot ``p[j]``."""
-    from .tensoralg import word_permute
-
-    deg = len(p)
-    return TensorMap(
-        dim, deg, deg, {(word_permute(p, w), w): ONE for w in words(dim, deg)}
-    )
+    return TensorMap.from_permutation(p, dim)
 
 
 def _adjacent_perm(b: int, m: int) -> Perm:
@@ -524,14 +509,15 @@ def commutant(
                     row[w * n + v] -= coeff
                 if any(row):
                     rows.append(row)
-    basis = []
-    for vec in rref(rows, n * n).nullspace():
-        entries = {}
-        for flat, coeff in enumerate(vec):
-            if coeff:
-                entries[(word_list[flat // n], word_list[flat % n])] = coeff
-        basis.append(TensorMap(dim, deg, deg, entries))
-    return basis
+    return [
+        TensorMap(
+            dim,
+            deg,
+            deg,
+            {(word_list[flat // n], word_list[flat % n]): c for flat, c in enumerate(vec)},
+        )
+        for vec in rref(rows, n * n).nullspace()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +537,13 @@ def _quadratic_relation_vectors(big_r: TensorMap) -> list[list[tuple[int, Fracti
     n2 = n * n
     sparse_rows: list[list[tuple[int, Fraction]]] = []
     for a, b, c, d in itertools.product(range(n), repeat=4):
-        acc: dict[int, Fraction] = {}
+        terms = []
         for (out_w, in_w), coeff in big_r.entries.items():
             if out_w == (a, b):
-                key = (in_w[0] * n + c) * n2 + (in_w[1] * n + d)
-                acc[key] = acc.get(key, ZERO) + coeff
+                terms.append(((in_w[0] * n + c) * n2 + (in_w[1] * n + d), coeff))
             if in_w == (c, d):
-                key = (b * n + out_w[1]) * n2 + (a * n + out_w[0])
-                acc[key] = acc.get(key, ZERO) - coeff
-        cleaned = sorted((k, v) for k, v in acc.items() if v)
+                terms.append(((b * n + out_w[1]) * n2 + (a * n + out_w[0]), -coeff))
+        cleaned = sorted(sparse.vector(terms).items())
         if cleaned:
             sparse_rows.append(cleaned)
     return sparse_rows

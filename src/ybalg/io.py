@@ -58,6 +58,13 @@ def _int(token: str, path: str, line: int) -> int:
         raise SchemaError(f"not an integer: {token!r}", path, line) from None
 
 
+def _dim(token: str, path: str, line: int) -> int:
+    dim = _int(token, path, line)
+    if dim < 1:
+        raise SchemaError(f"dim must be at least 1, got {dim}", path, line)
+    return dim
+
+
 def _word(token: str, path: str, line: int) -> Word:
     token = token.strip()
     if token == "-":
@@ -148,7 +155,7 @@ def _parse_tensor_map(lines: _Lines) -> TensorMap:
     n_dim, dim_text = _single(fields, "dim", path)
     n_dom, dom_text = _single(fields, "dom", path)
     n_cod, cod_text = _single(fields, "cod", path)
-    dim = _int(dim_text, path, n_dim)
+    dim = _dim(dim_text, path, n_dim)
     dom = _int(dom_text, path, n_dom)
     cod = _int(cod_text, path, n_cod)
     entries: dict[tuple[Word, Word], Fraction] = {}
@@ -293,7 +300,7 @@ def _parse_rn_family(lines: _Lines) -> RnFamily:
     fields = lines.fields()
     path = lines.path
     n_dim, dim_text = _single(fields, "dim", path)
-    dim = _int(dim_text, path, n_dim)
+    dim = _dim(dim_text, path, n_dim)
     n_deg, degrees_text = _single(fields, "degrees", path, default="", required=False)
     degrees = (
         tuple(_int(t, path, n_deg or 0) for t in degrees_text.split())

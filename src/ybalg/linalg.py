@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .tensoralg import ONE, ZERO
+from .sparse import ONE, ZERO
 
 Vector = list[Fraction]
 

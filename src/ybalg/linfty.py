@@ -43,9 +43,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import sparse
 from .algebras import TruncationOverflow
 from .linalg import rref
-from .tensoralg import ONE, ZERO, block_permutation_expand, perm_inverse, perm_sign
+from .sparse import ONE, ZERO
+from .tensoralg import block_permutation_expand, perm_inverse, perm_sign
 
 Element = dict[int, Fraction]  # span of the generators
 
@@ -121,7 +123,7 @@ class MultiBracketFamily:
                             f"skewness forces {args} to vanish but a value was given"
                         )
                     continue
-                value = {k: c for k, c in value.items() if c}
+                value = sparse.purge(value)
                 want = sum(self.basis.degrees[a] for a in args) + 2 - n
                 for target in value:
                     if self.basis.degrees[target] != want:
@@ -159,9 +161,9 @@ class MultiBracketFamily:
             coeff = ONE
             for _, c in combo:
                 coeff *= c
-            for target, c in self.value(n, tuple(idx for idx, _ in combo)).items():
-                total[target] = total.get(target, ZERO) + coeff * c
-        return {k: c for k, c in total.items() if c}
+            value = self.value(n, tuple(idx for idx, _ in combo))
+            sparse.accumulate(total, value.items(), coeff)
+        return sparse.purge(total)
 
 
 def linfty_residual_blocks(
@@ -192,9 +194,8 @@ def linfty_residual_blocks(
                 continue
             tail = tuple(args[k] for k in sel[i:])
             for v, cv in inner.items():
-                for w, cw in fam.value(j, (v,) + tail).items():
-                    block[w] = block.get(w, ZERO) + sign * cv * cw
-        block = {k: c for k, c in block.items() if c}
+                sparse.accumulate(block, fam.value(j, (v,) + tail).items(), sign * cv)
+        block = sparse.purge(block)
         if block:
             blocks[(i, j)] = block
     return blocks
@@ -206,9 +207,8 @@ def linfty_residual(
     """The m-th axiom residual on generator arguments (shuffle convention)."""
     total: Element = {}
     for block in linfty_residual_blocks(fam, m, args, mode).values():
-        for k, c in block.items():
-            total[k] = total.get(k, ZERO) + c
-    return {k: c for k, c in total.items() if c}
+        sparse.accumulate(total, block.items())
+    return sparse.purge(total)
 
 
 def family_is_linfty(fam: MultiBracketFamily, max_m: int) -> tuple[bool, tuple | None]:
@@ -267,9 +267,8 @@ class SuperSymAlgebra:
         out: SuperElement = {}
         for ma, ca in x.items():
             for mb, cb in y.items():
-                for m, c in self.mul_word(ma, mb).items():
-                    out[m] = out.get(m, ZERO) + ca * cb * c
-        return {m: c for m, c in out.items() if c}
+                sparse.accumulate(out, self.mul_word(ma, mb).items(), ca * cb)
+        return sparse.purge(out)
 
 
 class ExtendedFamily:
@@ -303,13 +302,10 @@ class ExtendedFamily:
             return {m: sign * c for m, c in rotated.items()}
         x, y = args[-1][:-1], args[-1][-1:]
         dx, dy = self.algebra.degree(x), self.algebra.degree(y)
-        total: SuperElement = {}
-        for mono, c in self.algebra.mul(self.value(n, args[:-1] + (x,)), {y: ONE}).items():
-            total[mono] = total.get(mono, ZERO) + c
-        sign = (-1) ** (dx * dy)
-        for mono, c in self.algebra.mul(self.value(n, args[:-1] + (y,)), {x: ONE}).items():
-            total[mono] = total.get(mono, ZERO) + sign * c
-        return {m: c for m, c in total.items() if c}
+        total = self.algebra.mul(self.value(n, args[:-1] + (x,)), {y: ONE})
+        swapped = self.algebra.mul(self.value(n, args[:-1] + (y,)), {x: ONE})
+        sparse.accumulate(total, swapped.items(), (-1) ** (dx * dy))
+        return sparse.purge(total)
 
     def residual(self, m: int, args: tuple[Monomial, ...]) -> SuperElement:
         degrees = [self.algebra.degree(a) for a in args]
@@ -323,9 +319,8 @@ class ExtendedFamily:
                     continue
                 tail = tuple(args[k] for k in sel[i:])
                 for mono, cv in inner.items():
-                    for out, cw in self.value(j, (mono,) + tail).items():
-                        total[out] = total.get(out, ZERO) + sign * cv * cw
-        return {k: c for k, c in total.items() if c}
+                    sparse.accumulate(total, self.value(j, (mono,) + tail).items(), sign * cv)
+        return sparse.purge(total)
 
 
 @dataclass(frozen=True)
@@ -458,14 +453,14 @@ FormalElement = dict[tuple, Fraction]  # sorted atom tuples -> coefficient
 
 
 def _formal_mul(x: FormalElement, y: FormalElement) -> FormalElement:
+    products = (
+        (_koszul_sort(ma + mb), ca * cb) for ma, ca in x.items() for mb, cb in y.items()
+    )
     out: FormalElement = {}
-    for ma, ca in x.items():
-        for mb, cb in y.items():
-            mono, sign = _koszul_sort(ma + mb)
-            if mono is None:
-                continue
-            out[mono] = out.get(mono, ZERO) + ca * cb * sign
-    return {m: c for m, c in out.items() if c}
+    sparse.accumulate(
+        out, ((mono, c * sign) for (mono, sign), c in products if mono is not None)
+    )
+    return sparse.purge(out)
 
 
 def _formal_bracket(arity: int, args: tuple[tuple, ...]) -> FormalElement:
@@ -494,13 +489,10 @@ def _formal_bracket(arity: int, args: tuple[tuple, ...]) -> FormalElement:
     x, y = args[-1][:-1], args[-1][-1:]
     dx = sum(_atom_degree(a) for a in x)
     dy = _atom_degree(y[0])
-    total: FormalElement = {}
-    for mono, c in _formal_mul(_formal_bracket(arity, args[:-1] + (x,)), {y: ONE}).items():
-        total[mono] = total.get(mono, ZERO) + c
-    sign = (-1) ** (dx * dy)
-    for mono, c in _formal_mul(_formal_bracket(arity, args[:-1] + (y,)), {x: ONE}).items():
-        total[mono] = total.get(mono, ZERO) + sign * c
-    return {m: c for m, c in total.items() if c}
+    total = _formal_mul(_formal_bracket(arity, args[:-1] + (x,)), {y: ONE})
+    swapped = _formal_mul(_formal_bracket(arity, args[:-1] + (y,)), {x: ONE})
+    sparse.accumulate(total, swapped.items(), (-1) ** (dx * dy))
+    return sparse.purge(total)
 
 
 def _formal_linfax(m: int, args: tuple[tuple, ...]) -> FormalElement:
@@ -513,9 +505,8 @@ def _formal_linfax(m: int, args: tuple[tuple, ...]) -> FormalElement:
             inner = _formal_bracket(i, tuple(args[k] for k in sel[:i]))
             tail = tuple(args[k] for k in sel[i:])
             for mono, cv in inner.items():
-                for out, cw in _formal_bracket(j, (mono,) + tail).items():
-                    total[out] = total.get(out, ZERO) + sign * cv * cw
-    return {k: c for k, c in total.items() if c}
+                sparse.accumulate(total, _formal_bracket(j, (mono,) + tail).items(), sign * cv)
+    return sparse.purge(total)
 
 
 def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool]:
@@ -548,17 +539,10 @@ def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool
         1 for mono in expansion if sum(1 for a in mono if a[0] == "B") >= 2
     )
 
-    reference: FormalElement = {}
-    for mono, c in _formal_mul(_formal_linfax(m, others + ((x,),)), {(y,): ONE}).items():
-        reference[mono] = reference.get(mono, ZERO) + c
-    swap_sign = (-1) ** (degrees[0] * degrees[1])
-    for mono, c in _formal_mul(_formal_linfax(m, others + ((y,),)), {(x,): ONE}).items():
-        reference[mono] = reference.get(mono, ZERO) + swap_sign * c
-
-    difference = dict(expansion)
-    for mono, c in reference.items():
-        difference[mono] = difference.get(mono, ZERO) - c
-    identity_ok = not any(c for c in difference.values())
+    reference = _formal_mul(_formal_linfax(m, others + ((x,),)), {(y,): ONE})
+    swapped = _formal_mul(_formal_linfax(m, others + ((y,),)), {(x,): ONE})
+    sparse.accumulate(reference, swapped.items(), (-1) ** (degrees[0] * degrees[1]))
+    identity_ok = sparse.purge(reference) == expansion
     return generated, surviving, identity_ok
 
 

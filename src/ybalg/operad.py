@@ -36,8 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from . import sparse
 from .linalg import nullspace, rref
-from .tensoralg import ONE, ZERO, frac, perm_str
+from .sparse import ONE, ZERO, frac
+from .tensoralg import perm_str
 
 # ---------------------------------------------------------------------------
 # formal trees and Leibniz normal form
@@ -93,26 +95,26 @@ class LeibnizExpander:
             return {(tree,): ONE}
         kind, left, right = tree
         lx, rx = self.expand(left), self.expand(right)
-        out: dict[tuple, Fraction] = {}
         if kind == "p":
-            for ml, cl in lx.items():
-                for mr, cr in rx.items():
-                    key = tuple(sorted(ml + mr, key=_atom_key))
-                    out[key] = out.get(key, ZERO) + cl * cr
-        elif kind == "s":
-            # star of two monomials: derivation in each argument peels one
-            # atom from each side, the rest multiply the atomic star
-            for ml, cl in lx.items():
-                for mr, cr in rx.items():
-                    for i in range(len(ml)):
-                        for j in range(len(mr)):
-                            atom, sign = self._canon_star(ml[i], mr[j])
-                            rest = ml[:i] + ml[i + 1 :] + mr[:j] + mr[j + 1 :]
-                            key = tuple(sorted(rest + (atom,), key=_atom_key))
-                            out[key] = out.get(key, ZERO) + cl * cr * sign
-        else:
+            return sparse.product(
+                lx, rx, lambda ml, mr: tuple(sorted(ml + mr, key=_atom_key))
+            )
+        if kind != "s":
             raise ValueError(f"unknown node kind {kind!r}")
-        return {k: c for k, c in out.items() if c}
+        out: dict[tuple, Fraction] = {}
+        for ml, cl in lx.items():
+            for mr, cr in rx.items():
+                sparse.accumulate(out, self._star_terms(ml, mr), cl * cr)
+        return sparse.purge(out)
+
+    def _star_terms(self, ml: tuple, mr: tuple):
+        """Star of two monomials: derivation in each argument peels one atom
+        from each side, the rest multiply the atomic star."""
+        for i in range(len(ml)):
+            for j in range(len(mr)):
+                atom, sign = self._canon_star(ml[i], mr[j])
+                rest = ml[:i] + ml[i + 1 :] + mr[:j] + mr[j + 1 :]
+                yield tuple(sorted(rest + (atom,), key=_atom_key)), sign
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +258,21 @@ def leibniz_obstruction(sym: str, slot: int) -> ObstructionSystem:
         args_p[slot - 1] = dprime
         args_q = list(leaves)
         args_q[slot - 1] = prime
-        rhs = expander.expand(prod(prime, term.build(*args_p)))
-        for mono, coeff in expander.expand(prod(dprime, term.build(*args_q))).items():
-            rhs[mono] = rhs.get(mono, ZERO) + coeff
+        rhs = sparse.add(
+            expander.expand(prod(prime, term.build(*args_p))),
+            expander.expand(prod(dprime, term.build(*args_q))),
+        )
+        defect_by_term.append(sparse.add(lhs, sparse.scale(rhs, -1)))
 
-        defect = dict(lhs)
-        for mono, coeff in rhs.items():
-            defect[mono] = defect.get(mono, ZERO) - coeff
-        defect_by_term.append({m: c for m, c in defect.items() if c})
-
-    monomials = sorted(
-        {m for d in defect_by_term for m in d}, key=lambda m: tuple(map(_atom_key, m))
-    )
-    constraints = []
-    for mono in monomials:
-        row = tuple(d.get(mono, ZERO) for d in defect_by_term)
-        constraints.append(Constraint(slot, mono, row))
+    # one constraint row per residual monomial, one column per basis term
+    row_of: dict[tuple, list[Fraction]] = {}
+    for col, defect in enumerate(defect_by_term):
+        for mono, coeff in defect.items():
+            row_of.setdefault(mono, [ZERO] * len(basis))[col] = coeff
+    constraints = [
+        Constraint(slot, mono, tuple(row_of[mono]))
+        for mono in sorted(row_of, key=lambda m: tuple(map(_atom_key, m)))
+    ]
     rows = [list(c.row) for c in constraints]
     basis_vecs = nullspace(rows, len(basis)) if rows else _full_space(len(basis))
     return ObstructionSystem(sym, tuple(constraints), tuple(map(tuple, basis_vecs)))
@@ -382,26 +383,8 @@ def jacobi_vector() -> list[Fraction]:
 Poly = dict[tuple, Fraction]
 
 
-def poly_const(c) -> Poly:
-    c = frac(c)
-    return {(): c} if c else {}
-
-
 def poly_var(name: str) -> Poly:
     return {((name, 1),): ONE}
-
-
-def poly_add(*ps: Poly) -> Poly:
-    out: Poly = {}
-    for p in ps:
-        for m, c in p.items():
-            out[m] = out.get(m, ZERO) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    c = frac(c)
-    return {m: c * x for m, x in p.items()} if c else {}
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -412,12 +395,7 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            key = _mono_mul(ma, mb)
-            out[key] = out.get(key, ZERO) + ca * cb
-    return {m: c for m, c in out.items() if c}
+    return sparse.product(p, q, _mono_mul)
 
 
 def _mono_delete(m: tuple, var: str) -> tuple:
@@ -452,9 +430,8 @@ class Biderivation:
                     for var_b, exp_b in mq:
                         rest_b = {_mono_delete(mq, var_b): frac(exp_b)}
                         piece = poly_mul(poly_mul(rest_a, rest_b), self.gen(var_a, var_b))
-                        for m, c in piece.items():
-                            out[m] = out.get(m, ZERO) + cp * cq * c
-        return {m: c for m, c in out.items() if c}
+                        sparse.accumulate(out, piece.items(), cp * cq)
+        return sparse.purge(out)
 
 
 def eval_tree(tree, env: dict[str, Poly], op: Callable[[Poly, Poly], Poly]) -> Poly:
@@ -478,7 +455,7 @@ def generic_assignment(sym: str) -> Biderivation:
 
     def gen(a: str, b: str) -> Poly:
         if eps is not None and a > b:
-            return poly_scale(gen(b, a), eps)
+            return sparse.scale(gen(b, a), eps)
         return poly_var(f"<{a}|{b}>")
 
     return Biderivation(gen)
@@ -495,15 +472,15 @@ def sl2_poisson_assignment() -> Biderivation:
     constants: e*f = h, h*e = 2e, h*f = -2f, extended skew."""
     values = {
         ("e", "f"): poly_var("h"),
-        ("h", "e"): poly_scale(poly_var("e"), 2),
-        ("h", "f"): poly_scale(poly_var("f"), -2),
+        ("h", "e"): sparse.scale(poly_var("e"), 2),
+        ("h", "f"): sparse.scale(poly_var("f"), -2),
     }
 
     def gen(a: str, b: str) -> Poly:
         if (a, b) in values:
             return values[(a, b)]
         if (b, a) in values:
-            return poly_scale(values[(b, a)], -1)
+            return sparse.scale(values[(b, a)], -1)
         return {}
 
     return Biderivation(gen)
@@ -512,12 +489,10 @@ def sl2_poisson_assignment() -> Biderivation:
 def relation_value(coeffs, basis, env, op) -> Poly:
     total: Poly = {}
     for coeff, term in zip(coeffs, basis):
-        if not coeff:
-            continue
-        total = poly_add(
-            total, poly_scale(eval_tree(term.build("b1", "b2", "b3"), env, op), coeff)
-        )
-    return total
+        if coeff:
+            value = eval_tree(term.build("b1", "b2", "b3"), env, op)
+            sparse.accumulate(total, value.items(), frac(coeff))
+    return sparse.purge(total)
 
 
 def symbolic_expand_oracle(coeffs, sym: str, op: Biderivation | None = None) -> bool:
@@ -542,11 +517,11 @@ def symbolic_expand_oracle(coeffs, sym: str, op: Biderivation | None = None) -> 
         env_p[name] = q
         env_q = dict(base_env)
         env_q[name] = p
-        rhs = poly_add(
+        rhs = sparse.add(
             poly_mul(p, relation_value(coeffs, basis, env_p, op)),
             poly_mul(q, relation_value(coeffs, basis, env_q, op)),
         )
-        if poly_add(lhs, poly_scale(rhs, -1)):
+        if lhs != rhs:
             return False
     return True
 

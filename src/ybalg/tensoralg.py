@@ -2,8 +2,10 @@
 
 Basis tensors are indexed by *words*: the word ``(i1, ..., im)`` stands for
 ``e_{i1} (x) ... (x) e_{im}`` in the m-th tensor power of a fixed
-finite-dimensional space with basis ``e_0, ..., e_{dim-1}``.  Every
-coefficient is a ``fractions.Fraction``; nothing in this module ever rounds.
+finite-dimensional space with basis ``e_0, ..., e_{dim-1}``.  Graded tensors
+and tensor maps keep their coefficients as sparse vectors of
+:mod:`ybalg.sparse` (every coefficient a nonzero ``fractions.Fraction``), and
+all of their arithmetic is that module's; nothing here ever rounds.
 
 Permutations are kept in one-line form as 0-indexed tuples under the *left
 action* convention: ``p[j]`` is the slot that the content of slot ``j`` moves
@@ -15,25 +17,15 @@ one-line string ``(312)`` used in reports, meaning the permutation sending
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
+
+from . import sparse
+from .sparse import ONE, ZERO
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def frac(value) -> Fraction:
-    """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def words(dim: int, length: int) -> Iterator[Word]:
@@ -186,21 +178,23 @@ class GradedTensor:
 
     def __init__(self, dim: int, terms: Mapping[Word, Fraction] | None = None):
         self.dim = dim
-        purged: dict[Word, Fraction] = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = frac(coeff)
-                if c:
-                    purged[word] = c
-        self.terms = purged
+        self.terms = sparse.vector(terms or {})
+
+    @classmethod
+    def _of(cls, dim: int, terms: dict[Word, Fraction]) -> "GradedTensor":
+        """Wrap a vector the kernel already purged, without a second pass."""
+        t = object.__new__(cls)
+        t.dim = dim
+        t.terms = terms
+        return t
 
     @classmethod
     def basis(cls, dim: int, word: Word) -> "GradedTensor":
-        return cls(dim, {tuple(word): ONE})
+        return cls._of(dim, {tuple(word): ONE})
 
     @classmethod
     def zero(cls, dim: int) -> "GradedTensor":
-        return cls(dim, {})
+        return cls._of(dim, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -219,10 +213,7 @@ class GradedTensor:
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, ZERO) + coeff
-        return GradedTensor(self.dim, merged)
+        return GradedTensor._of(self.dim, sparse.add(self.terms, other.terms))
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
         return self + other.scale(-1)
@@ -231,21 +222,17 @@ class GradedTensor:
         return self.scale(-1)
 
     def scale(self, scalar) -> "GradedTensor":
-        c = frac(scalar)
-        return GradedTensor(self.dim, {w: c * v for w, v in self.terms.items()})
+        return GradedTensor._of(self.dim, sparse.scale(self.terms, scalar))
 
     def tensor(self, other: "GradedTensor") -> "GradedTensor":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                out[word] = out.get(word, ZERO) + c1 * c2
-        return GradedTensor(self.dim, out)
+        return GradedTensor._of(
+            self.dim, sparse.product(self.terms, other.terms, operator.add)
+        )
 
     def permute(self, p: Perm) -> "GradedTensor":
-        return GradedTensor(
+        return GradedTensor._of(
             self.dim, {word_permute(p, w): c for w, c in self.terms.items()}
         )
 
@@ -304,15 +291,21 @@ class TensorMap:
         self.dim = dim
         self.dom_deg = dom_deg
         self.cod_deg = cod_deg
-        purged: dict[tuple[Word, Word], Fraction] = {}
-        if entries:
-            for (out_word, in_word), coeff in entries.items():
-                if len(out_word) != cod_deg or len(in_word) != dom_deg:
-                    raise ValueError("entry word length does not match degrees")
-                c = frac(coeff)
-                if c:
-                    purged[(tuple(out_word), tuple(in_word))] = c
-        self.entries = purged
+        entries = entries or {}
+        if any(len(o) != cod_deg or len(i) != dom_deg for o, i in entries):
+            raise ValueError("entry word length does not match degrees")
+        self.entries = sparse.vector(
+            ((tuple(o), tuple(i)), c) for (o, i), c in entries.items()
+        )
+
+    def _of(self, dom_deg: int, cod_deg: int, entries: dict) -> "TensorMap":
+        """A map over the same space wrapping a vector the kernel already purged."""
+        t = object.__new__(TensorMap)
+        t.dim = self.dim
+        t.dom_deg = dom_deg
+        t.cod_deg = cod_deg
+        t.entries = entries
+        return t
 
     # -- constructors -------------------------------------------------------
 
@@ -322,7 +315,7 @@ class TensorMap:
 
     @classmethod
     def identity(cls, dim: int, deg: int) -> "TensorMap":
-        return cls(dim, deg, deg, {(w, w): ONE for w in words(dim, deg)})
+        return cls.from_permutation(identity_perm(deg), dim)
 
     @classmethod
     def from_permutation(cls, p: Perm, dim: int) -> "TensorMap":
@@ -379,25 +372,22 @@ class TensorMap:
     def apply(self, t: GradedTensor) -> GradedTensor:
         if t.dim != self.dim:
             raise ValueError("dimension mismatch")
+        terms = t.terms
+        if any(len(word) != self.dom_deg for word in terms):
+            raise ValueError("input degree does not match map domain")
         out: dict[Word, Fraction] = {}
-        for word, coeff in t.terms.items():
-            if len(word) != self.dom_deg:
-                raise ValueError("input degree does not match map domain")
-        for (out_word, in_word), c in self.entries.items():
-            v = t.terms.get(in_word)
-            if v:
-                out[out_word] = out.get(out_word, ZERO) + c * v
-        return GradedTensor(self.dim, out)
+        sparse.accumulate(
+            out,
+            ((o, c * terms[i]) for (o, i), c in self.entries.items() if i in terms),
+        )
+        return GradedTensor._of(self.dim, sparse.purge(out))
 
     def apply_word(self, w: Word) -> GradedTensor:
         return self.apply(GradedTensor.basis(self.dim, w))
 
     def __add__(self, other: "TensorMap") -> "TensorMap":
         self._check_same_shape(other)
-        merged = dict(self.entries)
-        for key, coeff in other.entries.items():
-            merged[key] = merged.get(key, ZERO) + coeff
-        return TensorMap(self.dim, self.dom_deg, self.cod_deg, merged)
+        return self._of(self.dom_deg, self.cod_deg, sparse.add(self.entries, other.entries))
 
     def __sub__(self, other: "TensorMap") -> "TensorMap":
         return self + other.scale(-1)
@@ -406,13 +396,7 @@ class TensorMap:
         return self.scale(-1)
 
     def scale(self, scalar) -> "TensorMap":
-        c = frac(scalar)
-        return TensorMap(
-            self.dim,
-            self.dom_deg,
-            self.cod_deg,
-            {k: c * v for k, v in self.entries.items()},
-        )
+        return self._of(self.dom_deg, self.cod_deg, sparse.scale(self.entries, scalar))
 
     def compose(self, other: "TensorMap") -> "TensorMap":
         """``self o other`` (apply ``other`` first)."""
@@ -424,11 +408,15 @@ class TensorMap:
         for (out_word, mid_word), c in self.entries.items():
             by_mid.setdefault(mid_word, []).append((out_word, c))
         out: dict[tuple[Word, Word], Fraction] = {}
-        for (mid_word, in_word), c2 in other.entries.items():
-            for out_word, c1 in by_mid.get(mid_word, ()):
-                key = (out_word, in_word)
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return TensorMap(self.dim, other.dom_deg, self.cod_deg, out)
+        sparse.accumulate(
+            out,
+            (
+                ((out_word, in_word), c1 * c2)
+                for (mid_word, in_word), c2 in other.entries.items()
+                for out_word, c1 in by_mid.get(mid_word, ())
+            ),
+        )
+        return self._of(other.dom_deg, self.cod_deg, sparse.purge(out))
 
     def __matmul__(self, other: "TensorMap") -> "TensorMap":
         return self.compose(other)
@@ -436,20 +424,19 @@ class TensorMap:
     def tensor_product(self, other: "TensorMap") -> "TensorMap":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (o1, i1), c1 in self.entries.items():
-            for (o2, i2), c2 in other.entries.items():
-                out[(o1 + o2, i1 + i2)] = c1 * c2
-        return TensorMap(
-            self.dim, self.dom_deg + other.dom_deg, self.cod_deg + other.cod_deg, out
+        return self._of(
+            self.dom_deg + other.dom_deg,
+            self.cod_deg + other.cod_deg,
+            sparse.product(
+                self.entries, other.entries, lambda a, b: (a[0] + b[0], a[1] + b[1])
+            ),
         )
 
     def conjugate_by_perm(self, p: Perm) -> "TensorMap":
         """``P o self o P^{-1}`` for the permutation operator ``P``."""
         if not self.is_degree_preserving() or len(p) != self.dom_deg:
             raise ValueError("conjugation needs a degree-preserving map")
-        return TensorMap(
-            self.dim,
+        return self._of(
             self.dom_deg,
             self.cod_deg,
             {
@@ -502,7 +489,7 @@ def embed_components(r: TensorMap, slots: Sequence[int], n: int) -> TensorMap:
                 out_word[j] = filler[t]
                 in_word[j] = filler[t]
             out[(tuple(out_word), tuple(in_word))] = c
-    return TensorMap(r.dim, n, n, out)
+    return r._of(n, n, out)
 
 
 def commutator(f: TensorMap, g: TensorMap) -> TensorMap:

@@ -27,14 +27,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import sparse
+from .sparse import ONE
 from .tensoralg import (
-    ONE,
-    ZERO,
     GradedTensor,
     TensorMap,
     Word,
     block_permutation_expand,
-    frac,
     sigma_prime,
     words,
 )
@@ -393,35 +392,9 @@ def bracket_roundtrip(r: TensorMap, max_degree: int) -> RoundtripReport:
 Poly = dict[Word, Fraction]  # monomial (sorted generator tuple) -> coefficient
 
 
-def poly(terms: dict[Word, Fraction] | None = None) -> Poly:
-    out: Poly = {}
-    if terms:
-        for mono, coeff in terms.items():
-            c = frac(coeff)
-            if c:
-                out[tuple(sorted(mono))] = out.get(tuple(sorted(mono)), ZERO) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for mono, coeff in q.items():
-        out[mono] = out.get(mono, ZERO) + coeff
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_scale(p: Poly, scalar) -> Poly:
-    c = frac(scalar)
-    return {m: c * v for m, v in p.items()} if c else {}
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(sorted(m1 + m2))
-            out[mono] = out.get(mono, ZERO) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+def _times_monomial(p: Poly, mono: Word) -> Poly:
+    """``p`` times one monomial; distinct monomials stay distinct."""
+    return {tuple(sorted(m + mono)): c for m, c in p.items()}
 
 
 class PolynomialPoissonBracket:
@@ -433,7 +406,10 @@ class PolynomialPoissonBracket:
 
     def __init__(self, dim: int, table: dict[tuple[int, int], Poly]):
         self.dim = dim
-        self.table = {key: poly(val) for key, val in table.items()}
+        self.table = {
+            key: sparse.vector((tuple(sorted(m)), c) for m, c in val.items())
+            for key, val in table.items()
+        }
         for (i, j) in self.table:
             if not 0 <= i < j < dim:
                 raise ValueError("table keys must be ordered generator pairs")
@@ -443,7 +419,7 @@ class PolynomialPoissonBracket:
             return {}
         if i < j:
             return self.table.get((i, j), {})
-        return poly_scale(self.table.get((j, i), {}), -1)
+        return sparse.scale(self.table.get((j, i), {}), -1)
 
     def extend(self, m1: Word, m2: Word) -> Poly:
         total: Poly = {}
@@ -452,35 +428,35 @@ class PolynomialPoissonBracket:
                 value = self.gen_value(gi, gj)
                 if not value:
                     continue
-                rest = tuple(sorted(m1[:a] + m1[a + 1 :] + m2[:b] + m2[b + 1 :]))
-                total = poly_add(total, poly_mul(value, {rest: ONE}))
-        return total
+                rest = m1[:a] + m1[a + 1 :] + m2[:b] + m2[b + 1 :]
+                sparse.accumulate(total, _times_monomial(value, rest).items())
+        return sparse.purge(total)
 
     def bracket(self, p: Poly, q: Poly) -> Poly:
         total: Poly = {}
         for m1, c1 in p.items():
             for m2, c2 in q.items():
-                total = poly_add(total, poly_scale(self.extend(m1, m2), c1 * c2))
-        return total
+                sparse.accumulate(total, self.extend(m1, m2).items(), c1 * c2)
+        return sparse.purge(total)
 
     # defects ---------------------------------------------------------------
 
     def skew_defect(self, m1: Word, m2: Word) -> Poly:
-        return poly_add(self.extend(m1, m2), self.extend(m2, m1))
+        return sparse.add(self.extend(m1, m2), self.extend(m2, m1))
 
     def jacobi_defect(self, m1: Word, m2: Word, m3: Word) -> Poly:
         t1 = self.bracket({m1: ONE}, self.extend(m2, m3))
         t2 = self.bracket({m2: ONE}, self.extend(m3, m1))
         t3 = self.bracket({m3: ONE}, self.extend(m1, m2))
-        return poly_add(poly_add(t1, t2), t3)
+        return sparse.add(sparse.add(t1, t2), t3)
 
     def leibniz_defect(self, m1: Word, m2: Word, m3: Word) -> Poly:
         lhs = self.extend(m1, tuple(sorted(m2 + m3)))
-        rhs = poly_add(
-            poly_mul(self.extend(m1, m2), {m3: ONE}),
-            poly_mul({m2: ONE}, self.extend(m1, m3)),
+        rhs = sparse.add(
+            _times_monomial(self.extend(m1, m2), m3),
+            _times_monomial(self.extend(m1, m3), m2),
         )
-        return poly_add(lhs, poly_scale(rhs, -1))
+        return sparse.add(lhs, sparse.scale(rhs, -1))
 
     def check(self, max_degree: int) -> BracketReport:
         checks = []

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebras import TruncatedAlgebra, TruncationOverflow, el, el_add, el_scale
+from . import sparse
+from .algebras import TruncatedAlgebra, TruncationOverflow
 from .linfty import shuffles, sign_odd
-from .tensoralg import TensorMap, Word, embed_components, frac, word_permute, words
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .sparse import ONE, frac
+from .tensoralg import TensorMap, Word, embed_components, word_permute, words
 
 Element = dict[int, Fraction]
 Tensor = dict[Word, Fraction]
@@ -63,7 +62,7 @@ class LieStructure:
         for (i, j), value in table.items():
             if not (0 <= i < len(self.labels) and 0 <= j < len(self.labels)):
                 raise ValueError("bracket table index out of range")
-            entry = el(value)
+            entry = sparse.vector(value)
             if entry:
                 norm[(i, j)] = entry
         self.table = norm
@@ -79,9 +78,10 @@ class LieStructure:
         out: Element = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                for k, ck in self.table.get((i, j), {}).items():
-                    out[k] = out.get(k, ZERO) + ci * cj * ck
-        return {k: c for k, c in out.items() if c}
+                value = self.table.get((i, j))
+                if value:
+                    sparse.accumulate(out, value.items(), ci * cj)
+        return sparse.purge(out)
 
     def defects(self) -> list[str]:
         """Violations of grading, graded antisymmetry, or graded Jacobi."""
@@ -96,9 +96,9 @@ class LieStructure:
         for i in range(self.nbasis):
             for j in range(self.nbasis):
                 twist = -ONE if (deg[i] * deg[j]) % 2 else ONE
-                defect = el_add(
+                defect = sparse.add(
                     self.bracket_basis(i, j),
-                    el_scale(self.bracket_basis(j, i), twist),
+                    sparse.scale(self.bracket_basis(j, i), twist),
                 )
                 if defect:
                     found.append(
@@ -110,14 +110,14 @@ class LieStructure:
                 twist = -ONE if (deg[i] * deg[j]) % 2 else ONE
                 for k in range(self.nbasis):
                     lhs = self.bracket({i: ONE}, self.bracket_basis(j, k))
-                    rhs = el_add(
+                    rhs = sparse.add(
                         self.bracket(self.bracket_basis(i, j), {k: ONE}),
-                        el_scale(
+                        sparse.scale(
                             self.bracket({j: ONE}, self.bracket_basis(i, k)),
                             twist,
                         ),
                     )
-                    if el_add(lhs, el_scale(rhs, -1)):
+                    if lhs != rhs:
                         found.append(
                             "graded Jacobi fails on ("
                             f"{self.labels[i]}, {self.labels[j]},"
@@ -231,15 +231,6 @@ def _pair_product(resolve, degrees, wx, slots_x, wy, slots_y, n):
         yield tuple(k for k, _ in combo), coeff
 
 
-def _accumulate(total: Tensor, terms, scalar: Fraction = ONE) -> None:
-    for word, coeff in terms:
-        c = total.get(word, ZERO) + scalar * coeff
-        if c:
-            total[word] = c
-        else:
-            total.pop(word, None)
-
-
 def lie_pair_bracket(g: LieStructure, x: Tensor, slots_x, y: Tensor, slots_y, n: int) -> Tensor:
     """``[x^(slots_x), y^(slots_y)]`` inside the n-th tensor power of ``g``.
 
@@ -254,14 +245,14 @@ def lie_pair_bracket(g: LieStructure, x: Tensor, slots_x, y: Tensor, slots_y, n:
     total: Tensor = {}
     for wx, cx in sorted(x.items()):
         for wy, cy in sorted(y.items()):
-            _accumulate(
+            sparse.accumulate(
                 total,
                 _pair_product(
                     g.bracket_basis, g.degrees, wx, tuple(slots_x), wy, tuple(slots_y), n
                 ),
                 cx * cy,
             )
-    return total
+    return sparse.purge(total)
 
 
 def assoc_pair_product(
@@ -278,14 +269,14 @@ def assoc_pair_product(
     total: Tensor = {}
     for wx, cx in sorted(x.items()):
         for wy, cy in sorted(y.items()):
-            _accumulate(
+            sparse.accumulate(
                 total,
                 _pair_product(
                     algebra.mul_basis, degrees, wx, tuple(slots_x), wy, tuple(slots_y), n
                 ),
                 cx * cy,
             )
-    return total
+    return sparse.purge(total)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +334,13 @@ def cybe_infty_sum(g: LieStructure, fam: RnFamily, n: int, reading: str = "shuff
         y = fam.elements.get(j)
         if not x or not y:
             continue
-        scalar = ONE if i % 2 == 0 else -ONE
+        scalar = -1 if i % 2 else None  # (-1)^i; None adds the terms as they are
         sels = full_selections(n) if reading == "literal" else shuffle_selections(n, i)
         for sel in sels:
             slots_x, slots_y = _split_slots(sel, i)
             term = lie_pair_bracket(g, x, slots_x, y, slots_y, n)
-            _accumulate(total, term.items(), scalar)
-    return total
+            sparse.accumulate(total, term.items(), scalar)
+    return sparse.purge(total)
 
 
 def aybe_infty_sum(
@@ -368,20 +359,20 @@ def aybe_infty_sum(
         y = fam.elements.get(j)
         if not x or not y:
             continue
-        scalar = ONE if i % 2 == 0 else -ONE
+        scalar = -1 if i % 2 else None  # (-1)^i; None adds the terms as they are
         for sel in cyclic_selections(n):
             slots_x, slots_y = _split_slots(sel, i)
             term = assoc_pair_product(algebra, x, slots_x, y, slots_y, n, degs)
-            _accumulate(total, term.items(), scalar)
-    return total
+            sparse.accumulate(total, term.items(), scalar)
+    return sparse.purge(total)
 
 
 def classical_cybe_element(g: LieStructure, r2: Tensor) -> Tensor:
     """``[r^12, r^13] + [r^12, r^23] + [r^13, r^23]`` in the cube."""
     total: Tensor = {}
     for slots_x, slots_y in (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))):
-        _accumulate(total, lie_pair_bracket(g, r2, slots_x, r2, slots_y, 3).items())
-    return total
+        sparse.accumulate(total, lie_pair_bracket(g, r2, slots_x, r2, slots_y, 3).items())
+    return sparse.purge(total)
 
 
 def classical_aybe_element(
@@ -390,18 +381,18 @@ def classical_aybe_element(
     """``r^12 r^13 - r^23 r^12 + r^13 r^23`` in the cube."""
     total: Tensor = {}
     for slots_x, slots_y, scalar in (
-        ((0, 1), (0, 2), ONE),
-        ((1, 2), (0, 1), -ONE),
-        ((0, 2), (1, 2), ONE),
+        ((0, 1), (0, 2), None),
+        ((1, 2), (0, 1), -1),
+        ((0, 2), (1, 2), None),
     ):
-        _accumulate(
+        sparse.accumulate(
             total,
             assoc_pair_product(
                 algebra, r2, slots_x, r2, slots_y, 3, super_degrees
             ).items(),
             scalar,
         )
-    return total
+    return sparse.purge(total)
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +614,12 @@ def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> lis
             tau = tuple(tau)
             for w in words(b.dim, arity):
                 permuted_args = word_permute(tau, w)
-                lhs: Tensor = {}
-                for v, c in b.apply_word(permuted_args).terms.items():
-                    u = word_permute(tau, v)
-                    lhs[u] = lhs.get(u, ZERO) + c
+                lhs = {
+                    word_permute(tau, v): c
+                    for v, c in b.apply_word(permuted_args).terms.items()
+                }
                 sign = sign_odd(tuple(degs[k] for k in w), tau)
-                rhs = {v: sign * c for v, c in b.apply_word(w).terms.items()}
-                diff = dict(lhs)
-                for v, c in rhs.items():
-                    diff[v] = diff.get(v, ZERO) - c
-                if any(diff.values()):
+                if lhs != sparse.scale(b.apply_word(w).terms, sign):
                     defects.append(
                         f"arity {arity}: swap ({t + 1} {t + 2}) fails on word"
                         f" ({','.join(map(str, w))})"
@@ -665,30 +652,27 @@ def double_leibniz_defects(
                 for y in range(algebra.nbasis):
                     try:
                         product = algebra.mul_basis(x, y)
-                        lhs: Tensor = {}
+                        # lhs minus the left and right terms, in one total
+                        diff: Tensor = {}
                         for p, cp in sorted(product.items()):
-                            for v, c in b.apply_word(args + (p,)).terms.items():
-                                lhs[v] = lhs.get(v, ZERO) + cp * c
-                        left: Tensor = {}
+                            sparse.accumulate(
+                                diff, b.apply_word(args + (p,)).terms.items(), cp
+                            )
+                        sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
                         for v, c in b.apply_word(args + (y,)).terms.items():
-                            for q, cq in algebra.mul_basis(x, v[0]).items():
-                                u = (q,) + v[1:]
-                                left[u] = left.get(u, ZERO) + c * cq
-                        right: Tensor = {}
+                            left = algebra.mul_basis(x, v[0]).items()
+                            sparse.accumulate(
+                                diff, (((q,) + v[1:], cq) for q, cq in left), -sign_left * c
+                            )
+                        sign_right = -1 if (arity * degs[y]) % 2 else 1
                         for v, c in b.apply_word(args + (x,)).terms.items():
-                            for q, cq in algebra.mul_basis(v[-1], y).items():
-                                u = v[:-1] + (q,)
-                                right[u] = right.get(u, ZERO) + c * cq
+                            right = algebra.mul_basis(v[-1], y).items()
+                            sparse.accumulate(
+                                diff, ((v[:-1] + (q,), cq) for q, cq in right), -sign_right * c
+                            )
                     except TruncationOverflow:
                         skipped += 1
                         continue
-                    sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
-                    sign_right = -1 if (arity * degs[y]) % 2 else 1
-                    diff = dict(lhs)
-                    for v, c in left.items():
-                        diff[v] = diff.get(v, ZERO) - sign_left * c
-                    for v, c in right.items():
-                        diff[v] = diff.get(v, ZERO) - sign_right * c
                     if any(diff.values()):
                         defects.append(
                             f"arity {arity}: leibniz fails at args="
@@ -817,12 +801,12 @@ def gl_lie(size: int = 2) -> LieStructure:
         for b in range(size):
             for c in range(size):
                 for d in range(size):
-                    entry: Element = {}
+                    terms = []
                     if b == c:
-                        entry[idx(a, d)] = entry.get(idx(a, d), ZERO) + ONE
+                        terms.append((idx(a, d), ONE))
                     if d == a:
-                        entry[idx(c, b)] = entry.get(idx(c, b), ZERO) - ONE
-                    entry = {k: v for k, v in entry.items() if v}
+                        terms.append((idx(c, b), -ONE))
+                    entry = sparse.vector(terms)
                     if entry:
                         table[(idx(a, b), idx(c, d))] = entry
     return LieStructure(labels, table)
@@ -874,18 +858,19 @@ def scalar_algebra() -> TruncatedAlgebra:
 def matrix_element_to_map(tensor: Tensor, size: int, n: int) -> TensorMap:
     """Words of matrix units as an endomorphism of the n-fold column space."""
     entries: dict[tuple[Word, Word], Fraction] = {}
-    for word, coeff in tensor.items():
-        out_word = tuple(k // size for k in word)
-        in_word = tuple(k % size for k in word)
-        key = (out_word, in_word)
-        entries[key] = entries.get(key, ZERO) + coeff
+    sparse.accumulate(
+        entries,
+        (
+            ((tuple(k // size for k in word), tuple(k % size for k in word)), coeff)
+            for word, coeff in tensor.items()
+        ),
+    )
     return TensorMap(size, n, n, entries)
 
 
 def matrix_map_to_element(r: TensorMap, size: int) -> Tensor:
     """The inverse dictionary: an endomorphism as a word of matrix units."""
-    out: Tensor = {}
-    for (out_word, in_word), coeff in r.entries.items():
-        word = tuple(a * size + b for a, b in zip(out_word, in_word))
-        out[word] = out.get(word, ZERO) + coeff
-    return {w: c for w, c in out.items() if c}
+    return sparse.vector(
+        (tuple(a * size + b for a, b in zip(out_word, in_word)), coeff)
+        for (out_word, in_word), coeff in r.entries.items()
+    )

@@ -1,9 +1,14 @@
 """Job harness and command line: verdicts, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ybalg
 from ybalg import harness, io, operad
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
 from ybalg.cli import main
@@ -76,6 +81,25 @@ class TestHarness:
         report = run_suite(JobSpec((), output_path=str(out)))
         assert out.read_text() == report.text()
 
+    def test_suite_bytes_do_not_depend_on_the_hash_seed(self):
+        # two fresh interpreters, run side by side, with different str hashing
+        src = str(Path(ybalg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "ybalg.cli", "suite"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            )
+            for seed in ("0", "1")
+        ]
+        outputs = [run.communicate(timeout=600) for run in runs]
+        for run, (_, err) in zip(runs, outputs):
+            assert run.returncode == 0, err.decode()
+        assert b"result: PASS" in outputs[0][0]
+        assert outputs[0][0] == outputs[1][0]
+
 
 class TestFixtureSearch:
     def test_classical_solutions_include_zero(self):
@@ -133,6 +157,32 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "broken.txt:5" in err
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_dim_is_two(self, tmp_path, capsys, dim):
+        path = write(
+            tmp_path, "flat.txt", f"ybalg schema/1 tensor-map\ndim: {dim}\ndom: 2\ncod: 2\n"
+        )
+        assert main(["ybe", "check", "--kind", "qybe", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert "result: PASS" not in captured.out
+        assert "flat.txt:2" in captured.err
+        assert "dim must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_family_dim_is_two(self, tmp_path, capsys, dim):
+        lie_path = write(tmp_path, "gl.txt", io.dump_lie_structure(gl_lie(2)))
+        fam_path = write(tmp_path, "fam.txt", f"ybalg schema/1 rn-family\ndim: {dim}\n")
+        code = main(
+            [
+                "ybe-infty", "check", "--kind", "cybe", "--algebra", lie_path,
+                "--family", fam_path, "--n", "3",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "fam.txt:2" in err
+        assert "dim must be at least 1" in err
 
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert main(["ybe", "cae", "--input", str(tmp_path / "nope.txt")]) == 2

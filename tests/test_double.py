@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybalg import sparse
 from ybalg.algebras import (
     Quiver,
     TruncationOverflow,
@@ -28,8 +29,6 @@ from ybalg.double import (
     extend_by_derivations,
     extension_consistency_check,
     one_variable_lambda_bracket,
-    t2_add,
-    t2_scale,
     t2_swap,
     two_cycle_symplectic_bracket,
 )
@@ -131,7 +130,7 @@ class TestOneVariableBracket:
         one = A.index("1")
         table = {k: dict(v) for k, v in db.table.items()}
         # break the derivation structure at a single pair
-        table[(x2, x2)] = t2_add(table.get((x2, x2), {}), {(one, one): ONE})
+        table[(x2, x2)] = sparse.add(table.get((x2, x2), {}), {(one, one): ONE})
         broken = DoubleBracket(A, table)
         report = commutative_remark_checks(broken)
         assert not report.two_variable_holds
@@ -206,7 +205,7 @@ class TestTensorSquareHelpers:
 
     def test_add_cancels(self):
         t = {(0, 1): ONE}
-        assert t2_add(t, t2_scale(t, -1)) == {}
+        assert sparse.add(t, sparse.scale(t, -1)) == {}
 
 
 class TestMapLevelBridge:

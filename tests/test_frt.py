@@ -106,6 +106,14 @@ class TestGroupAlgebra:
         with pytest.raises(ValueError, match="not a permutation"):
             GroupAlgebraElement(2, {(0, 0): ONE})
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            GroupAlgebraElement(2, {(1, 0): 0.1})
+
+    def test_float_scalar_rejected(self):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            GroupAlgebraElement.identity(2).scale(0.5)
+
     def test_mixed_groups_rejected(self):
         x = GroupAlgebraElement.identity(2)
         y = GroupAlgebraElement.identity(3)

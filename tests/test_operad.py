@@ -21,9 +21,7 @@ from ybalg.operad import (
     leibniz_obstruction,
     lie_admissible_vector,
     oracle_agreement_trial,
-    poly_add,
     poly_mul,
-    poly_scale,
     poly_var,
     prod,
     relation_value,
@@ -32,7 +30,9 @@ from ybalg.operad import (
     symbolic_expand_oracle,
     zero_assignment,
 )
-from ybalg.tensoralg import frac, perm_compose, perm_sign
+from ybalg.sparse import add as poly_add
+from ybalg.sparse import frac
+from ybalg.tensoralg import perm_compose, perm_sign
 
 SIGMAS = list(itertools.permutations((0, 1, 2)))
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from ybalg.fixtures import (
     random_map,
     random_skew_map,
     skew_entry_orbits,
+    skew_map_from_orbit_values,
 )
 from ybalg.tensoralg import TensorMap, words
 from ybalg.ybe import (
@@ -133,6 +135,11 @@ def test_cae_requires_skew_precondition():
 # ---------------------------------------------------------------------------
 # quantum equation and unitarity
 # ---------------------------------------------------------------------------
+
+
+def test_orbit_values_reject_floats():
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        skew_map_from_orbit_values(2, [0.5, 0, 0, 0, 0, 0])
 
 
 def test_diagonal_unitary_solution():
