@@ -9,7 +9,8 @@ The submodules group by subject:
   builds, adds, scales, multiplies and purges coefficient dicts.
 - :mod:`ybalg.tensoralg` — words, graded tensors, maps, block permutations,
   all stored as :mod:`ybalg.sparse` vectors.
-- :mod:`ybalg.linalg` — fraction-free row reduction, ranks, nullspaces.
+- :mod:`ybalg.linalg` — sparse fraction-free row reduction on integer
+  dict-rows into the canonical reduced echelon form; ranks, nullspaces.
 - :mod:`ybalg.ybe` — classical/associative/quantum residuals and the
   combination identity.
 - :mod:`ybalg.twisted` — the bracket extension to tensor words and its

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import sparse
 from .linalg import rref
-from .sparse import ONE, ZERO
+from .sparse import ONE
 
 Element = dict[int, Fraction]
 
@@ -364,20 +364,14 @@ def quotient_algebra(
                 continue
             prod = parent.mul(parent.mul({p: ONE}, relation), {s: ONE})
             if prod:
-                row = [ZERO] * n
-                for idx, coeff in prod.items():
-                    row[idx] = coeff
-                span_rows.append(row)
+                span_rows.append(prod)
     reduced = rref(span_rows, n)
     reps = reduced.free_cols()
     rep_pos = {col: k for k, col in enumerate(reps)}
 
     def reduce_to_quotient(element: Element) -> Element:
-        vec = [ZERO] * n
-        for idx, coeff in element.items():
-            vec[idx] = coeff
-        residual = reduced.reduce(vec)
-        return {rep_pos[c]: residual[c] for c in reps if residual[c]}
+        # the residual vanishes on every pivot column, so it lives on reps
+        return {rep_pos[c]: coeff for c, coeff in reduced.reduce(element).items()}
 
     labels = [parent.labels[c] for c in reps]
     degrees = [parent.degrees[c] for c in reps]

@@ -30,11 +30,12 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import sparse, ybe
-from .linalg import Vector, rank, row_space_equal, rref
+from .linalg import Terms, Vector, rank, row_space_equal, rref
 from .sparse import ONE, ZERO
 from .tensoralg import (
     Perm,
     TensorMap,
+    Word,
     identity_perm,
     is_perm,
     perm_compose,
@@ -136,12 +137,10 @@ def group_algebra_rank(x: GroupAlgebraElement) -> int:
     """
     perms = sorted(itertools.permutations(range(x.m)))
     index = {p: k for k, p in enumerate(perms)}
-    rows = []
-    for sigma in perms:
-        row = [ZERO] * len(perms)
-        for tau, c in x.terms.items():
-            row[index[perm_compose(sigma, tau)]] += c
-        rows.append(row)
+    rows = [
+        {index[perm_compose(sigma, tau)]: c for tau, c in x.terms.items()}
+        for sigma in perms
+    ]
     return rank(rows, len(perms))
 
 
@@ -423,13 +422,15 @@ def evaluate_in_action(
 # exact linear algebra on operators
 
 
-def map_matrix(tmap: TensorMap) -> list[Vector]:
-    """Dense matrix rows (out-word index by in-word index), words lex."""
-    win = list(words(tmap.dim, tmap.dom_deg))
-    wout = list(words(tmap.dim, tmap.cod_deg))
-    index_in = {w: j for j, w in enumerate(win)}
-    index_out = {w: i for i, w in enumerate(wout)}
-    rows = [[ZERO] * len(win) for _ in wout]
+def _word_index(dim: int, deg: int) -> dict[Word, int]:
+    return {w: i for i, w in enumerate(words(dim, deg))}
+
+
+def map_matrix(tmap: TensorMap) -> list[Terms]:
+    """Sparse matrix rows (out-word index by in-word index), words lex."""
+    index_in = _word_index(tmap.dim, tmap.dom_deg)
+    index_out = _word_index(tmap.dim, tmap.cod_deg)
+    rows: list[Terms] = [{} for _ in index_out]
     for (out_w, in_w), coeff in tmap.entries.items():
         rows[index_out[out_w]][index_in[in_w]] = coeff
     return rows
@@ -444,17 +445,16 @@ def image_vectors(tmap: TensorMap) -> list[Vector]:
     """Columns of the matrix: spanning vectors of the image, in-word order."""
     rows = map_matrix(tmap)
     ncols = tmap.dim**tmap.dom_deg
-    return [[row[j] for row in rows] for j in range(ncols)]
+    return [[row.get(j, ZERO) for row in rows] for j in range(ncols)]
 
 
 def apply_to_vector(tmap: TensorMap, vec: Sequence[Fraction]) -> Vector:
     """Matrix-vector product in the lexicographic word coordinates."""
-    win = list(words(tmap.dim, tmap.dom_deg))
-    index_in = {w: j for j, w in enumerate(win)}
-    index_out = {w: i for i, w in enumerate(words(tmap.dim, tmap.cod_deg))}
-    if len(vec) != len(win):
+    index_in = _word_index(tmap.dim, tmap.dom_deg)
+    index_out = _word_index(tmap.dim, tmap.cod_deg)
+    if len(vec) != len(index_in):
         raise ValueError("length mismatch")
-    out = [ZERO] * tmap.dim**tmap.cod_deg
+    out = [ZERO] * len(index_out)
     for (out_w, in_w), coeff in tmap.entries.items():
         c = vec[index_in[in_w]]
         if c:
@@ -462,12 +462,12 @@ def apply_to_vector(tmap: TensorMap, vec: Sequence[Fraction]) -> Vector:
     return out
 
 
-def _flatten_operator(tmap: TensorMap, index: Mapping[Perm, int]) -> Vector:
+def _flatten_operator(tmap: TensorMap, index: Mapping[Word, int]) -> Terms:
     n = len(index)
-    vec = [ZERO] * (n * n)
-    for (out_w, in_w), coeff in tmap.entries.items():
-        vec[index[out_w] * n + index[in_w]] = coeff
-    return vec
+    return {
+        index[out_w] * n + index[in_w]: coeff
+        for (out_w, in_w), coeff in tmap.entries.items()
+    }
 
 
 def commutant(
@@ -488,10 +488,10 @@ def commutant(
         deg = generators[0].dom_deg
     elif dim is None or deg is None:
         raise ValueError("empty generator list needs explicit dim and deg")
-    word_list = list(words(dim, deg))
-    index = {w: i for i, w in enumerate(word_list)}
+    index = _word_index(dim, deg)
+    word_list = list(index)
     n = len(word_list)
-    rows: list[Vector] = []
+    rows: list[Terms] = []
     for g in generators:
         if g.dim != dim or g.dom_deg != deg or g.cod_deg != deg:
             raise ValueError("generators must act on one common tensor power")
@@ -502,21 +502,21 @@ def commutant(
             by_out.setdefault(index[out_w], []).append((index[in_w], coeff))
         for u in range(n):
             for v in range(n):
-                row = [ZERO] * (n * n)
-                for w, coeff in by_in.get(v, ()):
-                    row[u * n + w] += coeff
-                for w, coeff in by_out.get(u, ()):
-                    row[w * n + v] -= coeff
-                if any(row):
+                if v not in by_in and u not in by_out:
+                    continue
+                row: Terms = {u * n + w: c for w, c in by_in.get(v, ())}
+                sparse.accumulate(row, ((w * n + v, c) for w, c in by_out.get(u, ())), -1)
+                row = sparse.purge(row)
+                if row:
                     rows.append(row)
     return [
         TensorMap(
             dim,
             deg,
             deg,
-            {(word_list[flat // n], word_list[flat % n]): c for flat, c in enumerate(vec)},
+            {(word_list[flat // n], word_list[flat % n]): c for flat, c in vec.items()},
         )
-        for vec in rref(rows, n * n).nullspace()
+        for vec in rref(rows, n * n).kernel()
     ]
 
 
@@ -558,17 +558,15 @@ def hr_relation_rank(big_r: TensorMap, m: int) -> int:
     if m == 1:
         return 0
     relations = _quadratic_relation_vectors(big_r)
-    windex = {w: i for i, w in enumerate(words(n2, m))}
-    rows: list[Vector] = []
+    windex = _word_index(n2, m)
+    rows: list[Terms] = []
     for t in range(m - 1):
         for u in words(n2, t):
             for v in words(n2, m - 2 - t):
-                for rel in relations:
-                    row = [ZERO] * ncols
-                    for pair_key, coeff in rel:
-                        g1, g2 = divmod(pair_key, n2)
-                        row[windex[u + (g1, g2) + v]] += coeff
-                    rows.append(row)
+                rows.extend(
+                    {windex[u + divmod(key, n2) + v]: c for key, c in rel}
+                    for rel in relations
+                )
     return rank(rows, ncols)
 
 
@@ -679,10 +677,9 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
         blocks.append(
             PartitionBlock(lam.rows, rho_dim, comodule_dim, comodule_dim > 0)
         )
-    word_list = list(words(dim_v, m))
-    index = {w: i for i, w in enumerate(word_list)}
+    index = _word_index(dim_v, m)
     sr_rows = [_flatten_operator(table[p], index) for p in sorted(table)]
-    ncols = len(word_list) ** 2
+    ncols = len(index) ** 2
     sr_span_dim = rank(sr_rows, ncols)
     first = commutant(action.generators, dim=dim_v, deg=m)
     second = commutant(first, dim=dim_v, deg=m)

@@ -65,6 +65,13 @@ def _dim(token: str, path: str, line: int) -> int:
     return dim
 
 
+def _degree(token: str, name: str, path: str, line: int) -> int:
+    deg = _int(token, path, line)
+    if deg < 0:
+        raise SchemaError(f"{name} must be at least 0, got {deg}", path, line)
+    return deg
+
+
 def _word(token: str, path: str, line: int) -> Word:
     token = token.strip()
     if token == "-":
@@ -156,8 +163,8 @@ def _parse_tensor_map(lines: _Lines) -> TensorMap:
     n_dom, dom_text = _single(fields, "dom", path)
     n_cod, cod_text = _single(fields, "cod", path)
     dim = _dim(dim_text, path, n_dim)
-    dom = _int(dom_text, path, n_dom)
-    cod = _int(cod_text, path, n_cod)
+    dom = _degree(dom_text, "dom", path, n_dom)
+    cod = _degree(cod_text, "cod", path, n_cod)
     entries: dict[tuple[Word, Word], Fraction] = {}
     for number, key, value in fields:
         if key in ("dim", "dom", "cod"):

@@ -1,144 +1,194 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
-Row reduction is fraction-free: rows are scaled to integers and eliminated by
-cross-multiplication (with gcd reduction to tame growth); nothing is divided
-until the final normalization pass.  Pivots are chosen in lexicographic order
-(leftmost column first, earliest row first), so echelon forms, ranks,
-nullspace bases, and quotient bases are reproducible run to run.
+The systems the package solves (commutants, relation spans, quotient ideals,
+obstruction systems) are almost entirely zero, so rows are stored as
+``{column: coefficient}`` dicts holding nonzero entries only.  :func:`rref`
+accepts each input row either as a dense sequence of length ``ncols`` or as
+such a mapping, with ``int`` or ``Fraction`` entries.
+
+Elimination is fraction-free (Bareiss-style cross-multiplication).  Each
+input row is turned once into a primitive integer dict-row: scaled by the
+lcm of its denominators, then divided by the gcd of its entries.  It is
+then reduced against the pivot rows found so far: while its leftmost column
+holds a pivot, it is replaced by ``a * row - b * pivot_row`` with ``a, b``
+the two leading entries over their gcd, and divided again by its content.
+A row that survives gets its leftmost column as a new pivot.  Back
+substitution clears every pivot column from the other pivot rows the same
+way, and only then is each row divided by its pivot, on its nonzero entries.
+
+The result is the reduced row echelon form, which is a canonical form of
+the row space: pivot columns, normalized rows, nullspace bases and residuals
+do not depend on the order of the input rows or of the elimination, and
+every value returned is a ``Fraction``, even for ``int`` input.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
-from .sparse import ONE, ZERO
+from .sparse import ONE, ZERO, accumulate, frac
 
 Vector = list[Fraction]
+#: a sparse row: nonzero coefficients by column, columns ascending
+Terms = dict[int, Fraction]
+Row = Union[Sequence, Mapping[int, object]]
 
 
-def _integerize(row: Sequence[Fraction]) -> list[int]:
-    scale = math.lcm(*(c.denominator for c in row)) if row else 1
-    out = [int(c * scale) for c in row]
-    g = math.gcd(*out) if any(out) else 1
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+def _items(row: Row, ncols: int) -> Iterable[tuple[int, object]]:
+    if isinstance(row, Mapping):
+        if any(not 0 <= j < ncols for j in row):
+            raise ValueError(f"column index out of range 0..{ncols - 1}")
+        return row.items()
+    if len(row) != ncols:
+        raise ValueError("length mismatch")
+    return enumerate(row)
 
 
-def _reduce_row(row: list[int]) -> list[int]:
-    g = math.gcd(*row) if any(row) else 1
-    if g > 1:
-        row = [c // g for c in row]
-    return row
+def _primitive(row: Row, ncols: int) -> dict[int, int]:
+    """The row as integers without a common factor, nonzero entries only."""
+    entries = {j: c for j, c in _items(row, ncols) if c}
+    if not entries:
+        return entries
+    try:
+        scale = math.lcm(*(c.denominator for c in entries.values()))
+    except AttributeError:
+        raise TypeError("row entries must be int or Fraction") from None
+    out = {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+    return _content_free(out)
+
+
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return {j: c // g for j, c in row.items()} if g > 1 else row
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """``a * row - b * pivot_row`` with column ``col`` cleared, content removed."""
+    p = pivot_row[col]
+    c = row[col]
+    g = math.gcd(p, c)
+    a, b = p // g, c // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in pivot_row.items():
+        if j in out:
+            w = out[j] - b * v
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+        else:
+            out[j] = -b * v
+    return _content_free(out) if out else out
 
 
 class ExactRREF:
-    """Reduced row echelon form with pivot bookkeeping."""
+    """Reduced row echelon form with pivot bookkeeping.
 
-    def __init__(self, ncols: int, pivot_cols: list[int], rows: list[Vector]):
+    ``sparse_rows[k]`` is the normalized row whose pivot is
+    ``pivot_cols[k]`` (coefficient 1 there, 0 in every other pivot column);
+    pivot columns ascend.
+    """
+
+    def __init__(self, ncols: int, pivot_cols: list[int], sparse_rows: list[Terms]):
         self.ncols = ncols
         self.pivot_cols = pivot_cols
-        self.rows = rows
+        self.sparse_rows = sparse_rows
+        self._row_at = dict(zip(pivot_cols, sparse_rows))
+
+    @property
+    def rows(self) -> list[Vector]:
+        """The normalized rows as dense vectors."""
+        return [self._dense(row) for row in self.sparse_rows]
+
+    def _dense(self, terms: Terms) -> Vector:
+        return [terms.get(j, ZERO) for j in range(self.ncols)]
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
     def free_cols(self) -> list[int]:
-        pivots = set(self.pivot_cols)
-        return [j for j in range(self.ncols) if j not in pivots]
+        return [j for j in range(self.ncols) if j not in self._row_at]
 
-    def reduce(self, vec: Sequence[Fraction]) -> Vector:
-        """Residual of ``vec`` after clearing every pivot column."""
-        if len(vec) != self.ncols:
-            raise ValueError("length mismatch")
-        out = [Fraction(c) for c in vec]
-        for row, col in zip(self.rows, self.pivot_cols):
-            factor = out[col]
-            if factor:
-                for j in range(self.ncols):
-                    if row[j]:
-                        out[j] -= factor * row[j]
-        return out
+    def _residual(self, vec: Row) -> Terms:
+        out = {j: frac(c) for j, c in _items(vec, self.ncols) if c}
+        # rows of a reduced form do not touch each other's pivot columns,
+        # so each pivot is cleared by the input's own coefficient there
+        for col, c in list(out.items()):
+            row = self._row_at.get(col)
+            if row is not None:
+                accumulate(out, row.items(), -c)
+        return {j: out[j] for j in sorted(out) if out[j]}
 
-    def in_row_space(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vec))
+    def reduce(self, vec: Row) -> Vector | Terms:
+        """Residual of ``vec`` after clearing every pivot column.
 
-    def nullspace(self) -> list[Vector]:
-        """Basis of the kernel, one vector per free column, in column order."""
+        A dense vector gives a dense residual, a mapping a sparse one.
+        """
+        residual = self._residual(vec)
+        return residual if isinstance(vec, Mapping) else self._dense(residual)
+
+    def in_row_space(self, vec: Row) -> bool:
+        return not self._residual(vec)
+
+    def kernel(self) -> list[Terms]:
+        """Sparse basis of the kernel, one vector per free column, in column order."""
+        above: dict[int, Terms] = {}
+        for col, row in zip(self.pivot_cols, self.sparse_rows):
+            for j, c in row.items():
+                if j != col:
+                    above.setdefault(j, {})[col] = -c
         basis = []
         for free in self.free_cols():
-            vec = [ZERO] * self.ncols
+            vec = above.get(free, {})
             vec[free] = ONE
-            for row, col in zip(self.rows, self.pivot_cols):
-                if row[free]:
-                    vec[col] = -row[free]
             basis.append(vec)
         return basis
 
+    def nullspace(self) -> list[Vector]:
+        """Basis of the kernel as dense vectors, one per free column, in column order."""
+        return [self._dense(vec) for vec in self.kernel()]
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> ExactRREF:
-    work = [_integerize(row) for row in rows if any(row)]
-    pivot_cols: list[int] = []
-    pivot_rows: list[list[int]] = []
-    for col in range(ncols):
-        pivot_idx = None
-        for idx, row in enumerate(work):
-            if row[col]:
-                pivot_idx = idx
+
+def rref(rows: Sequence[Row], ncols: int) -> ExactRREF:
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = _primitive(row, ncols)
+        while work:
+            col = min(work)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                # a positive pivot makes a pivot of 1 a plain subtraction
+                pivots[col] = work if work[col] > 0 else {j: -c for j, c in work.items()}
                 break
-        if pivot_idx is None:
-            continue
-        pivot_row = work.pop(pivot_idx)
-        p = pivot_row[col]
-        remaining = []
-        for row in work:
-            if row[col]:
-                row = _reduce_row(
-                    [p * row[j] - row[col] * pivot_row[j] for j in range(ncols)]
-                )
-            if any(row):
-                remaining.append(row)
-        work = remaining
-        pivot_cols.append(col)
-        pivot_rows.append(pivot_row)
-        if not work:
-            break
-    # back substitution, still fraction-free
-    for i in range(len(pivot_rows) - 1, -1, -1):
-        row_i = pivot_rows[i]
-        col_i = pivot_cols[i]
-        p = row_i[col_i]
-        for k in range(i):
-            row_k = pivot_rows[k]
-            if row_k[col_i]:
-                pivot_rows[k] = _reduce_row(
-                    [p * row_k[j] - row_k[col_i] * row_i[j] for j in range(ncols)]
-                )
-    # final normalization (the only division)
-    normalized: list[Vector] = []
-    for row, col in zip(pivot_rows, pivot_cols):
-        p = Fraction(row[col])
-        normalized.append([Fraction(c) / p for c in row])
+            work = _eliminate(work, pivot_row, col)
+    pivot_cols = sorted(pivots)
+    # back substitution: rows with a higher pivot are final when reached
+    for col in reversed(pivot_cols):
+        row = pivots[col]
+        for j in [j for j in row if j != col and j in pivots]:
+            row = _eliminate(row, pivots[j], j)
+        pivots[col] = row
+    normalized = []
+    for col in pivot_cols:
+        row = pivots[col]
+        p = row[col]
+        normalized.append({j: Fraction(row[j], p) for j in sorted(row)})
     return ExactRREF(ncols, pivot_cols, normalized)
 
 
-def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
+def rank(rows: Sequence[Row], ncols: int) -> int:
     return rref(rows, ncols).rank
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
+def nullspace(rows: Sequence[Row], ncols: int) -> list[Vector]:
     return rref(rows, ncols).nullspace()
 
 
-def row_space_equal(
-    rows_a: Sequence[Sequence[Fraction]],
-    rows_b: Sequence[Sequence[Fraction]],
-    ncols: int,
-) -> bool:
+def row_space_equal(rows_a: Sequence[Row], rows_b: Sequence[Row], ncols: int) -> bool:
     """Whether two row sets span the same subspace (RREF is a canonical form)."""
     ra = rref(rows_a, ncols)
     rb = rref(rows_b, ncols)
-    return ra.pivot_cols == rb.pivot_cols and ra.rows == rb.rows
+    return ra.pivot_cols == rb.pivot_cols and ra.sparse_rows == rb.sparse_rows

@@ -229,7 +229,7 @@ def _normalize_row(row) -> tuple[Fraction, ...] | None:
     lead = next((x for x in row if x), None)
     if lead is None:
         return None
-    return tuple(x / lead for x in row)
+    return tuple(Fraction(x) / lead for x in row)
 
 
 def leibniz_obstruction(sym: str, slot: int) -> ObstructionSystem:

@@ -169,6 +169,22 @@ class TestCliExitCodes:
         assert "flat.txt:2" in captured.err
         assert "dim must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("field", ["dom", "cod"])
+    def test_negative_degree_is_two(self, tmp_path, capsys, field):
+        degrees = {"dom": 2, "cod": 2, field: -1}
+        path = write(
+            tmp_path,
+            "neg.txt",
+            "ybalg schema/1 tensor-map\ndim: 2\n"
+            f"dom: {degrees['dom']}\ncod: {degrees['cod']}\n",
+        )
+        assert main(["ybe", "check", "--kind", "qybe", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert "result: PASS" not in captured.out
+        line = 3 if field == "dom" else 4
+        assert f"neg.txt:{line}" in captured.err
+        assert f"{field} must be at least 0" in captured.err
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_non_positive_family_dim_is_two(self, tmp_path, capsys, dim):
         lie_path = write(tmp_path, "gl.txt", io.dump_lie_structure(gl_lie(2)))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -390,6 +391,22 @@ class TestSchurWeyl:
         assert report.total == 8
         assert report.sr_span_dim == 1  # every generator acts as the identity
         assert report.passed
+
+    def test_dim_three_cube_within_budget(self):
+        start = time.perf_counter()
+        identity = identity_twist(3)
+        report = schur_weyl_decompose(identity, 3, 3)
+        assert [(b.partition, b.rho_dim, b.comodule_dim) for b in report.blocks] == [
+            ((3,), 1, 10),
+            ((2, 1), 2, 8),
+            ((1, 1, 1), 1, 1),
+        ]
+        assert report.total == 27 == report.expected
+        assert report.sr_commutant_dim == 165  # 10^2 + 8^2 + 1^2
+        assert report.hr_commutant_dim == report.sr_span_dim == 6
+        assert report.passed
+        assert hr_dimension_oracles(identity, 3) == (165, 165)
+        assert time.perf_counter() - start < 20.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="acts on dimension"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybalg.operad import (
+    _normalize_row,
     Biderivation,
     LeibnizExpander,
     associativity_vector,
@@ -80,6 +81,13 @@ class TestExpander:
         assert skew.expand(star("b", "a")) == {(("s", "a", "b"),): Fraction(-1)}
         symm = LeibnizExpander(epsilon=frac(1))
         assert symm.expand(star("b", "a")) == {(("s", "a", "b"),): Fraction(1)}
+
+
+def test_normalized_int_row_holds_fractions():
+    row = _normalize_row((0, 2, 3, -4))
+    assert row == (0, 1, Fraction(3, 2), -2)
+    assert all(type(x) is Fraction for x in row)
+    assert _normalize_row((0, 0)) is None
 
 
 class TestSlotConstraints:
