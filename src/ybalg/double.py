@@ -391,6 +391,16 @@ class JacobiToAybeReport:
     def passed(self) -> bool:
         return self.r_is_skew and self.transform_matches_aybe
 
+    @property
+    def double_lie(self) -> bool:
+        """Whether ``r`` is skew with a zero double-Jacobi residual."""
+        return self.r_is_skew and self.residual_zero
+
+    @property
+    def skew_aybe(self) -> bool:
+        """Whether ``r`` is skew with a zero associative residual."""
+        return self.r_is_skew and self.aybe_zero
+
     def lines(self) -> list[str]:
         return [
             f"double-jacobi residual to associative residual, dim {self.dim}",
@@ -424,9 +434,8 @@ def dbjac_to_aybe(r: TensorMap) -> JacobiToAybeReport:
 
 def double_lie_iff_skew_aybe(r: TensorMap) -> tuple[bool, bool, bool]:
     """(axioms hold, skew-and-associative-solution, equivalence) for one map."""
-    lhs = is_skew(r) and double_jacobi_residual_map(r).is_zero()
-    rhs = is_skew(r) and aybe_residual(r).is_zero()
-    return lhs, rhs, lhs == rhs
+    report = dbjac_to_aybe(r)
+    return report.double_lie, report.skew_aybe, report.double_lie == report.skew_aybe
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import sparse, ybe
-from .linalg import Terms, Vector, rank, row_space_equal, rref
+from .linalg import Terms, Vector, rank, rref
 from .sparse import ONE, ZERO
 from .tensoralg import (
     Perm,
@@ -680,11 +680,11 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
     index = _word_index(dim_v, m)
     sr_rows = [_flatten_operator(table[p], index) for p in sorted(table)]
     ncols = len(index) ** 2
-    sr_span_dim = rank(sr_rows, ncols)
+    sr_span = rref(sr_rows, ncols)
     first = commutant(action.generators, dim=dim_v, deg=m)
     second = commutant(first, dim=dim_v, deg=m)
     second_rows = [_flatten_operator(x, index) for x in second]
-    double_ok = row_space_equal(sr_rows, second_rows, ncols)
+    double_ok = sr_span == rref(second_rows, ncols)
     return DecompositionReport(
         m=m,
         dim=dim_v,
@@ -693,6 +693,6 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
         expected=dim_v**m,
         sr_commutant_dim=len(first),
         hr_commutant_dim=len(second),
-        sr_span_dim=sr_span_dim,
+        sr_span_dim=sr_span.rank,
         double_commutant_ok=double_ok,
     )

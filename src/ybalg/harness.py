@@ -188,7 +188,7 @@ def _run_ybe_check(job: Job, spec: JobSpec):
     kind = job.param("kind")
     if kind not in ("cybe", "aybe", "qybe"):
         raise ValueError(f"kind must be cybe, aybe, or qybe, not {kind!r}")
-    r = io.load_tensor_map(job.input("input"))
+    r = io.load_square_map(job.input("input"))
     report = ybe.check(kind, r)
     lines = report.lines()
     if spec.emit_witness:
@@ -197,7 +197,7 @@ def _run_ybe_check(job: Job, spec: JobSpec):
 
 
 def _run_ybe_cae(job: Job, spec: JobSpec):
-    r = io.load_tensor_map(job.input("input"))
+    r = io.load_square_map(job.input("input"))
     report = ybe.check("cae", r)
     lines = report.lines()
     if spec.emit_witness:
@@ -363,7 +363,7 @@ def _run_ybe_infty_check(job: Job, spec: JobSpec):
 
 
 def _run_schurweyl_decompose(job: Job, spec: JobSpec):
-    r = io.load_tensor_map(job.input("R"))
+    r = io.load_square_map(job.input("R"))
     m = int(job.param("m"))
     require_bound("m", m, f"the commutant solve has {r.dim}^(2m) unknowns")
     try:
@@ -374,7 +374,7 @@ def _run_schurweyl_decompose(job: Job, spec: JobSpec):
 
 
 def _run_schurweyl_hrdim(job: Job, spec: JobSpec):
-    r = io.load_tensor_map(job.input("R"))
+    r = io.load_square_map(job.input("R"))
     m = int(job.param("m"))
     require_bound("m", m, f"the relation span has {r.dim}^(2m) columns")
     try:
@@ -414,7 +414,7 @@ def _run_cae_random(job: Job, spec: JobSpec):
         f"failures: {len(failures)}",
     ]
     for dim, witness in failures:
-        lines.append(f"failed at dim {dim}, witness {witness}")
+        lines.append(f"failed at dim {dim}, witness {ybe.witness_str(witness)}")
     return _verdict(not failures), lines
 
 
@@ -443,12 +443,12 @@ def _run_double_lie_iff(job: Job, spec: JobSpec):
     total = 0
     for r in enumerate_skew_maps(2, (-1, 0, 1)):
         total += 1
-        lhs, rhs, equal = double.double_lie_iff_skew_aybe(r)
-        if not equal:
+        report = double.dbjac_to_aybe(r)
+        if report.double_lie != report.skew_aybe:
             mismatches += 1
-        if lhs:
+        if report.double_lie:
             solutions += 1
-        if not double.dbjac_to_aybe(r).transform_matches_aybe:
+        if not report.transform_matches_aybe:
             transform_failures += 1
     lines = [
         f"skew grid, dim 2: {total} maps, {solutions} induce a double Lie bracket",

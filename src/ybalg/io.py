@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .algebras import TruncatedAlgebra, _OVERFLOW
 from .linfty import GradedBasis, MultiBracketFamily
+from .sparse import Scalar, frac
 from .tensoralg import TensorMap, Word
 from .ybe_infty import LieStructure, RnFamily
 
@@ -42,10 +43,10 @@ class SchemaError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _fraction(token: str, path: str, line: int) -> Fraction:
+def _scalar(token: str, path: str, line: int) -> Scalar:
     token = token.strip()
     try:
-        return Fraction(token)
+        return frac(token)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"not a rational scalar: {token!r}", path, line) from None
 
@@ -102,7 +103,7 @@ def _element(tokens: list[str], path: str, line: int) -> dict[int, Fraction]:
         idx = _int(head, path, line)
         if idx in out:
             raise SchemaError(f"duplicate index {idx} in element", path, line)
-        out[idx] = _fraction(tail, path, line)
+        out[idx] = _scalar(tail, path, line)
     return out
 
 
@@ -190,7 +191,7 @@ def _parse_tensor_map(lines: _Lines) -> TensorMap:
             raise SchemaError("letter index out of range", path, number)
         if (out_w, in_w) in entries:
             raise SchemaError("duplicate entry", path, number)
-        entries[(out_w, in_w)] = _fraction(coeff_text, path, number)
+        entries[(out_w, in_w)] = _scalar(coeff_text, path, number)
     return TensorMap(dim, dom, cod, entries)
 
 
@@ -326,7 +327,7 @@ def _parse_rn_family(lines: _Lines) -> RnFamily:
         component = elements.setdefault(arity, {})
         if word in component:
             raise SchemaError(f"duplicate word {word}", path, number)
-        component[word] = _fraction(coeff_text, path, number)
+        component[word] = _scalar(coeff_text, path, number)
     try:
         return RnFamily(dim, elements, degrees=degrees)
     except ValueError as err:
@@ -424,7 +425,7 @@ def _parse_relation_vectors(lines: _Lines) -> list[list[Fraction]]:
     for number, key, value in lines.fields():
         if key != "vector":
             raise SchemaError(f"unexpected field {key!r}", path, number)
-        vec = [_fraction(t, path, number) for t in value.split()]
+        vec = [_scalar(t, path, number) for t in value.split()]
         if not vec:
             raise SchemaError("empty vector", path, number)
         if vectors and len(vec) != len(vectors[0]):
@@ -477,6 +478,25 @@ def _expect(path, kinds: tuple[type, ...], what: str):
 
 def load_tensor_map(path) -> TensorMap:
     return _expect(path, (TensorMap,), "tensor-map")
+
+
+def load_square_map(path) -> TensorMap:
+    """A tensor-map file whose map acts on the tensor square (dom and cod 2).
+
+    A map of any other degree is an input error located at the line of its
+    ``dom`` or ``cod`` field.
+    """
+    tmap = load_tensor_map(path)
+    for key, deg in (("dom", tmap.dom_deg), ("cod", tmap.cod_deg)):
+        if deg != 2:
+            fields = _Lines(Path(path).read_text(), str(path)).fields()
+            number, _ = _single(fields, key, str(path))
+            raise SchemaError(
+                f"{key} must be 2 for a map on the tensor square, got {deg}",
+                str(path),
+                number,
+            )
+    return tmap
 
 
 def load_lie_structure(path) -> LieStructure:

@@ -28,7 +28,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .sparse import ONE, ZERO, accumulate, frac
+from .sparse import accumulate, frac
+
+# the Fraction constants, not the int ones of ``sparse``: every value returned
+# here is a Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 Vector = list[Fraction]
 #: a sparse row: nonzero coefficients by column, columns ascending
@@ -97,13 +102,22 @@ class ExactRREF:
         self.sparse_rows = sparse_rows
         self._row_at = dict(zip(pivot_cols, sparse_rows))
 
+    def __eq__(self, other) -> bool:
+        """Equal forms span the same row space (the form is canonical)."""
+        return (
+            isinstance(other, ExactRREF)
+            and self.ncols == other.ncols
+            and self.pivot_cols == other.pivot_cols
+            and self.sparse_rows == other.sparse_rows
+        )
+
     @property
     def rows(self) -> list[Vector]:
         """The normalized rows as dense vectors."""
         return [self._dense(row) for row in self.sparse_rows]
 
     def _dense(self, terms: Terms) -> Vector:
-        return [terms.get(j, ZERO) for j in range(self.ncols)]
+        return [terms.get(j, _ZERO) for j in range(self.ncols)]
 
     @property
     def rank(self) -> int:
@@ -113,7 +127,7 @@ class ExactRREF:
         return [j for j in range(self.ncols) if j not in self._row_at]
 
     def _residual(self, vec: Row) -> Terms:
-        out = {j: frac(c) for j, c in _items(vec, self.ncols) if c}
+        out = {j: Fraction(frac(c)) for j, c in _items(vec, self.ncols) if c}
         # rows of a reduced form do not touch each other's pivot columns,
         # so each pivot is cleared by the input's own coefficient there
         for col, c in list(out.items()):
@@ -143,7 +157,7 @@ class ExactRREF:
         basis = []
         for free in self.free_cols():
             vec = above.get(free, {})
-            vec[free] = ONE
+            vec[free] = _ONE
             basis.append(vec)
         return basis
 
@@ -189,6 +203,4 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[Vector]:
 
 def row_space_equal(rows_a: Sequence[Row], rows_b: Sequence[Row], ncols: int) -> bool:
     """Whether two row sets span the same subspace (RREF is a canonical form)."""
-    ra = rref(rows_a, ncols)
-    rb = rref(rows_b, ncols)
-    return ra.pivot_cols == rb.pivot_cols and ra.sparse_rows == rb.sparse_rows
+    return rref(rows_a, ncols) == rref(rows_b, ncols)

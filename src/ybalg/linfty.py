@@ -261,7 +261,7 @@ class SuperSymAlgebra:
         if len(a) + len(b) > self.cap:
             raise TruncationOverflow(f"product of words {a} and {b} leaves the cap")
         word, sign = self.sort_word(a + b)
-        return {} if word is None else {word: Fraction(sign)}
+        return {} if word is None else {word: sign}
 
     def mul(self, x: SuperElement, y: SuperElement) -> SuperElement:
         out: SuperElement = {}
@@ -304,7 +304,7 @@ class ExtendedFamily:
         dx, dy = self.algebra.degree(x), self.algebra.degree(y)
         total = self.algebra.mul(self.value(n, args[:-1] + (x,)), {y: ONE})
         swapped = self.algebra.mul(self.value(n, args[:-1] + (y,)), {x: ONE})
-        sparse.accumulate(total, swapped.items(), (-1) ** (dx * dy))
+        sparse.accumulate(total, swapped.items(), -1 if dx * dy % 2 else 1)
         return sparse.purge(total)
 
     def residual(self, m: int, args: tuple[Monomial, ...]) -> SuperElement:
@@ -479,7 +479,7 @@ def _formal_bracket(arity: int, args: tuple[tuple, ...]) -> FormalElement:
         ):
             return {}
         sign = sign_odd(degrees, order)
-        return {(("B", arity, canonical),): Fraction(sign)}
+        return {(("B", arity, canonical),): sign}
     if split != len(args) - 1:
         sel = tuple(k for k in range(len(args)) if k != split) + (split,)
         degrees = [sum(_atom_degree(a) for a in mono) for mono in args]
@@ -491,7 +491,7 @@ def _formal_bracket(arity: int, args: tuple[tuple, ...]) -> FormalElement:
     dy = _atom_degree(y[0])
     total = _formal_mul(_formal_bracket(arity, args[:-1] + (x,)), {y: ONE})
     swapped = _formal_mul(_formal_bracket(arity, args[:-1] + (y,)), {x: ONE})
-    sparse.accumulate(total, swapped.items(), (-1) ** (dx * dy))
+    sparse.accumulate(total, swapped.items(), -1 if dx * dy % 2 else 1)
     return sparse.purge(total)
 
 
@@ -541,7 +541,8 @@ def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool
 
     reference = _formal_mul(_formal_linfax(m, others + ((x,),)), {(y,): ONE})
     swapped = _formal_mul(_formal_linfax(m, others + ((y,),)), {(x,): ONE})
-    sparse.accumulate(reference, swapped.items(), (-1) ** (degrees[0] * degrees[1]))
+    sign = -1 if degrees[0] * degrees[1] % 2 else 1
+    sparse.accumulate(reference, swapped.items(), sign)
     identity_ok = sparse.purge(reference) == expansion
     return generated, surviving, identity_ok
 

@@ -4,11 +4,19 @@ Every object the package computes with is a finitely supported rational
 combination of hashable keys: words of the tensor algebra, ``(out, in)``
 word pairs of a tensor map, index pairs and triples in ``A (x) A`` and
 ``A (x) A (x) A``, polynomial monomials, permutations in a group algebra.
-All of them are plain ``dict[key, Fraction]`` values, and this module is
+All of them are plain ``dict[key, scalar]`` values, and this module is
 the only place that combines, scales, multiplies and purges them.
 
+Scalars are exact and kept in canonical form: an ``int`` when the value is
+integral, otherwise a ``Fraction`` whose denominator is not 1.  Most
+coefficients in the package are integers, and integer arithmetic is many
+times cheaper than ``Fraction`` arithmetic.  Nothing is lost: ``str``
+prints ``3`` and ``Fraction(3)`` alike, and ``==`` and ``hash`` agree
+across the two types, so dict equality and set membership are unchanged.
+A float is never a scalar.
+
 A *vector* here is such a dict whose stored coefficients are all nonzero
-``Fraction`` values, so equality of dicts is equality of vectors.  Every
+canonical scalars, so equality of dicts is equality of vectors.  Every
 dict the functions below return is a vector; :func:`accumulate` instead
 updates a running total in place and may leave cancelled keys at zero, so
 call :func:`purge` once when the total is complete.  Insertion order follows
@@ -19,22 +27,27 @@ until the purge.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Union
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
-Terms = Iterable[tuple[Hashable, Fraction]]
+Scalar = Union[int, Fraction]
+Terms = Iterable[tuple[Hashable, Scalar]]
 
 
-def frac(value) -> Fraction:
-    """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
+def frac(value) -> Scalar:
+    """Coerce ints, strings like ``"2/3"``, and Fractions to a canonical scalar.
+
+    The result is an ``int`` when the value is integral, otherwise a
+    ``Fraction``; anything else, floats included, raises ``TypeError``.
+    """
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -53,9 +66,10 @@ def vector(terms: Mapping | Terms = ()) -> dict:
 def accumulate(total: dict, terms: Terms, scalar=None) -> None:
     """Add ``scalar * coeff`` (``coeff`` without a scalar) into ``total``.
 
-    ``terms`` yields ``(key, coeff)`` pairs with ``Fraction`` coefficients;
-    the scalar may be an ``int`` or a ``Fraction``.  Works in place and
-    purges nothing.
+    ``terms`` yields ``(key, coeff)`` pairs with ``int`` or ``Fraction``
+    coefficients; the scalar must be an ``int`` or a ``Fraction`` too.
+    Works in place and purges nothing, so an integral ``Fraction`` may stand
+    in ``total`` until :func:`purge`.
     """
     if scalar is None:
         for key, coeff in terms:
@@ -63,6 +77,8 @@ def accumulate(total: dict, terms: Terms, scalar=None) -> None:
                 total[key] += coeff
             else:
                 total[key] = coeff
+    elif not isinstance(scalar, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {scalar!r}")
     else:
         for key, coeff in terms:
             if key in total:
@@ -72,8 +88,12 @@ def accumulate(total: dict, terms: Terms, scalar=None) -> None:
 
 
 def purge(terms: dict) -> dict:
-    """The entries with a nonzero coefficient, in their order."""
-    return {key: coeff for key, coeff in terms.items() if coeff}
+    """The entries with a nonzero coefficient, in their order, in canonical form."""
+    return {
+        key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for key, c in terms.items()
+        if c
+    }
 
 
 def add(x: dict, y: dict) -> dict:
@@ -86,7 +106,10 @@ def add(x: dict, y: dict) -> dict:
 def scale(x: dict, scalar) -> dict:
     """``scalar * x``; the scalar is coerced with :func:`frac`."""
     c = frac(scalar)
-    return {key: c * coeff for key, coeff in x.items()} if c else {}
+    if c == 1 or c == -1:
+        # a sign keeps every scalar canonical
+        return {key: c * coeff for key, coeff in x.items()}
+    return purge({key: c * coeff for key, coeff in x.items()})
 
 
 def product(x: dict, y: dict, key: Callable[[Hashable, Hashable], Hashable]) -> dict:

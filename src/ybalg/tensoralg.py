@@ -4,7 +4,8 @@ Basis tensors are indexed by *words*: the word ``(i1, ..., im)`` stands for
 ``e_{i1} (x) ... (x) e_{im}`` in the m-th tensor power of a fixed
 finite-dimensional space with basis ``e_0, ..., e_{dim-1}``.  Graded tensors
 and tensor maps keep their coefficients as sparse vectors of
-:mod:`ybalg.sparse` (every coefficient a nonzero ``fractions.Fraction``), and
+:mod:`ybalg.sparse` (every coefficient a nonzero ``int`` or
+``fractions.Fraction``), and
 all of their arithmetic is that module's; nothing here ever rounds.
 
 Permutations are kept in one-line form as 0-indexed tuples under the *left
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
-from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import sparse
-from .sparse import ONE, ZERO
+from .sparse import ONE, ZERO, Scalar
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -87,6 +87,14 @@ def parse_perm(text: str) -> Perm:
     if not is_perm(p):
         raise ValueError(f"not a permutation: {text!r}")
     return p
+
+
+def _reader(positions: Sequence[int]) -> Callable[[Sequence[int]], Word]:
+    """The map ``w -> (w[positions[0]], w[positions[1]], ...)`` as a placement table."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # ``itemgetter`` of one position returns a letter, not a word
+    return lambda w: tuple(w[j] for j in positions)
 
 
 def word_permute(p: Perm, w: Word) -> Word:
@@ -176,12 +184,12 @@ class GradedTensor:
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[Word, Fraction] | None = None):
+    def __init__(self, dim: int, terms: Mapping[Word, Scalar] | None = None):
         self.dim = dim
         self.terms = sparse.vector(terms or {})
 
     @classmethod
-    def _of(cls, dim: int, terms: dict[Word, Fraction]) -> "GradedTensor":
+    def _of(cls, dim: int, terms: dict[Word, Scalar]) -> "GradedTensor":
         """Wrap a vector the kernel already purged, without a second pass."""
         t = object.__new__(cls)
         t.dim = dim
@@ -236,10 +244,10 @@ class GradedTensor:
             self.dim, {word_permute(p, w): c for w, c in self.terms.items()}
         )
 
-    def coefficient(self, word: Word) -> Fraction:
+    def coefficient(self, word: Word) -> Scalar:
         return self.terms.get(tuple(word), ZERO)
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __eq__(self, other) -> bool:
@@ -286,7 +294,7 @@ class TensorMap:
         dim: int,
         dom_deg: int,
         cod_deg: int,
-        entries: Mapping[tuple[Word, Word], Fraction] | None = None,
+        entries: Mapping[tuple[Word, Word], Scalar] | None = None,
     ):
         self.dim = dim
         self.dom_deg = dom_deg
@@ -338,10 +346,10 @@ class TensorMap:
     def is_degree_preserving(self) -> bool:
         return self.dom_deg == self.cod_deg
 
-    def sorted_entries(self) -> list[tuple[tuple[Word, Word], Fraction]]:
+    def sorted_entries(self) -> list[tuple[tuple[Word, Word], Scalar]]:
         return sorted(self.entries.items())
 
-    def first_nonzero(self) -> tuple[Word, Word, Fraction] | None:
+    def first_nonzero(self) -> tuple[Word, Word, Scalar] | None:
         """Lexicographically first nonzero entry, as ``(out, in, value)``."""
         if not self.entries:
             return None
@@ -375,7 +383,7 @@ class TensorMap:
         terms = t.terms
         if any(len(word) != self.dom_deg for word in terms):
             raise ValueError("input degree does not match map domain")
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         sparse.accumulate(
             out,
             ((o, c * terms[i]) for (o, i), c in self.entries.items() if i in terms),
@@ -404,10 +412,10 @@ class TensorMap:
             raise ValueError("dimension mismatch")
         if self.dom_deg != other.cod_deg:
             raise ValueError("degree mismatch in composition")
-        by_mid: dict[Word, list[tuple[Word, Fraction]]] = {}
+        by_mid: dict[Word, list[tuple[Word, Scalar]]] = {}
         for (out_word, mid_word), c in self.entries.items():
             by_mid.setdefault(mid_word, []).append((out_word, c))
-        out: dict[tuple[Word, Word], Fraction] = {}
+        out: dict[tuple[Word, Word], Scalar] = {}
         sparse.accumulate(
             out,
             (
@@ -436,13 +444,12 @@ class TensorMap:
         """``P o self o P^{-1}`` for the permutation operator ``P``."""
         if not self.is_degree_preserving() or len(p) != self.dom_deg:
             raise ValueError("conjugation needs a degree-preserving map")
+        # the letter in slot ``j`` moves to slot ``p[j]`` (see word_permute)
+        place = _reader(perm_inverse(p))
         return self._of(
             self.dom_deg,
             self.cod_deg,
-            {
-                (word_permute(p, o), word_permute(p, i)): c
-                for (o, i), c in self.entries.items()
-            },
+            {(place(o), place(i)): c for (o, i), c in self.entries.items()},
         )
 
     def r21(self) -> "TensorMap":
@@ -477,18 +484,15 @@ def embed_components(r: TensorMap, slots: Sequence[int], n: int) -> TensorMap:
         raise ValueError("slot out of range")
     idx = [s - 1 for s in slots]
     passive = [j for j in range(n) if j not in idx]
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for (o, i), c in r.entries.items():
-        for filler in words(r.dim, len(passive)):
-            out_word = [0] * n
-            in_word = [0] * n
-            for t, j in enumerate(idx):
-                out_word[j] = o[t]
-                in_word[j] = i[t]
-            for t, j in enumerate(passive):
-                out_word[j] = filler[t]
-                in_word[j] = filler[t]
-            out[(tuple(out_word), tuple(in_word))] = c
+    # slot ``idx[t]`` takes letter ``t`` of ``o + filler``, slot ``passive[t]``
+    # letter ``k + t``
+    place = _reader(perm_inverse(tuple(idx + passive)))
+    fillers = list(words(r.dim, n - k))
+    out = {
+        (place(o + filler), place(i + filler)): c
+        for (o, i), c in r.entries.items()
+        for filler in fillers
+    }
     return r._of(n, n, out)
 
 

@@ -8,8 +8,8 @@ component-embedding and r21 conventions live in :mod:`ybalg.tensoralg`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .sparse import Scalar
 from .tensoralg import TensorMap, Word, commutator, embed_components
 
 CONVENTIONS: dict[str, str] = {
@@ -25,8 +25,9 @@ CONVENTIONS: dict[str, str] = {
 }
 
 
-def _comp(r: TensorMap, i: int, j: int) -> TensorMap:
-    return embed_components(r, (i, j), 3)
+def _components(r: TensorMap) -> tuple[TensorMap, TensorMap, TensorMap]:
+    """``(r12, r13, r23)``."""
+    return tuple(embed_components(r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3)))
 
 
 def is_skew(r: TensorMap) -> bool:
@@ -39,22 +40,22 @@ def skew_defect(r: TensorMap) -> TensorMap:
 
 
 def cybe_residual(r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _comp(r, 1, 2), _comp(r, 1, 3), _comp(r, 2, 3)
+    r12, r13, r23 = _components(r)
     return commutator(r12, r13) - commutator(r23, r12) + commutator(r13, r23)
 
 
 def aybe_residual(r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _comp(r, 1, 2), _comp(r, 1, 3), _comp(r, 2, 3)
+    r12, r13, r23 = _components(r)
     return r12.compose(r13) - r23.compose(r12) + r13.compose(r23)
 
 
 def aybe_prime_residual(r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _comp(r, 1, 2), _comp(r, 1, 3), _comp(r, 2, 3)
+    r12, r13, r23 = _components(r)
     return r13.compose(r12) - r12.compose(r23) + r23.compose(r13)
 
 
 def qybe_residual(big_r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _comp(big_r, 1, 2), _comp(big_r, 1, 3), _comp(big_r, 2, 3)
+    r12, r13, r23 = _components(big_r)
     return r12.compose(r13).compose(r23) - r23.compose(r13).compose(r12)
 
 
@@ -67,10 +68,15 @@ def cae_defect(r: TensorMap) -> TensorMap:
 
     For skew ``r`` this is identically zero:
     ``cybe(r) = aybe(r) - P aybe(r) P`` with ``P`` the operator exchanging
-    the second and third slots (one-line form ``(132)``).
+    the second and third slots (one-line form ``(132)``).  Both residuals
+    are built from the same six products of ``r12``, ``r13``, ``r23``.
     """
-    a = aybe_residual(r)
-    return cybe_residual(r) - (a - a.conjugate_by_perm((0, 2, 1)))
+    r12, r13, r23 = _components(r)
+    p = r12.compose(r13), r23.compose(r12), r13.compose(r23)
+    q = r13.compose(r12), r12.compose(r23), r23.compose(r13)
+    cybe = (p[0] - q[0]) - (p[1] - q[1]) + (p[2] - q[2])
+    a = p[0] - p[1] + p[2]
+    return cybe - (a - a.conjugate_by_perm((0, 2, 1)))
 
 
 RESIDUALS = {
@@ -94,6 +100,14 @@ _RELEVANT_FLAGS = {
 }
 
 
+def witness_str(witness: tuple[Word, Word, Scalar]) -> str:
+    """``out=(..) in=(..) value=c`` for a map entry ``(out, in, c)``."""
+    o, i, c = witness
+    o_s = ",".join(map(str, o))
+    i_s = ",".join(map(str, i))
+    return f"out=({o_s}) in=({i_s}) value={c}"
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Outcome of one residual check, with enough context to reproduce it."""
@@ -101,7 +115,7 @@ class ResidualReport:
     kind: str
     dim: int
     passed: bool
-    witness: tuple[Word, Word, Fraction] | None
+    witness: tuple[Word, Word, Scalar] | None
     conventions: tuple[tuple[str, str], ...]
     preconditions: tuple[tuple[str, bool], ...] = field(default=())
     notes: tuple[str, ...] = field(default=())
@@ -112,10 +126,7 @@ class ResidualReport:
             out.append(f"precondition {name}: {'holds' if ok else 'FAILS'}")
         out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         if self.witness is not None:
-            o, i, c = self.witness
-            o_s = ",".join(map(str, o))
-            i_s = ",".join(map(str, i))
-            out.append(f"witness: out=({o_s}) in=({i_s}) value={c}")
+            out.append(f"witness: {witness_str(self.witness)}")
         for note in self.notes:
             out.append(f"note: {note}")
         for key, text in self.conventions:

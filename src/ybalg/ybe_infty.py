@@ -225,7 +225,7 @@ def _pair_product(resolve, degrees, wx, slots_x, wy, slots_y, n):
         else:
             raise ValueError("a slot may hold at most two factors")
     for combo in itertools.product(*choices):
-        coeff = Fraction(sign)
+        coeff = sign
         for _, c in combo:
             coeff *= c
         yield tuple(k for k, _ in combo), coeff

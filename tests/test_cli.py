@@ -1,5 +1,6 @@
 """Job harness and command line: verdicts, exit codes, determinism."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import harness, io, operad
+from ybalg import harness, io, operad, ybe
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
 from ybalg.cli import main
 from ybalg.double import one_variable_lambda_bracket
@@ -101,6 +102,23 @@ class TestHarness:
         assert outputs[0][0] == outputs[1][0]
 
 
+def test_cae_random_failure_line_prints_the_witness_plainly(monkeypatch):
+    real_check = ybe.check
+
+    def failing_check(kind, r):
+        report = real_check(kind, r)
+        witness = ((0, 1, 0), (1, 0, 0), Fraction(-2))
+        return dataclasses.replace(report, passed=False, witness=witness)
+
+    monkeypatch.setattr(ybe, "check", failing_check)
+    report = run_suite(JobSpec((Job("cae-random", params=(("count", "4"),)),)))
+    text = report.text()
+    assert "verdict cae-random: FAIL" in text
+    assert "failures: 3" in text
+    assert "failed at dim 1, witness out=(0,1,0) in=(1,0,0) value=-2" in text
+    assert "Fraction(" not in text
+
+
 class TestFixtureSearch:
     def test_classical_solutions_include_zero(self):
         solutions = fixture_search("cybe", 2)
@@ -184,6 +202,37 @@ class TestCliExitCodes:
         line = 3 if field == "dom" else 4
         assert f"neg.txt:{line}" in captured.err
         assert f"{field} must be at least 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["ybe", "check", "--kind", "cybe", "--input"],
+            ["ybe", "check", "--kind", "qybe", "--input"],
+            ["ybe", "cae", "--input"],
+            ["schurweyl", "decompose", "--m", "2", "--R"],
+            ["schurweyl", "hrdim", "--m", "2", "--R"],
+        ],
+        ids=["check-cybe", "check-qybe", "cae", "decompose", "hrdim"],
+    )
+    @pytest.mark.parametrize(
+        "dom, cod, field", [(3, 3, "dom"), (0, 0, "dom"), (2, 1, "cod"), (1, 2, "dom")]
+    )
+    def test_map_off_the_tensor_square_is_two(
+        self, tmp_path, capsys, verb, dom, cod, field
+    ):
+        path = write(
+            tmp_path,
+            "shape.txt",
+            f"ybalg schema/1 tensor-map\n# a map of the wrong degree\ndim: 2\n"
+            f"dom: {dom}\ncod: {cod}\n",
+        )
+        assert main(verb + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = 4 if field == "dom" else 5
+        got = dom if field == "dom" else cod
+        assert f"shape.txt:{line}: {field} must be 2" in captured.err
+        assert f"got {got}" in captured.err
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_non_positive_family_dim_is_two(self, tmp_path, capsys, dim):

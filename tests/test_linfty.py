@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybalg import sparse
 from ybalg.algebras import TruncationOverflow
 from ybalg.linfty import (
     CONVENTIONS,
@@ -308,6 +309,23 @@ class TestCancellationAudit:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             audit_cancellation(2, (0, 0))
+
+    def test_negative_degrees_give_no_float_coefficients(self, monkeypatch):
+        # (-1) ** k is the float -1.0 for negative k; every sign must stay exact
+        scalars = []
+        accumulate = sparse.accumulate
+
+        def spy(total, terms, scalar=None):
+            scalars.append(scalar)
+            accumulate(total, terms, scalar)
+
+        monkeypatch.setattr(sparse, "accumulate", spy)
+        for degs in ((-1, 1, 0), (1, -1, -2), (-1, -1, 1)):
+            generated, surviving, ok = audit_cancellation(2, degs)
+            assert ok and surviving == 0, degs
+        assert product_extension_check(homotopy_fixture(), max_m=3, cap=3).passed
+        used = [c for c in scalars if c is not None]
+        assert used and all(type(c) in (int, Fraction) for c in used)
 
 
 class TestHomotopyFixture:

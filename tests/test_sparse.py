@@ -24,8 +24,18 @@ def sorted_product(a, b):
 KEYS = [operator.add, sorted_product]
 
 
+def is_canonical(c):
+    """An ``int``, or a ``Fraction`` that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def is_exact(c):
+    """An ``int`` or a ``Fraction``, as ``accumulate`` may leave before a purge."""
+    return type(c) in (int, Fraction)
+
+
 def is_vector(x):
-    return all(type(c) is Fraction and c != 0 for c in x.values())
+    return all(is_canonical(c) and c != 0 for c in x.values())
 
 
 def naive_product(x, y, key):
@@ -58,6 +68,39 @@ def test_floats_and_other_scalars_rejected(bad):
         sparse.vector({(0,): bad})
     with pytest.raises(TypeError, match="not an exact scalar"):
         sparse.scale({(0,): Fraction(1)}, bad)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (3, 3),
+        (True, 1),
+        ("4/2", 2),
+        ("-6/4", Fraction(-3, 2)),
+        (Fraction(6, 3), 2),
+        (Fraction(1, 2), Fraction(1, 2)),
+    ],
+)
+def test_frac_returns_the_canonical_form(value, want):
+    got = sparse.frac(value)
+    assert got == want and type(got) is type(want)
+
+
+def test_integral_results_become_ints():
+    half = {(0,): Fraction(1, 2), (1,): Fraction(3, 2), (2,): 1}
+    assert sparse.add(half, half) == {(0,): 1, (1,): 3, (2,): 2}
+    assert is_vector(sparse.add(half, half))
+    assert is_vector(sparse.scale(half, 2)) and is_vector(sparse.scale(half, "2/3"))
+    assert is_vector(sparse.product(half, half, operator.add))
+    total = dict(half)
+    sparse.accumulate(total, half.items())
+    assert is_vector(sparse.purge(total))
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.5, "1", 1j])
+def test_accumulate_rejects_an_inexact_scalar(bad):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        sparse.accumulate({}, [((0,), 1)], bad)
 
 
 @given(vectors, vectors, st.sampled_from(KEYS), st.integers(-2, 2) | scalars)
@@ -113,7 +156,8 @@ def test_product_matches_naive_double_loop(x, y, key):
 def test_accumulate_then_purge_is_add(x, y, c):
     total = dict(x)
     sparse.accumulate(total, y.items(), c)
-    assert all(type(v) is Fraction for v in total.values())
+    assert all(is_exact(v) for v in total.values())
+    assert is_vector(sparse.purge(total))
     expected = sparse.add(x, y if c is None else sparse.scale(y, c))
     assert sparse.purge(total) == expected
     assert list(sparse.purge(total)) == list(expected)
@@ -123,7 +167,8 @@ def test_accumulate_then_purge_is_add(x, y, c):
 def test_accumulate_with_int_scalar_keeps_fractions(x, c):
     total = {}
     sparse.accumulate(total, x.items(), c)
-    assert all(type(v) is Fraction for v in total.values())
+    assert all(is_exact(v) for v in total.values())
+    assert is_vector(sparse.purge(total))
     assert sparse.purge(total) == sparse.scale(x, c)
 
 

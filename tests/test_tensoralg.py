@@ -205,6 +205,45 @@ def test_embed_reversed_slots_is_r21_embedding():
     assert embed_components(r, (3, 1), 3) == embed_components(r.r21(), (1, 3), 3)
 
 
+def _embed_by_filling(r, slots, n):
+    """Reference embedding: fill each word slot by slot, entry by entry."""
+    idx = [s - 1 for s in slots]
+    passive = [j for j in range(n) if j not in idx]
+    out = {}
+    for (o, i), c in r.entries.items():
+        for filler in words(r.dim, len(passive)):
+            out_word = [0] * n
+            in_word = [0] * n
+            for t, j in enumerate(idx):
+                out_word[j] = o[t]
+                in_word[j] = i[t]
+            for t, j in enumerate(passive):
+                out_word[j] = filler[t]
+                in_word[j] = filler[t]
+            out[(tuple(out_word), tuple(in_word))] = c
+    return out
+
+
+@st.composite
+def maps_and_slots(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(n, 3)))
+    dim = draw(st.integers(1, 3))
+    slots = tuple(draw(st.permutations(range(1, n + 1)))[:k])
+    return sparse_map(dim, k, draw(st.integers(0, 10_000))), slots, n
+
+
+@settings(max_examples=150)
+@given(maps_and_slots())
+def test_embed_matches_the_slot_filling_reference(case):
+    r, slots, n = case
+    got = embed_components(r, slots, n)
+    want = _embed_by_filling(r, slots, n)
+    assert (got.dom_deg, got.cod_deg) == (n, n)
+    assert got.entries == want
+    assert list(got.entries) == list(want)  # same insertion order
+
+
 @given(perms3, st.integers(0, 10_000))
 def test_conjugation_relabels_components(pi, seed):
     # P r^{ij} P^{-1} = r^{pi(i) pi(j)} for the slot-relabeling action
@@ -213,6 +252,19 @@ def test_conjugation_relabels_components(pi, seed):
     lhs = embed_components(r, (i, j), 3).conjugate_by_perm(pi)
     rhs = embed_components(r, (pi[i - 1] + 1, pi[j - 1] + 1), 3)
     assert lhs == rhs
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))),
+    st.integers(0, 10_000),
+)
+def test_conjugation_is_composition_with_the_permutation_operator(p, seed):
+    p = tuple(p)
+    r = sparse_map(2, len(p), seed)
+    big_p = TensorMap.from_permutation(p, 2)
+    big_p_inv = TensorMap.from_permutation(perm_inverse(p), 2)
+    assert r.conjugate_by_perm(p) == big_p.compose(r).compose(big_p_inv)
 
 
 def test_r21_is_swap_conjugation():

@@ -114,6 +114,17 @@ def test_cybe_is_commutator_combination(seed):
     assert cybe_residual(r) == a - a.conjugate_by_perm((0, 2, 1))
 
 
+@settings(max_examples=40)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]), st.booleans())
+def test_cae_defect_matches_the_literal_residuals(seed, dim, skew):
+    # cae_defect shares six products between both residuals; the literal
+    # commutator form of cybe_residual is the reference, skew or not
+    rng = random.Random(seed)
+    r = random_skew_map(dim, rng) if skew else random_map(dim, 2, rng)
+    a = aybe_residual(r)
+    assert cae_defect(r) == cybe_residual(r) - (a - a.conjugate_by_perm((0, 2, 1)))
+
+
 def test_aybe_prime_is_slot_reversal_of_aybe_for_skew():
     rng = random.Random(17)
     for _ in range(10):
