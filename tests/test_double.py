@@ -100,6 +100,42 @@ class TestOneVariableBracket:
         for lam in (Fraction(1), Fraction(-2), Fraction(5, 7)):
             assert check_double_axioms(lambda_bracket(lam=lam)).passed
 
+    def test_integral_multiple_clears_denominators(self):
+        db = lambda_bracket(lam=Fraction(5, 6))
+        multiple = db.integral_multiple()
+        assert multiple.table == {
+            key: sparse.scale(val, 6) for key, val in db.table.items()
+        }
+        assert all(
+            type(c) is int for val in multiple.table.values() for c in val.values()
+        )
+        integral = lambda_bracket(lam=Fraction(-2))
+        assert integral.integral_multiple() is integral
+
+    def test_checks_on_fractional_bracket_match_the_defects(self):
+        # the checks run on an integral multiple; their verdicts and
+        # witnesses must be those of the bracket's own defects
+        db = lambda_bracket(lam=Fraction(5, 6))
+        A = db.algebra
+        x = A.index("x")
+        table = dict(db.table)
+        table[(x, x)] = sparse.add(table[(x, x)], {(x, x): Fraction(1, 7)})
+        bad = DoubleBracket(A, table)
+        n = A.nbasis
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        expect = {
+            "antisymmetry": next((p for p in pairs if dbskew_defect(bad, *p)), None),
+            "jacobi": next((t for t in triples if dbjac_residual(bad, *t)), None),
+            "leibniz": next((t for t in triples if dbpoiss_defect(bad, *t)), None),
+        }
+        report = check_double_axioms(bad)
+        assert {c.name: c.witness for c in report.checks} == expect
+        assert expect["leibniz"] is not None
+        comparison = almcybe_check(bad)
+        assert comparison.leibniz_precondition is False
+        assert comparison.cybe_precondition == cybe_residual(bad.as_tensor_map()).is_zero()
+
     def test_extension_consistent_both_orders(self):
         A = polynomial_quotient_algebra(5)
         x, one = A.index("x"), A.index("1")
