@@ -27,8 +27,8 @@ The submodules group by subject:
   residual sums.
 - :mod:`ybalg.frt` — twisted symmetric-group actions, Young symmetrizers,
   commutants, and the tensor-power decomposition.
-- :mod:`ybalg.fixtures` — exhaustive skew grid searches and named example
-  maps.
+- :mod:`ybalg.fixtures` — exhaustive skew grid searches, residuals as
+  quadratic forms on the skew-orbit basis, and named example maps.
 - :mod:`ybalg.io` / :mod:`ybalg.harness` / :mod:`ybalg.cli` — file
   formats, the job runner, and the command line.
 """

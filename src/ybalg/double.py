@@ -452,6 +452,16 @@ def dbjac_to_aybe(r: TensorMap) -> JacobiToAybeReport:
     )
 
 
+def dbjac_transform_defect(r: TensorMap) -> TensorMap:
+    """The negated (321)-conjugate of the double-Jacobi residual minus ``aybe(r)``.
+
+    Zero exactly when the transform in :func:`dbjac_to_aybe` matches the
+    associative residual; like both of them it is quadratic in ``r``.
+    """
+    transformed = -double_jacobi_residual_map(r).conjugate_by_perm((2, 1, 0))
+    return transformed - aybe_residual(r)
+
+
 def double_lie_iff_skew_aybe(r: TensorMap) -> tuple[bool, bool, bool]:
     """(axioms hold, skew-and-associative-solution, equivalence) for one map."""
     report = dbjac_to_aybe(r)

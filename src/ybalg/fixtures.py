@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import Callable, Sequence
 
-from .sparse import ONE, frac
+from . import sparse
+from .sparse import ONE, Scalar, frac
 from .tensoralg import TensorMap, Word, words
 from .twisted import PolynomialPoissonBracket
-from .ybe import RESIDUALS, is_skew
+from .ybe import DEGREE, RESIDUALS
 
 
+@functools.lru_cache(maxsize=None)
 def skew_entry_orbits(dim: int):
     """Pair up map entries under the skew involution.
 
     A map on the tensor square is skew iff, for every entry position,
     ``r[(k,l),(i,j)] = -r[(l,k),(j,i)]``.  Returns ``(orbits, fixed)`` where
     ``orbits`` lists representative/partner position pairs and ``fixed`` the
-    self-paired positions (which skewness forces to zero).
+    self-paired positions (which skewness forces to zero).  Both are tuples,
+    computed once per ``dim``.
     """
     seen: set[tuple[Word, Word]] = set()
     orbits: list[tuple[tuple[Word, Word], tuple[Word, Word]]] = []
@@ -35,7 +40,7 @@ def skew_entry_orbits(dim: int):
                 fixed.append(key)
             else:
                 orbits.append((key, partner))
-    return orbits, fixed
+    return tuple(orbits), tuple(fixed)
 
 
 def skew_map_from_orbit_values(dim: int, values) -> TensorMap:
@@ -45,25 +50,94 @@ def skew_map_from_orbit_values(dim: int, values) -> TensorMap:
     entries: dict[tuple[Word, Word], Fraction] = {}
     for (rep, partner), val in zip(orbits, values):
         c = frac(val)
-        entries[rep] = c
-        entries[partner] = -c
+        if c:
+            entries[rep] = c
+            entries[partner] = -c
     return TensorMap(dim, 2, 2, entries)
+
+
+def orbit_values(r: TensorMap) -> list[Scalar]:
+    """The values of a skew map at its orbit representatives.
+
+    A skew map is zero at the fixed positions, so it is
+    ``skew_map_from_orbit_values(r.dim, orbit_values(r))``.
+    """
+    orbits, _ = skew_entry_orbits(r.dim)
+    return [r.entries.get(rep, 0) for rep, _ in orbits]
+
+
+def orbit_grid(dim: int, entry_values=(-1, 0, 1)):
+    """Every tuple of orbit values drawn from a finite set, in product order."""
+    orbits, _ = skew_entry_orbits(dim)
+    return itertools.product([frac(v) for v in entry_values], repeat=len(orbits))
 
 
 def enumerate_skew_maps(dim: int, entry_values=(-1, 0, 1)):
     """All skew maps on the tensor square with orbit entries from a finite set."""
-    orbits, _ = skew_entry_orbits(dim)
-    for choice in itertools.product(entry_values, repeat=len(orbits)):
+    for choice in orbit_grid(dim, entry_values):
         yield skew_map_from_orbit_values(dim, choice)
 
 
+class SkewOrbitForm:
+    """A residual quadratic in the map, as a quadratic form on skew maps.
+
+    Let ``S_k`` be the skew map that is 1 at the representative of entry
+    orbit ``k`` and -1 at its partner; every skew map is ``r = sum x_k S_k``
+    with ``x = orbit_values(r)``.  A residual ``R(r) = B(r, r)``, ``B``
+    bilinear, is then
+
+        ``R(r) = sum_k x_k^2 D_k + sum_{k<l} x_k x_l P_kl``,
+        ``D_k = R(S_k)``,  ``P_kl = R(S_k + S_l) - D_k - D_l``.
+
+    The constructor evaluates ``R`` literally on the zero map (for the
+    shape), on each ``S_k`` and on each ``S_k + S_l``, and keeps the nonzero
+    ``D_k`` and ``P_kl``.  A call costs one scaled accumulation per kept
+    term with a nonzero weight ``x_k x_l`` and returns ``R(r)`` entry for
+    entry, so verdicts and witnesses are those of the literal residual.
+    Building a form costs ``1 + n(n+1)/2`` literal evaluations for ``n``
+    orbits (22 at dim 2, 667 at dim 3): it pays off over many maps only.
+    """
+
+    def __init__(self, residual: Callable[[TensorMap], TensorMap], dim: int):
+        n = len(skew_entry_orbits(dim)[0])
+
+        def at(*ks: int) -> TensorMap:
+            values = [1 if j in ks else 0 for j in range(n)]
+            return residual(skew_map_from_orbit_values(dim, values))
+
+        self._zero = at()
+        diag = [at(k) for k in range(n)]
+        self.terms = [(k, k, d.entries) for k, d in enumerate(diag) if not d.is_zero()]
+        for k, l in itertools.combinations(range(n), 2):
+            cross = at(k, l) - diag[k] - diag[l]
+            if not cross.is_zero():
+                self.terms.append((k, l, cross.entries))
+
+    def __call__(self, values: Sequence[Scalar]) -> TensorMap:
+        """``R`` at the skew map with these orbit values."""
+        total: dict = {}
+        for k, l, entries in self.terms:
+            weight = values[k] * values[l]
+            if weight:
+                sparse.accumulate(total, entries.items(), weight)
+        zero = self._zero
+        return zero._of(zero.dom_deg, zero.cod_deg, sparse.purge(total))
+
+
 def search_skew_solutions(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
-    """Split the skew enumeration into exact solutions and non-solutions."""
-    residual = RESIDUALS[kind]
+    """Split the skew enumeration into exact solutions and non-solutions.
+
+    ``kind`` names a residual quadratic in the map (``cybe``, ``aybe``,
+    ``aybe-prime`` or ``cae``); it is evaluated as a :class:`SkewOrbitForm`.
+    """
+    if DEGREE.get(kind) != 2:
+        raise ValueError(f"the skew search needs a residual quadratic in r, not {kind!r}")
+    form = SkewOrbitForm(RESIDUALS[kind], dim)
     solutions: list[TensorMap] = []
     non_solutions: list[TensorMap] = []
-    for r in enumerate_skew_maps(dim, entry_values):
-        (solutions if residual(r).is_zero() else non_solutions).append(r)
+    for values in orbit_grid(dim, entry_values):
+        r = skew_map_from_orbit_values(dim, values)
+        (solutions if form(values).is_zero() else non_solutions).append(r)
     return solutions, non_solutions
 
 

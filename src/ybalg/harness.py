@@ -26,8 +26,10 @@ from .algebras import (
     structural_primeness_report,
 )
 from .fixtures import (
+    SkewOrbitForm,
     diagonal_unitary_qybe_solution,
-    enumerate_skew_maps,
+    orbit_grid,
+    orbit_values,
     random_skew_map,
     search_skew_solutions,
     skew_entry_orbits,
@@ -43,13 +45,17 @@ BOUNDS = {"dim": 3, "degree": 4, "m": 4}
 SEARCH_LIMIT = 2_000_000
 
 
-def require_bound(name: str, value: int, cost: str) -> None:
+def require_bound(name: str, value: int, cost: str, path: str | None = None) -> None:
+    """Refuse ``value`` past ``BOUNDS[name]``; with ``path``, at its ``name`` line."""
     bound = BOUNDS[name]
     if value > bound:
-        raise ValueError(
+        message = (
             f"{name}={value} exceeds the supported bound {bound}"
             f" (estimated cost: {cost})"
         )
+        if path is not None:
+            raise io.field_error(path, name, message)
+        raise ValueError(message)
 
 
 def fixture_search(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
@@ -192,7 +198,7 @@ def _run_ybe_check(job: Job, spec: JobSpec):
     report = ybe.check(kind, r)
     lines = report.lines()
     if spec.emit_witness:
-        _witness_map(lines, "residual map", ybe.RESIDUALS[kind](r))
+        _witness_map(lines, "residual map", ybe.evaluate(kind, r))
     return _residual_verdict(report), lines
 
 
@@ -201,12 +207,12 @@ def _run_ybe_cae(job: Job, spec: JobSpec):
     report = ybe.check("cae", r)
     lines = report.lines()
     if spec.emit_witness:
-        _witness_map(lines, "residual map", ybe.RESIDUALS["cae"](r))
+        _witness_map(lines, "residual map", ybe.evaluate("cae", r))
     return _residual_verdict(report), lines
 
 
 def _run_poisson_extend(job: Job, spec: JobSpec):
-    r = io.load_tensor_map(job.input("r"))
+    r = io.load_square_map(job.input("r"))
     lhs = io.parse_word(job.param("lhs"), "--lhs")
     rhs = io.parse_word(job.param("rhs"), "--rhs")
     bracket = twisted.TensorWordBracket(r)
@@ -225,7 +231,7 @@ def _run_poisson_extend(job: Job, spec: JobSpec):
 
 
 def _run_poisson_verify(job: Job, spec: JobSpec):
-    r = io.load_tensor_map(job.input("r"))
+    r = io.load_square_map(job.input("r"))
     max_degree = int(job.param("max-degree"))
     require_bound("degree", max_degree, f"word tuples grow as {r.dim}^degree")
     report = twisted.check_bracket_extension(r, max_degree)
@@ -265,7 +271,7 @@ def _run_quiver_build(job: Job, spec: JobSpec):
 
 def _load_double_bracket(job: Job):
     algebra = io.load_associative_algebra(job.input("algebra"))
-    r = io.load_tensor_map(job.input("bracket"))
+    r = io.load_square_map(job.input("bracket"))
     return algebra, double.DoubleBracket.from_tensor_map(algebra, r)
 
 
@@ -363,9 +369,11 @@ def _run_ybe_infty_check(job: Job, spec: JobSpec):
 
 
 def _run_schurweyl_decompose(job: Job, spec: JobSpec):
-    r = io.load_square_map(job.input("R"))
+    path = job.input("R")
+    r = io.load_square_map(path)
     m = int(job.param("m"))
     require_bound("m", m, f"the commutant solve has {r.dim}^(2m) unknowns")
+    require_bound("dim", r.dim, f"the commutant solve has {r.dim ** (2 * m)} unknowns", path)
     try:
         report = frt.schur_weyl_decompose(r, m, r.dim)
     except ValueError as err:
@@ -374,9 +382,11 @@ def _run_schurweyl_decompose(job: Job, spec: JobSpec):
 
 
 def _run_schurweyl_hrdim(job: Job, spec: JobSpec):
-    r = io.load_square_map(job.input("R"))
+    path = job.input("R")
+    r = io.load_square_map(path)
     m = int(job.param("m"))
     require_bound("m", m, f"the relation span has {r.dim}^(2m) columns")
+    require_bound("dim", r.dim, f"the relation span has {r.dim ** (2 * m)} columns", path)
     try:
         by_relations, by_commutant = frt.hr_dimension_oracles(r, m)
     except ValueError as err:
@@ -399,15 +409,17 @@ def _run_cae_random(job: Job, spec: JobSpec):
     count = int(job.param("count", "102"))
     seed = int(job.param("seed", "20260814"))
     rng = random.Random(seed)
+    # every map drawn is skew, so the form gives its cae defect exactly
+    forms = {dim: SkewOrbitForm(ybe.cae_defect, dim) for dim in (1, 2, 3)}
     failures = []
     per_dim = {1: 0, 2: 0, 3: 0}
     for index in range(count):
         dim = index % 3 + 1
         per_dim[dim] += 1
         r = random_skew_map(dim, rng)
-        report = ybe.check("cae", r)
-        if not report.passed and len(failures) < 3:
-            failures.append((dim, report.witness))
+        witness = forms[dim](orbit_values(r)).first_nonzero()
+        if witness is not None and len(failures) < 3:
+            failures.append((dim, witness))
     lines = [
         f"combination identity on {count} seeded random skew maps"
         f" (seed {seed}; dims 1-3: {per_dim[1]}/{per_dim[2]}/{per_dim[3]})",
@@ -437,18 +449,23 @@ def _run_fixture_search(job: Job, spec: JobSpec):
 
 
 def _run_double_lie_iff(job: Job, spec: JobSpec):
+    # every grid map is skew, so each verdict of dbjac_to_aybe reduces to
+    # one of these residuals vanishing
+    jacobi = SkewOrbitForm(double.double_jacobi_residual_map, 2)
+    aybe = SkewOrbitForm(ybe.aybe_residual, 2)
+    transform = SkewOrbitForm(double.dbjac_transform_defect, 2)
     mismatches = 0
     transform_failures = 0
     solutions = 0
     total = 0
-    for r in enumerate_skew_maps(2, (-1, 0, 1)):
+    for values in orbit_grid(2, (-1, 0, 1)):
         total += 1
-        report = double.dbjac_to_aybe(r)
-        if report.double_lie != report.skew_aybe:
+        double_lie = jacobi(values).is_zero()
+        if double_lie != aybe(values).is_zero():
             mismatches += 1
-        if report.double_lie:
+        if double_lie:
             solutions += 1
-        if not report.transform_matches_aybe:
+        if not transform(values).is_zero():
             transform_failures += 1
     lines = [
         f"skew grid, dim 2: {total} maps, {solutions} induce a double Lie bracket",

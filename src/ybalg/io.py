@@ -489,14 +489,17 @@ def load_square_map(path) -> TensorMap:
     tmap = load_tensor_map(path)
     for key, deg in (("dom", tmap.dom_deg), ("cod", tmap.cod_deg)):
         if deg != 2:
-            fields = _Lines(Path(path).read_text(), str(path)).fields()
-            number, _ = _single(fields, key, str(path))
-            raise SchemaError(
-                f"{key} must be 2 for a map on the tensor square, got {deg}",
-                str(path),
-                number,
+            raise field_error(
+                path, key, f"{key} must be 2 for a map on the tensor square, got {deg}"
             )
     return tmap
+
+
+def field_error(path, key: str, message: str) -> SchemaError:
+    """An input error located at the line of the ``key`` field of a parsed file."""
+    fields = _Lines(Path(path).read_text(), str(path)).fields()
+    number, _ = _single(fields, key, str(path))
+    return SchemaError(message, str(path), number)
 
 
 def load_lie_structure(path) -> LieStructure:

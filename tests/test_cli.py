@@ -1,6 +1,5 @@
 """Job harness and command line: verdicts, exit codes, determinism."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -10,11 +9,15 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import harness, io, operad, ybe
+from ybalg import harness, io, operad
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
 from ybalg.cli import main
 from ybalg.double import one_variable_lambda_bracket
-from ybalg.fixtures import diagonal_unitary_qybe_solution, search_skew_solutions
+from ybalg.fixtures import (
+    SkewOrbitForm,
+    diagonal_unitary_qybe_solution,
+    search_skew_solutions,
+)
 from ybalg.harness import Job, JobSpec, Report, default_suite, fixture_search, run_suite
 from ybalg.linfty import homotopy_fixture
 from ybalg.tensoralg import TensorMap
@@ -103,14 +106,11 @@ class TestHarness:
 
 
 def test_cae_random_failure_line_prints_the_witness_plainly(monkeypatch):
-    real_check = ybe.check
+    # cae-random reads each map's defect off a SkewOrbitForm
+    def failing_value(form, values):
+        return TensorMap(3, 3, 3, {((0, 1, 0), (1, 0, 0)): Fraction(-2)})
 
-    def failing_check(kind, r):
-        report = real_check(kind, r)
-        witness = ((0, 1, 0), (1, 0, 0), Fraction(-2))
-        return dataclasses.replace(report, passed=False, witness=witness)
-
-    monkeypatch.setattr(ybe, "check", failing_check)
+    monkeypatch.setattr(SkewOrbitForm, "__call__", failing_value)
     report = run_suite(JobSpec((Job("cae-random", params=(("count", "4"),)),)))
     text = report.text()
     assert "verdict cae-random: FAIL" in text
@@ -211,8 +211,15 @@ class TestCliExitCodes:
             ["ybe", "cae", "--input"],
             ["schurweyl", "decompose", "--m", "2", "--R"],
             ["schurweyl", "hrdim", "--m", "2", "--R"],
+            ["poisson", "extend", "--lhs", "0", "--rhs", "1", "--r"],
+            ["poisson", "verify", "--max-degree", "2", "--r"],
+            ["double", "verify", "--algebra", "ALG", "--bracket"],
+            ["double", "almcybe", "--algebra", "ALG", "--bracket"],
         ],
-        ids=["check-cybe", "check-qybe", "cae", "decompose", "hrdim"],
+        ids=[
+            "check-cybe", "check-qybe", "cae", "decompose", "hrdim",
+            "poisson-extend", "poisson-verify", "double-verify", "double-almcybe",
+        ],
     )
     @pytest.mark.parametrize(
         "dom, cod, field", [(3, 3, "dom"), (0, 0, "dom"), (2, 1, "cod"), (1, 2, "dom")]
@@ -220,13 +227,17 @@ class TestCliExitCodes:
     def test_map_off_the_tensor_square_is_two(
         self, tmp_path, capsys, verb, dom, cod, field
     ):
+        algebra_path = write(
+            tmp_path, "alg.txt", io.dump_associative_algebra(polynomial_quotient_algebra(2))
+        )
         path = write(
             tmp_path,
             "shape.txt",
             f"ybalg schema/1 tensor-map\n# a map of the wrong degree\ndim: 2\n"
             f"dom: {dom}\ncod: {cod}\n",
         )
-        assert main(verb + [path]) == 2
+        argv = [algebra_path if arg == "ALG" else arg for arg in verb]
+        assert main(argv + [path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         line = 4 if field == "dom" else 5
@@ -261,6 +272,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "exceeds the supported bound" in err
         assert "estimated cost" in err
+
+    @pytest.mark.parametrize("verb", ["decompose", "hrdim"])
+    def test_twist_dim_past_the_bound_is_two(self, tmp_path, capsys, verb):
+        path = write(
+            tmp_path,
+            "id4.txt",
+            "# the identity twist of a 4-dimensional space\n"
+            + io.dump_tensor_map(TensorMap.identity(4, 2)),
+        )
+        assert main(["schurweyl", verb, "--R", path, "--m", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "id4.txt:3: dim=4 exceeds the supported bound 3" in captured.err
+        assert "estimated cost" in captured.err
 
     def test_precondition_unmet_is_one(self, tmp_path, capsys):
         doubled = TensorMap.identity(2, 2).scale(Fraction(2))

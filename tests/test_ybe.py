@@ -12,17 +12,21 @@ from ybalg.fixtures import (
     skew_entry_orbits,
     skew_map_from_orbit_values,
 )
+from ybalg.io import dump_tensor_map
 from ybalg.tensoralg import TensorMap, words
 from ybalg.ybe import (
+    RESIDUALS,
     aybe_prime_residual,
     aybe_residual,
     cae_defect,
     check,
     cybe_residual,
+    evaluate,
     is_skew,
     qybe_residual,
     skew_defect,
     unitarity_defect,
+    witness_str,
 )
 
 
@@ -188,3 +192,46 @@ def test_report_pass_line():
     report = check("aybe", z)
     assert report.passed and report.witness is None
     assert "result: PASS" in report.lines()
+
+
+# ---------------------------------------------------------------------------
+# fractional maps run on an integral multiple
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rational_maps(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    positions = [(o, i) for o in words(dim, 2) for i in words(dim, 2)]
+    chosen = draw(st.lists(st.sampled_from(positions), max_size=8, unique=True))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    entries = {pos: draw(value) for pos in chosen}
+    if draw(st.booleans()):
+        # a skew map, so the cae precondition holds now and then
+        r = TensorMap(dim, 2, 2, entries)
+        return r - r.r21()
+    return TensorMap(dim, 2, 2, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_maps(), st.sampled_from(["cybe", "aybe", "qybe", "cae", "unitarity"]))
+def test_integral_multiple_matches_the_literal_residual(r, kind):
+    literal = RESIDUALS[kind](r)
+    emitted = evaluate(kind, r)
+    assert emitted == literal
+    assert dump_tensor_map(emitted) == dump_tensor_map(literal)
+    report = check(kind, r)
+    assert report.passed == (literal.is_zero() and (kind != "cae" or is_skew(r)))
+    assert report.witness == literal.first_nonzero()
+    assert report.lines() == check(kind, r).lines()
+    if report.witness is not None:
+        assert witness_str(report.witness) == witness_str(literal.first_nonzero())
+
+
+def test_integral_multiple_on_a_fixed_fractional_map():
+    # lam = 6: the residuals run on 6r and come back divided by 6^2 or 6^3
+    r = TensorMap(2, 2, 2, {((0, 1), (1, 0)): Fraction(1, 2), ((1, 1), (0, 1)): Fraction(1, 3)})
+    for kind in ("cybe", "aybe", "qybe", "unitarity"):
+        got = evaluate(kind, r)
+        assert got == RESIDUALS[kind](r)
+        assert not got.is_zero()
