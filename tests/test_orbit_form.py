@@ -35,6 +35,7 @@ def form(name, dim):
 def assert_same_map(got, want):
     assert (got.dim, got.dom_deg, got.cod_deg) == (want.dim, want.dom_deg, want.cod_deg)
     assert got.entries == want.entries
+    # the same canonical scalar types too, not only equal values
     assert sorted(map(repr, got.entries.items())) == sorted(map(repr, want.entries.items()))
     assert got.first_nonzero() == want.first_nonzero()
 
@@ -89,10 +90,8 @@ def test_search_counts_and_order_match_the_literal_split():
         solutions, non_solutions = search_skew_solutions(kind, 2)
         assert len(solutions) == expected
         assert len(solutions) + len(non_solutions) == 729
-        literal = [
-            r for r in map(lambda v: skew_map_from_orbit_values(2, v), orbit_grid(2))
-            if RESIDUALS[kind](r).is_zero()
-        ]
+        grid = [skew_map_from_orbit_values(2, values) for values in orbit_grid(2)]
+        literal = [r for r in grid if RESIDUALS[kind](r).is_zero()]
         assert solutions == literal
 
 
