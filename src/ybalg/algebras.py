@@ -352,6 +352,7 @@ def quotient_algebra(
     top degree appearing in the relation).  With a homogeneous relation the
     computation is exact degreewise; an inhomogeneous relation is supported
     by the same row reduction and the result is flagged in ``info``.
+    Only products inside the cap are taken; the quotient is a window.
     """
     n = parent.nbasis
     span_rows = []
@@ -379,24 +380,14 @@ def quotient_algebra(
         len({parent.degrees[i] for i in relation}) <= 1 if relation else True
     )
 
-    def raw(i, j):
-        try:
-            prod = parent.mul_basis(reps[i], reps[j])
-        except TruncationOverflow:
-            return None
-        return reduce_to_quotient(prod)
-
     table: dict[tuple[int, int], Element | object] = {}
     for i in range(len(reps)):
         for j in range(len(reps)):
             if degrees[i] + degrees[j] > parent.cap:
-                if parent.mode == "window":
-                    table[(i, j)] = _OVERFLOW
-                continue
-            value = raw(i, j)
-            if value is None:
                 table[(i, j)] = _OVERFLOW
-            elif value:
+                continue
+            value = reduce_to_quotient(parent.mul_basis(reps[i], reps[j]))
+            if value:
                 table[(i, j)] = value
 
     dims: dict[int, int] = {}
@@ -407,7 +398,7 @@ def quotient_algebra(
         degrees,
         table,
         unit=reduce_to_quotient(parent.unit),
-        mode=parent.mode,
+        mode="window",
         cap=parent.cap,
         info={
             "kind": "quotient",
@@ -419,9 +410,17 @@ def quotient_algebra(
     )
 
 
+def _doubled_path_algebra(q: Quiver, cap: int) -> TruncatedAlgebra:
+    """The doubled path algebra, in quotient mode: the quotient multiplies
+    only inside the cap, so a window's per-pair overflow markers would go
+    unread.  Caps below 2, the relation's degree, are refused."""
+    if cap < 2:
+        raise ValueError(f"cap={cap} is below 2, the degree of the preprojective relation")
+    return path_algebra(double_quiver(q), cap, mode="quotient")
+
+
 def preprojective_algebra(q: Quiver, cap: int) -> TruncatedAlgebra:
-    doubled = double_quiver(q)
-    parent = path_algebra(doubled, cap, mode="window")
+    parent = _doubled_path_algebra(q, cap)
     relation = preprojective_relation(q, parent)
     out = quotient_algebra(parent, relation, relation_degree_span=2)
     out.info["kind"] = "preprojective"
@@ -432,8 +431,7 @@ def deformed_preprojective_algebra(
     q: Quiver, weights: dict[str, Fraction], cap: int
 ) -> TruncatedAlgebra:
     """Quotient by ``lambda - sum_e (e e* - e* e)`` with vertexwise weights."""
-    doubled = double_quiver(q)
-    parent = path_algebra(doubled, cap, mode="window")
+    parent = _doubled_path_algebra(q, cap)
     relation = sparse.scale(preprojective_relation(q, parent), -1)
     for v, weight in weights.items():
         relation = sparse.add(relation, sparse.scale(parent.element(f"e_{v}"), weight))

@@ -20,6 +20,7 @@ tensor factors; the cyclic Jacobi identity carries no signs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,17 +131,7 @@ class DoubleBracket:
             table.setdefault(in_pair, {})[out_pair] = coeff
         return cls(algebra, table)
 
-    def to_tensor_map(self) -> TensorMap:
-        if self.overflow_pairs:
-            raise TruncationOverflow(
-                "the bracket has pairs outside the window; no map represents it"
-            )
-        entries = {
-            (out_pair, in_pair): coeff
-            for in_pair, value in self.table.items()
-            for out_pair, coeff in value.items()
-        }
-        return TensorMap(self.algebra.nbasis, 2, 2, entries)
+    to_tensor_map = as_tensor_map
 
 
 def extend_by_derivations(
@@ -325,59 +316,31 @@ class DoubleAxiomReport:
         return out
 
 
+def _first_failure(db: DoubleBracket, defect, arity: int):
+    """The first basis tuple, in lexicographic order, where ``defect`` is
+    nonzero (``None`` if there is none), and how many tuples before it
+    overflowed the window."""
+    skipped = 0
+    for args in itertools.product(range(db.algebra.nbasis), repeat=arity):
+        try:
+            if defect(db, *args):
+                return args, skipped
+        except TruncationOverflow:
+            skipped += 1
+    return None, skipped
+
+
 def check_double_axioms(db: DoubleBracket) -> DoubleAxiomReport:
     db = db.integral_multiple()
     algebra = db.algebra
-    n = algebra.nbasis
     checks = []
-
-    witness = None
-    skipped = 0
-    for i in range(n):
-        for j in range(n):
-            try:
-                if dbskew_defect(db, i, j):
-                    witness = (i, j)
-                    break
-            except TruncationOverflow:
-                skipped += 1
-        if witness:
-            break
-    checks.append(AxiomCheck("antisymmetry", witness is None, witness, skipped))
-
-    witness = None
-    skipped = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                try:
-                    if dbjac_residual(db, i, j, k):
-                        witness = (i, j, k)
-                        break
-                except TruncationOverflow:
-                    skipped += 1
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("jacobi", witness is None, witness, skipped))
-
-    witness = None
-    skipped = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                try:
-                    if dbpoiss_defect(db, i, j, k):
-                        witness = (i, j, k)
-                        break
-                except TruncationOverflow:
-                    skipped += 1
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("leibniz", witness is None, witness, skipped))
+    for name, defect, arity in (
+        ("antisymmetry", dbskew_defect, 2),
+        ("jacobi", dbjac_residual, 3),
+        ("leibniz", dbpoiss_defect, 3),
+    ):
+        witness, skipped = _first_failure(db, defect, arity)
+        checks.append(AxiomCheck(name, witness is None, witness, skipped))
 
     return DoubleAxiomReport(
         algebra_kind=algebra.info.get("kind", "unknown"),

@@ -470,6 +470,36 @@ def _flatten_operator(tmap: TensorMap, index: Mapping[Word, int]) -> Terms:
     }
 
 
+def _commutant_rows(
+    generators: Sequence[TensorMap], index: Mapping[Word, int]
+) -> Iterator[dict[int, int]]:
+    """Integer rows of ``[X, g] = 0``, ``X`` flattened over (out-word, in-word)
+    pairs, yielded lazily; each ``g`` enters as its integral multiple."""
+    n = len(index)
+    for g in generators:
+        lam = math.lcm(*(c.denominator for c in g.entries.values()))
+        by_in: dict[int, list[tuple[int, int]]] = {}
+        by_out: dict[int, list[tuple[int, int]]] = {}
+        for (out_w, in_w), coeff in g.entries.items():
+            c = coeff.numerator * (lam // coeff.denominator)
+            by_in.setdefault(index[in_w], []).append((index[out_w], c))
+            by_out.setdefault(index[out_w], []).append((index[in_w], c))
+        for u in range(n):
+            for v in range(n):
+                if v not in by_in and u not in by_out:
+                    continue
+                row = {u * n + w: c for w, c in by_in.get(v, ())}
+                for w, c in by_out.get(u, ()):
+                    key = w * n + v
+                    value = row.get(key, 0) - c
+                    if value:
+                        row[key] = value
+                    else:
+                        row.pop(key, None)
+                if row:
+                    yield row
+
+
 def commutant(
     generators: Sequence[TensorMap],
     dim: int | None = None,
@@ -477,38 +507,23 @@ def commutant(
 ) -> list[TensorMap]:
     """Deterministic basis of everything commuting with the generators.
 
-    The unknown operator is flattened over (out-word, in-word) pairs and
-    ``[X, g] = 0`` becomes one exact linear system per generator; the basis
-    comes out of the reduced echelon nullspace, one map per free column.
-    With no generators the full endomorphism space is returned, which is
-    why ``dim`` and ``deg`` must then be supplied.
+    The basis comes out of the reduced echelon nullspace of
+    :func:`_commutant_rows`, one map per free column.  With no generators
+    the full endomorphism space is returned, which is why ``dim`` and
+    ``deg`` must then be supplied.
     """
     if generators:
         dim = generators[0].dim
         deg = generators[0].dom_deg
     elif dim is None or deg is None:
         raise ValueError("empty generator list needs explicit dim and deg")
-    index = _word_index(dim, deg)
-    word_list = list(index)
-    n = len(word_list)
-    rows: list[Terms] = []
     for g in generators:
         if g.dim != dim or g.dom_deg != deg or g.cod_deg != deg:
             raise ValueError("generators must act on one common tensor power")
-        by_in: dict[int, list[tuple[int, Fraction]]] = {}
-        by_out: dict[int, list[tuple[int, Fraction]]] = {}
-        for (out_w, in_w), coeff in g.entries.items():
-            by_in.setdefault(index[in_w], []).append((index[out_w], coeff))
-            by_out.setdefault(index[out_w], []).append((index[in_w], coeff))
-        for u in range(n):
-            for v in range(n):
-                if v not in by_in and u not in by_out:
-                    continue
-                row: Terms = {u * n + w: c for w, c in by_in.get(v, ())}
-                sparse.accumulate(row, ((w * n + v, c) for w, c in by_out.get(u, ())), -1)
-                row = sparse.purge(row)
-                if row:
-                    rows.append(row)
+    index = _word_index(dim, deg)
+    word_list = list(index)
+    n = len(word_list)
+    rows = list(_commutant_rows(generators, index))
     return [
         TensorMap(
             dim,
@@ -653,6 +668,13 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
     paired with the exact rank of the evaluated symmetrizer; the weighted
     total must account for the whole tensor power, and the double
     commutant of the twisted action must close onto its span.
+
+    Closure is certified by counting: every generator commuting with every
+    map of the commutant ``C'`` puts the span inside ``C''``, and then the
+    two are equal exactly when their dimensions are.  ``dim C''`` is the
+    nullity of ``[X, c] = 0`` over ``C'``, whose elimination stops once the
+    nullity is down to the span dimension.  Without the inclusion it runs
+    in full, so the printed dimension is exact.
     """
     if big_r.dim != dim_v:
         raise ValueError(
@@ -680,11 +702,14 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
     index = _word_index(dim_v, m)
     sr_rows = [_flatten_operator(table[p], index) for p in sorted(table)]
     ncols = len(index) ** 2
-    sr_span = rref(sr_rows, ncols)
+    span_dim = rank(sr_rows, ncols)
     first = commutant(action.generators, dim=dim_v, deg=m)
-    second = commutant(first, dim=dim_v, deg=m)
-    second_rows = [_flatten_operator(x, index) for x in second]
-    double_ok = sr_span == rref(second_rows, ncols)
+    # the span lies in C'' exactly when every generator commutes with all of C'
+    inside = all(
+        (x.compose(g) - g.compose(x)).is_zero() for g in action.generators for x in first
+    )
+    limit = ncols - span_dim if inside else None
+    second_dim = ncols - rank(_commutant_rows(first, index), ncols, limit)
     return DecompositionReport(
         m=m,
         dim=dim_v,
@@ -692,7 +717,7 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
         total=total,
         expected=dim_v**m,
         sr_commutant_dim=len(first),
-        hr_commutant_dim=len(second),
-        sr_span_dim=sr_span.rank,
-        double_commutant_ok=double_ok,
+        hr_commutant_dim=second_dim,
+        sr_span_dim=span_dim,
+        double_commutant_ok=inside and second_dim == span_dim,
     )

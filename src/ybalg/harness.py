@@ -40,7 +40,7 @@ VERSION = "0.1.0"
 
 #: hard ceilings on the brute-force parameters; everything past them is
 #: rejected up front with a cost estimate instead of hanging.
-BOUNDS = {"dim": 3, "degree": 4, "m": 4}
+BOUNDS = {"dim": 3, "degree": 4, "m": 4, "cap": 5}
 
 SEARCH_LIMIT = 2_000_000
 
@@ -198,7 +198,7 @@ def _run_ybe_check(job: Job, spec: JobSpec):
     report = ybe.check(kind, r)
     lines = report.lines()
     if spec.emit_witness:
-        _witness_map(lines, "residual map", ybe.evaluate(kind, r))
+        _witness_map(lines, "residual map", report.residual)
     return _residual_verdict(report), lines
 
 
@@ -207,7 +207,7 @@ def _run_ybe_cae(job: Job, spec: JobSpec):
     report = ybe.check("cae", r)
     lines = report.lines()
     if spec.emit_witness:
-        _witness_map(lines, "residual map", ybe.evaluate("cae", r))
+        _witness_map(lines, "residual map", report.residual)
     return _residual_verdict(report), lines
 
 
@@ -242,6 +242,9 @@ def _run_quiver_build(job: Job, spec: JobSpec):
     q = io.load_quiver(job.input("quiver"))
     kind = job.param("type")
     cap = int(job.param("cap"))
+    # the preprojective constructions run on the doubled quiver
+    arrows = len(q.edges) * (1 if kind == "path" else 2)
+    require_bound("cap", cap, f"paths grow as {arrows}^cap, the product table as their square")
     if kind == "path":
         algebra = path_algebra(q, cap)
     elif kind == "preprojective":

@@ -16,6 +16,12 @@ A row that survives gets its leftmost column as a new pivot.  Back
 substitution clears every pivot column from the other pivot rows the same
 way, and only then is each row divided by its pivot, on its nonzero entries.
 
+Rows are read once, in order.  A union-find over the columns of the rows
+read so far counts, per connected component, the columns still without a
+pivot.  A row meets only pivot rows of its own component, so once none is
+left it would reduce to zero: it is skipped before it is made primitive.
+:func:`rank` is this forward pass alone and can stop at a limit.
+
 The result is the reduced row echelon form, which is a canonical form of
 the row space: pivot columns, normalized rows, nullspace bases and residuals
 do not depend on the order of the input rows or of the elimination, and
@@ -25,8 +31,9 @@ every value returned is a ``Fraction``, even for ``int`` input.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .sparse import accumulate, frac
 
@@ -43,7 +50,7 @@ Row = Union[Sequence, Mapping[int, object]]
 
 def _items(row: Row, ncols: int) -> Iterable[tuple[int, object]]:
     if isinstance(row, Mapping):
-        if any(not 0 <= j < ncols for j in row):
+        if row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"column index out of range 0..{ncols - 1}")
         return row.items()
     if len(row) != ncols:
@@ -166,9 +173,32 @@ class ExactRREF:
         return [self._dense(vec) for vec in self.kernel()]
 
 
-def rref(rows: Sequence[Row], ncols: int) -> ExactRREF:
+def _echelon(
+    rows: Iterable[Row], ncols: int, limit: int | None = None
+) -> dict[int, dict[int, int]]:
+    """Primitive pivot rows with a positive pivot, by column; at most ``limit``."""
+    parent = list(range(ncols))
+    # columns still lacking a pivot, per component root
+    unpivoted = [1] * ncols
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
+        if limit is not None and len(pivots) >= limit:
+            break
+        roots = set()
+        for j, c in _items(row, ncols):
+            if c:
+                while parent[j] != j:  # path halving
+                    parent[j] = parent[parent[j]]
+                    j = parent[j]
+                roots.add(j)
+        if not roots:
+            continue
+        root = roots.pop()
+        for other in roots:
+            parent[other] = root
+            unpivoted[root] += unpivoted[other]
+        if not unpivoted[root]:
+            continue
         work = _primitive(row, ncols)
         while work:
             col = min(work)
@@ -176,8 +206,14 @@ def rref(rows: Sequence[Row], ncols: int) -> ExactRREF:
             if pivot_row is None:
                 # a positive pivot makes a pivot of 1 a plain subtraction
                 pivots[col] = work if work[col] > 0 else {j: -c for j, c in work.items()}
+                unpivoted[root] -= 1
                 break
             work = _eliminate(work, pivot_row, col)
+    return pivots
+
+
+def rref(rows: Sequence[Row], ncols: int) -> ExactRREF:
+    pivots = _echelon(rows, ncols)
     pivot_cols = sorted(pivots)
     # back substitution: rows with a higher pivot are final when reached
     for col in reversed(pivot_cols):
@@ -193,8 +229,9 @@ def rref(rows: Sequence[Row], ncols: int) -> ExactRREF:
     return ExactRREF(ncols, pivot_cols, normalized)
 
 
-def rank(rows: Sequence[Row], ncols: int) -> int:
-    return rref(rows, ncols).rank
+def rank(rows: Iterable[Row], ncols: int, limit: int | None = None) -> int:
+    """``min(rank, limit)`` of the rows."""
+    return len(_echelon(rows, ncols, limit))
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[Vector]:

@@ -143,6 +143,8 @@ class ResidualReport:
     conventions: tuple[tuple[str, str], ...]
     preconditions: tuple[tuple[str, bool], ...] = field(default=())
     notes: tuple[str, ...] = field(default=())
+    #: the residual map itself, kept for witness emission and never printed
+    residual: TensorMap | None = field(default=None, compare=False, repr=False)
 
     def lines(self) -> list[str]:
         out = [f"check: {self.kind}", f"dim: {self.dim}"]
@@ -179,4 +181,5 @@ def check(kind: str, r: TensorMap) -> ResidualReport:
         conventions=tuple((k, CONVENTIONS[k]) for k in _RELEVANT_FLAGS[kind]),
         preconditions=tuple(preconditions),
         notes=tuple(notes),
+        residual=residual,
     )

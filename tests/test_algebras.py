@@ -159,6 +159,19 @@ class TestPreprojective:
         ok, failure, skipped = A.check_associativity()
         assert ok and failure is None
 
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_caps_below_the_relation_degree_are_refused(self, cap):
+        with pytest.raises(ValueError, match="below 2"):
+            preprojective_algebra(one_loop(), cap)
+        with pytest.raises(ValueError, match="below 2"):
+            deformed_preprojective_algebra(one_arrow(), {"1": Fraction(1)}, cap)
+
+    def test_quotient_is_a_window(self):
+        A = preprojective_algebra(one_loop(), cap=2)
+        assert A.mode == "window"
+        with pytest.raises(TruncationOverflow):
+            A.mul_basis(A.degrees.index(2), A.degrees.index(1))
+
     def test_deformed_relation_actually_cuts_the_algebra(self):
         A = deformed_preprojective_algebra(
             one_arrow(), {"1": Fraction(1), "2": Fraction(-1)}, 2

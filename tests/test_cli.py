@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import harness, io, operad
+from ybalg import harness, io, operad, ybe
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
 from ybalg.cli import main
 from ybalg.double import one_variable_lambda_bracket
@@ -273,6 +273,21 @@ class TestCliExitCodes:
         assert "exceeds the supported bound" in err
         assert "estimated cost" in err
 
+    def test_quiver_cap_past_the_bound_is_two(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("an algebra was built past the cap bound")
+
+        for name in ("path_algebra", "preprojective_algebra", "deformed_preprojective_algebra"):
+            monkeypatch.setattr(harness, name, no_build)
+        q = Quiver(("v",), (("a", "v", "v"), ("b", "v", "v")))
+        path = write(tmp_path, "q.txt", io.dump_quiver(q))
+        code = main(["quiver", "build", "--quiver", path, "--type", "preprojective", "--cap", "6"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap=6 exceeds the supported bound 5" in captured.err
+        assert "estimated cost: paths grow as 4^cap" in captured.err
+
     @pytest.mark.parametrize("verb", ["decompose", "hrdim"])
     def test_twist_dim_past_the_bound_is_two(self, tmp_path, capsys, verb):
         path = write(
@@ -311,6 +326,21 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "residual map:" in out
         assert "ybalg schema/1 tensor-map" in out
+
+    @pytest.mark.parametrize("verb", [["check", "--kind", "cybe"], ["cae"]])
+    def test_emit_witness_evaluates_the_residual_once(self, skew_files, monkeypatch, verb):
+        kind = "cybe" if verb[0] == "check" else "cae"
+        calls = []
+        residual = ybe.RESIDUALS[kind]
+
+        def counted(r):
+            calls.append(r)
+            return residual(r)
+
+        monkeypatch.setitem(ybe.RESIDUALS, kind, counted)
+        _, bad = skew_files
+        main(["ybe", *verb, "--input", bad, "--emit-witness"])
+        assert len(calls) == 1
 
     def test_poisson_extend_prints_terms(self, skew_files, capsys):
         good, _ = skew_files

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ybalg.linalg import rref
 from ybalg.tensoralg import TensorMap, word_permute, words
+from ybalg import frt
 from ybalg.frt import (
     GroupAlgebraElement,
     YoungDiagram,
@@ -50,6 +51,19 @@ def diagonal_twist():
 def swap_twist():
     return TensorMap(
         2, 2, 2, {(word_permute((1, 0), w), w): ONE for w in words(2, 2)}
+    )
+
+
+def rational_diagonal_twist(dim):
+    """Unitary diagonal twist: diagonal ``1, -1, 1, ...``, ``eps_ij * eps_ji = 1``."""
+    ratios = iter([Fraction(131, 227), Fraction(-173, 193), Fraction(211, 149)])
+    eps = [[Fraction(1 if i % 2 == 0 else -1)] * dim for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            eps[i][j] = next(ratios)
+            eps[j][i] = 1 / eps[i][j]
+    return TensorMap(
+        dim, 2, 2, {(w, w): eps[w[0]][w[1]] for w in words(dim, 2)}
     )
 
 
@@ -408,6 +422,21 @@ class TestSchurWeyl:
         assert hr_dimension_oracles(identity, 3) == (165, 165)
         assert time.perf_counter() - start < 20.0
 
+    def test_dim_three_fourth_power_within_budget(self):
+        start = time.perf_counter()
+        for twist, first, second in (
+            (identity_twist(3), 495, 23),
+            (rational_diagonal_twist(3), 321, 24),
+        ):
+            report = schur_weyl_decompose(twist, 4, 3)
+            assert report.total == 81 == report.expected
+            assert report.sr_commutant_dim == first
+            assert report.hr_commutant_dim == report.sr_span_dim == second
+            assert report.double_commutant_ok
+            assert report.passed
+            assert hr_dimension_oracles(twist, 4) == (first, first)
+        assert time.perf_counter() - start < 30.0
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="acts on dimension"):
             schur_weyl_decompose(identity_twist(), 2, 3)
@@ -430,3 +459,107 @@ class TestSchurWeyl:
             for phi in dual:
                 for vec in image_vectors(evaluated):
                     assert image.in_row_space(apply_to_vector(phi, vec))
+
+
+# ---------------------------------------------------------------------------
+# the closure certificate: span inside C'' and equal dimensions
+
+
+def _closure_by_basis(big_r, m):
+    """Second commutant as a basis, compared with the span by canonical form."""
+    action = r_permutation_action(big_r, m)
+    first = commutant(action.generators, dim=big_r.dim, deg=m)
+    second = commutant(first, dim=big_r.dim, deg=m)
+    index = {w: k for k, w in enumerate(words(big_r.dim, m))}
+    n = len(index)
+
+    def flat(x):
+        return {index[o] * n + index[i]: c for (o, i), c in x.entries.items()}
+
+    span = rref([flat(x) for x in action_table(action).values()], n * n)
+    return len(first), len(second), span.rank, span == rref([flat(x) for x in second], n * n)
+
+
+_CLOSURE_CASES = [
+    *((name, twist, m) for name, twist in (
+        ("identity", identity_twist()),
+        ("diagonal", diagonal_twist()),
+        ("swap", swap_twist()),
+        ("rational", rational_diagonal_twist(2)),
+    ) for m in (1, 2, 3, 4)),
+    ("identity3", identity_twist(3), 2),
+    ("rational3", rational_diagonal_twist(3), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "twist, m", [case[1:] for case in _CLOSURE_CASES], ids=[f"{c[0]}-m{c[2]}" for c in _CLOSURE_CASES]
+)
+def test_closure_by_rank_matches_the_basis_comparison(twist, m):
+    report = schur_weyl_decompose(twist, m, twist.dim)
+    assert (
+        report.sr_commutant_dim,
+        report.hr_commutant_dim,
+        report.sr_span_dim,
+        report.double_commutant_ok,
+    ) == _closure_by_basis(twist, m)
+
+
+def test_closure_fails_on_part_of_the_first_commutant(monkeypatch):
+    # any basis of C' minus one map still generates C' on these small twists,
+    # so the truncation keeps only the first half of the basis
+    original = frt.commutant
+
+    def truncated(generators, dim=None, deg=None):
+        basis = original(generators, dim, deg)
+        return basis[: len(basis) // 2]
+
+    monkeypatch.setattr(frt, "commutant", truncated)
+    twist = rational_diagonal_twist(2)
+    report = schur_weyl_decompose(twist, 3, 2)
+    assert not report.double_commutant_ok
+    assert not report.passed
+    first = truncated(r_permutation_action(twist, 3).generators, 2, 3)
+    assert report.sr_commutant_dim == len(first) == 6
+    assert report.hr_commutant_dim == len(original(first, 2, 3))
+    assert report.hr_commutant_dim > report.sr_span_dim
+
+
+def test_closure_fails_with_a_non_commuting_map_added(monkeypatch):
+    original = frt.commutant
+    unit = TensorMap(2, 3, 3, {((0, 0, 0), (0, 0, 1)): ONE})
+    extended = []
+
+    def with_unit(generators, dim=None, deg=None):
+        extended[:] = [*original(generators, dim, deg), unit]
+        return list(extended)
+
+    monkeypatch.setattr(frt, "commutant", with_unit)
+    report = schur_weyl_decompose(identity_twist(), 3, 2)
+    assert not report.double_commutant_ok
+    assert not report.passed
+    # no early stop on a failed inclusion: the printed dimension is exact
+    assert report.hr_commutant_dim == len(original(extended, 2, 3))
+
+
+def test_closure_fails_on_a_conjugated_first_commutant(monkeypatch):
+    # conjugating C' by a map on the first slot keeps every dimension, so only
+    # the inclusion of the span can tell the closure fails
+    original = frt.commutant
+
+    def on_first_slot(g):
+        return TensorMap(2, 3, 3, {
+            ((o, b, c), (a, b, c)): g[o][a]
+            for a, b, c in words(2, 3) for o in range(2) if g[o][a]
+        })
+
+    shear, unshear = on_first_slot([[1, 1], [0, 1]]), on_first_slot([[1, -1], [0, 1]])
+
+    def conjugated(generators, dim=None, deg=None):
+        return [shear.compose(x).compose(unshear) for x in original(generators, dim, deg)]
+
+    monkeypatch.setattr(frt, "commutant", conjugated)
+    report = schur_weyl_decompose(identity_twist(), 3, 2)
+    assert report.hr_commutant_dim == report.sr_span_dim == 5
+    assert not report.double_commutant_ok
+    assert not report.passed

@@ -245,3 +245,59 @@ def test_int_input_gives_only_fractions(system):
     values += list(r.reduce({j: int(c) for j, c in enumerate(vec) if int(c)}).values())
     assert all(type(c) is Fraction for c in values)
     assert all(type(c) is Fraction for v in nullspace(ints, ncols) for c in v)
+
+
+# ---------------------------------------------------------------------------
+# block-structured systems: rows of a component whose every column already
+# holds a pivot are skipped, which must not change any result
+
+
+@st.composite
+def _block_systems(draw):
+    ncols = draw(st.integers(1, 8))
+    columns = draw(st.permutations(range(ncols)))
+    cuts = sorted(draw(st.lists(st.integers(1, ncols - 1), max_size=2, unique=True))) if ncols > 1 else []
+    blocks = [columns[a:b] for a, b in zip([0, *cuts], [*cuts, ncols])]
+    coeff = st.integers(-3, 3)
+    dense = []
+    for block in blocks:
+        for _ in range(draw(st.integers(0, len(block) + 1))):
+            row = [0] * ncols
+            for j in block:
+                row[j] = draw(coeff)
+            dense.append(row)
+    # redundant rows (combinations of earlier rows, possibly across blocks)
+    # and duplicates, after the rows they depend on
+    for _ in range(draw(st.integers(0, 5))):
+        if not dense:
+            break
+        if draw(st.booleans()):
+            dense.append(list(dense[draw(st.integers(0, len(dense) - 1))]))
+        else:
+            picks = draw(st.lists(st.integers(0, len(dense) - 1), min_size=1, max_size=3))
+            weights = [draw(coeff) for _ in picks]
+            dense.append([sum(w * dense[i][j] for i, w in zip(picks, weights)) for j in range(ncols)])
+    if draw(st.booleans()):
+        dense = [[Fraction(c, draw(st.integers(1, 3))) for c in row] for row in dense]
+    return dense, ncols
+
+
+@given(_block_systems(), st.booleans(), st.booleans())
+def test_block_systems_match_the_dense_oracle(system, as_dicts, keep_zeros):
+    dense, ncols = system
+    rows = _as_dicts(dense, keep_zeros) if as_dicts else dense
+    got = rref(rows, ncols)
+    want = _dense_rref(dense, ncols)
+    assert got.pivot_cols == want.pivot_cols
+    assert got.rows == want.rows
+    assert got.nullspace() == want.nullspace()
+
+
+@given(_block_systems(), st.booleans(), st.booleans(), st.none() | st.integers(0, 9))
+def test_rank_stops_at_the_limit(system, as_dicts, keep_zeros, limit):
+    dense, ncols = system
+    rows = _as_dicts(dense, keep_zeros) if as_dicts else dense
+    true_rank = len(_dense_rref(dense, ncols).pivot_cols)
+    want = true_rank if limit is None else min(true_rank, limit)
+    assert rank(rows, ncols, limit) == want
+    assert rank(iter(rows), ncols, limit) == want
