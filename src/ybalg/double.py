@@ -29,7 +29,7 @@ from . import sparse
 from .algebras import Element, TruncatedAlgebra, TruncationOverflow
 from .sparse import ONE
 from .tensoralg import TensorMap, Word, embed_components, word_permute
-from .ybe import aybe_prime_residual, aybe_residual, cybe_residual, is_skew
+from .ybe import PRODUCTS, aybe_prime_residual, aybe_residual, cybe_residual, is_skew
 
 Elt2 = dict[tuple[int, int], Fraction]  # sparse elements of A (x) A
 Elt3 = dict[tuple[int, int, int], Fraction]
@@ -362,6 +362,12 @@ def double_jacobi_residual_map(r: TensorMap) -> TensorMap:
     return r12.compose(r23) + r23.compose(r31) + r31.compose(r12)
 
 
+#: :func:`double_jacobi_residual_map` as a table of ``ybe.PRODUCTS``
+JACOBI_PRODUCTS = (
+    (1, (1, 2), (2, 3), (0, 1, 2)), (1, (2, 3), (3, 1), (0, 1, 2)), (1, (3, 1), (1, 2), (0, 1, 2)),
+)
+
+
 @dataclass(frozen=True)
 class JacobiToAybeReport:
     dim: int
@@ -423,6 +429,12 @@ def dbjac_transform_defect(r: TensorMap) -> TensorMap:
     """
     transformed = -double_jacobi_residual_map(r).conjugate_by_perm((2, 1, 0))
     return transformed - aybe_residual(r)
+
+
+#: :func:`dbjac_transform_defect` as a table of ``ybe.PRODUCTS``
+TRANSFORM_PRODUCTS = tuple((-c, a, b, (2, 1, 0)) for c, a, b, _ in JACOBI_PRODUCTS) + tuple(
+    (-c, a, b, p) for c, a, b, p in PRODUCTS["aybe"]
+)
 
 
 def double_lie_iff_skew_aybe(r: TensorMap) -> tuple[bool, bool, bool]:
@@ -521,13 +533,14 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
             break
 
     expansion = True
+    columns = _columns(aybe), _columns(aybe_p), _columns(cybe)
     indices = list(range(0, n, sample_stride)) or [0]
     for a in indices:
         for b1 in indices:
             for b2 in indices:
                 for c in indices:
                     try:
-                        ok = _expansion_identity_holds(db, aybe, aybe_p, cybe, a, b1, b2, c)
+                        ok = _expansion_identity_holds(db, *columns, a, b1, b2, c)
                     except TruncationOverflow:
                         skipped += 1
                         continue
@@ -551,22 +564,33 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
     )
 
 
-def _apply3(map3: TensorMap, x: Element, y: Element, z: Element) -> Elt3:
+Columns = dict[Word, dict[Word, Fraction]]
+
+
+def _columns(map3: TensorMap) -> Columns:
+    """The map's columns: each input word with a nonzero image, mapped to it."""
+    out: Columns = {}
+    for (o, i), c in map3.entries.items():
+        out.setdefault(i, {})[o] = c
+    return out
+
+
+def _apply3(columns: Columns, x: Element, y: Element, z: Element) -> Elt3:
     out: Elt3 = {}
     for i, ci in x.items():
         for j, cj in y.items():
             for k, ck in z.items():
-                sparse.accumulate(
-                    out, map3.apply_word((i, j, k)).terms.items(), ci * cj * ck
-                )
+                column = columns.get((i, j, k))
+                if column:
+                    sparse.accumulate(out, column.items(), ci * cj * ck)
     return sparse.purge(out)
 
 
 def _expansion_identity_holds(
     db: DoubleBracket,
-    aybe: TensorMap,
-    aybe_p: TensorMap,
-    cybe: TensorMap,
+    aybe: Columns,
+    aybe_p: Columns,
+    cybe: Columns,
     a: int,
     b1: int,
     b2: int,

@@ -6,13 +6,13 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import sparse
 from .sparse import ONE, Scalar, frac
-from .tensoralg import TensorMap, Word, words
+from .tensoralg import TensorMap, Word, embed_components, words
 from .twisted import PolynomialPoissonBracket
-from .ybe import DEGREE, RESIDUALS
+from .ybe import PRODUCTS
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,13 +47,14 @@ def skew_map_from_orbit_values(dim: int, values) -> TensorMap:
     orbits, _ = skew_entry_orbits(dim)
     if len(values) != len(orbits):
         raise ValueError("one value per entry orbit required")
-    entries: dict[tuple[Word, Word], Fraction] = {}
+    entries: dict[tuple[Word, Word], Scalar] = {}
     for (rep, partner), val in zip(orbits, values):
         c = frac(val)
         if c:
             entries[rep] = c
             entries[partner] = -c
-    return TensorMap(dim, 2, 2, entries)
+    # the entries are canonical and nonzero already: wrap them as they are
+    return TensorMap.zero(dim, 2)._of(2, 2, entries)
 
 
 def orbit_values(r: TensorMap) -> list[Scalar]:
@@ -79,39 +80,73 @@ def enumerate_skew_maps(dim: int, entry_values=(-1, 0, 1)):
 
 
 class SkewOrbitForm:
-    """A residual quadratic in the map, as a quadratic form on skew maps.
+    """A quadratic residual as a quadratic form on skew maps.
 
     Let ``S_k`` be the skew map that is 1 at the representative of entry
     orbit ``k`` and -1 at its partner; every skew map is ``r = sum x_k S_k``
-    with ``x = orbit_values(r)``.  A residual ``R(r) = B(r, r)``, ``B``
-    bilinear, is then
+    with ``x = orbit_values(r)``.  The residual comes as its table of
+    products (see ``ybe.PRODUCTS``), so ``R(r) = B(r, r)`` with
+    ``B(s, t) = sum coeff * P (s^left o t^right) P^-1``, and
 
         ``R(r) = sum_k x_k^2 D_k + sum_{k<l} x_k x_l P_kl``,
-        ``D_k = R(S_k)``,  ``P_kl = R(S_k + S_l) - D_k - D_l``.
+        ``D_k = B(S_k, S_k)``,  ``P_kl = B(S_k, S_l) + B(S_l, S_k)``.
 
-    The constructor evaluates ``R`` literally on the zero map (for the
-    shape), on each ``S_k`` and on each ``S_k + S_l``, and keeps the nonzero
-    ``D_k`` and ``P_kl``.  A call costs one scaled accumulation per kept
-    term with a nonzero weight ``x_k x_l`` and returns ``R(r)`` entry for
-    entry, so verdicts and witnesses are those of the literal residual.
-    Building a form costs ``1 + n(n+1)/2`` literal evaluations for ``n``
-    orbits (22 at dim 2, 667 at dim 3): it pays off over many maps only.
+    The constructor embeds each ``S_k`` once per slot tuple (a conjugation
+    only moves slots: ``P r^{ab} P^-1 = r^{p(a) p(b)}``) and builds row
+    ``k``, the ``D_k`` and the ``P_kl`` with ``l > k``, by joining the
+    embeddings of ``S_k`` against those of the whole family through their
+    middle words, so it costs one visit per pair of entries that compose
+    and never calls the residual; it keeps the nonzero terms.  A call
+    costs one scaled accumulation per kept term with a nonzero weight
+    ``x_k x_l`` and returns ``R(r)`` entry for entry, so verdicts and
+    witnesses are those of the literal residual.
     """
 
-    def __init__(self, residual: Callable[[TensorMap], TensorMap], dim: int):
-        n = len(skew_entry_orbits(dim)[0])
-
-        def at(*ks: int) -> TensorMap:
-            values = [1 if j in ks else 0 for j in range(n)]
-            return residual(skew_map_from_orbit_values(dim, values))
-
-        self._zero = at()
-        diag = [at(k) for k in range(n)]
-        self.terms = [(k, k, d.entries) for k, d in enumerate(diag) if not d.is_zero()]
-        for k, l in itertools.combinations(range(n), 2):
-            cross = at(k, l) - diag[k] - diag[l]
-            if not cross.is_zero():
-                self.terms.append((k, l, cross.entries))
+    def __init__(self, products, dim: int):
+        orbits, _ = skew_entry_orbits(dim)
+        joins = [
+            (coeff, tuple(perm[s - 1] + 1 for s in left), tuple(perm[s - 1] + 1 for s in right))
+            for coeff, left, right, perm in products
+        ]
+        # per slot tuple: each S_k's entries, and the family's by middle word
+        # on either side of a composition
+        embedded: dict = {}
+        by_in: dict = {}
+        by_out: dict = {}
+        for slots in {s for _, left, right in joins for s in (left, right)}:
+            family = embedded[slots] = []
+            into = by_in[slots] = {}
+            out_of = by_out[slots] = {}
+            for k, (rep, partner) in enumerate(orbits):
+                s_k = embed_components(TensorMap(dim, 2, 2, {rep: 1, partner: -1}), slots, 3)
+                family.append(s_k.entries.items())
+                for (o, i), c in s_k.entries.items():
+                    into.setdefault(i, []).append((k, o, c))
+                    out_of.setdefault(o, []).append((k, i, c))
+        self._zero = TensorMap.zero(dim, 3, 3)
+        self.terms = []
+        for k in range(len(orbits)):
+            row: dict = {}
+            # S_k on the left with S_l (l >= k) on the right ...
+            sparse.accumulate(row, (
+                ((l, o, i), coeff * c1 * c2)
+                for coeff, left, right in joins
+                for (o, mid), c1 in embedded[left][k]
+                for l, i, c2 in by_out[right].get(mid, ())
+                if l >= k
+            ))
+            # ... and S_l (l > k) on the left with S_k on the right
+            sparse.accumulate(row, (
+                ((l, o, i), coeff * c1 * c2)
+                for coeff, left, right in joins
+                for (mid, i), c2 in embedded[right][k]
+                for l, o, c1 in by_in[left].get(mid, ())
+                if l > k
+            ))
+            split: dict = {}
+            for (l, o, i), c in sparse.purge(row).items():
+                split.setdefault(l, {})[(o, i)] = c
+            self.terms.extend((k, l, split[l]) for l in sorted(split))
 
     def __call__(self, values: Sequence[Scalar]) -> TensorMap:
         """``R`` at the skew map with these orbit values."""
@@ -128,11 +163,12 @@ def search_skew_solutions(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
     """Split the skew enumeration into exact solutions and non-solutions.
 
     ``kind`` names a residual quadratic in the map (``cybe``, ``aybe``,
-    ``aybe-prime`` or ``cae``); it is evaluated as a :class:`SkewOrbitForm`.
+    ``aybe-prime`` or ``cae``); it is evaluated as a :class:`SkewOrbitForm`
+    built from its table in ``ybe.PRODUCTS``.
     """
-    if DEGREE.get(kind) != 2:
+    if kind not in PRODUCTS:
         raise ValueError(f"the skew search needs a residual quadratic in r, not {kind!r}")
-    form = SkewOrbitForm(RESIDUALS[kind], dim)
+    form = SkewOrbitForm(PRODUCTS[kind], dim)
     solutions: list[TensorMap] = []
     non_solutions: list[TensorMap] = []
     for values in orbit_grid(dim, entry_values):

@@ -413,7 +413,7 @@ def _run_cae_random(job: Job, spec: JobSpec):
     seed = int(job.param("seed", "20260814"))
     rng = random.Random(seed)
     # every map drawn is skew, so the form gives its cae defect exactly
-    forms = {dim: SkewOrbitForm(ybe.cae_defect, dim) for dim in (1, 2, 3)}
+    forms = {dim: SkewOrbitForm(ybe.PRODUCTS["cae"], dim) for dim in (1, 2, 3)}
     failures = []
     per_dim = {1: 0, 2: 0, 3: 0}
     for index in range(count):
@@ -454,9 +454,9 @@ def _run_fixture_search(job: Job, spec: JobSpec):
 def _run_double_lie_iff(job: Job, spec: JobSpec):
     # every grid map is skew, so each verdict of dbjac_to_aybe reduces to
     # one of these residuals vanishing
-    jacobi = SkewOrbitForm(double.double_jacobi_residual_map, 2)
-    aybe = SkewOrbitForm(ybe.aybe_residual, 2)
-    transform = SkewOrbitForm(double.dbjac_transform_defect, 2)
+    jacobi = SkewOrbitForm(double.JACOBI_PRODUCTS, 2)
+    aybe = SkewOrbitForm(ybe.PRODUCTS["aybe"], 2)
+    transform = SkewOrbitForm(double.TRANSFORM_PRODUCTS, 2)
     mismatches = 0
     transform_failures = 0
     solutions = 0

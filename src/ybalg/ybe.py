@@ -81,6 +81,27 @@ def cae_defect(r: TensorMap) -> TensorMap:
     return cybe - (a - a.conjugate_by_perm((0, 2, 1)))
 
 
+#: each quadratic residual as a signed sum of conjugated products of two
+#: slot embeddings: ``(coeff, left_slots, right_slots, perm)`` stands for
+#: ``coeff * P (r^left o r^right) P^-1``, ``P`` the operator of ``perm``
+_ID = (0, 1, 2)
+_P23 = (0, 2, 1)
+PRODUCTS = {
+    "cybe": (
+        (1, (1, 2), (1, 3), _ID), (-1, (1, 3), (1, 2), _ID),
+        (-1, (2, 3), (1, 2), _ID), (1, (1, 2), (2, 3), _ID),
+        (1, (1, 3), (2, 3), _ID), (-1, (2, 3), (1, 3), _ID),
+    ),
+    "aybe": ((1, (1, 2), (1, 3), _ID), (-1, (2, 3), (1, 2), _ID), (1, (1, 3), (2, 3), _ID)),
+    "aybe-prime": (
+        (1, (1, 3), (1, 2), _ID), (-1, (1, 2), (2, 3), _ID), (1, (2, 3), (1, 3), _ID),
+    ),
+    "cae": (
+        (-1, (1, 3), (1, 2), _ID), (1, (1, 2), (2, 3), _ID), (-1, (2, 3), (1, 3), _ID),
+        (1, (1, 2), (1, 3), _P23), (-1, (2, 3), (1, 2), _P23), (1, (1, 3), (2, 3), _P23),
+    ),
+}
+
 RESIDUALS = {
     "cybe": cybe_residual,
     "aybe": aybe_residual,

@@ -1,5 +1,7 @@
 """Double brackets: extension, axioms, and the bridge to the associative residual."""
 
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +19,9 @@ from ybalg.algebras import (
 )
 from ybalg.double import (
     DoubleBracket,
+    _columns,
+    _expansion_identity_holds,
+    _mul_slot,
     almcybe_check,
     check_double_axioms,
     commutative_remark_checks,
@@ -34,7 +39,8 @@ from ybalg.double import (
 )
 from ybalg.fixtures import enumerate_skew_maps, random_skew_map
 from ybalg.twisted import TensorWordBracket, check_bracket_extension
-from ybalg.ybe import aybe_residual, cybe_residual, is_skew
+from ybalg.tensoralg import TensorMap
+from ybalg.ybe import aybe_prime_residual, aybe_residual, cybe_residual, is_skew
 
 ONE = Fraction(1)
 LAM = Fraction(3, 2)
@@ -303,3 +309,54 @@ class TestDegenerateBrackets:
         anti = next(c for c in report.checks if c.name == "antisymmetry")
         assert not anti.passed
         assert anti.witness == (x, x)
+
+
+def _apply3_by_words(map3, x, y, z):
+    """The expansion identity's map application, one ``apply_word`` per basis triple."""
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            for k, ck in z.items():
+                sparse.accumulate(out, map3.apply_word((i, j, k)).terms.items(), ci * cj * ck)
+    return sparse.purge(out)
+
+
+def _expansion_by_words(db, aybe, aybe_p, cybe, a, b1, b2, c):
+    A = db.algebra
+    lhs = _apply3_by_words(cybe, {a: ONE}, A.mul_basis(b1, b2), {c: ONE})
+    t1 = _mul_slot(A, _apply3_by_words(aybe, {a: ONE}, {b2: ONE}, {c: ONE}), 0, {b1: ONE}, "left")
+    t2 = _mul_slot(A, _apply3_by_words(aybe_p, {a: ONE}, {b2: ONE}, {c: ONE}), 2, {b1: ONE}, "left")
+    t3 = _mul_slot(A, _apply3_by_words(cybe, {a: ONE}, {b1: ONE}, {c: ONE}), 1, {b2: ONE}, "right")
+    rhs = dict(t1)
+    sparse.accumulate(rhs, t2.items(), -1)
+    sparse.accumulate(rhs, t3.items())
+    return sparse.purge(rhs) == lhs
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except TruncationOverflow:
+        return "skipped"
+
+
+@pytest.mark.parametrize(
+    "db", [lambda_bracket(), two_cycle_symplectic_bracket(cap=2)], ids=["lambda", "symplectic"]
+)
+def test_expansion_columns_match_the_word_by_word_oracle(db):
+    db = db.integral_multiple()
+    n = db.algebra.nbasis
+    r = db.as_tensor_map()
+    # the bracket's own residuals vanish; one perturbed entry of its map
+    # leaves nonzero ones, on which some quadruples fail
+    perturbed = r + TensorMap(n, 2, 2, {((0, 1), (1, 1)): 1})
+    for m in (r, perturbed):
+        maps = [aybe_residual(m), aybe_prime_residual(m), cybe_residual(m)]
+        columns = [_columns(x) for x in maps]
+        verdicts = collections.Counter()
+        for quad in itertools.product(range(n), repeat=4):
+            want = _verdict(_expansion_by_words, db, *maps, *quad)
+            assert _verdict(_expansion_identity_holds, db, *columns, *quad) == want, quad
+            verdicts[want] += 1
+        assert verdicts[True] > 0
+        assert (verdicts[False] > 0) == (m is perturbed)

@@ -1,13 +1,20 @@
 """Residuals as quadratic forms on the skew-orbit basis, against the literal evaluators."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg.double import dbjac_transform_defect, double_jacobi_residual_map
+from ybalg import double, ybe
+from ybalg.double import (
+    JACOBI_PRODUCTS,
+    TRANSFORM_PRODUCTS,
+    dbjac_transform_defect,
+    double_jacobi_residual_map,
+)
 from ybalg.fixtures import (
     SkewOrbitForm,
     orbit_grid,
@@ -16,20 +23,64 @@ from ybalg.fixtures import (
     skew_entry_orbits,
     skew_map_from_orbit_values,
 )
-from ybalg.ybe import aybe_residual, cae_defect, cybe_residual, is_skew
+from ybalg.harness import Job, JobSpec, run_suite
+from ybalg.tensoralg import TensorMap, embed_components, words
+from ybalg.ybe import (
+    PRODUCTS,
+    aybe_prime_residual,
+    aybe_residual,
+    cae_defect,
+    cybe_residual,
+    is_skew,
+)
 
+#: name -> (table of products, literal residual)
 RESIDUALS = {
-    "cybe": cybe_residual,
-    "aybe": aybe_residual,
-    "cae": cae_defect,
-    "double-jacobi": double_jacobi_residual_map,
-    "transform-difference": dbjac_transform_defect,
+    "cybe": (PRODUCTS["cybe"], cybe_residual),
+    "aybe": (PRODUCTS["aybe"], aybe_residual),
+    "aybe-prime": (PRODUCTS["aybe-prime"], aybe_prime_residual),
+    "cae": (PRODUCTS["cae"], cae_defect),
+    "double-jacobi": (JACOBI_PRODUCTS, double_jacobi_residual_map),
+    "transform-difference": (TRANSFORM_PRODUCTS, dbjac_transform_defect),
 }
 
 
 @functools.cache
 def form(name, dim):
-    return SkewOrbitForm(RESIDUALS[name], dim)
+    return SkewOrbitForm(RESIDUALS[name][0], dim)
+
+
+@functools.cache
+def literal_form(name, dim):
+    """The nonzero ``D_k`` and ``P_kl`` from literal residual evaluations.
+
+    ``D_k = R(S_k)`` and ``P_kl = R(S_k + S_l) - D_k - D_l``: the reference
+    build, ``1 + n(n+1)/2`` evaluations for ``n`` orbits.
+    """
+    residual = RESIDUALS[name][1]
+    n = len(skew_entry_orbits(dim)[0])
+
+    def at(*ks):
+        return residual(skew_map_from_orbit_values(dim, [1 if j in ks else 0 for j in range(n)]))
+
+    zero = at()
+    assert (zero.dom_deg, zero.cod_deg) == (3, 3) and zero.is_zero()
+    diag = [at(k) for k in range(n)]
+    terms = {(k, k): d.entries for k, d in enumerate(diag) if not d.is_zero()}
+    for k, l in itertools.combinations(range(n), 2):
+        cross = at(k, l) - diag[k] - diag[l]
+        if not cross.is_zero():
+            terms[(k, l)] = cross.entries
+    return terms
+
+
+def table_value(products, r):
+    """``sum coeff * P (r^left o r^right) P^-1`` evaluated on one map."""
+    total = TensorMap.zero(r.dim, 3, 3)
+    for coeff, left, right, perm in products:
+        product = embed_components(r, left, 3).compose(embed_components(r, right, 3))
+        total = total + product.conjugate_by_perm(perm).scale(coeff)
+    return total
 
 
 def assert_same_map(got, want):
@@ -40,13 +91,43 @@ def assert_same_map(got, want):
     assert got.first_nonzero() == want.first_nonzero()
 
 
+@st.composite
+def rational_maps(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    positions = [(o, i) for o in words(dim, 2) for i in words(dim, 2)]
+    chosen = draw(st.lists(st.sampled_from(positions), max_size=10, unique=True))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    r = TensorMap(dim, 2, 2, {pos: draw(value) for pos in chosen})
+    return r - r.r21() if draw(st.booleans()) else r
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_maps(), st.sampled_from(sorted(RESIDUALS)))
+def test_every_table_is_its_literal_residual(r, name):
+    products, residual = RESIDUALS[name]
+    assert_same_map(table_value(products, r), residual(r))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RESIDUALS))
+def test_table_build_equals_the_literal_build(name, dim):
+    built = {(k, l): entries for k, l, entries in form(name, dim).terms}
+    assert len(built) == len(form(name, dim).terms)
+    assert built == literal_form(name, dim)
+    for key, entries in built.items():
+        assert sorted(map(repr, entries.items())) == sorted(
+            map(repr, literal_form(name, dim)[key].items())
+        )
+    assert (form(name, dim)._zero.dom_deg, form(name, dim)._zero.cod_deg) == (3, 3)
+
+
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
 def test_form_matches_the_literal_residual_on_the_dim2_grid(name):
     count = 0
     nonzero = 0
     for values in orbit_grid(2):
         r = skew_map_from_orbit_values(2, values)
-        literal = RESIDUALS[name](r)
+        literal = RESIDUALS[name][1](r)
         assert_same_map(form(name, 2)(values), literal)
         count += 1
         nonzero += not literal.is_zero()
@@ -68,21 +149,43 @@ def rational_skew_maps(draw):
     return skew_map_from_orbit_values(dim, values)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rational_skew_maps(), st.sampled_from(["cybe", "cae"]))
+@settings(max_examples=80, deadline=None)
+@given(rational_skew_maps(), st.sampled_from(sorted(RESIDUALS)))
 def test_form_matches_the_literal_residual_on_rational_skew_maps(r, name):
     assert is_skew(r)
     assert skew_map_from_orbit_values(r.dim, orbit_values(r)) == r
-    assert_same_map(form(name, r.dim)(orbit_values(r)), RESIDUALS[name](r))
+    assert_same_map(form(name, r.dim)(orbit_values(r)), RESIDUALS[name][1](r))
 
 
 def test_identities_leave_empty_forms():
     # cae and the transform difference vanish on skew maps term by term
     for dim in (1, 2, 3):
         assert form("cae", dim).terms == []
-    assert form("transform-difference", 2).terms == []
+        assert form("transform-difference", dim).terms == []
     assert form("cybe", 1).terms == []
     assert len(form("cybe", 2).terms) > 0
+
+
+def test_building_a_form_calls_no_residual(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a form evaluated a literal residual")
+
+    for module, names in (
+        (ybe, ("cybe_residual", "aybe_residual", "aybe_prime_residual", "cae_defect")),
+        (double, ("double_jacobi_residual_map", "dbjac_transform_defect")),
+    ):
+        for attr in names:
+            monkeypatch.setattr(module, attr, refuse)
+    for kind in list(ybe.RESIDUALS):
+        monkeypatch.setitem(ybe.RESIDUALS, kind, refuse)
+    for products, _ in RESIDUALS.values():
+        for dim in (1, 2, 3):
+            SkewOrbitForm(products, dim)
+    assert len(search_skew_solutions("cybe", 2)[0]) == 47
+    jobs = ("cae-random", "double-lie-iff-skew-aybe", "fixture-search")
+    text = run_suite(JobSpec(tuple(Job(name) for name in jobs))).text()
+    for name in jobs:
+        assert f"verdict {name}: PASS" in text
 
 
 def test_search_counts_and_order_match_the_literal_split():
@@ -91,7 +194,7 @@ def test_search_counts_and_order_match_the_literal_split():
         assert len(solutions) == expected
         assert len(solutions) + len(non_solutions) == 729
         grid = [skew_map_from_orbit_values(2, values) for values in orbit_grid(2)]
-        literal = [r for r in grid if RESIDUALS[kind](r).is_zero()]
+        literal = [r for r in grid if RESIDUALS[kind][1](r).is_zero()]
         assert solutions == literal
 
 
@@ -107,3 +210,23 @@ def test_orbits_are_cached_tuples():
     orbits, fixed = first
     assert isinstance(orbits, tuple) and isinstance(fixed, tuple)
     assert len(orbits) == 36 and len(fixed) == 9
+
+
+@pytest.mark.parametrize("position, value", [(3, 2.5), (5, 0.0)])
+def test_orbit_values_reject_a_float_after_exact_ones(position, value):
+    values = [1, Fraction(1, 2), 0, -1, 0, 2]
+    # a float zero too: it is rejected before zeros are skipped
+    values[position] = value
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        skew_map_from_orbit_values(2, values)
+
+
+def test_orbit_map_is_built_in_orbit_order():
+    orbits, _ = skew_entry_orbits(2)
+    r = skew_map_from_orbit_values(2, [Fraction(2), 0, Fraction(-1, 2), 0, 0, 0])
+    assert list(r.entries.items()) == [
+        (orbits[0][0], 2), (orbits[0][1], -2),
+        (orbits[2][0], Fraction(-1, 2)), (orbits[2][1], Fraction(1, 2)),
+    ]
+    assert type(r.entries[orbits[0][0]]) is int
+    assert r == TensorMap(2, 2, 2, dict(r.entries))
