@@ -564,18 +564,15 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
     )
 
 
-Columns = dict[Word, dict[Word, Fraction]]
-
-
-def _columns(map3: TensorMap) -> Columns:
-    """The map's columns: each input word with a nonzero image, mapped to it."""
-    out: Columns = {}
+def _columns(map3: TensorMap) -> dict:
+    """Input word -> its nonzero image."""
+    out: dict = {}
     for (o, i), c in map3.entries.items():
         out.setdefault(i, {})[o] = c
     return out
 
 
-def _apply3(columns: Columns, x: Element, y: Element, z: Element) -> Elt3:
+def _apply3(columns: dict, x: Element, y: Element, z: Element) -> Elt3:
     out: Elt3 = {}
     for i, ci in x.items():
         for j, cj in y.items():
@@ -588,9 +585,9 @@ def _apply3(columns: Columns, x: Element, y: Element, z: Element) -> Elt3:
 
 def _expansion_identity_holds(
     db: DoubleBracket,
-    aybe: Columns,
-    aybe_p: Columns,
-    cybe: Columns,
+    aybe: dict,
+    aybe_p: dict,
+    cybe: dict,
     a: int,
     b1: int,
     b2: int,

@@ -85,68 +85,57 @@ class SkewOrbitForm:
     Let ``S_k`` be the skew map that is 1 at the representative of entry
     orbit ``k`` and -1 at its partner; every skew map is ``r = sum x_k S_k``
     with ``x = orbit_values(r)``.  The residual comes as its table of
-    products (see ``ybe.PRODUCTS``), so ``R(r) = B(r, r)`` with
-    ``B(s, t) = sum coeff * P (s^left o t^right) P^-1``, and
+    products (see ``ybe.PRODUCTS``): ``R(r) = B(r, r)`` with
+    ``B(s, t) = sum coeff * P (s^a o t^b) P^-1``, so
 
         ``R(r) = sum_k x_k^2 D_k + sum_{k<l} x_k x_l P_kl``,
         ``D_k = B(S_k, S_k)``,  ``P_kl = B(S_k, S_l) + B(S_l, S_k)``.
 
-    The constructor embeds each ``S_k`` once per slot tuple (a conjugation
-    only moves slots: ``P r^{ab} P^-1 = r^{p(a) p(b)}``) and builds row
-    ``k``, the ``D_k`` and the ``P_kl`` with ``l > k``, by joining the
-    embeddings of ``S_k`` against those of the whole family through their
-    middle words, so it costs one visit per pair of entries that compose
-    and never calls the residual; it keeps the nonzero terms.  A call
-    costs one scaled accumulation per kept term with a nonzero weight
-    ``x_k x_l`` and returns ``R(r)`` entry for entry, so verdicts and
-    witnesses are those of the literal residual.
+    Each ``S_k`` is embedded and conjugated once per slot tuple and
+    permutation of the table (``P (s^a o t^b) P^-1`` is the product of the
+    conjugated factors); row ``k`` of the coefficient maps is then a join
+    of the embeddings of ``S_k`` with those of every ``S_l`` through their
+    middle words, and the residual itself is never called.  A call costs
+    one scaled accumulation per nonzero term with a nonzero weight
+    ``x_k x_l`` and returns ``R(r)`` entry for entry.
     """
 
     def __init__(self, products, dim: int):
         orbits, _ = skew_entry_orbits(dim)
-        joins = [
-            (coeff, tuple(perm[s - 1] + 1 for s in left), tuple(perm[s - 1] + 1 for s in right))
-            for coeff, left, right, perm in products
-        ]
-        # per slot tuple: each S_k's entries, and the family's by middle word
-        # on either side of a composition
-        embedded: dict = {}
-        by_in: dict = {}
-        by_out: dict = {}
-        for slots in {s for _, left, right in joins for s in (left, right)}:
-            family = embedded[slots] = []
-            into = by_in[slots] = {}
-            out_of = by_out[slots] = {}
+        # per slot tuple and permutation: each S_k, and all of them by middle
+        # word (the input word of a left factor, the output word of a right one)
+        family, by_in, by_out = {}, {}, {}
+        for slots, perm in {(s, p) for _, a, b, p in products for s in (a, b)}:
+            into, out_of = by_in[slots, perm], by_out[slots, perm] = {}, {}
+            family[slots, perm] = []
             for k, (rep, partner) in enumerate(orbits):
-                s_k = embed_components(TensorMap(dim, 2, 2, {rep: 1, partner: -1}), slots, 3)
-                family.append(s_k.entries.items())
-                for (o, i), c in s_k.entries.items():
+                s_k = TensorMap(dim, 2, 2, {rep: 1, partner: -1})
+                entries = embed_components(s_k, slots, 3).conjugate_by_perm(perm).entries
+                family[slots, perm].append(entries)
+                for (o, i), c in entries.items():
                     into.setdefault(i, []).append((k, o, c))
                     out_of.setdefault(o, []).append((k, i, c))
         self._zero = TensorMap.zero(dim, 3, 3)
         self.terms = []
         for k in range(len(orbits)):
             row: dict = {}
-            # S_k on the left with S_l (l >= k) on the right ...
-            sparse.accumulate(row, (
-                ((l, o, i), coeff * c1 * c2)
-                for coeff, left, right in joins
-                for (o, mid), c1 in embedded[left][k]
-                for l, i, c2 in by_out[right].get(mid, ())
-                if l >= k
-            ))
-            # ... and S_l (l > k) on the left with S_k on the right
-            sparse.accumulate(row, (
-                ((l, o, i), coeff * c1 * c2)
-                for coeff, left, right in joins
-                for (mid, i), c2 in embedded[right][k]
-                for l, o, c1 in by_in[left].get(mid, ())
-                if l > k
-            ))
+            for c, a, b, p in products:
+                # S_k then S_l (l >= k), and S_l (l > k) then S_k
+                sparse.accumulate(row, (
+                    ((l, o, i), c * c1 * c2)
+                    for (o, mid), c1 in family[a, p][k].items()
+                    for l, i, c2 in by_out[b, p].get(mid, ()) if l >= k
+                ))
+                sparse.accumulate(row, (
+                    ((l, o, i), c * c1 * c2)
+                    for (mid, i), c2 in family[b, p][k].items()
+                    for l, o, c1 in by_in[a, p].get(mid, ()) if l > k
+                ))
             split: dict = {}
             for (l, o, i), c in sparse.purge(row).items():
-                split.setdefault(l, {})[(o, i)] = c
-            self.terms.extend((k, l, split[l]) for l in sorted(split))
+                split.setdefault(l, {})[o, i] = c
+            for l in sorted(split):
+                self.terms.append((k, l, split[l]))
 
     def __call__(self, values: Sequence[Scalar]) -> TensorMap:
         """``R`` at the skew map with these orbit values."""
