@@ -105,32 +105,34 @@ class SkewOrbitForm:
         # per slot tuple and permutation: each S_k, and all of them by middle
         # word (the input word of a left factor, the output word of a right one)
         family, by_in, by_out = {}, {}, {}
-        for slots, perm in {(s, p) for _, a, b, p in products for s in (a, b)}:
-            into, out_of = by_in[slots, perm], by_out[slots, perm] = {}, {}
-            family[slots, perm] = []
-            for k, (rep, partner) in enumerate(orbits):
-                s_k = TensorMap(dim, 2, 2, {rep: 1, partner: -1})
-                entries = embed_components(s_k, slots, 3).conjugate_by_perm(perm).entries
-                family[slots, perm].append(entries)
-                for (o, i), c in entries.items():
-                    into.setdefault(i, []).append((k, o, c))
-                    out_of.setdefault(o, []).append((k, i, c))
+        for _, a, b, p in products:
+            for key in ((a, p), (b, p)):
+                if key in family:
+                    continue
+                family[key], by_in[key], by_out[key] = [], {}, {}
+                for k, (rep, partner) in enumerate(orbits):
+                    s_k = TensorMap(dim, 2, 2, {rep: 1, partner: -1})
+                    entries = embed_components(s_k, key[0], 3).conjugate_by_perm(p).entries
+                    family[key].append(entries)
+                    for (o, i), c in entries.items():
+                        by_in[key].setdefault(i, []).append((k, o, c))
+                        by_out[key].setdefault(o, []).append((k, i, c))
         self._zero = TensorMap.zero(dim, 3, 3)
         self.terms = []
         for k in range(len(orbits)):
-            row: dict = {}
+            pairs = []
             for c, a, b, p in products:
                 # S_k then S_l (l >= k), and S_l (l > k) then S_k
-                sparse.accumulate(row, (
-                    ((l, o, i), c * c1 * c2)
-                    for (o, mid), c1 in family[a, p][k].items()
-                    for l, i, c2 in by_out[b, p].get(mid, ()) if l >= k
-                ))
-                sparse.accumulate(row, (
-                    ((l, o, i), c * c1 * c2)
-                    for (mid, i), c2 in family[b, p][k].items()
-                    for l, o, c1 in by_in[a, p].get(mid, ()) if l > k
-                ))
+                for (o, mid), c1 in family[a, p][k].items():
+                    for l, i, c2 in by_out[b, p].get(mid, ()):
+                        if l >= k:
+                            pairs.append(((l, o, i), c * c1 * c2))
+                for (mid, i), c2 in family[b, p][k].items():
+                    for l, o, c1 in by_in[a, p].get(mid, ()):
+                        if l > k:
+                            pairs.append(((l, o, i), c * c1 * c2))
+            row: dict = {}
+            sparse.accumulate(row, pairs)
             split: dict = {}
             for (l, o, i), c in sparse.purge(row).items():
                 split.setdefault(l, {})[o, i] = c

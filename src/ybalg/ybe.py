@@ -83,23 +83,20 @@ def cae_defect(r: TensorMap) -> TensorMap:
 
 #: each quadratic residual as a signed sum of conjugated products of two
 #: slot embeddings: ``(coeff, left_slots, right_slots, perm)`` stands for
-#: ``coeff * P (r^left o r^right) P^-1``, ``P`` the operator of ``perm``
-_ID = (0, 1, 2)
-_P23 = (0, 2, 1)
+#: ``coeff * P (r^left o r^right) P^-1``, ``P`` the operator of ``perm``;
+#: ``cybe = aybe - aybe_prime`` and ``cae = -aybe_prime + P23 aybe P23``
+_AYBE = (
+    (1, (1, 2), (1, 3), (0, 1, 2)), (-1, (2, 3), (1, 2), (0, 1, 2)), (1, (1, 3), (2, 3), (0, 1, 2)),
+)
+_AYBE_PRIME = (
+    (1, (1, 3), (1, 2), (0, 1, 2)), (-1, (1, 2), (2, 3), (0, 1, 2)), (1, (2, 3), (1, 3), (0, 1, 2)),
+)
+_MINUS_AYBE_PRIME = tuple((-c, a, b, p) for c, a, b, p in _AYBE_PRIME)
 PRODUCTS = {
-    "cybe": (
-        (1, (1, 2), (1, 3), _ID), (-1, (1, 3), (1, 2), _ID),
-        (-1, (2, 3), (1, 2), _ID), (1, (1, 2), (2, 3), _ID),
-        (1, (1, 3), (2, 3), _ID), (-1, (2, 3), (1, 3), _ID),
-    ),
-    "aybe": ((1, (1, 2), (1, 3), _ID), (-1, (2, 3), (1, 2), _ID), (1, (1, 3), (2, 3), _ID)),
-    "aybe-prime": (
-        (1, (1, 3), (1, 2), _ID), (-1, (1, 2), (2, 3), _ID), (1, (2, 3), (1, 3), _ID),
-    ),
-    "cae": (
-        (-1, (1, 3), (1, 2), _ID), (1, (1, 2), (2, 3), _ID), (-1, (2, 3), (1, 3), _ID),
-        (1, (1, 2), (1, 3), _P23), (-1, (2, 3), (1, 2), _P23), (1, (1, 3), (2, 3), _P23),
-    ),
+    "cybe": _AYBE + _MINUS_AYBE_PRIME,
+    "aybe": _AYBE,
+    "aybe-prime": _AYBE_PRIME,
+    "cae": _MINUS_AYBE_PRIME + tuple((c, a, b, (0, 2, 1)) for c, a, b, _ in _AYBE),
 }
 
 RESIDUALS = {

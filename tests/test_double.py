@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from ybalg import sparse
 from ybalg.algebras import (
+    _OVERFLOW,
     Quiver,
+    TruncatedAlgebra,
     TruncationOverflow,
     double_quiver,
     path_algebra,
@@ -340,8 +342,19 @@ def _verdict(check, *args):
         return "skipped"
 
 
+def _doubled_products(db):
+    """The bracket over a copy of its algebra whose products are doubled."""
+    A = db.algebra
+    table = {
+        key: val if val is _OVERFLOW else sparse.scale(val, 2) for key, val in A.table.items()
+    }
+    return DoubleBracket(TruncatedAlgebra(A.labels, A.degrees, table, A.unit, A.mode, A.cap), db.table)
+
+
 @pytest.mark.parametrize(
-    "db", [lambda_bracket(), two_cycle_symplectic_bracket(cap=2)], ids=["lambda", "symplectic"]
+    "db",
+    [lambda_bracket(), two_cycle_symplectic_bracket(cap=2), _doubled_products(lambda_bracket())],
+    ids=["lambda", "symplectic", "doubled-products"],
 )
 def test_expansion_columns_match_the_word_by_word_oracle(db):
     db = db.integral_multiple()
