@@ -91,44 +91,50 @@ class SkewOrbitForm:
         ``R(r) = sum_k x_k^2 D_k + sum_{k<l} x_k x_l P_kl``,
         ``D_k = B(S_k, S_k)``,  ``P_kl = B(S_k, S_l) + B(S_l, S_k)``.
 
-    Each ``S_k`` is embedded and conjugated once per slot tuple and
-    permutation of the table (``P (s^a o t^b) P^-1`` is the product of the
-    conjugated factors); row ``k`` of the coefficient maps is then a join
-    of the embeddings of ``S_k`` with those of every ``S_l`` through their
-    middle words, and the residual itself is never called.  A call costs
-    one scaled accumulation per nonzero term with a nonzero weight
-    ``x_k x_l`` and returns ``R(r)`` entry for entry.
+    Each ``S_k`` is embedded once per slot tuple of the table, with the
+    permutations folded into the slots; row ``k`` of the coefficient maps
+    is then a join of the embeddings of ``S_k`` with those of every ``S_l``
+    through their middle words, and the residual itself is never called.
+    One row is held at a time.  A call costs one scaled accumulation per
+    nonzero term with a nonzero weight ``x_k x_l`` and returns ``R(r)``
+    entry for entry.
     """
 
     def __init__(self, products, dim: int):
         orbits, _ = skew_entry_orbits(dim)
-        # per slot tuple and permutation: each S_k, and all of them by middle
-        # word (the input word of a left factor, the output word of a right one)
+        # a conjugation only moves slots: P r^{st} P^-1 = r^{p(s) p(t)}
+        joins = []
+        for c, a, b, p in products:
+            joins.append(
+                (c, (p[a[0] - 1] + 1, p[a[1] - 1] + 1), (p[b[0] - 1] + 1, p[b[1] - 1] + 1))
+            )
+        # per slot tuple: each S_k, and all of them by middle word (the input
+        # word of a left factor, the output word of a right one)
         family, by_in, by_out = {}, {}, {}
-        for _, a, b, p in products:
-            for key in ((a, p), (b, p)):
-                if key in family:
+        for _, a, b in joins:
+            for slots in (a, b):
+                if slots in family:
                     continue
-                family[key], by_in[key], by_out[key] = [], {}, {}
+                family[slots], by_in[slots], by_out[slots] = [], {}, {}
                 for k, (rep, partner) in enumerate(orbits):
                     s_k = TensorMap(dim, 2, 2, {rep: 1, partner: -1})
-                    entries = embed_components(s_k, key[0], 3).conjugate_by_perm(p).entries
-                    family[key].append(entries)
+                    entries = embed_components(s_k, slots, 3).entries
+                    family[slots].append(entries)
                     for (o, i), c in entries.items():
-                        by_in[key].setdefault(i, []).append((k, o, c))
-                        by_out[key].setdefault(o, []).append((k, i, c))
+                        by_in[slots].setdefault(i, []).append((k, o, c))
+                        by_out[slots].setdefault(o, []).append((k, i, c))
         self._zero = TensorMap.zero(dim, 3, 3)
         self.terms = []
         for k in range(len(orbits)):
             pairs = []
-            for c, a, b, p in products:
+            for c, a, b in joins:
                 # S_k then S_l (l >= k), and S_l (l > k) then S_k
-                for (o, mid), c1 in family[a, p][k].items():
-                    for l, i, c2 in by_out[b, p].get(mid, ()):
+                for (o, mid), c1 in family[a][k].items():
+                    for l, i, c2 in by_out[b].get(mid, ()):
                         if l >= k:
                             pairs.append(((l, o, i), c * c1 * c2))
-                for (mid, i), c2 in family[b, p][k].items():
-                    for l, o, c1 in by_in[a, p].get(mid, ()):
+                for (mid, i), c2 in family[b][k].items():
+                    for l, o, c1 in by_in[a].get(mid, ()):
                         if l > k:
                             pairs.append(((l, o, i), c * c1 * c2))
             row: dict = {}
