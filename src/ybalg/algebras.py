@@ -83,13 +83,7 @@ class TruncatedAlgebra:
         return value
 
     def mul(self, x: Element, y: Element) -> Element:
-        out: Element = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                value = self.mul_basis(i, j)
-                if value:
-                    sparse.accumulate(out, value.items(), ci * cj)
-        return sparse.purge(out)
+        return sparse.structure_product(x, y, self.mul_basis)
 
     def check_associativity(self):
         """Exact check of (ab)c = a(bc) on all basis triples within the cap.

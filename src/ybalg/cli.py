@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand builds a one-job :class:`~ybalg.harness.JobSpec`, runs it
-through :func:`~ybalg.harness.run_suite`, and prints the deterministic
-report; ``suite`` runs the canned battery.  Exit status: 0 when every check
+Every subcommand is a row of :data:`~ybalg.harness.CHECKS`: it builds a
+one-job :class:`~ybalg.harness.JobSpec`, runs it through
+:func:`~ybalg.harness.run_suite`, and prints the deterministic report;
+``suite`` runs the canned battery.  Exit status: 0 when every check
 passes, 1 when a check fails or a precondition is unmet, 2 on input errors.
 """
 
@@ -11,8 +12,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import Job, JobSpec, default_suite, run_suite
-from .io import SchemaError
+from .harness import CHECKS, Job, JobSpec, default_suite, run_suite
+
+_COMMANDS = {
+    "ybe": "residual checks for one tensor map",
+    "poisson": "word bracket extension",
+    "quiver": "truncated quiver algebras",
+    "double": "double bracket checks",
+    "operad": "quadratic relation classification",
+    "linfty": "homotopy bracket families",
+    "ybe-infty": "higher residual sums",
+    "schurweyl": "twisted symmetric-group action",
+}
+
+#: ``suite`` as a row of the check table; its ``--out`` is optional yet has no default
+_SUITE = (
+    "suite", ("suite",), "run the canned check battery",
+    (("out", str, None, None, None, False, "also write the report here"),),
+    (("literal-shuffles", None), ("emit-witness", None)), None,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,152 +40,45 @@ def build_parser() -> argparse.ArgumentParser:
         " operad relations, and twisted tensor actions",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    ybe = commands.add_parser("ybe", help="residual checks for one tensor map")
-    ybe_verbs = ybe.add_subparsers(dest="verb", required=True)
-    ybe_check = ybe_verbs.add_parser("check", help="one residual equation")
-    ybe_check.add_argument("--kind", required=True, choices=("cybe", "aybe", "qybe"))
-    ybe_check.add_argument("--input", required=True, help="tensor-map file")
-    ybe_check.add_argument("--emit-witness", action="store_true")
-    ybe_cae = ybe_verbs.add_parser("cae", help="the combined residual identity")
-    ybe_cae.add_argument("--input", required=True, help="tensor-map file")
-    ybe_cae.add_argument("--emit-witness", action="store_true")
-
-    poisson = commands.add_parser("poisson", help="word bracket extension")
-    poisson_verbs = poisson.add_subparsers(dest="verb", required=True)
-    extend = poisson_verbs.add_parser("extend", help="bracket of two words")
-    extend.add_argument("--r", required=True, help="tensor-map file")
-    extend.add_argument("--lhs", required=True, help="word, e.g. 0,1 or -")
-    extend.add_argument("--rhs", required=True, help="word, e.g. 0,1 or -")
-    verify = poisson_verbs.add_parser("verify", help="bracket axioms to a degree")
-    verify.add_argument("--r", required=True, help="tensor-map file")
-    verify.add_argument("--max-degree", required=True, type=int)
-
-    quiver = commands.add_parser("quiver", help="truncated quiver algebras")
-    quiver_verbs = quiver.add_subparsers(dest="verb", required=True)
-    build = quiver_verbs.add_parser("build", help="build one truncated algebra")
-    build.add_argument("--quiver", required=True, help="quiver file")
-    build.add_argument(
-        "--type", required=True, choices=("path", "preprojective", "deformed")
-    )
-    build.add_argument("--cap", required=True, type=int)
-    build.add_argument(
-        "--weights",
-        default="",
-        help="vertex weights 'v:1 w:-1/2' for the deformed relation",
-    )
-
-    dbl = commands.add_parser("double", help="double bracket checks")
-    dbl_verbs = dbl.add_subparsers(dest="verb", required=True)
-    dbl_verify = dbl_verbs.add_parser("verify", help="double bracket axioms")
-    dbl_verify.add_argument("--algebra", required=True, help="structure-constants file")
-    dbl_verify.add_argument("--bracket", required=True, help="tensor-map file")
-    dbl_alm = dbl_verbs.add_parser(
-        "almcybe", help="one-sided multiplication comparison"
-    )
-    dbl_alm.add_argument("--algebra", required=True, help="structure-constants file")
-    dbl_alm.add_argument("--bracket", required=True, help="tensor-map file")
-
-    operad = commands.add_parser("operad", help="quadratic relation classification")
-    operad_verbs = operad.add_subparsers(dest="verb", required=True)
-    classify = operad_verbs.add_parser("classify", help="name the presented operad")
-    classify.add_argument("--sym", required=True, choices=("none", "sym", "skew"))
-    classify.add_argument("--relation", required=True, help="relation-coefficients file")
-    nullspace = operad_verbs.add_parser(
-        "nullspace", help="admissible relation vectors"
-    )
-    nullspace.add_argument("--sym", required=True, choices=("none", "sym", "skew"))
-
-    linfty = commands.add_parser("linfty", help="homotopy bracket families")
-    linfty_verbs = linfty.add_subparsers(dest="verb", required=True)
-    lcheck = linfty_verbs.add_parser("check", help="homotopy identities to an arity")
-    lcheck.add_argument("--family", required=True, help="linfty-family file")
-    lcheck.add_argument("--max-m", required=True, type=int)
-
-    infty = commands.add_parser("ybe-infty", help="higher residual sums")
-    infty_verbs = infty.add_subparsers(dest="verb", required=True)
-    icheck = infty_verbs.add_parser("check", help="the n-th residual of a family")
-    icheck.add_argument("--kind", required=True, choices=("cybe", "aybe"))
-    icheck.add_argument(
-        "--algebra", required=True, help="structure-constants file (lie or assoc)"
-    )
-    icheck.add_argument("--family", required=True, help="rn-family file")
-    icheck.add_argument("--n", required=True, type=int)
-    icheck.add_argument(
-        "--literal-shuffles",
-        action="store_true",
-        help="let the all-permutations reading govern the verdict",
-    )
-    icheck.add_argument("--emit-witness", action="store_true")
-
-    sw = commands.add_parser("schurweyl", help="twisted symmetric-group action")
-    sw_verbs = sw.add_subparsers(dest="verb", required=True)
-    decompose = sw_verbs.add_parser("decompose", help="decompose the tensor power")
-    decompose.add_argument("--R", required=True, help="tensor-map file (the twist)")
-    decompose.add_argument("--m", required=True, type=int)
-    hrdim = sw_verbs.add_parser("hrdim", help="coefficient-algebra dimension oracles")
-    hrdim.add_argument("--R", required=True, help="tensor-map file (the twist)")
-    hrdim.add_argument("--m", required=True, type=int)
-
-    suite = commands.add_parser("suite", help="run the canned check battery")
-    suite.add_argument("--out", default=None, help="also write the report here")
-    suite.add_argument("--literal-shuffles", action="store_true")
-    suite.add_argument("--emit-witness", action="store_true")
-
+    verbs = {}
+    for row in (*CHECKS, _SUITE):
+        _, words, help, fields, flags, _ = row
+        if words is None:
+            continue
+        *command, word = words
+        parent = commands
+        if command:
+            name = command[0]
+            if name not in verbs:
+                group = commands.add_parser(name, help=_COMMANDS[name])
+                verbs[name] = group.add_subparsers(dest="verb", required=True)
+            parent = verbs[name]
+        verb = parent.add_parser(word, help=help)
+        verb.set_defaults(row=row)
+        for name, type_, choices, default, _, required, field_help in fields:
+            verb.add_argument(
+                "--" + name, required=required, type=type_, choices=choices,
+                default=default, help=field_help,
+            )
+        for name, flag_help in flags:
+            verb.add_argument("--" + name, action="store_true", help=flag_help)
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> JobSpec:
     emit = getattr(args, "emit_witness", False)
     literal = getattr(args, "literal_shuffles", False)
-    if args.command == "suite":
+    check, _, _, fields, _, _ = args.row
+    if args.row is _SUITE:
         return default_suite(literal, emit, args.out)
-    if args.command == "ybe" and args.verb == "check":
-        job = Job("ybe-check", (("input", args.input),), (("kind", args.kind),))
-    elif args.command == "ybe":
-        job = Job("ybe-cae", (("input", args.input),))
-    elif args.command == "poisson" and args.verb == "extend":
-        job = Job(
-            "poisson-extend",
-            (("r", args.r),),
-            (("lhs", args.lhs), ("rhs", args.rhs)),
-        )
-    elif args.command == "poisson":
-        job = Job(
-            "poisson-verify",
-            (("r", args.r),),
-            (("max-degree", str(args.max_degree)),),
-        )
-    elif args.command == "quiver":
-        job = Job(
-            "quiver-build",
-            (("quiver", args.quiver),),
-            (("type", args.type), ("cap", str(args.cap)), ("weights", args.weights)),
-        )
-    elif args.command == "double":
-        check = "double-verify" if args.verb == "verify" else "double-almcybe"
-        job = Job(check, (("algebra", args.algebra), ("bracket", args.bracket)))
-    elif args.command == "operad" and args.verb == "classify":
-        job = Job(
-            "operad-classify", (("relation", args.relation),), (("sym", args.sym),)
-        )
-    elif args.command == "operad":
-        job = Job("operad-nullspace", (), (("sym", args.sym),))
-    elif args.command == "linfty":
-        job = Job(
-            "linfty-check", (("family", args.family),), (("max-m", str(args.max_m)),)
-        )
-    elif args.command == "ybe-infty":
-        job = Job(
-            "ybe-infty-check",
-            (("algebra", args.algebra), ("family", args.family)),
-            (("kind", args.kind), ("n", str(args.n))),
-        )
-    elif args.command == "schurweyl":
-        check = "schurweyl-decompose" if args.verb == "decompose" else "schurweyl-hrdim"
-        job = Job(check, (("R", args.R),), (("m", str(args.m)),))
-    else:  # pragma: no cover - argparse rejects unknown commands first
-        raise ValueError(f"unknown command {args.command!r}")
+    inputs, params = [], []
+    for name, type_, *_ in fields:
+        value = getattr(args, name.replace("-", "_"))
+        if type_ is None:
+            inputs.append((name, value))
+        else:
+            params.append((name, str(value)))
+    job = Job(check, tuple(inputs), tuple(params))
     return JobSpec((job,), literal_shuffles=literal, emit_witness=emit)
 
 
@@ -176,7 +87,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = run_suite(_spec_from_args(args))
-    except (SchemaError, ValueError) as err:
+    except ValueError as err:  # io.SchemaError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(report.text())

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import double, frt, io, linfty, operad, twisted, ybe, ybe_infty
@@ -154,11 +155,12 @@ def run_suite(spec: JobSpec) -> Report:
     verdicts: list[tuple[str, str]] = []
     sections: list[tuple[str, tuple[str, ...]]] = []
     for job in spec.jobs:
-        runner = _RUNNERS.get(job.check)
-        if runner is None:
-            known = ", ".join(sorted(_RUNNERS))
+        row = next((row for row in CHECKS if row[0] == job.check), None)
+        if row is None:
+            known = ", ".join(sorted(row[0] for row in CHECKS))
             raise ValueError(f"unknown check {job.check!r} (known: {known})")
-        verdict, body = runner(job, spec)
+        *_, fields, _, runner = row
+        verdict, body = runner(spec, **_arguments(fields, job))
         verdicts.append((job.check, verdict))
         sections.append((job.check, tuple(body)))
     flags = (
@@ -171,52 +173,53 @@ def run_suite(spec: JobSpec) -> Report:
     return report
 
 
+def _typed(name: str, type_, text: str):
+    try:
+        return type_(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a valid {name}: {text!r}") from None
+
+
+def _arguments(fields, job: Job) -> dict:
+    """The job's inputs and string params as its runner's typed, checked arguments."""
+    args = {}
+    for name, type_, choices, default, minimum, _, _ in fields:
+        if type_ is None:
+            value = job.input(name)
+        else:
+            value = _typed(name, type_, job.param(name, default))
+            if choices and value not in choices:
+                raise ValueError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        args[name.replace("-", "_")] = value
+    return args
+
+
 def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
-
-
-def _residual_verdict(report: ybe.ResidualReport) -> str:
-    if any(not ok for _, ok in report.preconditions):
-        return "precondition-unmet"
-    return _verdict(report.passed)
-
-
-def _witness_map(lines: list[str], title: str, tmap: TensorMap) -> None:
-    lines.append(f"{title}:")
-    lines.extend("  " + text for text in io.dump_tensor_map(tmap).splitlines())
 
 
 # ---------------------------------------------------------------------------
 # file-driven checks (one per command-line verb)
 
 
-def _run_ybe_check(job: Job, spec: JobSpec):
-    kind = job.param("kind")
-    if kind not in ("cybe", "aybe", "qybe"):
-        raise ValueError(f"kind must be cybe, aybe, or qybe, not {kind!r}")
-    r = io.load_square_map(job.input("input"))
-    report = ybe.check(kind, r)
+def _run_ybe_check(spec: JobSpec, kind: str, input: str):
+    report = ybe.check(kind, io.load_square_map(input))
     lines = report.lines()
     if spec.emit_witness:
-        _witness_map(lines, "residual map", report.residual)
-    return _residual_verdict(report), lines
+        lines.append("residual map:")
+        lines.extend("  " + text for text in io.dump_tensor_map(report.residual).splitlines())
+    if not all(ok for _, ok in report.preconditions):
+        return "precondition-unmet", lines
+    return _verdict(report.passed), lines
 
 
-def _run_ybe_cae(job: Job, spec: JobSpec):
-    r = io.load_square_map(job.input("input"))
-    report = ybe.check("cae", r)
-    lines = report.lines()
-    if spec.emit_witness:
-        _witness_map(lines, "residual map", report.residual)
-    return _residual_verdict(report), lines
-
-
-def _run_poisson_extend(job: Job, spec: JobSpec):
-    r = io.load_square_map(job.input("r"))
-    lhs = io.parse_word(job.param("lhs"), "--lhs")
-    rhs = io.parse_word(job.param("rhs"), "--rhs")
-    bracket = twisted.TensorWordBracket(r)
-    value = bracket.extend(lhs, rhs)
+def _run_poisson_extend(spec: JobSpec, r: str, lhs: str, rhs: str):
+    r = io.load_square_map(r)
+    lhs = io.parse_word(lhs, "--lhs")
+    rhs = io.parse_word(rhs, "--rhs")
+    value = twisted.TensorWordBracket(r).extend(lhs, rhs)
     lines = [
         f"extended bracket on words, dim {r.dim}",
         f"lhs: ({io.word_str(lhs)})",
@@ -230,37 +233,41 @@ def _run_poisson_extend(job: Job, spec: JobSpec):
     return "PASS", lines
 
 
-def _run_poisson_verify(job: Job, spec: JobSpec):
-    r = io.load_square_map(job.input("r"))
-    max_degree = int(job.param("max-degree"))
+def _run_poisson_verify(spec: JobSpec, r: str, max_degree: int):
+    r = io.load_square_map(r)
     require_bound("degree", max_degree, f"word tuples grow as {r.dim}^degree")
     report = twisted.check_bracket_extension(r, max_degree)
     return _verdict(report.passed), report.lines()
 
 
-def _run_quiver_build(job: Job, spec: JobSpec):
-    q = io.load_quiver(job.input("quiver"))
-    kind = job.param("type")
-    cap = int(job.param("cap"))
+def _vertex_weights(text: str, vertices) -> dict[str, Fraction]:
+    """``--weights`` tokens ``vertex:value``, each naming a known vertex once."""
+    weights: dict[str, Fraction] = {}
+    for token in text.split():
+        name, sep, value = token.partition(":")
+        if not sep:
+            raise ValueError(f"weights want 'vertex:value' tokens, got {token!r}")
+        if name not in vertices:
+            raise ValueError(f"weights name an unknown vertex {name!r} ({', '.join(vertices)})")
+        if name in weights:
+            raise ValueError(f"weights name vertex {name!r} twice")
+        weights[name] = _typed(f"weight for vertex {name!r}", Fraction, value)
+    return weights
+
+
+def _run_quiver_build(spec: JobSpec, quiver: str, type: str, cap: int, weights: str):
+    q = io.load_quiver(quiver)
     # the preprojective constructions run on the doubled quiver
-    arrows = len(q.edges) * (1 if kind == "path" else 2)
+    arrows = len(q.edges) * (1 if type == "path" else 2)
     require_bound("cap", cap, f"paths grow as {arrows}^cap, the product table as their square")
-    if kind == "path":
+    if type == "path":
         algebra = path_algebra(q, cap)
-    elif kind == "preprojective":
+    elif type == "preprojective":
         algebra = preprojective_algebra(q, cap)
-    elif kind == "deformed":
-        weights: dict[str, Fraction] = {}
-        for token in job.param("weights", "").split():
-            name, sep, value = token.partition(":")
-            if not sep:
-                raise ValueError(f"weights want 'vertex:value' tokens, got {token!r}")
-            weights[name] = Fraction(value)
-        algebra = deformed_preprojective_algebra(q, weights, cap)
     else:
-        raise ValueError(f"type must be path, preprojective, or deformed, not {kind!r}")
+        algebra = deformed_preprojective_algebra(q, _vertex_weights(weights, q.vertices), cap)
     lines = [
-        f"{kind} algebra on {len(q.vertices)} vertices, {len(q.edges)} arrows,"
+        f"{type} algebra on {len(q.vertices)} vertices, {len(q.edges)} arrows,"
         f" cap {cap}",
         f"truncation mode: {algebra.mode}",
         f"basis dimension: {algebra.nbasis}",
@@ -272,20 +279,20 @@ def _run_quiver_build(job: Job, spec: JobSpec):
     return "PASS", lines
 
 
-def _load_double_bracket(job: Job):
-    algebra = io.load_associative_algebra(job.input("algebra"))
-    r = io.load_square_map(job.input("bracket"))
+def _load_double_bracket(algebra: str, bracket: str):
+    algebra = io.load_associative_algebra(algebra)
+    r = io.load_square_map(bracket)
     return algebra, double.DoubleBracket.from_tensor_map(algebra, r)
 
 
-def _run_double_verify(job: Job, spec: JobSpec):
-    algebra, db = _load_double_bracket(job)
+def _run_double_verify(spec: JobSpec, algebra: str, bracket: str):
+    algebra, db = _load_double_bracket(algebra, bracket)
     report = double.check_double_axioms(db)
     return _verdict(report.passed), report.lines(algebra)
 
 
-def _run_double_almcybe(job: Job, spec: JobSpec):
-    _, db = _load_double_bracket(job)
+def _run_double_almcybe(spec: JobSpec, algebra: str, bracket: str):
+    _, db = _load_double_bracket(algebra, bracket)
     report = double.almcybe_check(db)
     if not (report.leibniz_precondition and report.cybe_precondition):
         return "precondition-unmet", report.lines()
@@ -295,11 +302,9 @@ def _run_double_almcybe(job: Job, spec: JobSpec):
 _SYM_NAMES = {"none": "none", "sym": "symmetric", "skew": "skew"}
 
 
-def _run_operad_classify(job: Job, spec: JobSpec):
-    sym = _SYM_NAMES.get(job.param("sym"))
-    if sym is None:
-        raise ValueError("sym must be none, sym, or skew")
-    vectors = io.load_relation_vectors(job.input("relation"))
+def _run_operad_classify(spec: JobSpec, sym: str, relation: str):
+    sym = _SYM_NAMES[sym]
+    vectors = io.load_relation_vectors(relation)
     basis = operad.relation_basis(sym)
     for vec in vectors:
         if len(vec) != len(basis):
@@ -311,10 +316,8 @@ def _run_operad_classify(job: Job, spec: JobSpec):
     return _verdict(result.verdict != "not distributive"), result.lines(basis)
 
 
-def _run_operad_nullspace(job: Job, spec: JobSpec):
-    sym = _SYM_NAMES.get(job.param("sym"))
-    if sym is None:
-        raise ValueError("sym must be none, sym, or skew")
+def _run_operad_nullspace(spec: JobSpec, sym: str):
+    sym = _SYM_NAMES[sym]
     system = operad.full_constraint_system(sym)
     lines = [
         f"symmetry: {sym}",
@@ -326,9 +329,8 @@ def _run_operad_nullspace(job: Job, spec: JobSpec):
     return "PASS", lines
 
 
-def _run_linfty_check(job: Job, spec: JobSpec):
-    fam = io.load_linfty_family(job.input("family"))
-    max_m = int(job.param("max-m"))
+def _run_linfty_check(spec: JobSpec, family: str, max_m: int):
+    fam = io.load_linfty_family(family)
     require_bound("m", max_m, "argument tuples grow as (basis size)^m * m!")
     ok, witness = linfty.family_is_linfty(fam, max_m)
     lines = [
@@ -345,21 +347,16 @@ def _run_linfty_check(job: Job, spec: JobSpec):
     return _verdict(ok), lines
 
 
-def _run_ybe_infty_check(job: Job, spec: JobSpec):
-    kind = job.param("kind")
-    n = int(job.param("n"))
+def _run_ybe_infty_check(spec: JobSpec, kind: str, algebra: str, family: str, n: int):
     require_bound("degree", n, "selections grow as n! and words as dim^n")
-    fam = io.load_rn_family(job.input("family"))
+    fam = io.load_rn_family(family)
     if kind == "cybe":
-        g = io.load_lie_structure(job.input("algebra"))
+        g = io.load_lie_structure(algebra)
         report = ybe_infty.cybe_infty_residual(
             g, fam, n, literal_shuffles=spec.literal_shuffles
         )
-    elif kind == "aybe":
-        algebra = io.load_associative_algebra(job.input("algebra"))
-        report = ybe_infty.aybe_infty_residual(algebra, fam, n)
     else:
-        raise ValueError(f"kind must be cybe or aybe, not {kind!r}")
+        report = ybe_infty.aybe_infty_residual(io.load_associative_algebra(algebra), fam, n)
     lines = report.lines()
     if spec.emit_witness:
         for reading in report.readings:
@@ -371,12 +368,10 @@ def _run_ybe_infty_check(job: Job, spec: JobSpec):
     return _verdict(report.passed), lines
 
 
-def _run_schurweyl_decompose(job: Job, spec: JobSpec):
-    path = job.input("R")
-    r = io.load_square_map(path)
-    m = int(job.param("m"))
+def _run_schurweyl_decompose(spec: JobSpec, R: str, m: int):
+    r = io.load_square_map(R)
     require_bound("m", m, f"the commutant solve has {r.dim}^(2m) unknowns")
-    require_bound("dim", r.dim, f"the commutant solve has {r.dim ** (2 * m)} unknowns", path)
+    require_bound("dim", r.dim, f"the commutant solve has {r.dim ** (2 * m)} unknowns", R)
     try:
         report = frt.schur_weyl_decompose(r, m, r.dim)
     except ValueError as err:
@@ -384,12 +379,10 @@ def _run_schurweyl_decompose(job: Job, spec: JobSpec):
     return _verdict(report.passed), report.lines()
 
 
-def _run_schurweyl_hrdim(job: Job, spec: JobSpec):
-    path = job.input("R")
-    r = io.load_square_map(path)
-    m = int(job.param("m"))
+def _run_schurweyl_hrdim(spec: JobSpec, R: str, m: int):
+    r = io.load_square_map(R)
     require_bound("m", m, f"the relation span has {r.dim}^(2m) columns")
-    require_bound("dim", r.dim, f"the relation span has {r.dim ** (2 * m)} columns", path)
+    require_bound("dim", r.dim, f"the relation span has {r.dim ** (2 * m)} columns", R)
     try:
         by_relations, by_commutant = frt.hr_dimension_oracles(r, m)
     except ValueError as err:
@@ -408,9 +401,7 @@ def _run_schurweyl_hrdim(job: Job, spec: JobSpec):
 # canned checks for the default suite (no file inputs, fully deterministic)
 
 
-def _run_cae_random(job: Job, spec: JobSpec):
-    count = int(job.param("count", "102"))
-    seed = int(job.param("seed", "20260814"))
+def _run_cae_random(spec: JobSpec, count: int, seed: int):
     rng = random.Random(seed)
     # every map drawn is skew, so the form gives its cae defect exactly
     forms = {dim: SkewOrbitForm(ybe.PRODUCTS["cae"], dim) for dim in (1, 2, 3)}
@@ -433,7 +424,7 @@ def _run_cae_random(job: Job, spec: JobSpec):
     return _verdict(not failures), lines
 
 
-def _run_fixture_search(job: Job, spec: JobSpec):
+def _run_fixture_search(spec: JobSpec):
     cybe_solutions = fixture_search("cybe", 2)
     aybe_solutions = fixture_search("aybe", 2)
     zero = TensorMap.zero(2, 2, 2)
@@ -451,7 +442,7 @@ def _run_fixture_search(job: Job, spec: JobSpec):
     return _verdict(ok), lines
 
 
-def _run_double_lie_iff(job: Job, spec: JobSpec):
+def _run_double_lie_iff(spec: JobSpec):
     # every grid map is skew, so each verdict of dbjac_to_aybe reduces to
     # one of these residuals vanishing
     jacobi = SkewOrbitForm(double.JACOBI_PRODUCTS, 2)
@@ -478,9 +469,7 @@ def _run_double_lie_iff(job: Job, spec: JobSpec):
     return _verdict(mismatches == 0 and transform_failures == 0), lines
 
 
-def _run_lambda_almcybe(job: Job, spec: JobSpec):
-    power = int(job.param("power", "5"))
-    lam = Fraction(job.param("lam", "1"))
+def _run_lambda_almcybe(spec: JobSpec, power: int, lam: Fraction):
     db = double.one_variable_lambda_bracket(power, lam)
     axioms = double.check_double_axioms(db)
     comparison = double.almcybe_check(db)
@@ -490,7 +479,7 @@ def _run_lambda_almcybe(job: Job, spec: JobSpec):
     return _verdict(axioms.passed and comparison.passed), lines
 
 
-def _run_operad_classification(job: Job, spec: JobSpec):
+def _run_operad_classification(spec: JobSpec):
     cases = (
         ("skew", [operad.jacobi_vector()], "Lie algebras"),
         ("skew", [], "skew magmas"),
@@ -522,7 +511,7 @@ def _run_operad_classification(job: Job, spec: JobSpec):
     return _verdict(ok), lines
 
 
-def _run_linfty_extension(job: Job, spec: JobSpec):
+def _run_linfty_extension(spec: JobSpec):
     fam = linfty.homotopy_fixture()
     ok, _ = linfty.family_is_linfty(fam, 3)
     report = linfty.product_extension_check(fam, max_m=3, cap=3)
@@ -531,7 +520,7 @@ def _run_linfty_extension(job: Job, spec: JobSpec):
     return _verdict(ok and report.passed), lines
 
 
-def _run_ybe_infty_classical(job: Job, spec: JobSpec):
+def _run_ybe_infty_classical(spec: JobSpec):
     g = ybe_infty.gl_lie(2)
     r2 = {(1, 1): Fraction(1)}  # the nilpotent generator paired with itself
     fam = ybe_infty.RnFamily(4, {2: dict(r2)})
@@ -563,7 +552,7 @@ def _run_ybe_infty_classical(job: Job, spec: JobSpec):
     return _verdict(ok), lines
 
 
-def _run_schurweyl_anchor(job: Job, spec: JobSpec):
+def _run_schurweyl_anchor(spec: JobSpec):
     identity = TensorMap.identity(2, 2)
     report = frt.schur_weyl_decompose(identity, 3, 2)
     dims = [frt.hr_graded_dimension(identity, m) for m in (1, 2, 3)]
@@ -574,7 +563,7 @@ def _run_schurweyl_anchor(job: Job, spec: JobSpec):
     return _verdict(report.passed and dims == [4, 10, 20]), lines
 
 
-def _run_double_commutant(job: Job, spec: JobSpec):
+def _run_double_commutant(spec: JobSpec):
     twists = (
         ("identity", TensorMap.identity(2, 2)),
         ("diagonal", diagonal_unitary_qybe_solution(2)),
@@ -594,30 +583,80 @@ def _run_double_commutant(job: Job, spec: JobSpec):
     return _verdict(ok), lines
 
 
-_RUNNERS = {
-    "ybe-check": _run_ybe_check,
-    "ybe-cae": _run_ybe_cae,
-    "poisson-extend": _run_poisson_extend,
-    "poisson-verify": _run_poisson_verify,
-    "quiver-build": _run_quiver_build,
-    "double-verify": _run_double_verify,
-    "double-almcybe": _run_double_almcybe,
-    "operad-classify": _run_operad_classify,
-    "operad-nullspace": _run_operad_nullspace,
-    "linfty-check": _run_linfty_check,
-    "ybe-infty-check": _run_ybe_infty_check,
-    "schurweyl-decompose": _run_schurweyl_decompose,
-    "schurweyl-hrdim": _run_schurweyl_hrdim,
-    "cae-random": _run_cae_random,
-    "fixture-search": _run_fixture_search,
-    "double-lie-iff-skew-aybe": _run_double_lie_iff,
-    "lambda-almcybe": _run_lambda_almcybe,
-    "operad-classification": _run_operad_classification,
-    "linfty-extension": _run_linfty_extension,
-    "ybe-infty-classical": _run_ybe_infty_classical,
-    "schurweyl-anchor": _run_schurweyl_anchor,
-    "double-commutant": _run_double_commutant,
-}
+# ---------------------------------------------------------------------------
+# the check table: the harness runs it and ``cli.build_parser`` is built from it
+
+
+def _field(name: str, type_=None, choices=None, default=None, minimum=None, help=None):
+    """An input file (``type_`` None) or a typed parameter; required without a default."""
+    return (name, type_, choices, default, minimum, default is None, help)
+
+
+_MAP = "tensor-map file"
+_INPUT = (_field("input", help=_MAP),)
+_DOUBLE = (_field("algebra", help="structure-constants file"), _field("bracket", help=_MAP))
+_SYM = _field("sym", str, choices=tuple(_SYM_NAMES))
+_TWIST = (_field("R", help="tensor-map file (the twist)"), _field("m", int, minimum=1))
+_WORD = "word, e.g. 0,1 or -"
+_EMIT = (("emit-witness", None),)
+
+#: one row per check: its id, its command-line words (none for the canned
+#: checks), help, fields ``(name, type, choices, default, minimum, required,
+#: help)`` in command-line order, command-line flags ``(name, help)``, and the
+#: runner, called as ``runner(spec, **typed_fields)``
+CHECKS = (
+    ("ybe-check", ("ybe", "check"), "one residual equation",
+     (_field("kind", str, choices=("cybe", "aybe", "qybe")), *_INPUT), _EMIT, _run_ybe_check),
+    ("ybe-cae", ("ybe", "cae"), "the combined residual identity",
+     _INPUT, _EMIT, partial(_run_ybe_check, kind="cae")),
+    ("poisson-extend", ("poisson", "extend"), "bracket of two words",
+     (_field("r", help=_MAP), _field("lhs", str, help=_WORD), _field("rhs", str, help=_WORD)),
+     (), _run_poisson_extend),
+    # the axioms are checked on word pairs of total length 2 and up
+    ("poisson-verify", ("poisson", "verify"), "bracket axioms to a degree",
+     (_field("r", help=_MAP), _field("max-degree", int, minimum=2)), (), _run_poisson_verify),
+    ("quiver-build", ("quiver", "build"), "build one truncated algebra",
+     (_field("quiver", help="quiver file"),
+      _field("type", str, choices=("path", "preprojective", "deformed")),
+      _field("cap", int, minimum=0),
+      _field("weights", str, default="",
+             help="vertex weights 'v:1 w:-1/2' for the deformed relation")),
+     (), _run_quiver_build),
+    ("double-verify", ("double", "verify"), "double bracket axioms",
+     _DOUBLE, (), _run_double_verify),
+    ("double-almcybe", ("double", "almcybe"), "one-sided multiplication comparison",
+     _DOUBLE, (), _run_double_almcybe),
+    ("operad-classify", ("operad", "classify"), "name the presented operad",
+     (_SYM, _field("relation", help="relation-coefficients file")), (), _run_operad_classify),
+    ("operad-nullspace", ("operad", "nullspace"), "admissible relation vectors",
+     (_SYM,), (), _run_operad_nullspace),
+    ("linfty-check", ("linfty", "check"), "homotopy identities to an arity",
+     (_field("family", help="linfty-family file"), _field("max-m", int, minimum=1)),
+     (), _run_linfty_check),
+    ("ybe-infty-check", ("ybe-infty", "check"), "the n-th residual of a family",
+     (_field("kind", str, choices=("cybe", "aybe")),
+      _field("algebra", help="structure-constants file (lie or assoc)"),
+      _field("family", help="rn-family file"), _field("n", int, minimum=1)),
+     (("literal-shuffles", "let the all-permutations reading govern the verdict"), *_EMIT),
+     _run_ybe_infty_check),
+    ("schurweyl-decompose", ("schurweyl", "decompose"), "decompose the tensor power",
+     _TWIST, (), _run_schurweyl_decompose),
+    ("schurweyl-hrdim", ("schurweyl", "hrdim"), "coefficient-algebra dimension oracles",
+     _TWIST, (), _run_schurweyl_hrdim),
+    ("cae-random", None, None,
+     (_field("count", int, default="102"), _field("seed", int, default="20260814")),
+     (), _run_cae_random),
+    ("fixture-search", None, None, (), (), _run_fixture_search),
+    ("double-lie-iff-skew-aybe", None, None, (), (), _run_double_lie_iff),
+    ("lambda-almcybe", None, None,
+     (_field("power", int, default="5"), _field("lam", Fraction, default="1")),
+     (), _run_lambda_almcybe),
+    ("operad-classification", None, None, (), (), _run_operad_classification),
+    ("linfty-extension", None, None, (), (), _run_linfty_extension),
+    ("ybe-infty-classical", None, None, (), (), _run_ybe_infty_classical),
+    ("schurweyl-anchor", None, None, (), (), _run_schurweyl_anchor),
+    ("double-commutant", None, None, (), (), _run_double_commutant),
+)
 
 
 DEFAULT_CHECKS = (

@@ -264,11 +264,7 @@ class SuperSymAlgebra:
         return {} if word is None else {word: sign}
 
     def mul(self, x: SuperElement, y: SuperElement) -> SuperElement:
-        out: SuperElement = {}
-        for ma, ca in x.items():
-            for mb, cb in y.items():
-                sparse.accumulate(out, self.mul_word(ma, mb).items(), ca * cb)
-        return sparse.purge(out)
+        return sparse.structure_product(x, y, self.mul_word)
 
 
 class ExtendedFamily:

@@ -119,3 +119,14 @@ def product(x: dict, y: dict, key: Callable[[Hashable, Hashable], Hashable]) -> 
         out, ((key(a, b), ca * cb) for a, ca in x.items() for b, cb in y.items())
     )
     return purge(out)
+
+
+def structure_product(x: dict, y: dict, table: Callable) -> dict:
+    """Bilinear product in which basis keys ``a``, ``b`` multiply to the vector ``table(a, b)``."""
+    out: dict = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            value = table(a, b)
+            if value:
+                accumulate(out, value.items(), ca * cb)
+    return purge(out)

@@ -72,16 +72,10 @@ class LieStructure:
         return len(self.labels)
 
     def bracket_basis(self, i: int, j: int) -> Element:
-        return dict(self.table.get((i, j), {}))
+        return self.table.get((i, j), {})
 
     def bracket(self, x: Element, y: Element) -> Element:
-        out: Element = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                value = self.table.get((i, j))
-                if value:
-                    sparse.accumulate(out, value.items(), ci * cj)
-        return sparse.purge(out)
+        return sparse.structure_product(x, y, self.bracket_basis)
 
     def defects(self) -> list[str]:
         """Violations of grading, graded antisymmetry, or graded Jacobi."""

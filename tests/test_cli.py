@@ -1,5 +1,6 @@
 """Job harness and command line: verdicts, exit codes, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import ybalg
 from ybalg import harness, io, operad, ybe
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
-from ybalg.cli import main
+from ybalg.cli import build_parser, main
 from ybalg.double import one_variable_lambda_bracket
 from ybalg.fixtures import (
     SkewOrbitForm,
@@ -310,6 +311,72 @@ class TestCliExitCodes:
         assert "verdict schurweyl-decompose: precondition-unmet" in out
         assert "not unitary" in out
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["poisson", "verify", "--r", "MAP", "--max-degree"], "1"),
+            (["poisson", "verify", "--r", "MAP", "--max-degree"], "0"),
+            (["poisson", "verify", "--r", "MAP", "--max-degree"], "-1"),
+            (["linfty", "check", "--family", "FAM", "--max-m"], "0"),
+            (["linfty", "check", "--family", "FAM", "--max-m"], "-1"),
+            (["ybe-infty", "check", "--kind", "cybe", "--algebra", "LIE",
+              "--family", "RN", "--n"], "0"),
+            (["ybe-infty", "check", "--kind", "cybe", "--algebra", "LIE",
+              "--family", "RN", "--n"], "-1"),
+            (["schurweyl", "decompose", "--R", "MAP", "--m"], "0"),
+            (["schurweyl", "hrdim", "--R", "MAP", "--m"], "-1"),
+            (["quiver", "build", "--quiver", "QUIVER", "--type", "path", "--cap"], "-1"),
+        ],
+    )
+    def test_parameter_below_its_minimum_is_two(self, tmp_path, capsys, argv, value):
+        # the non-skew identity passes the bracket axioms at degree 1, fails at 2
+        files = {
+            "MAP": write(tmp_path, "id.txt", io.dump_tensor_map(TensorMap.identity(2, 2))),
+            "FAM": write(tmp_path, "fam.txt", io.dump_linfty_family(homotopy_fixture())),
+            "LIE": write(tmp_path, "gl.txt", io.dump_lie_structure(gl_lie(2))),
+            "RN": write(
+                tmp_path, "rn.txt", io.dump_rn_family(RnFamily(4, {2: {(1, 1): Fraction(1)}}))
+            ),
+            "QUIVER": write(tmp_path, "q.txt", io.dump_quiver(Quiver(("u",), ()))),
+        }
+        argv = argv + [value]
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PASS" not in captured.err
+        assert f"{argv[-2][2:]} must be at least" in captured.err
+        # a harness job with the same parameter is refused the same way
+        pairs = [(option[2:], arg) for option, arg in zip(argv[2::2], argv[3::2])]
+        inputs = tuple((name, files[arg]) for name, arg in pairs if arg in files)
+        params = tuple((name, arg) for name, arg in pairs if arg not in files)
+        with pytest.raises(ValueError, match="must be at least"):
+            run_suite(JobSpec((Job("-".join(argv[:2]), inputs, params),)))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("zz:1", "unknown vertex 'zz' (u, v)"),
+            ("u:1 u:2", "vertex 'u' twice"),
+            ("u:1/0", "not a valid weight for vertex 'u': '1/0'"),
+        ],
+    )
+    def test_quiver_weights_are_rational_on_distinct_known_vertices(
+        self, tmp_path, capsys, weights, message
+    ):
+        q = Quiver(("u", "v"), (("a", "u", "v"),))
+        path = write(tmp_path, "q.txt", io.dump_quiver(q))
+        code = main(
+            [
+                "quiver", "build", "--quiver", path, "--type", "deformed",
+                "--cap", "2", "--weights", weights,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "not in list" not in captured.err
+
 
 class TestCliCommands:
     def test_cae(self, skew_files, capsys):
@@ -497,3 +564,74 @@ class TestCliCommands:
         stdout = capsys.readouterr().out
         assert out_path.read_text() == stdout
         assert "checks: %d" % len(harness.DEFAULT_CHECKS) in stdout
+
+
+#: every command line, in help order, with (option, required, choices, default)
+CLI_SURFACE = [
+    ("ybe check", [
+        ("--kind", True, ("cybe", "aybe", "qybe"), None),
+        ("--input", True, None, None),
+        ("--emit-witness", False, None, False),
+    ]),
+    ("ybe cae", [("--input", True, None, None), ("--emit-witness", False, None, False)]),
+    ("poisson extend", [
+        ("--r", True, None, None),
+        ("--lhs", True, None, None),
+        ("--rhs", True, None, None),
+    ]),
+    ("poisson verify", [("--r", True, None, None), ("--max-degree", True, None, None)]),
+    ("quiver build", [
+        ("--quiver", True, None, None),
+        ("--type", True, ("path", "preprojective", "deformed"), None),
+        ("--cap", True, None, None),
+        ("--weights", False, None, ""),
+    ]),
+    ("double verify", [("--algebra", True, None, None), ("--bracket", True, None, None)]),
+    ("double almcybe", [("--algebra", True, None, None), ("--bracket", True, None, None)]),
+    ("operad classify", [
+        ("--sym", True, ("none", "sym", "skew"), None),
+        ("--relation", True, None, None),
+    ]),
+    ("operad nullspace", [("--sym", True, ("none", "sym", "skew"), None)]),
+    ("linfty check", [("--family", True, None, None), ("--max-m", True, None, None)]),
+    ("ybe-infty check", [
+        ("--kind", True, ("cybe", "aybe"), None),
+        ("--algebra", True, None, None),
+        ("--family", True, None, None),
+        ("--n", True, None, None),
+        ("--literal-shuffles", False, None, False),
+        ("--emit-witness", False, None, False),
+    ]),
+    ("schurweyl decompose", [("--R", True, None, None), ("--m", True, None, None)]),
+    ("schurweyl hrdim", [("--R", True, None, None), ("--m", True, None, None)]),
+    ("suite", [
+        ("--out", False, None, None),
+        ("--literal-shuffles", False, None, False),
+        ("--emit-witness", False, None, False),
+    ]),
+]
+
+
+def test_cli_surface_is_pinned():
+    def subcommands(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    def options(parser):
+        return [
+            (action.option_strings[0], action.required,
+             action.choices and tuple(action.choices), action.default)
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        ]
+
+    surface = []
+    for command, command_parser in subcommands(build_parser()).items():
+        verbs = subcommands(command_parser)
+        if not verbs:
+            surface.append((command, options(command_parser)))
+        for verb, verb_parser in verbs.items():
+            surface.append((f"{command} {verb}", options(verb_parser)))
+    assert surface == CLI_SURFACE

@@ -144,9 +144,14 @@ def test_product_is_bilinear(x, y, z, a, key):
     )
 
 
-@given(vectors, vectors, st.sampled_from(KEYS))
-def test_product_matches_naive_double_loop(x, y, key):
-    got = sparse.product(x, y, key)
+def table_product(x, y, key):
+    """``structure_product`` on a table whose basis products are single keys."""
+    return sparse.structure_product(x, y, lambda a, b: {key(a, b): 1})
+
+
+@given(vectors, vectors, st.sampled_from(KEYS), st.sampled_from([sparse.product, table_product]))
+def test_product_matches_naive_double_loop(x, y, key, product):
+    got = product(x, y, key)
     want = naive_product(x, y, key)
     assert got == want
     assert list(got) == list(want)  # keys in the order they are first met
