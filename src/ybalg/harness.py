@@ -182,6 +182,11 @@ def _typed(name: str, type_, text: str):
 
 def _arguments(fields, job: Job) -> dict:
     """The job's inputs and string params as its runner's typed, checked arguments."""
+    kinds = {name: "input" if type_ is None else "param" for name, type_, *_ in fields}
+    for kind, given in (("input", job.inputs), ("param", job.params)):
+        for name, _ in given:
+            if kinds.get(name) != kind:
+                raise ValueError(f"check {job.check!r} declares no {kind} named {name!r}")
     args = {}
     for name, type_, choices, default, minimum, _, _ in fields:
         if type_ is None:
@@ -256,6 +261,8 @@ def _vertex_weights(text: str, vertices) -> dict[str, Fraction]:
 
 
 def _run_quiver_build(spec: JobSpec, quiver: str, type: str, cap: int, weights: str):
+    if weights.split() and type != "deformed":
+        raise ValueError(f"weights apply only to deformed, not to {type}")
     q = io.load_quiver(quiver)
     # the preprojective constructions run on the doubled quiver
     arrows = len(q.edges) * (1 if type == "path" else 2)

@@ -18,10 +18,10 @@ assembled from the brackets; the axioms say D^2 = 0.  It is the unique sign
 convention compatible with the symmetry clause above: a differential graded
 Lie algebra, brackets twisted by (-1)^(degree of the first argument),
 satisfies every m, and the product extension below preserves the axioms.
-Summing sigma over all of S_m instead (available as ``mode="full"``)
-inflates the (i, j) block by exactly the symmetry factor i!(j-1)!, since
-skewness makes the shuffle representatives of a coset contribute equally;
-the blockwise comparison is exposed through :func:`linfty_residual_blocks`.
+Summing sigma over all of S_m instead inflates the (i, j) block by exactly
+the symmetry factor i!(j-1)!, since skewness makes the shuffle
+representatives of a coset contribute equally; that reading lives only in
+:func:`linfty_residual_blocks` (``mode="full"``), for the blockwise comparison.
 
 The product extension follows the two-term Leibniz rule in its canonical
 last-slot form
@@ -46,7 +46,7 @@ from fractions import Fraction
 from . import sparse
 from .algebras import TruncationOverflow
 from .linalg import rref
-from .sparse import ONE, ZERO
+from .sparse import ONE
 from .tensoralg import block_permutation_expand, perm_inverse, perm_sign
 
 Element = dict[int, Fraction]  # span of the generators
@@ -85,6 +85,61 @@ def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _vanishes(canonical, degree) -> bool:
+    # a repeated even-degree argument anticommutes with itself
+    return any(a == b and degree(a) % 2 == 0 for a, b in zip(canonical, canonical[1:]))
+
+
+def _skew_sort(args, degree) -> tuple[tuple | None, tuple[int, ...]]:
+    """The sorted arguments and the order sorting them; None when skewness
+    forces the bracket to vanish.  By the skew clause the bracket on ``args``
+    is ``sign_odd(degrees of args, order)`` times the bracket on the sorted."""
+    order = tuple(sorted(range(len(args)), key=args.__getitem__))
+    canonical = tuple(args[k] for k in order)
+    return (None if _vanishes(canonical, degree) else canonical), order
+
+
+def _skew_lookup(table: dict | None, args: tuple, degree) -> dict:
+    """A bracket stored by sorted arguments in ``table``, evaluated at ``args``."""
+    if not table:
+        return {}
+    canonical, order = _skew_sort(args, degree)
+    stored = table.get(canonical)
+    if not stored:
+        return {}
+    sign = sign_odd([degree(a) for a in args], order)
+    return {k: sign * c for k, c in stored.items()}
+
+
+def _axiom_terms(m: int, args: tuple, degrees, bracket, selections=shuffles):
+    """The terms of the m-th axiom on ``args``.
+
+    Yields ``((i, j), sign * c, {v, tail}_j)`` for each term ``c . v`` of each
+    inner bracket ``{head}_i``, with ``bracket(n, args)`` evaluating the
+    n-ary bracket.  ``selections(i, j - 1)`` lists the sigma of the (i, j)
+    block: the shuffles for the axiom.
+    """
+    if len(args) != m:
+        raise ValueError(f"expected {m} arguments, got {len(args)}")
+    for i in range(1, m + 1):
+        j = m + 1 - i
+        for sel in selections(i, j - 1):
+            inner = bracket(i, tuple(args[k] for k in sel[:i]))
+            if not inner:
+                continue
+            sign = sign_odd(degrees, sel)
+            tail = tuple(args[k] for k in sel[i:])
+            for v, c in inner.items():
+                yield (i, j), sign * c, bracket(j, (v,) + tail)
+
+
+def _axiom_sum(terms) -> dict:
+    total: dict = {}
+    for _, c, outer in terms:
+        sparse.accumulate(total, outer.items(), c)
+    return sparse.purge(total)
+
+
 @dataclass(frozen=True)
 class GradedBasis:
     labels: tuple[str, ...]
@@ -96,6 +151,9 @@ class GradedBasis:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
+
+    def degree(self, generator: int) -> int:
+        return self.degrees[generator]
 
 
 class MultiBracketFamily:
@@ -117,7 +175,7 @@ class MultiBracketFamily:
                     raise ValueError(f"arity {n} entry with {len(args)} arguments")
                 if tuple(sorted(args)) != tuple(args):
                     raise ValueError("ops must be keyed by sorted argument tuples")
-                if self._forced_zero(args):
+                if _vanishes(args, basis.degree):
                     if any(value.values()):
                         raise ValueError(
                             f"skewness forces {args} to vanish but a value was given"
@@ -136,24 +194,11 @@ class MultiBracketFamily:
             if clean:
                 self.ops[n] = clean
 
-    def _forced_zero(self, args) -> bool:
-        # a repeated even-degree argument anticommutes with itself
-        return any(
-            a == b and self.basis.degrees[a] % 2 == 0
-            for a, b in zip(args, args[1:])
-        )
-
     def arities(self) -> list[int]:
         return sorted(self.ops)
 
     def value(self, n: int, args: tuple[int, ...]) -> Element:
-        if self._forced_zero(tuple(sorted(args))):
-            return {}
-        order = tuple(sorted(range(len(args)), key=lambda k: args[k]))
-        sign = sign_odd([self.basis.degrees[a] for a in args], order)
-        canonical = tuple(args[k] for k in order)
-        stored = self.ops.get(n, {}).get(canonical, {})
-        return {k: sign * c for k, c in stored.items()}
+        return _skew_lookup(self.ops.get(n), args, self.basis.degree)
 
     def value_on_elements(self, n: int, args: list[Element]) -> Element:
         total: Element = {}
@@ -175,40 +220,23 @@ def linfty_residual_blocks(
     ``mode="full"`` sums over all of S_m, which scales each block by the
     symmetry factor i!(j-1)!.
     """
-    if len(args) != m:
-        raise ValueError(f"expected {m} arguments, got {len(args)}")
     if mode not in ("full", "shuffle"):
         raise ValueError("mode must be 'full' or 'shuffle'")
-    degrees = [fam.basis.degrees[a] for a in args]
+    selections = shuffles if mode == "shuffle" else (
+        lambda i, k: itertools.permutations(range(i + k))
+    )
+    degrees = [fam.basis.degree(a) for a in args]
     blocks: dict[tuple[int, int], Element] = {}
-    for i in range(1, m + 1):
-        j = m + 1 - i
-        selections = (
-            itertools.permutations(range(m)) if mode == "full" else shuffles(i, j - 1)
-        )
-        block: Element = {}
-        for sel in selections:
-            sign = sign_odd(degrees, sel)
-            inner = fam.value(i, tuple(args[k] for k in sel[:i]))
-            if not inner:
-                continue
-            tail = tuple(args[k] for k in sel[i:])
-            for v, cv in inner.items():
-                sparse.accumulate(block, fam.value(j, (v,) + tail).items(), sign * cv)
-        block = sparse.purge(block)
-        if block:
-            blocks[(i, j)] = block
-    return blocks
+    for block, c, outer in _axiom_terms(m, args, degrees, fam.value, selections):
+        sparse.accumulate(blocks.setdefault(block, {}), outer.items(), c)
+    purged = {key: sparse.purge(block) for key, block in blocks.items()}
+    return {key: block for key, block in purged.items() if block}
 
 
-def linfty_residual(
-    fam: MultiBracketFamily, m: int, args: tuple[int, ...], mode: str = "shuffle"
-) -> Element:
+def linfty_residual(fam: MultiBracketFamily, m: int, args: tuple[int, ...]) -> Element:
     """The m-th axiom residual on generator arguments (shuffle convention)."""
-    total: Element = {}
-    for block in linfty_residual_blocks(fam, m, args, mode).values():
-        sparse.accumulate(total, block.items())
-    return sparse.purge(total)
+    degrees = [fam.basis.degree(a) for a in args]
+    return _axiom_sum(_axiom_terms(m, args, degrees, fam.value))
 
 
 def family_is_linfty(fam: MultiBracketFamily, max_m: int) -> tuple[bool, tuple | None]:
@@ -225,40 +253,42 @@ def family_is_linfty(fam: MultiBracketFamily, max_m: int) -> tuple[bool, tuple |
 # truncated supersymmetric algebra and the product extension
 # ---------------------------------------------------------------------------
 
-Monomial = tuple[int, ...]  # sorted generator indices; odd generators squarefree
+Monomial = tuple  # sorted generators; odd generators squarefree
 SuperElement = dict[Monomial, Fraction]
 
 
 class SuperSymAlgebra:
-    """Free graded-commutative algebra on the generators, words capped."""
+    """Free graded-commutative algebra on ordered generators, words capped.
 
-    def __init__(self, basis: GradedBasis, cap: int):
-        self.basis = basis
+    ``degree`` gives each generator's degree; ``cap=None`` leaves words
+    unbounded.
+    """
+
+    def __init__(self, degree, cap: int | None = None):
+        self.generator_degree = degree
         self.cap = cap
 
-    def sort_word(self, word: tuple[int, ...]) -> tuple[Monomial | None, int]:
+    def sort_word(self, word: tuple) -> tuple[Monomial | None, int]:
         """Koszul bubble sort; None when an odd generator repeats."""
+        degree = self.generator_degree
         items = list(word)
         sign = 1
         for i in range(len(items)):
             for j in range(len(items) - 1 - i):
                 if items[j] > items[j + 1]:
-                    if (
-                        self.basis.degrees[items[j]] % 2
-                        and self.basis.degrees[items[j + 1]] % 2
-                    ):
+                    if degree(items[j]) % 2 and degree(items[j + 1]) % 2:
                         sign = -sign
                     items[j], items[j + 1] = items[j + 1], items[j]
         for a, b in zip(items, items[1:]):
-            if a == b and self.basis.degrees[a] % 2:
+            if a == b and degree(a) % 2:
                 return None, 0
         return tuple(items), sign
 
     def degree(self, monomial: Monomial) -> int:
-        return sum(self.basis.degrees[g] for g in monomial)
+        return sum(map(self.generator_degree, monomial))
 
     def mul_word(self, a: Monomial, b: Monomial) -> SuperElement:
-        if len(a) + len(b) > self.cap:
+        if self.cap is not None and len(a) + len(b) > self.cap:
             raise TruncationOverflow(f"product of words {a} and {b} leaves the cap")
         word, sign = self.sort_word(a + b)
         return {} if word is None else {word: sign}
@@ -268,9 +298,13 @@ class SuperSymAlgebra:
 
 
 class ExtendedFamily:
-    """Bracket family on monomial arguments via the two-term Leibniz rule."""
+    """Bracket family on monomial arguments via the two-term Leibniz rule.
 
-    def __init__(self, fam: MultiBracketFamily, algebra: SuperSymAlgebra):
+    ``fam.value(n, generators)`` gives the brackets on the algebra's
+    generators: a :class:`MultiBracketFamily`, or uninterpreted brackets.
+    """
+
+    def __init__(self, fam, algebra: SuperSymAlgebra):
         self.fam = fam
         self.algebra = algebra
         self._cache: dict[tuple[int, tuple[Monomial, ...]], SuperElement] = {}
@@ -303,20 +337,12 @@ class ExtendedFamily:
         sparse.accumulate(total, swapped.items(), -1 if dx * dy % 2 else 1)
         return sparse.purge(total)
 
-    def residual(self, m: int, args: tuple[Monomial, ...]) -> SuperElement:
+    def axiom_terms(self, m: int, args: tuple[Monomial, ...]):
         degrees = [self.algebra.degree(a) for a in args]
-        total: SuperElement = {}
-        for i in range(1, m + 1):
-            j = m + 1 - i
-            for sel in shuffles(i, j - 1):
-                sign = sign_odd(degrees, sel)
-                inner = self.value(i, tuple(args[k] for k in sel[:i]))
-                if not inner:
-                    continue
-                tail = tuple(args[k] for k in sel[i:])
-                for mono, cv in inner.items():
-                    sparse.accumulate(total, self.value(j, (mono,) + tail).items(), sign * cv)
-        return sparse.purge(total)
+        return _axiom_terms(m, args, degrees, self.value)
+
+    def residual(self, m: int, args: tuple[Monomial, ...]) -> SuperElement:
+        return _axiom_sum(self.axiom_terms(m, args))
 
 
 @dataclass(frozen=True)
@@ -372,7 +398,7 @@ def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 
     ok, witness = family_is_linfty(fam, max_m)
     checks.append(ExtensionCheck("axioms on generators", ok, witness))
 
-    algebra = SuperSymAlgebra(fam.basis, cap)
+    algebra = SuperSymAlgebra(fam.basis.degree, cap)
     ext = ExtendedFamily(fam, algebra)
     ngen = len(fam.basis.labels)
     witness = None
@@ -421,88 +447,28 @@ def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 
 # formal cancellation audit (uninterpreted brackets)
 # ---------------------------------------------------------------------------
 
-# formal atoms: ("g", name, degree) or ("B", arity, args-tuple-of-atoms)
+# formal atoms: ("g", name, degree) or ("B", arity, sorted args-tuple-of-atoms)
 
 
 def _atom_degree(atom) -> int:
     if atom[0] == "g":
         return atom[2]
-    return 2 - atom[1] + sum(_atom_degree(a) for a in atom[2])
+    return 2 - atom[1] + sum(map(_atom_degree, atom[2]))
 
 
-def _koszul_sort(atoms: tuple) -> tuple[tuple | None, int]:
-    items = list(atoms)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if repr(items[j]) > repr(items[j + 1]):
-                if _atom_degree(items[j]) % 2 and _atom_degree(items[j + 1]) % 2:
-                    sign = -sign
-                items[j], items[j + 1] = items[j + 1], items[j]
-    for a, b in zip(items, items[1:]):
-        if a == b and _atom_degree(a) % 2:
-            return None, 0
-    return tuple(items), sign
+class _FormalBrackets:
+    """Uninterpreted brackets: each bracket of atoms is a new atom."""
 
-
-FormalElement = dict[tuple, Fraction]  # sorted atom tuples -> coefficient
-
-
-def _formal_mul(x: FormalElement, y: FormalElement) -> FormalElement:
-    products = (
-        (_koszul_sort(ma + mb), ca * cb) for ma, ca in x.items() for mb, cb in y.items()
-    )
-    out: FormalElement = {}
-    sparse.accumulate(
-        out, ((mono, c * sign) for (mono, sign), c in products if mono is not None)
-    )
-    return sparse.purge(out)
-
-
-def _formal_bracket(arity: int, args: tuple[tuple, ...]) -> FormalElement:
-    """Evaluate an uninterpreted bracket on formal monomial arguments."""
-    if any(len(a) == 0 for a in args):
-        return {}
-    split = next((k for k, a in enumerate(args) if len(a) > 1), None)
-    if split is None:
-        atoms = tuple(a[0] for a in args)
-        degrees = [_atom_degree(a) for a in atoms]
-        order = tuple(sorted(range(len(atoms)), key=lambda k: repr(atoms[k])))
-        canonical = tuple(atoms[k] for k in order)
-        if any(
-            x == y and _atom_degree(x) % 2 == 0
-            for x, y in zip(canonical, canonical[1:])
-        ):
+    @staticmethod
+    def value(n: int, atoms: tuple) -> dict:
+        canonical, order = _skew_sort(atoms, _atom_degree)
+        if canonical is None:
             return {}
-        sign = sign_odd(degrees, order)
-        return {(("B", arity, canonical),): sign}
-    if split != len(args) - 1:
-        sel = tuple(k for k in range(len(args)) if k != split) + (split,)
-        degrees = [sum(_atom_degree(a) for a in mono) for mono in args]
-        sign = sign_odd(degrees, sel)
-        rotated = _formal_bracket(arity, tuple(args[k] for k in sel))
-        return {m: sign * c for m, c in rotated.items()}
-    x, y = args[-1][:-1], args[-1][-1:]
-    dx = sum(_atom_degree(a) for a in x)
-    dy = _atom_degree(y[0])
-    total = _formal_mul(_formal_bracket(arity, args[:-1] + (x,)), {y: ONE})
-    swapped = _formal_mul(_formal_bracket(arity, args[:-1] + (y,)), {x: ONE})
-    sparse.accumulate(total, swapped.items(), -1 if dx * dy % 2 else 1)
-    return sparse.purge(total)
+        return {("B", n, canonical): sign_odd(list(map(_atom_degree, atoms)), order)}
 
 
-def _formal_linfax(m: int, args: tuple[tuple, ...]) -> FormalElement:
-    degrees = [sum(_atom_degree(a) for a in mono) for mono in args]
-    total: FormalElement = {}
-    for i in range(1, m + 1):
-        j = m + 1 - i
-        for sel in shuffles(i, j - 1):
-            sign = sign_odd(degrees, sel)
-            inner = _formal_bracket(i, tuple(args[k] for k in sel[:i]))
-            tail = tuple(args[k] for k in sel[i:])
-            for mono, cv in inner.items():
-                sparse.accumulate(total, _formal_bracket(j, (mono,) + tail).items(), sign * cv)
-    return sparse.purge(total)
+def _bracket_count(monomial: Monomial) -> int:
+    return sum(1 for atom in monomial if atom[0] == "B")
 
 
 def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool]:
@@ -524,35 +490,23 @@ def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool
     x = ("g", "x", degrees[0])
     y = ("g", "y", degrees[1])
     others = tuple((("g", f"s{k}", degrees[2 + k]),) for k in range(m - 1))
-    split_args = others + ((x, y),)
+    algebra = SuperSymAlgebra(_atom_degree)
+    ext = ExtendedFamily(_FormalBrackets, algebra)
 
     generated = 0
-    expansion = _formal_linfax(m, split_args)
-    for mono in _formal_linfax_terms(m, split_args):
-        if sum(1 for a in mono if a[0] == "B") >= 2:
-            generated += 1
-    surviving = sum(
-        1 for mono in expansion if sum(1 for a in mono if a[0] == "B") >= 2
-    )
+    expansion: SuperElement = {}
+    for _, c, outer in ext.axiom_terms(m, others + ((x, y),)):
+        generated += sum(1 for mono in outer if _bracket_count(mono) >= 2)
+        sparse.accumulate(expansion, outer.items(), c)
+    expansion = sparse.purge(expansion)
+    surviving = sum(1 for mono in expansion if _bracket_count(mono) >= 2)
 
-    reference = _formal_mul(_formal_linfax(m, others + ((x,),)), {(y,): ONE})
-    swapped = _formal_mul(_formal_linfax(m, others + ((y,),)), {(x,): ONE})
+    reference = algebra.mul(ext.residual(m, others + ((x,),)), {(y,): ONE})
+    swapped = algebra.mul(ext.residual(m, others + ((y,),)), {(x,): ONE})
     sign = -1 if degrees[0] * degrees[1] % 2 else 1
     sparse.accumulate(reference, swapped.items(), sign)
     identity_ok = sparse.purge(reference) == expansion
     return generated, surviving, identity_ok
-
-
-def _formal_linfax_terms(m: int, args: tuple[tuple, ...]):
-    """The individual monomials of the expansion before coefficients merge."""
-    for i in range(1, m + 1):
-        j = m + 1 - i
-        for sel in shuffles(i, j - 1):
-            inner = _formal_bracket(i, tuple(args[k] for k in sel[:i]))
-            tail = tuple(args[k] for k in sel[i:])
-            for mono, cv in inner.items():
-                for out in _formal_bracket(j, (mono,) + tail):
-                    yield out
 
 
 # ---------------------------------------------------------------------------
@@ -577,114 +531,53 @@ def solve_homotopy_bracket(
     partial = MultiBracketFamily(basis, {1: d_table, 2: b2_table})
 
     # unknown coordinates: canonical triples not forced to zero, one unknown
-    # per target generator of the right degree
+    # per target generator of the right degree.  The ternary bracket sends a
+    # triple to its unknowns, each tagged with its column.
     unknowns: list[tuple[tuple[int, int, int], int]] = []
+    b3_table: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for triple in itertools.combinations_with_replacement(range(ngen), 3):
-        if partial._forced_zero(triple):
+        if _vanishes(triple, basis.degree):
             continue
-        want = sum(basis.degrees[a] for a in triple) - 1
+        want = sum(map(basis.degree, triple)) - 1
         for target in range(ngen):
-            if basis.degrees[target] == want:
+            if basis.degree(target) == want:
+                b3_table.setdefault(triple, {})[(target, len(unknowns))] = 1
                 unknowns.append((triple, target))
-    col = {key: k for k, key in enumerate(unknowns)}
+    const = len(unknowns)  # the column of the constant term
 
-    def residual_rows(m: int, args: tuple[int, ...]):
-        """Rows of the affine residual: (coeff per unknown..., constant) per target."""
-        degrees = [basis.degrees[a] for a in args]
-        rows: dict[int, list[Fraction]] = {}
+    def bracket(n: int, tagged: tuple[tuple[int, int], ...]) -> dict:
+        """The n-ary bracket on (generator, column) arguments.
 
-        def row_for(target) -> list[Fraction]:
-            return rows.setdefault(target, [ZERO] * (len(unknowns) + 1))
+        A term holds at most one ternary bracket through m=4, so every
+        argument of the ternary one is constant, and the column of a term is
+        its one unknown column, which lies below ``const``, if it has one.
+        """
+        gens = tuple(g for g, _ in tagged)
+        if n == 3:
+            return _skew_lookup(b3_table, gens, basis.degree)
+        col = min(col for _, col in tagged)
+        return {(w, col): c for w, c in partial.value(n, gens).items()}
 
-        def b3_value(args3) -> list[tuple[int, Fraction, int]]:
-            # symbolic: [(column, coefficient, target)] for the ternary bracket
-            sorted3 = tuple(sorted(args3))
-            if partial._forced_zero(sorted3):
-                return []
-            order = tuple(sorted(range(3), key=lambda k: args3[k]))
-            sign = sign_odd([basis.degrees[a] for a in args3], order)
-            out = []
-            for (triple, target), k in col.items():
-                if triple == sorted3:
-                    out.append((k, Fraction(sign), target))
-            return out
+    rows: list[dict[int, Fraction]] = []
+    for m in (3, 4) if enforce_m4 else (3,):
+        for args in itertools.combinations_with_replacement(range(ngen), m):
+            by_target: dict[int, dict[int, Fraction]] = {}
+            degrees = list(map(basis.degree, args))
+            tagged = tuple((a, const) for a in args)
+            for _, c, outer in _axiom_terms(m, tagged, degrees, bracket):
+                for (w, col), cw in outer.items():
+                    row = by_target.setdefault(w, {})
+                    row[col] = row.get(col, 0) + c * cw
+            rows.extend(filter(None, map(sparse.purge, by_target.values())))
 
-        for i in (1, 2, 3):
-            j = 4 - i
-            for sel in shuffles(i, j - 1):
-                sign = sign_odd(degrees, sel)
-                picked = tuple(args[k] for k in sel[:i])
-                tail = tuple(args[k] for k in sel[i:])
-                if i == 3:
-                    # d of the unknown bracket
-                    for k, coeff, target in b3_value(picked):
-                        for w, cw in partial.value(1, (target,)).items():
-                            row_for(w)[k] += sign * coeff * cw
-                elif i == 1 or i == 2:
-                    inner = partial.value(i, picked)
-                    if j == 3:
-                        for v, cv in inner.items():
-                            for k, coeff, target in b3_value((v,) + tail):
-                                row_for(target)[k] += sign * cv * coeff
-                    else:
-                        for v, cv in inner.items():
-                            for w, cw in partial.value(j, (v,) + tail).items():
-                                row_for(w)[-1] += sign * cv * cw
-        return rows.values()
-
-    def residual_rows_m4(args: tuple[int, ...]):
-        degrees = [basis.degrees[a] for a in args]
-        rows: dict[int, list[Fraction]] = {}
-
-        def row_for(target) -> list[Fraction]:
-            return rows.setdefault(target, [ZERO] * (len(unknowns) + 1))
-
-        def b3_value(args3):
-            sorted3 = tuple(sorted(args3))
-            if partial._forced_zero(sorted3):
-                return []
-            order = tuple(sorted(range(3), key=lambda k: args3[k]))
-            sign = sign_odd([basis.degrees[a] for a in args3], order)
-            return [
-                (k, Fraction(sign), target)
-                for (triple, target), k in col.items()
-                if triple == sorted3
-            ]
-
-        for i, j in ((2, 3), (3, 2)):
-            for sel in shuffles(i, j - 1):
-                sign = sign_odd(degrees, sel)
-                picked = tuple(args[k] for k in sel[:i])
-                tail = tuple(args[k] for k in sel[i:])
-                if i == 2:
-                    for v, cv in partial.value(2, picked).items():
-                        for k, coeff, target in b3_value((v,) + tail):
-                            row_for(target)[k] += sign * cv * coeff
-                else:
-                    for k, coeff, target in b3_value(picked):
-                        for w, cw in partial.value(2, (target,) + tail).items():
-                            row_for(w)[k] += sign * coeff * cw
-        return rows.values()
-
-    system: list[list[Fraction]] = []
-    for args in itertools.combinations_with_replacement(range(ngen), 3):
-        system.extend(residual_rows(3, args))
-    if enforce_m4:
-        for args in itertools.combinations_with_replacement(range(ngen), 4):
-            system.extend(residual_rows_m4(args))
-
-    width = len(unknowns) + 1
-    reduced = rref([row for row in system if any(row)], width)
-    if width - 1 in reduced.pivot_cols:
+    reduced = rref(rows, const + 1)
+    if const in reduced.pivot_cols:
         return None  # inconsistent: the defect is not exact
-    solution = [ZERO] * len(unknowns)
-    for prow, pcol in zip(reduced.rows, reduced.pivot_cols):
-        solution[pcol] = -prow[-1]  # free coordinates stay zero
-
     b3: dict[tuple[int, ...], Element] = {}
-    for (triple, target), k in col.items():
-        if solution[k]:
-            b3.setdefault(triple, {})[target] = solution[k]
+    for pcol, prow in zip(reduced.pivot_cols, reduced.sparse_rows):
+        if const in prow:  # free coordinates stay zero
+            triple, target = unknowns[pcol]
+            b3.setdefault(triple, {})[target] = -prow[const]
     return MultiBracketFamily(basis, {1: d_table, 2: b2_table, 3: b3})
 
 

@@ -63,6 +63,12 @@ class TestHarness:
             job.param("kind")
         assert job.param("kind", "cybe") == "cybe"
 
+    def test_undeclared_input_or_param_rejected(self):
+        with pytest.raises(ValueError, match="declares no param named 'sede'"):
+            run_suite(JobSpec((Job("cae-random", params=(("sede", "3"),)),)))
+        with pytest.raises(ValueError, match="declares no input named 'seed'"):
+            run_suite(JobSpec((Job("cae-random", inputs=(("seed", "3"),)),)))
+
     def test_default_suite_passes(self):
         report = run_suite(default_suite())
         assert report.passed
@@ -376,6 +382,13 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert message in captured.err
         assert "not in list" not in captured.err
+        # the other types take no weights at all
+        for type_ in ("path", "preprojective"):
+            argv = ["quiver", "build", "--quiver", path, "--type", type_, "--cap", "2"]
+            assert main(argv + ["--weights", weights]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"weights apply only to deformed, not to {type_}" in captured.err
 
 
 class TestCliCommands:

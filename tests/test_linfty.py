@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg import sparse
+from ybalg import io, sparse
 from ybalg.algebras import TruncationOverflow
 from ybalg.linfty import (
     CONVENTIONS,
@@ -225,28 +225,28 @@ class TestAxiomResiduals:
 
 class TestSuperSymAlgebra:
     def test_even_generators_commute(self):
-        alg = SuperSymAlgebra(GradedBasis(("a", "b"), (0, 0)), 3)
+        alg = SuperSymAlgebra(GradedBasis(("a", "b"), (0, 0)).degree, 3)
         assert alg.mul({(1,): ONE}, {(0,): ONE}) == {(0, 1): ONE}
 
     def test_odd_generators_anticommute(self):
-        alg = SuperSymAlgebra(GradedBasis(("u", "v"), (1, 1)), 3)
+        alg = SuperSymAlgebra(GradedBasis(("u", "v"), (1, 1)).degree, 3)
         assert alg.mul({(1,): ONE}, {(0,): ONE}) == {(0, 1): -ONE}
 
     def test_odd_square_vanishes(self):
-        alg = SuperSymAlgebra(GradedBasis(("u",), (1,)), 3)
+        alg = SuperSymAlgebra(GradedBasis(("u",), (1,)).degree, 3)
         assert alg.mul({(0,): ONE}, {(0,): ONE}) == {}
 
     def test_even_square_survives(self):
-        alg = SuperSymAlgebra(GradedBasis(("a",), (0,)), 3)
+        alg = SuperSymAlgebra(GradedBasis(("a",), (0,)).degree, 3)
         assert alg.mul({(0,): ONE}, {(0,): ONE}) == {(0, 0): ONE}
 
     def test_cap_overflow_raises(self):
-        alg = SuperSymAlgebra(GradedBasis(("a",), (0,)), 2)
+        alg = SuperSymAlgebra(GradedBasis(("a",), (0,)).degree, 2)
         with pytest.raises(TruncationOverflow):
             alg.mul_word((0, 0), (0,))
 
     def test_koszul_sign_of_a_longer_sort(self):
-        alg = SuperSymAlgebra(GradedBasis(("u", "v", "w"), (1, 1, 1)), 3)
+        alg = SuperSymAlgebra(GradedBasis(("u", "v", "w"), (1, 1, 1)).degree, 3)
         word, sign = alg.sort_word((2, 1, 0))
         assert word == (0, 1, 2) and sign == -1
 
@@ -255,7 +255,7 @@ class TestExtension:
     def test_unary_extension_is_an_odd_derivation(self):
         # d(ab) = d(a) b + (-1)^{|a|} a d(b) on the cone's even generators
         cone = cone_fixture()
-        alg = SuperSymAlgebra(cone.basis, 3)
+        alg = SuperSymAlgebra(cone.basis.degree, 3)
         ext = ExtendedFamily(cone, alg)
         out = ext.value(1, (alg.sort_word((3, 4))[0],))  # d(ye yf)
         # d(ye.yf) = xe.yf + (-1)^{|ye|} ye.xf = xe.yf - ye.xf; sorted words
@@ -263,19 +263,19 @@ class TestExtension:
 
     def test_unit_argument_gives_zero(self):
         cone = cone_fixture()
-        ext = ExtendedFamily(cone, SuperSymAlgebra(cone.basis, 3))
+        ext = ExtendedFamily(cone, SuperSymAlgebra(cone.basis.degree, 3))
         assert ext.value(2, ((), (0,))) == {}
 
     def test_binary_extension_leibniz_in_last_slot(self):
         fam = sl2_family()
-        alg = SuperSymAlgebra(fam.basis, 3)
+        alg = SuperSymAlgebra(fam.basis.degree, 3)
         ext = ExtendedFamily(fam, alg)
         # {e, f h} = {e, f} h + {e, h} f = h.h - 2 e.f
         assert ext.value(2, ((0,), (1, 2))) == {(2, 2): ONE, (0, 1): -TWO}
 
     def test_rotation_matches_direct_slot_rule(self):
         fam = sl2_family()
-        alg = SuperSymAlgebra(fam.basis, 3)
+        alg = SuperSymAlgebra(fam.basis.degree, 3)
         ext = ExtendedFamily(fam, alg)
         # {f h, e} = -{e, f h} for three even generators
         forward = ext.value(2, ((0,), (1, 2)))
@@ -284,7 +284,7 @@ class TestExtension:
 
     def test_extension_residual_vanishes_on_products(self):
         cone = cone_fixture()
-        alg = SuperSymAlgebra(cone.basis, 3)
+        alg = SuperSymAlgebra(cone.basis.degree, 3)
         ext = ExtendedFamily(cone, alg)
         for pair in ((0, 3), (3, 4), (0, 1)):
             word, _ = alg.sort_word(pair)
@@ -296,11 +296,15 @@ class TestExtension:
 
 class TestCancellationAudit:
     def test_every_small_degree_pattern_closes(self):
-        for m in (1, 2, 3):
+        totals = {}
+        for m in (1, 2, 3, 4):
+            totals[m] = 0
             for degs in itertools.product((0, 1), repeat=m + 1):
                 generated, surviving, ok = audit_cancellation(m, degs)
                 assert ok, (m, degs)
                 assert surviving == 0, (m, degs)
+                totals[m] += generated
+        assert totals == {1: 8, 2: 32, 3: 128, 4: 512}
 
     def test_cross_terms_are_actually_generated(self):
         generated, surviving, ok = audit_cancellation(2, (0, 0, 0))
@@ -353,6 +357,28 @@ class TestHomotopyFixture:
         fam = homotopy_fixture()
         solved = solve_homotopy_bracket(fam.basis, fam.ops[1], fam.ops[2])
         assert solved is not None and solved.ops[3] == fam.ops[3]
+
+    def test_solved_fixtures_dump_to_pinned_text(self):
+        assert io.dump_linfty_family(homotopy_fixture()) == (
+            "ybalg schema/1 linfty-family\n"
+            "labels: a b u v\n"
+            "degrees: 0 0 1 1\n"
+            "op 1: 0 -> 2:1\n"
+            "op 1: 1 -> 3:1\n"
+            "op 2: 0,2 -> 2:-1 3:-1\n"
+            "op 2: 1,3 -> 3:-1\n"
+            "op 3: 0,2,3 -> 3:1\n"
+        )
+        assert io.dump_linfty_family(three_generator_fixture()) == (
+            "ybalg schema/1 linfty-family\n"
+            "labels: a b u\n"
+            "degrees: 0 0 1\n"
+            "op 1: 0 -> 2:1\n"
+            "op 1: 1 -> 2:1\n"
+            "op 2: 0,1 -> 0:1\n"
+            "op 2: 0,2 -> 2:1\n"
+            "op 3: 0,1,2 -> 1:-1\n"
+        )
 
     def test_three_generator_fixture_has_all_three_operations(self):
         fam = three_generator_fixture()
