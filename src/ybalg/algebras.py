@@ -6,24 +6,24 @@ Elements are sparse vectors ``{basis_index: Fraction}`` of
 
 * ``"quotient"`` — products beyond the cap are genuinely zero (the algebra is
   the intended quotient, like a truncated polynomial ring);
-* ``"window"`` — products beyond the cap are *unknown*; using one raises
-  :class:`TruncationOverflow` so checks can flag the triple instead of
-  silently treating it as zero.
+* ``"window"`` — products beyond the cap are *unknown* where ``unknown``
+  holds; using one raises :class:`TruncationOverflow` so checks can flag
+  the triple instead of silently treating it as zero.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import sparse
 from .linalg import rref
 from .sparse import ONE
 
 Element = dict[int, Fraction]
-
-_OVERFLOW = object()
 
 
 class TruncationOverflow(Exception):
@@ -33,24 +33,26 @@ class TruncationOverflow(Exception):
 class TruncatedAlgebra:
     """An algebra with a finite labeled basis and exact structure constants.
 
-    ``table[(i, j)]`` holds the product of basis elements ``i`` and ``j`` as a
-    sparse element, or the overflow marker in window mode.  Missing keys mean
-    the product is zero.  ``factorizations[i]`` optionally records a peeling
-    ``i = generator * rest`` used by derivation-style bracket extensions;
-    atoms (generators, idempotents, the unit) have ``None`` there.
+    ``table[(i, j)]`` holds the product of basis elements ``i`` and ``j``
+    inside the cap as a sparse element.  A missing key means zero unless
+    :meth:`overflows` holds (``unknown=None`` means every pair).
+    ``factorizations[i]`` optionally records a peeling ``i = generator *
+    rest`` used by derivation-style bracket extensions; atoms (generators,
+    idempotents, the unit) have ``None`` there.
     """
 
     def __init__(
         self,
         labels: list[str],
         degrees: list[int],
-        table: dict[tuple[int, int], Element | object],
+        table: dict[tuple[int, int], Element],
         unit: Element,
         mode: str,
         cap: int,
         idempotents: list[int] | None = None,
         factorizations: list[tuple[int, Element] | None] | None = None,
         info: dict | None = None,
+        unknown: Callable[[int, int], bool] | None = None,
     ):
         if mode not in ("quotient", "window"):
             raise ValueError("mode must be 'quotient' or 'window'")
@@ -63,6 +65,7 @@ class TruncatedAlgebra:
         self.idempotents = idempotents
         self.factorizations = factorizations
         self.info = info or {}
+        self.unknown = unknown
 
     @property
     def nbasis(self) -> int:
@@ -74,13 +77,22 @@ class TruncatedAlgebra:
     def element(self, label: str) -> Element:
         return {self.index(label): ONE}
 
+    def overflows(self, i: int, j: int) -> bool:
+        return (
+            self.mode == "window"
+            and self.degrees[i] + self.degrees[j] > self.cap
+            and (self.unknown is None or self.unknown(i, j))
+        )
+
     def mul_basis(self, i: int, j: int) -> Element:
-        value = self.table.get((i, j), {})
-        if value is _OVERFLOW:
+        value = self.table.get((i, j))
+        if value is not None:
+            return value
+        if self.overflows(i, j):
             raise TruncationOverflow(
                 f"product {self.labels[i]} * {self.labels[j]} leaves the window"
             )
-        return value
+        return {}
 
     def mul(self, x: Element, y: Element) -> Element:
         return sparse.structure_product(x, y, self.mul_basis)
@@ -106,32 +118,16 @@ class TruncatedAlgebra:
                         return False, (i, j, k), skipped
         return True, None, skipped
 
-    def format_element(self, x: Element) -> str:
-        if not x:
-            return "0"
-        bits = []
-        for idx in sorted(x):
-            bits.append(f"{x[idx]}*{self.labels[idx]}")
-        return " + ".join(bits)
 
+def _build_table(degrees, raw_product, cap):
+    """Tabulate the nonzero products of the pairs inside the cap.
 
-def _build_table(labels, degrees, raw_product, cap, mode, structural_zero=None):
-    """Tabulate products given a callback for in-cap pairs.
-
-    Out-of-cap pairs are zero in quotient mode and overflow in window mode,
-    except where ``structural_zero`` certifies the product vanishes for
-    reasons independent of the truncation (e.g. path endpoint mismatch).
+    Degrees ascend along every basis built here, so the partners of ``i``
+    inside the cap are a prefix of the basis, found by bisection.
     """
-    table: dict[tuple[int, int], Element | object] = {}
-    n = len(labels)
-    for i in range(n):
-        for j in range(n):
-            if degrees[i] + degrees[j] > cap:
-                if mode == "window" and not (
-                    structural_zero is not None and structural_zero(i, j)
-                ):
-                    table[(i, j)] = _OVERFLOW
-                continue
+    table: dict[tuple[int, int], Element] = {}
+    for i, degree in enumerate(degrees):
+        for j in range(bisect_right(degrees, cap - degree)):
             prod = raw_product(i, j)
             if prod:
                 table[(i, j)] = prod
@@ -148,7 +144,7 @@ def polynomial_quotient_algebra(n: int) -> TruncatedAlgebra:
     labels = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, n)]
     degrees = list(range(n))
     raw = lambda i, j: {i + j: ONE}
-    table = _build_table(labels, degrees, raw, n - 1, "quotient")
+    table = _build_table(degrees, raw, n - 1)
     factorizations: list[tuple[int, Element] | None] = [None, None]
     factorizations += [(1, {k - 1: ONE}) for k in range(2, n)]
     return TruncatedAlgebra(
@@ -172,7 +168,7 @@ def free_algebra(dim: int, cap: int, mode: str = "window") -> TruncatedAlgebra:
     degrees = [len(w) for w in basis_words]
     index = {w: k for k, w in enumerate(basis_words)}
     raw = lambda i, j: {index[basis_words[i] + basis_words[j]]: ONE}
-    table = _build_table(labels, degrees, raw, cap, mode)
+    table = _build_table(degrees, raw, cap)
     factorizations: list[tuple[int, Element] | None] = []
     for w in basis_words:
         if len(w) <= 1:
@@ -288,16 +284,14 @@ def path_algebra(q: Quiver, cap: int, mode: str = "window") -> TruncatedAlgebra:
     degrees = [len(p[2]) for p in paths]
     index = {p: k for k, p in enumerate(paths)}
 
+    def meet(i, j):
+        return paths[i][1] == paths[j][0]
+
     def raw(i, j):
         pi, pj = paths[i], paths[j]
-        if pi[1] != pj[0]:
-            return {}
-        return {index[(pi[0], pj[1], pi[2] + pj[2])]: ONE}
+        return {index[(pi[0], pj[1], pi[2] + pj[2])]: ONE} if meet(i, j) else {}
 
-    def mismatch(i, j):
-        return paths[i][1] != paths[j][0]
-
-    table = _build_table(labels, degrees, raw, cap, mode, structural_zero=mismatch)
+    table = _build_table(degrees, raw, cap)
     unit = {k: ONE for k, p in enumerate(paths) if not p[2]}
     factorizations: list[tuple[int, Element] | None] = []
     for ini, ter, edges in paths:
@@ -317,6 +311,7 @@ def path_algebra(q: Quiver, cap: int, mode: str = "window") -> TruncatedAlgebra:
         idempotents=[k for k, p in enumerate(paths) if not p[2]],
         factorizations=factorizations,
         info={"kind": "path", "quiver": q},
+        unknown=meet,
     )
 
 
@@ -349,18 +344,12 @@ def quotient_algebra(
     Only products inside the cap are taken; the quotient is a window.
     """
     n = parent.nbasis
-    span_rows = []
-    for p in range(n):
-        for s in range(n):
-            if (
-                parent.degrees[p] + relation_degree_span + parent.degrees[s]
-                > parent.cap
-            ):
-                continue
-            prod = parent.mul(parent.mul({p: ONE}, relation), {s: ONE})
-            if prod:
-                span_rows.append(prod)
-    reduced = rref(span_rows, n)
+    span = _build_table(
+        parent.degrees,
+        lambda p, s: parent.mul(parent.mul({p: ONE}, relation), {s: ONE}),
+        parent.cap - relation_degree_span,
+    )
+    reduced = rref(list(span.values()), n)
     reps = reduced.free_cols()
     rep_pos = {col: k for k, col in enumerate(reps)}
 
@@ -373,16 +362,11 @@ def quotient_algebra(
     homogeneous = (
         len({parent.degrees[i] for i in relation}) <= 1 if relation else True
     )
-
-    table: dict[tuple[int, int], Element | object] = {}
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            if degrees[i] + degrees[j] > parent.cap:
-                table[(i, j)] = _OVERFLOW
-                continue
-            value = reduce_to_quotient(parent.mul_basis(reps[i], reps[j]))
-            if value:
-                table[(i, j)] = value
+    table = _build_table(
+        degrees,
+        lambda i, j: reduce_to_quotient(parent.mul_basis(reps[i], reps[j])),
+        parent.cap,
+    )
 
     dims: dict[int, int] = {}
     for d in degrees:
@@ -405,12 +389,10 @@ def quotient_algebra(
 
 
 def _doubled_path_algebra(q: Quiver, cap: int) -> TruncatedAlgebra:
-    """The doubled path algebra, in quotient mode: the quotient multiplies
-    only inside the cap, so a window's per-pair overflow markers would go
-    unread.  Caps below 2, the relation's degree, are refused."""
+    """The doubled path algebra; caps below 2, the relation's degree, are refused."""
     if cap < 2:
         raise ValueError(f"cap={cap} is below 2, the degree of the preprojective relation")
-    return path_algebra(double_quiver(q), cap, mode="quotient")
+    return path_algebra(double_quiver(q), cap)
 
 
 def preprojective_algebra(q: Quiver, cap: int) -> TruncatedAlgebra:

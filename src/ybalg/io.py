@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .algebras import TruncatedAlgebra, _OVERFLOW
+from .algebras import TruncatedAlgebra
 from .linfty import GradedBasis, MultiBracketFamily
 from .sparse import Scalar, frac
 from .tensoralg import TensorMap, Word
@@ -228,7 +228,8 @@ def _parse_structure_constants(lines: _Lines):
             raise SchemaError("one degree per label is required", path, n_deg)
     else:
         degrees = [0] * len(labels)
-    table: dict[tuple[int, int], dict[int, Fraction] | object] = {}
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    marked: dict[tuple[int, int], int] = {}  # overflow marker -> its line
     for number, key, value in fields:
         if key != "table":
             continue
@@ -242,31 +243,35 @@ def _parse_structure_constants(lines: _Lines):
         j = _int(parts[1], path, number)
         if not (0 <= i < len(labels) and 0 <= j < len(labels)):
             raise SchemaError("table index out of range", path, number)
-        if (i, j) in table:
+        if (i, j) in table or (i, j) in marked:
             raise SchemaError(f"duplicate table pair ({i}, {j})", path, number)
         element_text = element_text.strip()
         if element_text == "!overflow":
-            table[(i, j)] = _OVERFLOW
+            marked[(i, j)] = number
         else:
             element = _element(element_text.split(), path, number)
             if any(k < 0 or k >= len(labels) for k in element):
                 raise SchemaError("element index out of range", path, number)
             table[(i, j)] = element
     if flavor == "lie":
-        for (i, j), value in table.items():
-            if value is _OVERFLOW:
-                raise SchemaError("a Lie table cannot hold overflow markers", path)
+        if marked:
+            raise SchemaError("a Lie table cannot hold overflow markers", path, min(marked.values()))
         return LieStructure(tuple(labels), table, degrees=tuple(degrees))
     _, mode = _single(fields, "mode", path, default="quotient", required=False)
     if mode not in ("quotient", "window"):
         raise SchemaError(f"mode must be 'quotient' or 'window', got {mode!r}", path)
     n_cap, cap_text = _single(fields, "cap", path, default="0", required=False)
     cap = _int(cap_text, path, n_cap or 0)
+    for (i, j), number in marked.items():
+        if mode != "window" or degrees[i] + degrees[j] <= cap:
+            raise SchemaError("an overflow marker needs a window pair past the cap", path, number)
     n_unit, unit_text = _single(fields, "unit", path, default="", required=False)
     unit = _element(unit_text.split(), path, n_unit or 0) if unit_text else {}
     if any(k < 0 or k >= len(labels) for k in unit):
         raise SchemaError("unit index out of range", path, n_unit)
-    return TruncatedAlgebra(labels, degrees, table, unit, mode=mode, cap=cap)
+    return TruncatedAlgebra(
+        labels, degrees, table, unit, mode=mode, cap=cap, unknown=lambda i, j: (i, j) in marked
+    )
 
 
 def dump_lie_structure(g: LieStructure) -> str:
@@ -292,11 +297,13 @@ def dump_associative_algebra(algebra: TruncatedAlgebra) -> str:
     ]
     if algebra.unit:
         out.append(f"unit: {_element_str(algebra.unit)}")
-    for (i, j), value in sorted(algebra.table.items()):
-        if value is _OVERFLOW:
-            out.append(f"table: {i} {j} -> !overflow")
-        elif value:
-            out.append(f"table: {i} {j} -> {_element_str(value)}")
+    for i in range(algebra.nbasis):
+        for j in range(algebra.nbasis):
+            value = algebra.table.get((i, j))
+            if value:
+                out.append(f"table: {i} {j} -> {_element_str(value)}")
+            elif value is None and algebra.overflows(i, j):
+                out.append(f"table: {i} {j} -> !overflow")
     return "\n".join(out) + "\n"
 
 

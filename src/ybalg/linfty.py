@@ -518,7 +518,6 @@ def solve_homotopy_bracket(
     basis: GradedBasis,
     d_table: dict[tuple[int, ...], Element],
     b2_table: dict[tuple[int, ...], Element],
-    enforce_m4: bool = True,
 ) -> MultiBracketFamily | None:
     """Find a ternary bracket making (d, {,}, {,,}) satisfy the axioms.
 
@@ -559,7 +558,7 @@ def solve_homotopy_bracket(
         return {(w, col): c for w, c in partial.value(n, gens).items()}
 
     rows: list[dict[int, Fraction]] = []
-    for m in (3, 4) if enforce_m4 else (3,):
+    for m in (3, 4):
         for args in itertools.combinations_with_replacement(range(ngen), m):
             by_target: dict[int, dict[int, Fraction]] = {}
             degrees = list(map(basis.degree, args))

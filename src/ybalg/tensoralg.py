@@ -296,6 +296,8 @@ class TensorMap:
         cod_deg: int,
         entries: Mapping[tuple[Word, Word], Scalar] | None = None,
     ):
+        if {type(dim), type(dom_deg), type(cod_deg)} != {int}:
+            raise TypeError("dim and degrees must be int")
         self.dim = dim
         self.dom_deg = dom_deg
         self.cod_deg = cod_deg

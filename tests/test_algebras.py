@@ -1,5 +1,7 @@
 """Truncated algebras: structure constants, quotients, and the window policy."""
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from ybalg.algebras import (
     preprojective_relation,
     structural_primeness_report,
 )
+from ybalg.double import two_cycle_symplectic_bracket
+from ybalg.ybe_infty import matrix_algebra
 
 ONE = Fraction(1)
 
@@ -177,3 +181,89 @@ class TestPreprojective:
             one_arrow(), {"1": Fraction(1), "2": Fraction(-1)}, 2
         )
         assert A.info["relation_rank"] > 0
+
+
+def two_loops():
+    return Quiver(("v",), (("a", "v", "v"), ("b", "v", "v")))
+
+
+def ends_meet(A, i, j):
+    """Whether path ``i`` ends where path ``j`` starts, read off the
+    idempotents' in-cap products; every pair meets without idempotents."""
+    if A.idempotents is None:
+        return True
+    return any(A.mul_basis(i, e) and A.mul_basis(e, j) for e in A.idempotents)
+
+
+def products_digest(A):
+    """A digest of every product that does not overflow."""
+    rows = []
+    for i in range(A.nbasis):
+        for j in range(A.nbasis):
+            try:
+                rows.append(f"{i} {j} {sorted(A.mul_basis(i, j).items())}")
+            except TruncationOverflow:
+                pass
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+
+
+PATH_DIGEST = "611820fd38c1e3a5"
+
+
+class TestWindowRule:
+    """Window algebras raise exactly on the pairs past the cap whose ends
+    meet, and every other product keeps its value."""
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: free_algebra(2, 2), "0504edd4ff9c9d42"),
+            (lambda: path_algebra(double_quiver(one_arrow()), 3), PATH_DIGEST),
+            (lambda: two_cycle_symplectic_bracket(3).algebra, PATH_DIGEST),
+            (lambda: preprojective_algebra(two_loops(), 4), "cfe26b8370353e6c"),
+        ],
+        ids=["free", "path", "symplectic", "preprojective"],
+    )
+    def test_every_pair(self, build, digest):
+        A = build()
+        assert A.mode == "window"
+        for i in range(A.nbasis):
+            for j in range(A.nbasis):
+                past = A.degrees[i] + A.degrees[j] > A.cap
+                if past and ends_meet(A, i, j):
+                    with pytest.raises(TruncationOverflow):
+                        A.mul_basis(i, j)
+                else:
+                    A.mul_basis(i, j)
+        assert products_digest(A) == digest
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: polynomial_quotient_algebra(5),
+            lambda: free_algebra(2, 3),
+            lambda: free_algebra(2, 3, mode="quotient"),
+            lambda: path_algebra(double_quiver(one_arrow()), 3),
+            lambda: path_algebra(one_loop(), 3, mode="quotient"),
+            lambda: preprojective_algebra(two_loops(), 4),
+            lambda: deformed_preprojective_algebra(one_arrow(), {"1": ONE, "2": -ONE}, 3),
+            lambda: two_cycle_symplectic_bracket(3).algebra,
+            lambda: matrix_algebra(2),
+        ],
+        ids=[
+            "polynomial", "free", "free-quotient", "path", "path-quotient",
+            "preprojective", "deformed", "symplectic", "matrix",
+        ],
+    )
+    def test_no_table_key_past_the_cap(self, build):
+        A = build()
+        assert all(A.degrees[i] + A.degrees[j] <= A.cap for i, j in A.table)
+
+    def test_preprojective_build_traces_under_three_mib(self):
+        tracemalloc.start()
+        try:
+            preprojective_algebra(two_loops(), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

@@ -469,6 +469,16 @@ class TestCliCommands:
         assert main(["double", "almcybe", "--algebra", algebra_path, "--bracket", bracket_path]) == 0
         assert "one-sided multiplication" in capsys.readouterr().out
 
+    def test_double_verify_refuses_a_marker_in_a_quotient(self, tmp_path, capsys):
+        text = io.dump_associative_algebra(polynomial_quotient_algebra(2))
+        algebra_path = write(tmp_path, "alg.txt", text + "table: 1 1 -> !overflow\n")
+        db = one_variable_lambda_bracket(2, Fraction(1))
+        bracket_path = write(tmp_path, "br.txt", io.dump_tensor_map(db.to_tensor_map()))
+        assert main(["double", "verify", "--algebra", algebra_path, "--bracket", bracket_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alg.txt:11: an overflow marker needs a window pair past the cap" in captured.err
+
     def test_operad_classify_pass_and_fail(self, tmp_path, capsys):
         jac = write(
             tmp_path, "jac.txt", io.dump_relation_vectors([operad.jacobi_vector()])

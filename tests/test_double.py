@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ybalg import sparse
 from ybalg.algebras import (
-    _OVERFLOW,
     Quiver,
     TruncatedAlgebra,
     TruncationOverflow,
@@ -345,9 +344,7 @@ def _verdict(check, *args):
 def _doubled_products(db):
     """The bracket over a copy of its algebra whose products are doubled."""
     A = db.algebra
-    table = {
-        key: val if val is _OVERFLOW else sparse.scale(val, 2) for key, val in A.table.items()
-    }
+    table = {key: sparse.scale(val, 2) for key, val in A.table.items()}
     return DoubleBracket(TruncatedAlgebra(A.labels, A.degrees, table, A.unit, A.mode, A.cap), db.table)
 
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from ybalg import io
-from ybalg.algebras import Quiver, free_algebra, polynomial_quotient_algebra
+from ybalg.algebras import (
+    Quiver,
+    TruncationOverflow,
+    double_quiver,
+    free_algebra,
+    path_algebra,
+    polynomial_quotient_algebra,
+)
 from ybalg.fixtures import diagonal_unitary_qybe_solution, random_skew_map
 from ybalg.linfty import homotopy_fixture
 from ybalg.tensoralg import TensorMap
@@ -61,6 +68,21 @@ class TestRoundTrips:
         assert back.cap == 1
         assert io.dump_associative_algebra(back) == text
 
+    def test_two_vertex_path_window(self):
+        algebra = path_algebra(double_quiver(Quiver(("1", "2"), (("a", "1", "2"),))), 3)
+        text = io.dump_associative_algebra(algebra)
+        back = io.parse_text(text)
+        assert io.dump_associative_algebra(back) == text
+        for i in range(algebra.nbasis):
+            for j in range(algebra.nbasis):
+                try:
+                    expected = algebra.mul_basis(i, j)
+                except TruncationOverflow:
+                    with pytest.raises(TruncationOverflow):
+                        back.mul_basis(i, j)
+                else:
+                    assert back.mul_basis(i, j) == expected
+
     def test_matrix_algebra(self):
         algebra = matrix_algebra(2)
         back = io.parse_text(io.dump_associative_algebra(algebra))
@@ -105,6 +127,24 @@ def parse_err(text):
 class TestParseErrors:
     def test_missing_header(self):
         assert "missing header" in parse_err("dim: 2\n")
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "flavor: assoc\nlabels: 1 x\ndegrees: 0 1\nmode: quotient\ncap: 1\n",
+            "flavor: assoc\nlabels: 1 x\ndegrees: 0 1\nmode: window\ncap: 2\n",
+            "flavor: lie\nlabels: 1 x\ndegrees: 0 1\n",
+        ],
+        ids=["quotient", "inside-the-cap", "lie"],
+    )
+    def test_overflow_marker_off_a_window_past_the_cap(self, head):
+        text = (
+            "ybalg schema/1 structure-constants\n" + head
+            + "table: 0 1 -> 1:1\ntable: 1 1 -> !overflow\n"
+        )
+        msg = parse_err(text)
+        assert f"f.txt:{len(text.splitlines())}:" in msg
+        assert "overflow marker" in msg
 
     def test_unknown_kind(self):
         assert "unknown schema kind" in parse_err("ybalg schema/1 widget\n")

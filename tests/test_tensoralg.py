@@ -164,6 +164,14 @@ def test_degree_bookkeeping():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "args", [(3, 2, {((0, 0), (0, 0)): 1}), (Fraction(3), 2, 2), (3, "2", 2), (3, 2, 2.0)]
+)
+def test_dim_and_degrees_must_be_int(args):
+    with pytest.raises(TypeError, match="must be int"):
+        TensorMap(*args)
+
+
 def test_identity_and_swap():
     ident = TensorMap.identity(2, 2)
     tau = TensorMap.swap(2)
