@@ -354,8 +354,10 @@ def quotient_algebra(
     rep_pos = {col: k for k, col in enumerate(reps)}
 
     def reduce_to_quotient(element: Element) -> Element:
-        # the residual vanishes on every pivot column, so it lives on reps
-        return {rep_pos[c]: coeff for c, coeff in reduced.reduce(element).items()}
+        # the residual vanishes on every pivot column, so it lives on reps;
+        # reduce returns Fractions, integral ones included, so canonicalize
+        residual = sparse.purge(reduced.reduce(element))
+        return {rep_pos[c]: coeff for c, coeff in residual.items()}
 
     labels = [parent.labels[c] for c in reps]
     degrees = [parent.degrees[c] for c in reps]

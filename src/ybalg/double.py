@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from . import sparse
 from .algebras import Element, TruncatedAlgebra, TruncationOverflow
-from .sparse import ONE
-from .tensoralg import TensorMap, Word, embed_components, word_permute
-from .ybe import PRODUCTS, aybe_prime_residual, aybe_residual, cybe_residual, is_skew
+from .sparse import ONE, Terms
+from .tensoralg import TensorMap, Word, embed_components
+from .ybe import PRODUCTS, aybe_residual, is_skew
 
 Elt2 = dict[tuple[int, int], Fraction]  # sparse elements of A (x) A
 Elt3 = dict[tuple[int, int, int], Fraction]
@@ -46,18 +46,18 @@ def t2_swap(x: Elt2) -> Elt2:
     return {(l, k): c for (k, l), c in x.items()}
 
 
-def _mul_slot(algebra: TruncatedAlgebra, t: dict, slot: int, a: Element, side: str) -> dict:
-    """Multiply one tensor slot of a sparse tensor by an algebra element."""
-    out: dict = {}
+def _slot_terms(algebra: TruncatedAlgebra, t: dict, slot: int, b: int, side: str) -> Terms:
+    """Unsummed terms of ``t`` with slot ``slot`` multiplied by basis element ``b``
+    on ``side`` ("left": ``b x``), one ``mul_basis`` lookup per term."""
+    mul = algebra.mul_basis
+    left = side == "left"
     for key, coeff in t.items():
-        target = {key[slot]: ONE}
-        prod = algebra.mul(a, target) if side == "left" else algebra.mul(target, a)
-        sparse.accumulate(
-            out,
-            ((key[:slot] + (idx,) + key[slot + 1 :], c2) for idx, c2 in prod.items()),
-            coeff,
-        )
-    return sparse.purge(out)
+        x = key[slot]
+        prod = mul(b, x) if left else mul(x, b)
+        if prod:
+            head, tail = key[:slot], key[slot + 1 :]
+            for idx, c in prod.items():
+                yield head + (idx,) + tail, coeff * c
 
 
 class DoubleBracket:
@@ -83,13 +83,6 @@ class DoubleBracket:
         if (i, j) in self.overflow_pairs:
             raise TruncationOverflow(f"bracket value at pair {(i, j)} left the window")
         return self.table.get((i, j), {})
-
-    def value_el(self, x: Element, y: Element) -> Elt2:
-        total: Elt2 = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                sparse.accumulate(total, self.value(i, j).items(), ci * cj)
-        return sparse.purge(total)
 
     def integral_multiple(self) -> "DoubleBracket":
         """The bracket times the least common multiple of its denominators.
@@ -162,30 +155,26 @@ def extend_by_derivations(
         result: Elt2 | None = None
         for which in orders:
             if which == "second" and fact[j] is not None:
+                # {{i, g rest}} = (g (x) 1){{i, rest}} + {{i, g}}(1 (x) rest)
                 g, rest = fact[j]
-                inner = db_el(i, rest)
-                term1 = _mul_slot(algebra, inner, 0, {g: ONE}, "left")
-                term2: Elt2 = {}
-                for (k, l), coeff in db(i, g).items():
-                    for ridx, rc in rest.items():
-                        prod = algebra.mul({l: ONE}, {ridx: ONE})
-                        sparse.accumulate(
-                            term2, (((k, m), pc) for m, pc in prod.items()), coeff * rc
-                        )
-                result = sparse.add(term1, term2)
+                total: Elt2 = {}
+                sparse.accumulate(total, _slot_terms(algebra, db_el(i, rest), 0, g, "left"))
+                outer = db(i, g)
+                for ridx, rc in rest.items():
+                    sparse.accumulate(total, _slot_terms(algebra, outer, 1, ridx, "right"), rc)
+                result = sparse.purge(total)
                 break
             if which == "first" and fact[i] is not None:
+                # {{g rest, j}} = (1 (x) g){{rest, j}} + {{g, j}}(rest (x) 1)
                 g, rest = fact[i]
-                inner = db_el_first(rest, j)
-                term1 = _mul_slot(algebra, inner, 1, {g: ONE}, "left")
-                term2: Elt2 = {}
-                for (k, l), coeff in db(g, j).items():
-                    for ridx, rc in rest.items():
-                        prod = algebra.mul({k: ONE}, {ridx: ONE})
-                        sparse.accumulate(
-                            term2, (((m, l), pc) for m, pc in prod.items()), coeff * rc
-                        )
-                result = sparse.add(term1, term2)
+                total = {}
+                sparse.accumulate(
+                    total, _slot_terms(algebra, db_el_first(rest, j), 1, g, "left")
+                )
+                outer = db(g, j)
+                for ridx, rc in rest.items():
+                    sparse.accumulate(total, _slot_terms(algebra, outer, 0, ridx, "right"), rc)
+                result = sparse.purge(total)
                 break
         if result is None:
             result = sparse.purge(generator_values.get(key, {}))
@@ -243,44 +232,34 @@ def dbskew_defect(db: DoubleBracket, i: int, j: int) -> Elt2:
     return sparse.add(db.value(j, i), t2_swap(db.value(i, j)))
 
 
-def _inner_first(db: DoubleBracket, a: int, value: Elt2) -> Elt3:
-    """{{a, -}} applied to the first slot of a tensor-square element."""
-    out: Elt3 = {}
-    for (k, l), coeff in value.items():
-        sparse.accumulate(
-            out, (((x, y, l), c2) for (x, y), c2 in db.value(a, k).items()), coeff
-        )
-    return sparse.purge(out)
-
-
 def dbjac_residual(db: DoubleBracket, i: int, j: int, k: int) -> Elt3:
     """Cyclic sum of (231)-conjugates of the left-nested double bracket."""
-    cycle = (1, 2, 0)  # one-line (231): slot content 1->2, 2->3, 3->1
-
-    def T(a, b, c):
-        return _inner_first(db, a, db.value(b, c))
-
-    total: Elt3 = dict(T(i, j, k))
-    sparse.accumulate(
-        total, ((word_permute(cycle, key), c) for key, c in T(j, k, i).items())
-    )
-    sparse.accumulate(
-        total,
-        (
-            (word_permute(cycle, word_permute(cycle, key)), c)
-            for key, c in T(k, i, j).items()
-        ),
-    )
+    # a key (x, y, q) of {{a, {{b, c}}}}_L is written rotated: the
+    # (231)-conjugate moves slot content 1->2, 2->3, 3->1
+    total: Elt3 = {}
+    for turn, (a, b, c) in enumerate(((i, j, k), (j, k, i), (k, i, j))):
+        for (p, q), coeff in db.value(b, c).items():
+            inner = db.value(a, p).items()
+            if turn == 0:
+                terms = (((x, y, q), cx) for (x, y), cx in inner)
+            elif turn == 1:
+                terms = (((q, x, y), cx) for (x, y), cx in inner)
+            else:
+                terms = (((y, q, x), cx) for (x, y), cx in inner)
+            sparse.accumulate(total, terms, coeff)
     return sparse.purge(total)
 
 
 def dbpoiss_defect(db: DoubleBracket, i: int, j: int, k: int) -> Elt2:
     """May raise TruncationOverflow in window mode; callers flag the triple."""
+    # {{i, jk}} - (j (x) 1){{i, k}} - {{i, j}}(1 (x) k)
     algebra = db.algebra
-    lhs = db.value_el({i: ONE}, algebra.mul_basis(j, k))
-    term1 = _mul_slot(algebra, db.value(i, k), 0, {j: ONE}, "left")
-    term2 = _mul_slot(algebra, db.value(i, j), 1, {k: ONE}, "right")
-    return sparse.add(lhs, sparse.scale(sparse.add(term1, term2), -1))
+    total: Elt2 = {}
+    for m, cm in algebra.mul_basis(j, k).items():
+        sparse.accumulate(total, db.value(i, m).items(), cm)
+    sparse.accumulate(total, _slot_terms(algebra, db.value(i, k), 0, j, "left"), -1)
+    sparse.accumulate(total, _slot_terms(algebra, db.value(i, j), 1, k, "right"), -1)
+    return sparse.purge(total)
 
 
 @dataclass(frozen=True)
@@ -314,6 +293,19 @@ class DoubleAxiomReport:
         out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         out.extend(f"convention {k}: {v}" for k, v in self.conventions)
         return out
+
+
+def _leibniz_holds(db: DoubleBracket) -> tuple[bool, int]:
+    # whether the second-argument rule holds on every basis triple inside
+    # the window, and how many triples overflowed it
+    holds, skipped = True, 0
+    for triple in itertools.product(range(db.algebra.nbasis), repeat=3):
+        try:
+            if dbpoiss_defect(db, *triple):
+                holds = False
+        except TruncationOverflow:
+            skipped += 1
+    return holds, skipped
 
 
 def _first_failure(db: DoubleBracket, defect, arity: int):
@@ -448,14 +440,6 @@ def double_lie_iff_skew_aybe(r: TensorMap) -> tuple[bool, bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def left_mult_operator(algebra: TruncatedAlgebra, a: int) -> TensorMap:
-    entries = {}
-    for x in range(algebra.nbasis):
-        for k, coeff in algebra.mul_basis(a, x).items():
-            entries[((k,), (x,))] = coeff
-    return TensorMap(algebra.nbasis, 1, 1, entries)
-
-
 @dataclass(frozen=True)
 class MultCompareReport:
     algebra_kind: str
@@ -493,45 +477,44 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
 
     Preconditions (verified, reported separately from the conclusion): the
     second-argument derivation rule holds on basis triples, and the classical
-    residual of the bracket's map vanishes.  The conclusion compares
-    ``(a (x) 1 (x) 1) AYBE(r)`` with ``(1 (x) 1 (x) a) AYBE(r)`` for every
-    basis element ``a``, and also re-derives the expansion identity
-    for the classical residual against a middle-slot product on sampled
-    basis triples.
+    residual of the bracket's map vanishes.  ``r12``, ``r13``, ``r23`` are
+    embedded once; AYBE and AYBE' are each summed from three of their six
+    products as ``ybe.PRODUCTS`` lists them, and the classical residual is
+    read off as AYBE - AYBE', the identity that table declares.  The
+    conclusion compares ``(a (x) 1 (x) 1) AYBE(r)`` with
+    ``(1 (x) 1 (x) a) AYBE(r)`` for every basis element ``a`` by
+    multiplying the first and third slots of AYBE's output words; an ``a``
+    with any ``a x`` past the window is skipped.  It also re-derives the
+    expansion identity for the classical residual against a middle-slot
+    product on sampled basis triples.
     """
     db = db.integral_multiple()
     algebra = db.algebra
     n = algebra.nbasis
-    skipped = 0
-
-    leibniz_ok = True
-    for i, j, k in itertools.product(range(n), repeat=3):
-        try:
-            if dbpoiss_defect(db, i, j, k):
-                leibniz_ok = False
-        except TruncationOverflow:
-            skipped += 1
+    leibniz_ok, skipped = _leibniz_holds(db)
 
     r = db.as_tensor_map()
-    cybe = cybe_residual(r)
-    aybe = aybe_residual(r)
-    aybe_p = aybe_prime_residual(r)
-    cybe_ok = cybe.is_zero()
+    components = {slots: embed_components(r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3))}
+    aybe = _product_sum(components, PRODUCTS["aybe"])
+    aybe_p = _product_sum(components, PRODUCTS["aybe-prime"])
+    cybe = sparse.add(aybe, sparse.scale(aybe_p, -1))
+    cybe_ok = not cybe
+    columns = _columns(aybe), _columns(aybe_p), _columns(cybe)
 
     comparison = True
     for a in range(n):
-        try:
-            left = embed_components(left_mult_operator(algebra, a), (1,), 3)
-            right = embed_components(left_mult_operator(algebra, a), (3,), 3)
+        try:  # an a with some product a x past the window is skipped
+            for x in range(n):
+                algebra.mul_basis(a, x)
         except TruncationOverflow:
             skipped += 1
             continue
-        if left.compose(aybe) != right.compose(aybe):
+        # (a (x) 1 (x) 1 - 1 (x) 1 (x) a) AYBE, one column at a time
+        if any(_diff_op(algebra, a, image, (0, 2)) for image in columns[0].values()):
             comparison = False
             break
 
     expansion = True
-    columns = _columns(aybe), _columns(aybe_p), _columns(cybe)
     indices = list(range(0, n, sample_stride)) or [0]
     for quadruple in itertools.product(indices, repeat=4):
         try:
@@ -551,10 +534,21 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
     )
 
 
-def _columns(map3: TensorMap) -> dict:
-    """The map as input word -> its nonzero image, read by the expansion identity."""
+def _product_sum(components: dict[tuple[int, int], TensorMap], products) -> dict:
+    # the entries of sum coeff * r^left o r^right over ybe.PRODUCTS rows with
+    # the identity permutation, one product alive at a time
+    total: dict = {}
+    for coeff, left, right, _ in products:
+        sparse.accumulate(
+            total, components[left].compose(components[right]).entries.items(), coeff
+        )
+    return sparse.purge(total)
+
+
+def _columns(entries: dict) -> dict:
+    """A map's entries as input word -> its nonzero image."""
     out: dict = {}
-    for (o, i), c in map3.entries.items():
+    for (o, i), c in entries.items():
         out.setdefault(i, {})[o] = c
     return out
 
@@ -569,17 +563,24 @@ def _expansion_identity_holds(
     b2: int,
     c: int,
 ) -> bool:
+    # cybe(a, b1 b2, c) = (b1 (x) 1 (x) 1) aybe(a, b2, c)
+    #     - (1 (x) 1 (x) b1) aybe'(a, b2, c) + cybe(a, b1, c) (1 (x) b2 (x) 1),
+    # each map given by its columns
     algebra = db.algebra
-    lhs: Elt3 = {}
+    total: Elt3 = {}
+    # most columns are empty on a solution: skip them before building terms
     for m, cm in algebra.mul_basis(b1, b2).items():
-        sparse.accumulate(lhs, cybe.get((a, m, c), {}).items(), cm)
-    t1 = _mul_slot(algebra, aybe.get((a, b2, c), {}), 0, {b1: ONE}, "left")
-    t2 = _mul_slot(algebra, aybe_p.get((a, b2, c), {}), 2, {b1: ONE}, "left")
-    t3 = _mul_slot(algebra, cybe.get((a, b1, c), {}), 1, {b2: ONE}, "right")
-    rhs: Elt3 = dict(t1)
-    sparse.accumulate(rhs, t2.items(), -1)
-    sparse.accumulate(rhs, t3.items())
-    return sparse.purge(rhs) == sparse.purge(lhs)
+        image = cybe.get((a, m, c))
+        if image:
+            sparse.accumulate(total, image.items(), cm)
+    for image, slot, b, side, sign in (
+        (aybe.get((a, b2, c)), 0, b1, "left", -1),
+        (aybe_p.get((a, b2, c)), 2, b1, "left", 1),
+        (cybe.get((a, b1, c)), 1, b2, "right", -1),
+    ):
+        if image:
+            sparse.accumulate(total, _slot_terms(algebra, image, slot, b, side), sign)
+    return not sparse.purge(total)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +588,13 @@ def _expansion_identity_holds(
 # ---------------------------------------------------------------------------
 
 
-def _diff_op(algebra: TruncatedAlgebra, a: int, t: Elt2) -> Elt2:
-    """Apply ``a (x) 1 - 1 (x) a`` by multiplication to a tensor-square element."""
-    return sparse.add(
-        _mul_slot(algebra, t, 0, {a: ONE}, "left"),
-        sparse.scale(_mul_slot(algebra, t, 1, {a: ONE}, "left"), -1),
-    )
+def _diff_op(algebra: TruncatedAlgebra, a: int, t: dict, slots=(0, 1)) -> dict:
+    """Apply ``a (x) 1 - 1 (x) a`` by left multiplication on ``slots``."""
+    plus, minus = slots
+    out: dict = {}
+    sparse.accumulate(out, _slot_terms(algebra, t, plus, a, "left"))
+    sparse.accumulate(out, _slot_terms(algebra, t, minus, a, "left"), -1)
+    return sparse.purge(out)
 
 
 @dataclass(frozen=True)
@@ -641,67 +643,38 @@ def commutative_remark_checks(db: DoubleBracket) -> CommutativeRemarkReport:
             except TruncationOverflow:
                 continue
 
-    leibniz_ok = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                try:
-                    if dbpoiss_defect(db, i, j, k):
-                        leibniz_ok = False
-                except TruncationOverflow:
-                    pass
+    leibniz_ok, _ = _leibniz_holds(db)
 
-    chain_ok, chain_wit = True, None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                try:
-                    d1 = _diff_op(algebra, a, db.value(b, c))
-                    d2 = _diff_op(algebra, c, db.value(b, a))
-                    d3 = _diff_op(algebra, b, db.value(c, a))
-                    d4 = _diff_op(algebra, a, db.value(c, b))
-                except TruncationOverflow:
-                    continue
-                if not (d1 == d2 == d3 == d4):
-                    chain_ok, chain_wit = False, (a, b, c)
-                    break
-            if not chain_ok:
-                break
-        if not chain_ok:
-            break
-
-    two_ok, two_wit = True, None
-    for a1 in range(n):
-        for a2 in range(n):
-            for b in range(n):
-                for c in range(n):
-                    try:
-                        lhs = _diff_op(
-                            algebra, a1, _diff_op(algebra, a2, db.value(b, c))
-                        )
-                        rhs = _diff_op(
-                            algebra, b, _diff_op(algebra, c, db.value(a1, a2))
-                        )
-                    except TruncationOverflow:
-                        continue
-                    if lhs != rhs:
-                        two_ok, two_wit = False, (a1, a2, b, c)
-                        break
-                if not two_ok:
-                    break
-            if not two_ok:
-                break
-        if not two_ok:
-            break
-
+    chain_witness, _ = _first_failure(db, _chain_defect, 3)
+    two_variable_witness, _ = _first_failure(db, _two_variable_defect, 4)
     return CommutativeRemarkReport(
         commutative=commutative,
         leibniz_precondition=leibniz_ok,
-        chain_holds=chain_ok,
-        chain_witness=chain_wit,
-        two_variable_holds=two_ok,
-        two_variable_witness=two_wit,
+        chain_holds=chain_witness is None,
+        chain_witness=chain_witness,
+        two_variable_holds=two_variable_witness is None,
+        two_variable_witness=two_variable_witness,
     )
+
+
+def _chain_defect(db: DoubleBracket, a: int, b: int, c: int) -> bool:
+    # every side is built before the comparison, so an overflow anywhere
+    # skips the triple
+    algebra = db.algebra
+    first = _diff_op(algebra, a, db.value(b, c))
+    rest = (
+        _diff_op(algebra, c, db.value(b, a)),
+        _diff_op(algebra, b, db.value(c, a)),
+        _diff_op(algebra, a, db.value(c, b)),
+    )
+    return rest != (first, first, first)
+
+
+def _two_variable_defect(db: DoubleBracket, a1: int, a2: int, b: int, c: int) -> bool:
+    algebra = db.algebra
+    lhs = _diff_op(algebra, a1, _diff_op(algebra, a2, db.value(b, c)))
+    rhs = _diff_op(algebra, b, _diff_op(algebra, c, db.value(a1, a2)))
+    return lhs != rhs
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,10 @@ def _run_quiver_build(spec: JobSpec, quiver: str, type: str, cap: int, weights: 
 def _load_double_bracket(algebra: str, bracket: str):
     algebra = io.load_associative_algebra(algebra)
     r = io.load_square_map(bracket)
+    if r.dim != algebra.nbasis:
+        raise io.field_error(
+            bracket, "dim", f"dim must be {algebra.nbasis}, the algebra's basis size, got {r.dim}"
+        )
     return algebra, double.DoubleBracket.from_tensor_map(algebra, r)
 
 

@@ -220,7 +220,7 @@ class TestWindowRule:
             (lambda: free_algebra(2, 2), "0504edd4ff9c9d42"),
             (lambda: path_algebra(double_quiver(one_arrow()), 3), PATH_DIGEST),
             (lambda: two_cycle_symplectic_bracket(3).algebra, PATH_DIGEST),
-            (lambda: preprojective_algebra(two_loops(), 4), "cfe26b8370353e6c"),
+            (lambda: preprojective_algebra(two_loops(), 4), "b787980fd892668e"),
         ],
         ids=["free", "path", "symplectic", "preprojective"],
     )
@@ -258,6 +258,24 @@ class TestWindowRule:
     def test_no_table_key_past_the_cap(self, build):
         A = build()
         assert all(A.degrees[i] + A.degrees[j] <= A.cap for i, j in A.table)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: preprojective_algebra(two_loops(), 4),
+            lambda: preprojective_algebra(one_loop(), 3),
+            lambda: deformed_preprojective_algebra(one_arrow(), {"1": ONE, "2": -ONE}, 2),
+        ],
+        ids=["preprojective", "jordan", "deformed"],
+    )
+    def test_quotient_table_scalars_are_canonical(self, build):
+        # an integral coefficient is an int, never a Fraction with denominator 1
+        A = build()
+        scalars = [c for value in A.table.values() for c in value.values()]
+        assert scalars
+        assert all(
+            type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in scalars
+        )
 
     def test_preprojective_build_traces_under_three_mib(self):
         tracemalloc.start()

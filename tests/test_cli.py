@@ -252,6 +252,20 @@ class TestCliExitCodes:
         assert f"shape.txt:{line}: {field} must be 2" in captured.err
         assert f"got {got}" in captured.err
 
+    @pytest.mark.parametrize("verb", ["verify", "almcybe"])
+    def test_bracket_dim_off_the_algebra_basis_is_two(self, tmp_path, capsys, verb):
+        algebra_path = write(
+            tmp_path, "poly.txt", io.dump_associative_algebra(polynomial_quotient_algebra(8))
+        )
+        r = TensorMap(3, 2, 2, {((0, 1), (1, 0)): 1, ((1, 0), (0, 1)): -1})
+        bracket_path = write(tmp_path, "skew3.txt", io.dump_tensor_map(r))
+        dim_line = io.dump_tensor_map(r).splitlines().index("dim: 3") + 1
+        argv = ["double", verb, "--algebra", algebra_path, "--bracket", bracket_path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"skew3.txt:{dim_line}: dim must be 8, the algebra's basis size, got 3" in captured.err
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_non_positive_family_dim_is_two(self, tmp_path, capsys, dim):
         lie_path = write(tmp_path, "gl.txt", io.dump_lie_structure(gl_lie(2)))

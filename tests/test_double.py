@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,12 @@ from ybalg.algebras import (
     polynomial_quotient_algebra,
 )
 from ybalg.double import (
+    AxiomCheck,
+    CommutativeRemarkReport,
     DoubleBracket,
+    MultCompareReport,
     _columns,
     _expansion_identity_holds,
-    _mul_slot,
     almcybe_check,
     check_double_axioms,
     commutative_remark_checks,
@@ -40,8 +43,8 @@ from ybalg.double import (
 )
 from ybalg.fixtures import enumerate_skew_maps, random_skew_map
 from ybalg.twisted import TensorWordBracket, check_bracket_extension
-from ybalg.tensoralg import TensorMap
-from ybalg.ybe import aybe_prime_residual, aybe_residual, cybe_residual, is_skew
+from ybalg.tensoralg import TensorMap, embed_components, word_permute
+from ybalg.ybe import PRODUCTS, aybe_prime_residual, aybe_residual, cybe_residual, is_skew
 
 ONE = Fraction(1)
 LAM = Fraction(3, 2)
@@ -312,6 +315,28 @@ class TestDegenerateBrackets:
         assert anti.witness == (x, x)
 
 
+# ---------------------------------------------------------------------------
+# reference checks: the axiom and comparison checks on general products
+# (``algebra.mul``), slot-embedded left-multiplication maps, the commutator
+# form of the classical residual and ``word_permute``; nothing here calls the
+# basis-lookup loops of ``ybalg.double``
+# ---------------------------------------------------------------------------
+
+
+def _mul_slot(algebra, t, slot, a, side):
+    """Multiply one tensor slot of a sparse tensor by an algebra element."""
+    out = {}
+    for key, coeff in t.items():
+        target = {key[slot]: ONE}
+        prod = algebra.mul(a, target) if side == "left" else algebra.mul(target, a)
+        sparse.accumulate(
+            out,
+            ((key[:slot] + (idx,) + key[slot + 1 :], c2) for idx, c2 in prod.items()),
+            coeff,
+        )
+    return sparse.purge(out)
+
+
 def _apply3_by_words(map3, x, y, z):
     """The expansion identity's map application, one ``apply_word`` per basis triple."""
     out = {}
@@ -362,7 +387,7 @@ def test_expansion_columns_match_the_word_by_word_oracle(db):
     perturbed = r + TensorMap(n, 2, 2, {((0, 1), (1, 1)): 1})
     for m in (r, perturbed):
         maps = [aybe_residual(m), aybe_prime_residual(m), cybe_residual(m)]
-        columns = [_columns(x) for x in maps]
+        columns = [_columns(x.entries) for x in maps]
         verdicts = collections.Counter()
         for quad in itertools.product(range(n), repeat=4):
             want = _verdict(_expansion_by_words, db, *maps, *quad)
@@ -370,3 +395,281 @@ def test_expansion_columns_match_the_word_by_word_oracle(db):
             verdicts[want] += 1
         assert verdicts[True] > 0
         assert (verdicts[False] > 0) == (m is perturbed)
+
+
+def _value_el(db, x, y):
+    total = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            sparse.accumulate(total, db.value(i, j).items(), ci * cj)
+    return sparse.purge(total)
+
+
+def _ref_skew(db, i, j):
+    return sparse.add(db.value(j, i), {(l, k): c for (k, l), c in db.value(i, j).items()})
+
+
+def _ref_jacobi(db, i, j, k):
+    cycle = (1, 2, 0)  # one-line (231)
+
+    def nested(a, b, c):
+        out = {}
+        for (p, q), coeff in db.value(b, c).items():
+            sparse.accumulate(
+                out, (((x, y, q), c2) for (x, y), c2 in db.value(a, p).items()), coeff
+            )
+        return sparse.purge(out)
+
+    total = dict(nested(i, j, k))
+    sparse.accumulate(total, ((word_permute(cycle, w), c) for w, c in nested(j, k, i).items()))
+    sparse.accumulate(
+        total,
+        ((word_permute(cycle, word_permute(cycle, w)), c) for w, c in nested(k, i, j).items()),
+    )
+    return sparse.purge(total)
+
+
+def _ref_leibniz(db, i, j, k):
+    A = db.algebra
+    lhs = _value_el(db, {i: ONE}, A.mul_basis(j, k))
+    term1 = _mul_slot(A, db.value(i, k), 0, {j: ONE}, "left")
+    term2 = _mul_slot(A, db.value(i, j), 1, {k: ONE}, "right")
+    return sparse.add(lhs, sparse.scale(sparse.add(term1, term2), -1))
+
+
+def _ref_axiom_checks(db):
+    db = db.integral_multiple()
+    checks = []
+    for name, defect, arity in (
+        ("antisymmetry", _ref_skew, 2), ("jacobi", _ref_jacobi, 3), ("leibniz", _ref_leibniz, 3)
+    ):
+        witness, skipped = None, 0
+        for args in itertools.product(range(db.algebra.nbasis), repeat=arity):
+            try:
+                if defect(db, *args):
+                    witness = args
+                    break
+            except TruncationOverflow:
+                skipped += 1
+        checks.append(AxiomCheck(name, witness is None, witness, skipped))
+    return tuple(checks)
+
+
+def _left_mult_operator(A, a):
+    entries = {}
+    for x in range(A.nbasis):
+        for k, coeff in A.mul_basis(a, x).items():
+            entries[((k,), (x,))] = coeff
+    return TensorMap(A.nbasis, 1, 1, entries)
+
+
+def _ref_columns(map3):
+    out = {}
+    for (o, i), c in map3.entries.items():
+        out.setdefault(i, {})[o] = c
+    return out
+
+
+def _ref_expansion(A, aybe, aybe_p, cybe, a, b1, b2, c):
+    lhs = {}
+    for m, cm in A.mul_basis(b1, b2).items():
+        sparse.accumulate(lhs, cybe.get((a, m, c), {}).items(), cm)
+    t1 = _mul_slot(A, aybe.get((a, b2, c), {}), 0, {b1: ONE}, "left")
+    t2 = _mul_slot(A, aybe_p.get((a, b2, c), {}), 2, {b1: ONE}, "left")
+    t3 = _mul_slot(A, cybe.get((a, b1, c), {}), 1, {b2: ONE}, "right")
+    rhs = dict(t1)
+    sparse.accumulate(rhs, t2.items(), -1)
+    sparse.accumulate(rhs, t3.items())
+    return sparse.purge(rhs) == sparse.purge(lhs)
+
+
+def _ref_almcybe(db):
+    db = db.integral_multiple()
+    A = db.algebra
+    n = A.nbasis
+    skipped = 0
+    leibniz_ok = True
+    for triple in itertools.product(range(n), repeat=3):
+        try:
+            if _ref_leibniz(db, *triple):
+                leibniz_ok = False
+        except TruncationOverflow:
+            skipped += 1
+    r = db.as_tensor_map()
+    cybe, aybe, aybe_p = cybe_residual(r), aybe_residual(r), aybe_prime_residual(r)
+    comparison = True
+    for a in range(n):
+        try:
+            left = embed_components(_left_mult_operator(A, a), (1,), 3)
+            right = embed_components(_left_mult_operator(A, a), (3,), 3)
+        except TruncationOverflow:
+            skipped += 1
+            continue
+        if left.compose(aybe) != right.compose(aybe):
+            comparison = False
+            break
+    expansion = True
+    columns = _ref_columns(aybe), _ref_columns(aybe_p), _ref_columns(cybe)
+    for quadruple in itertools.product(range(n), repeat=4):
+        try:
+            if not _ref_expansion(A, *columns, *quadruple):
+                expansion = False
+                break
+        except TruncationOverflow:
+            skipped += 1
+    return MultCompareReport(
+        algebra_kind=A.info.get("kind", "unknown"),
+        leibniz_precondition=leibniz_ok,
+        cybe_precondition=cybe.is_zero(),
+        comparison_holds=comparison,
+        expansion_identity_holds=expansion,
+        skipped=skipped,
+    )
+
+
+def _ref_diff(A, a, t):
+    return sparse.add(
+        _mul_slot(A, t, 0, {a: ONE}, "left"), sparse.scale(_mul_slot(A, t, 1, {a: ONE}, "left"), -1)
+    )
+
+
+def _ref_unequal_at(n, arity, sides):
+    """The first tuple whose sides are not all equal, skipping overflowing tuples."""
+    for args in itertools.product(range(n), repeat=arity):
+        try:
+            values = sides(*args)
+        except TruncationOverflow:
+            continue
+        if any(v != values[0] for v in values[1:]):
+            return args
+    return None
+
+
+def _ref_commutative_remark(db):
+    A = db.algebra
+    n = A.nbasis
+    commutative = True
+    for i, j in itertools.product(range(n), repeat=2):
+        try:
+            if A.mul_basis(i, j) != A.mul_basis(j, i):
+                commutative = False
+        except TruncationOverflow:
+            pass
+    leibniz_ok = True
+    for triple in itertools.product(range(n), repeat=3):
+        try:
+            if _ref_leibniz(db, *triple):
+                leibniz_ok = False
+        except TruncationOverflow:
+            pass
+    chain = _ref_unequal_at(n, 3, lambda a, b, c: [
+        _ref_diff(A, a, db.value(b, c)), _ref_diff(A, c, db.value(b, a)),
+        _ref_diff(A, b, db.value(c, a)), _ref_diff(A, a, db.value(c, b)),
+    ])
+    two = _ref_unequal_at(n, 4, lambda a1, a2, b, c: [
+        _ref_diff(A, a1, _ref_diff(A, a2, db.value(b, c))),
+        _ref_diff(A, b, _ref_diff(A, c, db.value(a1, a2))),
+    ])
+    return CommutativeRemarkReport(commutative, leibniz_ok, chain is None, chain, two is None, two)
+
+
+def _perturbed_map(db, entry):
+    """The bracket read back from its map plus one unit entry ``(out, in)``."""
+    n = db.algebra.nbasis
+    return DoubleBracket.from_tensor_map(db.algebra, db.as_tensor_map() + TensorMap(n, 2, 2, {entry: 1}))
+
+
+def _perturbed_value(db, pair, extra):
+    table = dict(db.table)
+    table[pair] = sparse.add(table.get(pair, {}), extra)
+    return DoubleBracket(db.algebra, table, db.overflow_pairs)
+
+
+REFERENCE_CASES = {
+    "lambda-integral": lambda: lambda_bracket(6, Fraction(-2)),
+    "lambda-fractional": lambda: lambda_bracket(5, Fraction(5, 7)),
+    "symplectic-cap2": lambda: two_cycle_symplectic_bracket(cap=2),
+    "doubled-products": lambda: _doubled_products(lambda_bracket()),
+    "lambda-value-perturbed": lambda: _perturbed_value(
+        lambda_bracket(lam=Fraction(5, 6)), (1, 1), {(1, 1): Fraction(1, 7)}
+    ),
+    "lambda-map-perturbed": lambda: _perturbed_map(lambda_bracket(), ((0, 1), (1, 1))),
+    "symplectic-map-perturbed": lambda: _perturbed_map(
+        two_cycle_symplectic_bracket(cap=2), ((0, 1), (1, 1))
+    ),
+    "symplectic-swapped-perturbed": lambda: _perturbed_map(
+        two_cycle_symplectic_bracket(cap=2), ((2, 3), (3, 2))
+    ),
+    # one perturbed value: the chain fails first at its fourth side, and the
+    # two-variable equality at a tuple where b and c do not commute
+    "lambda-one-value-perturbed": lambda: _perturbed_value(lambda_bracket(), (4, 2), {(2, 4): 1}),
+    "symplectic-one-value-perturbed": lambda: _perturbed_value(
+        two_cycle_symplectic_bracket(cap=2), (0, 0), {(2, 4): 1}
+    ),
+    # AYBE is nonzero, yet the comparison holds on every basis a in the window
+    "symplectic-balanced-perturbed": lambda: _perturbed_map(
+        two_cycle_symplectic_bracket(cap=2), ((1, 1), (5, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_checks_match_the_reference_field_for_field(case):
+    db = REFERENCE_CASES[case]()
+    assert check_double_axioms(db).checks == _ref_axiom_checks(db)
+    assert almcybe_check(db) == _ref_almcybe(db)
+    assert commutative_remark_checks(db) == _ref_commutative_remark(db)
+
+
+def test_reference_cases_fail_at_known_tuples():
+    # the perturbed cases do fail, at the tuples the reference finds, with
+    # window tuples skipped before the witness
+    witnesses = {}
+    for case in ("lambda-map-perturbed", "symplectic-map-perturbed", "symplectic-swapped-perturbed"):
+        checks = check_double_axioms(REFERENCE_CASES[case]())
+        witnesses[case] = {c.name: (c.witness, c.skipped) for c in checks.checks}
+    assert witnesses == {
+        "lambda-map-perturbed": {
+            "antisymmetry": ((1, 1), 0), "jacobi": ((1, 1, 1), 0), "leibniz": ((1, 1, 1), 0),
+        },
+        "symplectic-map-perturbed": {
+            "antisymmetry": ((1, 1), 0), "jacobi": ((1, 2, 3), 0), "leibniz": ((1, 0, 1), 6),
+        },
+        "symplectic-swapped-perturbed": {
+            "antisymmetry": ((2, 3), 0), "jacobi": ((2, 3, 3), 0), "leibniz": ((3, 2, 0), 18),
+        },
+    }
+    window = almcybe_check(REFERENCE_CASES["symplectic-swapped-perturbed"]())
+    assert not (window.comparison_holds or window.expansion_identity_holds)
+    assert window.skipped == 109
+    assert almcybe_check(REFERENCE_CASES["symplectic-cap2"]()).skipped == 256
+    balanced = REFERENCE_CASES["symplectic-balanced-perturbed"]()
+    assert not aybe_residual(balanced.as_tensor_map()).is_zero()
+    assert almcybe_check(balanced).comparison_holds
+
+
+def test_axioms_match_the_reference_on_the_cap_three_window():
+    db = two_cycle_symplectic_bracket(cap=3)
+    checks = check_double_axioms(db).checks
+    assert checks == _ref_axiom_checks(db)
+    assert any(c.skipped for c in checks)
+
+
+def test_cybe_is_aybe_minus_aybe_prime_in_the_product_table():
+    # almcybe_check sums the aybe and aybe-prime rows unconjugated and reads
+    # the classical residual off AYBE - AYBE'
+    assert all(p == (0, 1, 2) for kind in ("aybe", "aybe-prime") for *_, p in PRODUCTS[kind])
+    assert PRODUCTS["cybe"] == PRODUCTS["aybe"] + tuple(
+        (-c, a, b, p) for c, a, b, p in PRODUCTS["aybe-prime"]
+    )
+
+
+def test_both_checks_on_the_sixteenth_power_within_budget():
+    db = lambda_bracket(16, Fraction(3, 2))
+    start = time.perf_counter()
+    axioms = check_double_axioms(db)
+    comparison = almcybe_check(db)
+    elapsed = time.perf_counter() - start
+    assert axioms.passed and comparison.passed
+    assert comparison.skipped == 0
+    assert elapsed < 7.0
