@@ -222,8 +222,8 @@ def _run_ybe_check(spec: JobSpec, kind: str, input: str):
 
 def _run_poisson_extend(spec: JobSpec, r: str, lhs: str, rhs: str):
     r = io.load_square_map(r)
-    lhs = io.parse_word(lhs, "--lhs")
-    rhs = io.parse_word(rhs, "--rhs")
+    lhs = io.parse_word(lhs, "--lhs", r.dim)
+    rhs = io.parse_word(rhs, "--rhs", r.dim)
     value = twisted.TensorWordBracket(r).extend(lhs, rhs)
     lines = [
         f"extended bracket on words, dim {r.dim}",

@@ -84,9 +84,13 @@ def _word_str(w: Word) -> str:
     return ",".join(map(str, w)) if w else "-"
 
 
-def parse_word(text: str, where: str = "<argument>") -> Word:
-    """Parse a word argument: comma-separated letter indices, ``-`` for empty."""
-    return _word(text, where, None)
+def parse_word(text: str, where: str, dim: int) -> Word:
+    """Parse a word argument: comma-separated letter indices in ``0..dim-1``,
+    ``-`` for empty."""
+    word = _word(text, where, None)
+    if any(k < 0 or k >= dim for k in word):
+        raise SchemaError(f"letter index out of range 0..{dim - 1}: {text.strip()!r}", where)
+    return word
 
 
 def word_str(w: Word) -> str:

@@ -47,7 +47,7 @@ from . import sparse
 from .algebras import TruncationOverflow
 from .linalg import rref
 from .sparse import ONE
-from .tensoralg import block_permutation_expand, perm_inverse, perm_sign
+from .tensoralg import is_perm
 
 Element = dict[int, Fraction]  # span of the generators
 
@@ -68,12 +68,17 @@ def sign_odd(degrees, selection) -> int:
 
     ``selection[k]`` is the 0-indexed original position of the k-th output
     element.  Each element counts as a block of size ``degree + 1``, so two
-    odd-degree elements commute and all other pairs anticommute.
+    odd-degree elements commute and all other pairs anticommute.  The sign
+    is therefore -1 to the number of crossings: pairs of even-degree
+    elements that the selection puts out of their original order.
     """
     if len(degrees) != len(selection):
         raise ValueError("degrees and permutation length differ")
-    sizes = tuple((d + 1) % 2 for d in degrees)
-    return perm_sign(block_permutation_expand(perm_inverse(tuple(selection)), sizes))
+    if not is_perm(selection):
+        raise ValueError(f"not a permutation: {tuple(selection)}")
+    evens = [k for k in selection if degrees[k] % 2 == 0]
+    crossings = sum(k > l for a, k in enumerate(evens) for l in evens[a + 1 :])
+    return -1 if crossings % 2 else 1
 
 
 def shuffles(i: int, j: int) -> list[tuple[int, ...]]:

@@ -3,10 +3,17 @@
 The free algebra on a space ``V`` placed in degree 1 has basis words over the
 ``V``-basis.  A bracket is determined by its generator table
 ``r : V (x) V -> V (x) V``; its value on longer words is the sum over letter
-pairs of the generator value tensored with the spectator letters, realigned by
-the slot permutation that restores the original letter order
-(:func:`ybalg.tensoralg.sigma_prime`).  Note the realignment may interleave
-spectator letters *between* the two slots of a generator value.
+pairs of the generator value tensored with the spectator letters, realigned to
+the original letter order.  That realignment puts the two value slots where
+the two letters stood, so the extension is slot substitution::
+
+    {v, w} = sum_{i,j} r^{i,|v|+j}(v (x) w)
+           = sum_{i,j} sum_{a,b} r(v_i w_j -> a b)
+                 v[:i] a v[i+1:] w[:j] b w[j+1:]
+
+``r`` replaces letter ``i`` of ``v`` and letter ``j`` of ``w``, and every
+other letter stays where it is.  Note the spectators ``v[i+1:] w[:j]`` sit
+*between* the two slots of a generator value.
 
 Conventions (printed into every report):
 
@@ -15,6 +22,10 @@ Conventions (printed into every report):
   order before adding, and carries no further signs;
 * the left Leibniz rule is
   ``{u v, w} = u (x) {v, w} + (213)^{|v|,|u|,|w|} (v (x) {u, w})``.
+
+Every realignment above moves whole blocks of slots, so it is applied by
+cutting each word into its blocks and concatenating them in the new order
+(:func:`_regroup`); no slot permutation is expanded.
 
 For a space placed in degree 0 the same extension scheme is the classical
 Poisson one on a polynomial algebra (all realignments become trivial);
@@ -26,17 +37,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from . import sparse
-from .sparse import ONE
-from .tensoralg import (
-    GradedTensor,
-    TensorMap,
-    Word,
-    block_permutation_expand,
-    sigma_prime,
-    words,
-)
+from .sparse import ONE, Scalar
+from .tensoralg import GradedTensor, TensorMap, Word, words
 from .ybe import cybe_residual, is_skew
 
 CONVENTIONS: dict[str, str] = {
@@ -53,6 +58,27 @@ CONVENTIONS: dict[str, str] = {
 }
 
 
+def _regroup(t: GradedTensor, sizes: Sequence[int], order: Sequence[int]) -> GradedTensor:
+    """``t`` with each word cut into consecutive blocks of ``sizes`` and the
+    blocks concatenated in ``order`` (``order[k]`` is the source block that
+    ends up k-th).  This is the action of the block permutation that sends
+    block ``order[k]`` to position ``k``."""
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    pieces = [slice(cuts[k], cuts[k + 1]) for k in order]
+    return GradedTensor._of(
+        t.dim,
+        {sum([w[s] for s in pieces], ()): c for w, c in t.terms.items()},
+    )
+
+
+def _total(dim: int, *parts) -> GradedTensor:
+    """The sum of several ``(word, coeff)`` iterables, purged once."""
+    total: dict[Word, Scalar] = {}
+    for terms in parts:
+        sparse.accumulate(total, terms)
+    return GradedTensor._of(dim, sparse.purge(total))
+
+
 class TensorWordBracket:
     """Bracket on the free algebra determined by a generator table.
 
@@ -65,6 +91,10 @@ class TensorWordBracket:
             raise ValueError("generator table must act on the tensor square")
         self.r = r
         self.dim = r.dim
+        # r's entries by input pair: (x, y) -> [((a, b), coeff), ...]
+        self._values: dict[Word, list[tuple[Word, Scalar]]] = {}
+        for (out, inp), coeff in r.entries.items():
+            self._values.setdefault(inp, []).append((out, coeff))
         self._cache: dict[tuple[Word, Word], GradedTensor] = {}
         self._cache_rec: dict[tuple[Word, Word], GradedTensor] = {}
 
@@ -79,26 +109,23 @@ class TensorWordBracket:
         return self._cache[key]
 
     def _extend_direct(self, v: Word, w: Word) -> GradedTensor:
-        m, n = len(v), len(w)
-        if m == 0 or n == 0:
-            return GradedTensor.zero(self.dim)
-        target = [("v", i) for i in range(m)] + [("w", j) for j in range(n)]
-        total = GradedTensor.zero(self.dim)
-        for i in range(m):
-            for j in range(n):
-                value = self.r.apply_word((v[i], w[j]))
-                if value.is_zero():
-                    continue
-                spectators = v[:i] + v[i + 1 :] + w[:j] + w[j + 1 :]
-                current = (
-                    [("v", i), ("w", j)]
-                    + [("v", k) for k in range(m) if k != i]
-                    + [("w", l) for l in range(n) if l != j]
-                )
-                realign = sigma_prime(target, [(sym, 1) for sym in current])
-                term = value.tensor(GradedTensor.basis(self.dim, spectators))
-                total = total + term.permute(realign)
-        return total
+        """Slot substitution: each term ``r(v_i w_j -> a b)`` contributes
+        ``v[:i] + (a,) + v[i+1:] + w[:j] + (b,) + w[j+1:]``."""
+        total: dict[Word, Scalar] = {}
+        for i, x in enumerate(v):
+            v_head, v_tail = v[:i], v[i + 1 :]
+            for j, y in enumerate(w):
+                value = self._values.get((x, y))
+                if value:
+                    w_head, w_tail = w[:j], w[j + 1 :]
+                    sparse.accumulate(
+                        total,
+                        (
+                            (v_head + (a,) + v_tail + w_head + (b,) + w_tail, c)
+                            for (a, b), c in value
+                        ),
+                    )
+        return GradedTensor._of(self.dim, sparse.purge(total))
 
     # -- evaluation, recursive peeling route --------------------------------
 
@@ -125,13 +152,10 @@ class TensorWordBracket:
             inner = GradedTensor.basis(self.dim, tail).tensor(
                 self.extend_recursive(head, w)
             )
-            realign = block_permutation_expand((1, 0, 2), (len(tail), 1, n))
-            result = term1 + inner.permute(realign)
+            result = term1 + _regroup(inner, (m - 1, 1, n), (1, 0, 2))
         else:
             # single letter against a long word: flip with the twisted skew rule
-            flipped = self.extend_recursive(w, v)
-            realign = block_permutation_expand((1, 0), (n, 1))
-            result = -flipped.permute(realign)
+            result = -_regroup(self.extend_recursive(w, v), (n, 1), (1, 0))
         self._cache_rec[key] = result
         return result
 
@@ -143,11 +167,12 @@ class TensorWordBracket:
         """Bilinear extension to arbitrary (sums of) words."""
         xt = x if isinstance(x, GradedTensor) else GradedTensor.basis(self.dim, x)
         yt = y if isinstance(y, GradedTensor) else GradedTensor.basis(self.dim, y)
-        total = GradedTensor.zero(self.dim)
-        for wx, cx in xt.terms.items():
-            for wy, cy in yt.terms.items():
-                total = total + self.extend(wx, wy).scale(cx * cy)
-        return total
+        return GradedTensor._of(
+            self.dim,
+            sparse.structure_product(
+                xt.terms, yt.terms, lambda a, b: self.extend(a, b).terms
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +182,8 @@ class TensorWordBracket:
 
 def twisted_skew_defect(br: TensorWordBracket, v: Word, w: Word) -> GradedTensor:
     """``{w,v} + (21)^{|v|,|w|} {v,w}``; zero iff the pair is antisymmetric."""
-    realign = block_permutation_expand((1, 0), (len(v), len(w)))
-    return br.extend(w, v) + br.extend(v, w).permute(realign)
+    swapped = _regroup(br.extend(v, w), (len(v), len(w)), (1, 0))
+    return _total(br.dim, br.extend(w, v).terms.items(), swapped.terms.items())
 
 
 def twisted_jacobi_defect(
@@ -166,27 +191,25 @@ def twisted_jacobi_defect(
 ) -> GradedTensor:
     """Cyclic Jacobi sum with each summand realigned to (u, v, w) slot order."""
     lu, lv, lw = len(u), len(v), len(w)
-    target = ["u", "v", "w"]
     t1 = br.bracket(u, br.extend(v, w))
-    t2 = br.bracket(v, br.extend(w, u)).permute(
-        sigma_prime(target, [("v", lv), ("w", lw), ("u", lu)])
-    )
-    t3 = br.bracket(w, br.extend(u, v)).permute(
-        sigma_prime(target, [("w", lw), ("u", lu), ("v", lv)])
-    )
-    return t1 + t2 + t3
+    # the blocks of {v,{w,u}} are v, w, u and those of {w,{u,v}} are w, u, v
+    t2 = _regroup(br.bracket(v, br.extend(w, u)), (lv, lw, lu), (2, 0, 1))
+    t3 = _regroup(br.bracket(w, br.extend(u, v)), (lw, lu, lv), (1, 2, 0))
+    return _total(br.dim, t1.terms.items(), t2.terms.items(), t3.terms.items())
 
 
 def twisted_leibniz_defect(
     br: TensorWordBracket, u: Word, v: Word, w: Word
 ) -> GradedTensor:
     """Defect of the left Leibniz rule on ``{u (x) v, w}``."""
-    dim = br.dim
-    lhs = br.extend(u + v, w)
-    term1 = GradedTensor.basis(dim, u).tensor(br.extend(v, w))
-    inner = GradedTensor.basis(dim, v).tensor(br.extend(u, w))
-    realign = block_permutation_expand((1, 0, 2), (len(v), len(u), len(w)))
-    return lhs - term1 - inner.permute(realign)
+    lu = len(u)
+    return _total(
+        br.dim,
+        br.extend(u + v, w).terms.items(),
+        ((u + x, -c) for x, c in br.extend(v, w).terms.items()),
+        # (213)^{|v|,|u|,|w|} (v (x) {u, w}): v moves between u's and w's slots
+        ((x[:lu] + v + x[lu:], -c) for x, c in br.extend(u, w).terms.items()),
+    )
 
 
 def degree111_jacobi_map(br: TensorWordBracket) -> TensorMap:
@@ -266,14 +289,15 @@ class BracketReport:
         return out
 
 
-def _first_defect(defect_iter) -> tuple[bool, tuple | None]:
-    for args, defect in defect_iter:
-        if not defect.is_zero():
-            word, coeff = min(
-                defect.terms.items(), key=lambda kv: (len(kv[0]), kv[0])
-            )
-            return False, (args, word, coeff)
-    return True, None
+def _check(name: str, arg_tuples, defect) -> BracketCheck:
+    """The first argument tuple on which ``defect`` (returning a vector) is
+    nonzero, with the shortest, then least, word of its value."""
+    for args in arg_tuples:
+        terms = defect(*args)
+        if terms:
+            word, coeff = min(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            return BracketCheck(name, False, (args, word, coeff))
+    return BracketCheck(name, True, None)
 
 
 def check_bracket_extension(r: TensorMap, max_degree: int) -> BracketReport:
@@ -284,39 +308,19 @@ def check_bracket_extension(r: TensorMap, max_degree: int) -> BracketReport:
     failing tuple for each family.
     """
     br = TensorWordBracket(r)
-    dim = r.dim
-    checks = []
-
-    ok, witness = _first_defect(
-        (((v, w), twisted_skew_defect(br, v, w)) for v, w in _word_pairs(dim, max_degree))
+    pairs = lambda: _word_pairs(r.dim, max_degree)
+    triples = lambda: _word_triples(r.dim, max_degree)
+    checks = (
+        _check("antisymmetry", pairs(), lambda v, w: twisted_skew_defect(br, v, w).terms),
+        _check("jacobi", triples(), lambda *t: twisted_jacobi_defect(br, *t).terms),
+        _check("leibniz", triples(), lambda *t: twisted_leibniz_defect(br, *t).terms),
+        _check(
+            "route-agreement",
+            pairs(),
+            lambda v, w: (br.extend(v, w) - br.extend_recursive(v, w)).terms,
+        ),
     )
-    checks.append(BracketCheck("antisymmetry", ok, witness))
-
-    ok, witness = _first_defect(
-        (
-            ((u, v, w), twisted_jacobi_defect(br, u, v, w))
-            for u, v, w in _word_triples(dim, max_degree)
-        )
-    )
-    checks.append(BracketCheck("jacobi", ok, witness))
-
-    ok, witness = _first_defect(
-        (
-            ((u, v, w), twisted_leibniz_defect(br, u, v, w))
-            for u, v, w in _word_triples(dim, max_degree)
-        )
-    )
-    checks.append(BracketCheck("leibniz", ok, witness))
-
-    ok, witness = _first_defect(
-        (
-            ((v, w), br.extend(v, w) - br.extend_recursive(v, w))
-            for v, w in _word_pairs(dim, max_degree)
-        )
-    )
-    checks.append(BracketCheck("route-agreement", ok, witness))
-
-    return BracketReport(dim=dim, max_degree=max_degree, checks=tuple(checks))
+    return BracketReport(dim=r.dim, max_degree=max_degree, checks=checks)
 
 
 @dataclass(frozen=True)
@@ -459,7 +463,6 @@ class PolynomialPoissonBracket:
         return sparse.add(lhs, sparse.scale(rhs, -1))
 
     def check(self, max_degree: int) -> BracketReport:
-        checks = []
         monos = lambda lo, hi: (
             m
             for length in range(lo, hi + 1)
@@ -477,25 +480,9 @@ class PolynomialPoissonBracket:
                     for m3 in monos(1, max_degree - len(m1) - len(m2)):
                         yield m1, m2, m3
 
-        def first_poly_defect(it):
-            for args, defect in it:
-                if defect:
-                    mono, coeff = min(
-                        defect.items(), key=lambda kv: (len(kv[0]), kv[0])
-                    )
-                    return False, (args, mono, coeff)
-            return True, None
-
-        ok, wit = first_poly_defect(
-            ((p, self.skew_defect(*p)) for p in pairs())
+        checks = (
+            _check("antisymmetry", pairs(), self.skew_defect),
+            _check("jacobi", triples(), self.jacobi_defect),
+            _check("leibniz", triples(), self.leibniz_defect),
         )
-        checks.append(BracketCheck("antisymmetry", ok, wit))
-        ok, wit = first_poly_defect(
-            ((t, self.jacobi_defect(*t)) for t in triples())
-        )
-        checks.append(BracketCheck("jacobi", ok, wit))
-        ok, wit = first_poly_defect(
-            ((t, self.leibniz_defect(*t)) for t in triples())
-        )
-        checks.append(BracketCheck("leibniz", ok, wit))
-        return BracketReport(dim=self.dim, max_degree=max_degree, checks=tuple(checks))
+        return BracketReport(dim=self.dim, max_degree=max_degree, checks=checks)

@@ -443,6 +443,19 @@ class TestCliCommands:
         assert "lhs: (0,1)" in out
         assert "term: (" in out or "value: 0" in out
 
+    @pytest.mark.parametrize(
+        "option,word", [("--lhs", "0,7"), ("--lhs", "-1"), ("--rhs", "2"), ("--rhs", "1,-3")]
+    )
+    def test_poisson_extend_letter_out_of_range_is_two(self, tmp_path, capsys, option, word):
+        path = write(tmp_path, "swap.txt", io.dump_tensor_map(TensorMap.swap(2)))
+        words = {"--lhs": "0", "--rhs": "1", option: word}
+        argv = ["poisson", "extend", "--r", path]
+        assert main(argv + [arg for pair in words.items() for arg in pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option}: letter index out of range 0..1" in captured.err
+        assert "PASS" not in captured.err
+
     def test_poisson_verify(self, skew_files, capsys):
         good, _ = skew_files
         assert main(["poisson", "verify", "--r", good, "--max-degree", "3"]) == 0

@@ -256,7 +256,10 @@ class TestParseErrors:
         assert r.entries == {(((0, 0)), (0, 0)): Fraction(1, 2)}
 
     def test_words_parse_helper(self):
-        assert io.parse_word("-") == ()
-        assert io.parse_word("0,2,1") == (0, 2, 1)
+        assert io.parse_word("-", "--lhs", 1) == ()
+        assert io.parse_word("0,2,1", "--lhs", 3) == (0, 2, 1)
         with pytest.raises(io.SchemaError):
-            io.parse_word("0,x")
+            io.parse_word("0,x", "--lhs", 3)
+        for text in ("0,3", "-1", "1,-2"):
+            with pytest.raises(io.SchemaError, match="out of range 0..2"):
+                io.parse_word(text, "--lhs", 3)

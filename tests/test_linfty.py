@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from ybalg.linfty import (
     product_extension_check,
     three_generator_fixture,
 )
-from ybalg.tensoralg import perm_compose, perm_sign
+from ybalg.tensoralg import block_permutation_expand, perm_compose, perm_inverse, perm_sign
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -77,6 +78,21 @@ class TestSignOdd:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             sign_odd((0, 1), (0, 1, 2))
+
+    @pytest.mark.parametrize("sel", [(0, 0), (1, 1, 0), (0, 5), (-1, 0), (1, 2)])
+    def test_non_permutation_raises(self, sel):
+        with pytest.raises(ValueError, match="not a permutation"):
+            sign_odd((0,) * len(sel), sel)
+
+    def test_matches_expanded_block_permutation_sign(self):
+        rng = random.Random(13)
+        for m in range(6):
+            for _ in range(4):
+                degrees = tuple(rng.randint(-3, 3) for _ in range(m))
+                sizes = tuple((d + 1) % 2 for d in degrees)
+                for sel in itertools.permutations(range(m)):
+                    expected = perm_sign(block_permutation_expand(perm_inverse(sel), sizes))
+                    assert sign_odd(degrees, sel) == expected, (degrees, sel)
 
     @given(
         st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=6),

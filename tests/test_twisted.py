@@ -6,11 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybalg import sparse
-from ybalg.fixtures import random_skew_map, search_skew_solutions, sl2_poisson_bracket
-from ybalg.tensoralg import GradedTensor, TensorMap, words
+from ybalg.fixtures import (
+    random_map,
+    random_skew_map,
+    search_skew_solutions,
+    sl2_poisson_bracket,
+)
+from ybalg.tensoralg import (
+    GradedTensor,
+    TensorMap,
+    block_permutation_expand,
+    perm_inverse,
+    sigma_prime,
+    words,
+)
 from ybalg.twisted import (
     PolynomialPoissonBracket,
     TensorWordBracket,
+    _regroup,
     bracket_roundtrip,
     check_bracket_extension,
     degree111_jacobi_map,
@@ -89,6 +102,125 @@ def test_routes_agree_for_skew_tables(seed):
         v = tuple(rng.randrange(2) for _ in range(lv))
         w = tuple(rng.randrange(2) for _ in range(lw))
         assert br.extend(v, w) == br.extend_recursive(v, w)
+
+
+# ---------------------------------------------------------------------------
+# slot substitution against explicit slot permutations
+# ---------------------------------------------------------------------------
+
+
+def extend_by_sigma_prime(r, v, w):
+    """Reference extension: each letter pair's generator value tensored with
+    the spectators, realigned by an expanded ``sigma_prime`` permutation."""
+    m, n = len(v), len(w)
+    target = [("v", i) for i in range(m)] + [("w", j) for j in range(n)]
+    total = GradedTensor.zero(r.dim)
+    for i in range(m):
+        for j in range(n):
+            value = r.apply_word((v[i], w[j]))
+            if value.is_zero():
+                continue
+            spectators = v[:i] + v[i + 1 :] + w[:j] + w[j + 1 :]
+            current = (
+                [("v", i), ("w", j)]
+                + [("v", k) for k in range(m) if k != i]
+                + [("w", l) for l in range(n) if l != j]
+            )
+            realign = sigma_prime(target, [(sym, 1) for sym in current])
+            term = value.tensor(GradedTensor.basis(r.dim, spectators))
+            total = total + term.permute(realign)
+    return total
+
+
+def defects_by_block_permutations(r, u, v, w):
+    """Reference skew, Jacobi and Leibniz defects realigned by expanded
+    block permutations, on the reference extension."""
+    dim, lu, lv, lw = r.dim, len(u), len(v), len(w)
+    ext = lambda a, b: extend_by_sigma_prime(r, a, b)
+
+    def bracket(a, t):
+        total = GradedTensor.zero(dim)
+        for word, c in t.terms.items():
+            total = total + ext(a, word).scale(c)
+        return total
+
+    skew = ext(v, u) + ext(u, v).permute(block_permutation_expand((1, 0), (lu, lv)))
+    target = ["u", "v", "w"]
+    jacobi = (
+        bracket(u, ext(v, w))
+        + bracket(v, ext(w, u)).permute(
+            sigma_prime(target, [("v", lv), ("w", lw), ("u", lu)])
+        )
+        + bracket(w, ext(u, v)).permute(
+            sigma_prime(target, [("w", lw), ("u", lu), ("v", lv)])
+        )
+    )
+    inner = GradedTensor.basis(dim, v).tensor(ext(u, w))
+    leibniz = (
+        ext(u + v, w)
+        - GradedTensor.basis(dim, u).tensor(ext(v, w))
+        - inner.permute(block_permutation_expand((1, 0, 2), (lv, lu, lw)))
+    )
+    return skew, jacobi, leibniz
+
+
+def seeded_non_skew(seed, dim):
+    rng = random.Random(seed)
+    r = random_map(dim, 2, rng)
+    # a rational rescaling keeps Fraction coefficients in play
+    return r.scale(Fraction(2, 3)) if seed % 2 else r
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (2, 2), (3, 3), (3, 4)])
+def test_extend_matches_sigma_prime_reference(dim, seed):
+    r = seeded_non_skew(seed, dim)
+    assert not is_skew(r)
+    br = TensorWordBracket(r)
+    all_words = [w for length in range(4) for w in words(dim, length)]
+    rng = random.Random(seed)
+    pairs = [(v, w) for v in all_words for w in all_words]
+    if dim == 3:
+        pairs = rng.sample(pairs, 300)
+    for v, w in pairs:
+        assert br.extend(v, w) == extend_by_sigma_prime(r, v, w), (v, w)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 5), (2, 6), (3, 7)])
+def test_defects_match_block_permutation_reference(dim, seed):
+    r = seeded_non_skew(seed, dim)
+    br = TensorWordBracket(r)
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(12):
+        u, v, w = (
+            tuple(rng.randrange(dim) for _ in range(rng.randint(1, 2))) for _ in range(3)
+        )
+        skew, jacobi, leibniz = defects_by_block_permutations(r, u, v, w)
+        assert twisted_skew_defect(br, u, v) == skew
+        assert twisted_jacobi_defect(br, u, v, w) == jacobi
+        assert twisted_leibniz_defect(br, u, v, w) == leibniz
+        nonzero += (not skew.is_zero()) + (not jacobi.is_zero())
+    assert nonzero  # the comparison saw non-vanishing defects
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_regroup_is_the_block_permutation(sizes, rng):
+    order = list(range(len(sizes)))
+    rng.shuffle(order)
+    length = sum(sizes)
+    t = GradedTensor(
+        2,
+        {
+            tuple(rng.randrange(2) for _ in range(length)): Fraction(rng.randint(-3, 3), 2)
+            for _ in range(5)
+        },
+    )
+    expected = t.permute(block_permutation_expand(perm_inverse(tuple(order)), sizes))
+    assert _regroup(t, sizes, order) == expected
 
 
 def test_skew_defect_vanishes_only_for_skew_tables():
