@@ -235,8 +235,10 @@ def _parse_structure_constants(lines: _Lines):
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     marked: dict[tuple[int, int], int] = {}  # overflow marker -> its line
     for number, key, value in fields:
-        if key != "table":
+        if key in ("flavor", "labels", "degrees", "mode", "cap", "unit"):
             continue
+        if key != "table":
+            raise SchemaError(f"unexpected field {key!r}", path, number)
         pair_text, arrow, element_text = value.partition("->")
         if not arrow:
             raise SchemaError("table line needs 'i j -> element'", path, number)
@@ -328,9 +330,12 @@ def _parse_rn_family(lines: _Lines) -> RnFamily:
     )
     elements: dict[int, dict[Word, Fraction]] = {}
     for number, key, value in fields:
-        if not key.startswith("component"):
+        if key in ("dim", "degrees"):
             continue
-        arity = _int(key[len("component") :].strip(), path, number)
+        name, _, arity_text = key.partition(" ")
+        if name != "component":
+            raise SchemaError(f"unexpected field {key!r}", path, number)
+        arity = _int(arity_text, path, number)
         word_text, sep, coeff_text = value.rpartition(":")
         if not sep:
             raise SchemaError("component line needs 'word : coefficient'", path, number)
@@ -366,9 +371,12 @@ def _parse_linfty_family(lines: _Lines) -> MultiBracketFamily:
     degrees = tuple(_int(t, path, n_deg) for t in degrees_text.split())
     ops: dict[int, dict[tuple[int, ...], dict[int, Fraction]]] = {}
     for number, key, value in fields:
-        if not key.startswith("op"):
+        if key in ("labels", "degrees"):
             continue
-        arity = _int(key[len("op") :].strip(), path, number)
+        name, _, arity_text = key.partition(" ")
+        if name != "op":
+            raise SchemaError(f"unexpected field {key!r}", path, number)
+        arity = _int(arity_text, path, number)
         args_text, arrow, element_text = value.partition("->")
         if not arrow:
             raise SchemaError("op line needs 'args -> element'", path, number)

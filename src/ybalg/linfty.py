@@ -1,8 +1,10 @@
 """Strong homotopy Lie structure: graded signs, axiom residuals, extension.
 
-Sign convention: all Koszul-style signs route through :func:`sign_odd`, the
-sign of the block permutation with block sizes ``degree + 1``.  Operations
-are "completely graded-skew" in the matching sense::
+Sign convention: every reorder sign comes from the one Koszul sort,
+:func:`ybalg.tensoralg.koszul_sort`.  :func:`sign_odd` is its reading of
+suspended degrees: the sign of the block permutation with block sizes
+``degree + 1``, in which the even-degree arguments are the odd items.
+Operations are "completely graded-skew" in the matching sense::
 
     {a_{s(1)}, ..., a_{s(m)}} = sign_odd(degrees, s) . {a_1, ..., a_m}
 
@@ -47,7 +49,7 @@ from . import sparse
 from .algebras import TruncationOverflow
 from .linalg import rref
 from .sparse import ONE
-from .tensoralg import is_perm
+from .tensoralg import is_perm, koszul_sort
 
 Element = dict[int, Fraction]  # span of the generators
 
@@ -68,17 +70,14 @@ def sign_odd(degrees, selection) -> int:
 
     ``selection[k]`` is the 0-indexed original position of the k-th output
     element.  Each element counts as a block of size ``degree + 1``, so two
-    odd-degree elements commute and all other pairs anticommute.  The sign
-    is therefore -1 to the number of crossings: pairs of even-degree
-    elements that the selection puts out of their original order.
+    odd-degree elements commute and all other pairs anticommute: the sign
+    is that of sorting the selection back with even degree as the odd flag.
     """
     if len(degrees) != len(selection):
         raise ValueError("degrees and permutation length differ")
     if not is_perm(selection):
         raise ValueError(f"not a permutation: {tuple(selection)}")
-    evens = [k for k in selection if degrees[k] % 2 == 0]
-    crossings = sum(k > l for a, k in enumerate(evens) for l in evens[a + 1 :])
-    return -1 if crossings % 2 else 1
+    return koszul_sort(selection, lambda k: degrees[k] % 2 == 0)[1]
 
 
 def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
@@ -95,24 +94,18 @@ def _vanishes(canonical, degree) -> bool:
     return any(a == b and degree(a) % 2 == 0 for a, b in zip(canonical, canonical[1:]))
 
 
-def _skew_sort(args, degree) -> tuple[tuple | None, tuple[int, ...]]:
-    """The sorted arguments and the order sorting them; None when skewness
-    forces the bracket to vanish.  By the skew clause the bracket on ``args``
-    is ``sign_odd(degrees of args, order)`` times the bracket on the sorted."""
-    order = tuple(sorted(range(len(args)), key=args.__getitem__))
-    canonical = tuple(args[k] for k in order)
-    return (None if _vanishes(canonical, degree) else canonical), order
-
-
 def _skew_lookup(table: dict | None, args: tuple, degree) -> dict:
-    """A bracket stored by sorted arguments in ``table``, evaluated at ``args``."""
+    """A bracket stored by sorted arguments in ``table``, evaluated at ``args``.
+
+    By the skew clause it is the Koszul sign of sorting ``args`` times the
+    stored value; tables hold no argument tuple that skewness forces to vanish.
+    """
     if not table:
         return {}
-    canonical, order = _skew_sort(args, degree)
+    canonical, sign = koszul_sort(args, lambda a: degree(a) % 2 == 0)
     stored = table.get(canonical)
     if not stored:
         return {}
-    sign = sign_odd([degree(a) for a in args], order)
     return {k: sign * c for k, c in stored.items()}
 
 
@@ -167,7 +160,7 @@ class MultiBracketFamily:
     ``ops[n]`` maps canonical (index-sorted) argument tuples to value
     elements.  Construction validates the degree shift and rejects entries
     that skewness forces to vanish; lookups resolve arbitrary argument
-    orders through :func:`sign_odd`.
+    orders through the Koszul sort.
     """
 
     def __init__(self, basis: GradedBasis, ops: dict[int, dict[tuple[int, ...], Element]]):
@@ -274,20 +267,13 @@ class SuperSymAlgebra:
         self.cap = cap
 
     def sort_word(self, word: tuple) -> tuple[Monomial | None, int]:
-        """Koszul bubble sort; None when an odd generator repeats."""
+        """Koszul sort; None when an odd generator repeats."""
         degree = self.generator_degree
-        items = list(word)
-        sign = 1
-        for i in range(len(items)):
-            for j in range(len(items) - 1 - i):
-                if items[j] > items[j + 1]:
-                    if degree(items[j]) % 2 and degree(items[j + 1]) % 2:
-                        sign = -sign
-                    items[j], items[j + 1] = items[j + 1], items[j]
+        items, sign = koszul_sort(word, lambda a: degree(a) % 2)
         for a, b in zip(items, items[1:]):
             if a == b and degree(a) % 2:
                 return None, 0
-        return tuple(items), sign
+        return items, sign
 
     def degree(self, monomial: Monomial) -> int:
         return sum(map(self.generator_degree, monomial))
@@ -466,10 +452,8 @@ class _FormalBrackets:
 
     @staticmethod
     def value(n: int, atoms: tuple) -> dict:
-        canonical, order = _skew_sort(atoms, _atom_degree)
-        if canonical is None:
-            return {}
-        return {("B", n, canonical): sign_odd(list(map(_atom_degree, atoms)), order)}
+        canonical, sign = koszul_sort(atoms, lambda a: _atom_degree(a) % 2 == 0)
+        return {} if _vanishes(canonical, _atom_degree) else {("B", n, canonical): sign}
 
 
 def _bracket_count(monomial: Monomial) -> int:

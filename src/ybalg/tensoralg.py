@@ -56,11 +56,33 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def koszul_sort(items, odd, key=None) -> tuple[tuple, int]:
+    """Stable sort of ``items`` by ``key`` (the items themselves by default)
+    and the Koszul sign of the reordering.
+
+    The insertion loop swaps each out-of-order pair once, as neighbours, and
+    the sign flips at every swap of two items for which ``odd`` is true.
+    This is the one reorder-sign loop of the package.
+    """
+    seq = list(items)
+    ranks = seq if key is None else list(map(key, seq))
+    sign = 1
+    for top in range(1, len(seq)):
+        pos = top
+        while pos and ranks[pos - 1] > ranks[pos]:
+            # the moving item first: when it is even, one call settles the swap
+            if odd(seq[pos]) and odd(seq[pos - 1]):
+                sign = -sign
+            seq[pos - 1], seq[pos] = seq[pos], seq[pos - 1]
+            if ranks is not seq:
+                ranks[pos - 1], ranks[pos] = ranks[pos], ranks[pos - 1]
+            pos -= 1
+    return tuple(seq), sign
+
+
 def perm_sign(p: Perm) -> int:
-    """Sign of a permutation, computed from its inversion count."""
-    n = len(p)
-    inversions = sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation: the sign of sorting it with every item odd."""
+    return koszul_sort(p, lambda _: True)[1]
 
 
 def is_perm(p: Sequence[int]) -> bool:

@@ -5,9 +5,10 @@ n-th tensor power of a graded Lie algebra (classical case) or of a graded
 associative algebra (associative case), each component homogeneous of
 degree ``2 - n``.  The n-th residual couples every split ``i + j = n + 1``
 through a single shared slot, so every term stays inside the n-th tensor
-power and no enveloping algebra is needed: Koszul signs come from stably
-sorting the interleaved tensor factors by slot, and at the shared slot the
-two factors meet in a supercommutator (Lie case) or a product (associative
+power and no enveloping algebra is needed: Koszul signs come from the
+stable Koszul sort of the interleaved tensor factors by slot
+(:func:`ybalg.tensoralg.koszul_sort`), and at the shared slot the two
+factors meet in a supercommutator (Lie case) or a product (associative
 case).
 
 Map side: an n-ary bracket family ``{}_k`` acting on tensor powers of a
@@ -25,15 +26,17 @@ every classical report carries two readings: the default restricts to
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping
 
 from . import sparse
 from .algebras import TruncatedAlgebra, TruncationOverflow
 from .linfty import shuffles, sign_odd
 from .sparse import ONE, frac
-from .tensoralg import TensorMap, Word, embed_components, word_permute, words
+from .tensoralg import TensorMap, Word, embed_components, koszul_sort, word_permute, words
 
 Element = dict[int, Fraction]
 Tensor = dict[Word, Fraction]
@@ -180,49 +183,40 @@ class RnFamily:
 # embedded pair products
 
 
-def _interleave(placed, degrees):
-    """Stable-sort ``(slot, letter)`` factors by slot; Koszul sign of the sort."""
-    seq = list(placed)
-    sign = 1
-    for top in range(1, len(seq)):
-        pos = top
-        while pos > 0 and seq[pos - 1][0] > seq[pos][0]:
-            if (degrees[seq[pos - 1][1]] * degrees[seq[pos][1]]) % 2:
-                sign = -sign
-            seq[pos - 1], seq[pos] = seq[pos], seq[pos - 1]
-            pos -= 1
-    return seq, sign
-
-
-def _pair_product(resolve, degrees, wx, slots_x, wy, slots_y, n):
+def _pair_product(resolve, degrees, x: Tensor, slots_x, y: Tensor, slots_y, n: int) -> Tensor:
     """Expand ``x^(slots_x) . y^(slots_y)`` into words of length ``n``.
 
-    Slots covered once keep their letter; a slot covered by both factors
-    resolves through ``resolve`` with the x-factor first.  Together the
-    slots must cover the tensor power exactly.
+    The letters of each word pair are placed by the Koszul sort on their
+    slots, which is stable, so a slot covered by both factors holds the
+    x-letter first and resolves through ``resolve``; slots covered once keep
+    their letter.  Together the slots must cover the tensor power exactly.
     """
-    placed = [(s, wx[t]) for t, s in enumerate(slots_x)]
-    placed += [(s, wy[t]) for t, s in enumerate(slots_y)]
-    seq, sign = _interleave(placed, degrees)
-    per_slot: dict[int, list[int]] = {}
-    for slot, letter in seq:
-        per_slot.setdefault(slot, []).append(letter)
-    if sorted(per_slot) != list(range(n)):
+    slots = tuple(slots_x) + tuple(slots_y)
+    if set(slots) != set(range(n)):
         raise ValueError("slot tuples must cover the tensor power")
-    choices: list[list[tuple[int, Fraction]]] = []
-    for slot in range(n):
-        letters = per_slot[slot]
-        if len(letters) == 1:
-            choices.append([(letters[0], ONE)])
-        elif len(letters) == 2:
-            choices.append(sorted(resolve(letters[0], letters[1]).items()))
-        else:
-            raise ValueError("a slot may hold at most two factors")
-    for combo in itertools.product(*choices):
-        coeff = sign
-        for _, c in combo:
-            coeff *= c
-        yield tuple(k for k, _ in combo), coeff
+    if any(slots.count(s) > 2 for s in range(n)):
+        raise ValueError("a slot may hold at most two factors")
+    slot = itemgetter(0)
+    total: Tensor = {}
+    for wx, cx in sorted(x.items()):
+        for wy, cy in sorted(y.items()):
+            placed, sign = koszul_sort(
+                [*zip(slots_x, wx), *zip(slots_y, wy)],
+                lambda item: degrees[item[1]] % 2,
+                key=slot,
+            )
+            choices = []
+            for _, group in itertools.groupby(placed, slot):
+                letters = [letter for _, letter in group]
+                choices.append(
+                    sorted(resolve(*letters).items()) if len(letters) == 2 else [(letters[0], ONE)]
+                )
+            terms = (
+                (tuple(k for k, _ in combo), math.prod(c for _, c in combo))
+                for combo in itertools.product(*choices)
+            )
+            sparse.accumulate(total, terms, sign * cx * cy)
+    return sparse.purge(total)
 
 
 def lie_pair_bracket(g: LieStructure, x: Tensor, slots_x, y: Tensor, slots_y, n: int) -> Tensor:
@@ -236,17 +230,7 @@ def lie_pair_bracket(g: LieStructure, x: Tensor, slots_x, y: Tensor, slots_y, n:
     """
     if len(set(slots_x) & set(slots_y)) != 1:
         raise ValueError("slot tuples must share exactly one slot")
-    total: Tensor = {}
-    for wx, cx in sorted(x.items()):
-        for wy, cy in sorted(y.items()):
-            sparse.accumulate(
-                total,
-                _pair_product(
-                    g.bracket_basis, g.degrees, wx, tuple(slots_x), wy, tuple(slots_y), n
-                ),
-                cx * cy,
-            )
-    return sparse.purge(total)
+    return _pair_product(g.bracket_basis, g.degrees, x, slots_x, y, slots_y, n)
 
 
 def assoc_pair_product(
@@ -259,18 +243,8 @@ def assoc_pair_product(
     because a truncated algebra's own degrees measure word length, not
     parity.
     """
-    degrees = _bracket_degrees(algebra, super_degrees)
-    total: Tensor = {}
-    for wx, cx in sorted(x.items()):
-        for wy, cy in sorted(y.items()):
-            sparse.accumulate(
-                total,
-                _pair_product(
-                    algebra.mul_basis, degrees, wx, tuple(slots_x), wy, tuple(slots_y), n
-                ),
-                cx * cy,
-            )
-    return sparse.purge(total)
+    degrees = _bracket_degrees(algebra.nbasis, super_degrees)
+    return _pair_product(algebra.mul_basis, degrees, x, slots_x, y, slots_y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +266,39 @@ def cyclic_selections(n: int) -> list[tuple[int, ...]]:
     return [tuple((k + c) % n for k in range(n)) for c in range(n)]
 
 
-def _split_slots(sel: Sequence[int], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Slot tuples for the (i, n+1-i) split: both sides share ``sel[0]``."""
-    return tuple(sel[:i]), (sel[0],) + tuple(sel[i:])
-
-
 def _check_family(fam: RnFamily, dim: int, degrees) -> None:
     if fam.dim != dim or fam.degrees != tuple(degrees):
         raise ValueError("family does not match the algebra basis")
 
 
-def _bracket_degrees(algebra: TruncatedAlgebra, super_degrees) -> tuple[int, ...]:
+def _bracket_degrees(nbasis: int, super_degrees) -> tuple[int, ...]:
     if super_degrees is None:
-        return (0,) * algebra.nbasis
+        return (0,) * nbasis
     degs = tuple(int(d) for d in super_degrees)
-    if len(degs) != algebra.nbasis:
+    if len(degs) != nbasis:
         raise ValueError("one degree per basis element is required")
     return degs
+
+
+def _split_sum(components, n: int, selections, term) -> dict:
+    """``sum over i + j = n + 1 and sel in selections(i) of (-1)^i term``.
+
+    ``term(x, slots_x, y, slots_y, sel)`` gives the ``(key, coefficient)``
+    pairs of the (i, j) split with ``x = components[i]`` on the first ``i``
+    selected slots and ``y = components[j]`` on the rest plus the shared
+    slot ``sel[0]``; a split whose component is missing or empty adds
+    nothing.
+    """
+    total: dict = {}
+    for i in range(1, n + 1):
+        x, y = components.get(i), components.get(n + 1 - i)
+        if not x or not y:
+            continue
+        scalar = -1 if i % 2 else None  # (-1)^i; None adds the terms as they are
+        for sel in selections(i):
+            slots_x, slots_y = tuple(sel[:i]), (sel[0],) + tuple(sel[i:])
+            sparse.accumulate(total, term(x, slots_x, y, slots_y, sel), scalar)
+    return sparse.purge(total)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +311,17 @@ def cybe_infty_sum(g: LieStructure, fam: RnFamily, n: int, reading: str = "shuff
         raise ValueError("reading must be 'shuffle' or 'literal'")
     g.require_lie()
     _check_family(fam, g.nbasis, g.degrees)
-    total: Tensor = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        x = fam.elements.get(i)
-        y = fam.elements.get(j)
-        if not x or not y:
-            continue
-        scalar = -1 if i % 2 else None  # (-1)^i; None adds the terms as they are
-        sels = full_selections(n) if reading == "literal" else shuffle_selections(n, i)
-        for sel in sels:
-            slots_x, slots_y = _split_slots(sel, i)
-            term = lie_pair_bracket(g, x, slots_x, y, slots_y, n)
-            sparse.accumulate(total, term.items(), scalar)
-    return sparse.purge(total)
+    return _cybe_sum(g, fam, n, reading)
+
+
+def _cybe_sum(g: LieStructure, fam: RnFamily, n: int, reading: str) -> Tensor:
+    def selections(i):
+        return full_selections(n) if reading == "literal" else shuffle_selections(n, i)
+
+    def term(x, slots_x, y, slots_y, sel):
+        return _pair_product(g.bracket_basis, g.degrees, x, slots_x, y, slots_y, n).items()
+
+    return _split_sum(fam.elements, n, selections, term)
 
 
 def aybe_infty_sum(
@@ -344,49 +331,37 @@ def aybe_infty_sum(
     ok, failure, _ = algebra.check_associativity()
     if not ok:
         raise ValueError(f"structure constants are not associative: {failure}")
-    degs = _bracket_degrees(algebra, super_degrees)
+    degs = _bracket_degrees(algebra.nbasis, super_degrees)
     _check_family(fam, algebra.nbasis, degs)
+
+    def term(x, slots_x, y, slots_y, sel):
+        return _pair_product(algebra.mul_basis, degs, x, slots_x, y, slots_y, n).items()
+
+    return _split_sum(fam.elements, n, lambda i: cyclic_selections(n), term)
+
+
+def _three_term_sum(resolve, degrees, r2: Tensor, placements) -> Tensor:
+    """The sum of ``scalar * r2^(slots_x) . r2^(slots_y)`` over ``placements`` in the cube."""
     total: Tensor = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        x = fam.elements.get(i)
-        y = fam.elements.get(j)
-        if not x or not y:
-            continue
-        scalar = -1 if i % 2 else None  # (-1)^i; None adds the terms as they are
-        for sel in cyclic_selections(n):
-            slots_x, slots_y = _split_slots(sel, i)
-            term = assoc_pair_product(algebra, x, slots_x, y, slots_y, n, degs)
-            sparse.accumulate(total, term.items(), scalar)
+    for slots_x, slots_y, scalar in placements:
+        term = _pair_product(resolve, degrees, r2, slots_x, r2, slots_y, 3)
+        sparse.accumulate(total, term.items(), scalar)
     return sparse.purge(total)
 
 
 def classical_cybe_element(g: LieStructure, r2: Tensor) -> Tensor:
     """``[r^12, r^13] + [r^12, r^23] + [r^13, r^23]`` in the cube."""
-    total: Tensor = {}
-    for slots_x, slots_y in (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))):
-        sparse.accumulate(total, lie_pair_bracket(g, r2, slots_x, r2, slots_y, 3).items())
-    return sparse.purge(total)
+    placements = (((0, 1), (0, 2), None), ((0, 1), (1, 2), None), ((0, 2), (1, 2), None))
+    return _three_term_sum(g.bracket_basis, g.degrees, r2, placements)
 
 
 def classical_aybe_element(
     algebra: TruncatedAlgebra, r2: Tensor, super_degrees=None
 ) -> Tensor:
     """``r^12 r^13 - r^23 r^12 + r^13 r^23`` in the cube."""
-    total: Tensor = {}
-    for slots_x, slots_y, scalar in (
-        ((0, 1), (0, 2), None),
-        ((1, 2), (0, 1), -1),
-        ((0, 2), (1, 2), None),
-    ):
-        sparse.accumulate(
-            total,
-            assoc_pair_product(
-                algebra, r2, slots_x, r2, slots_y, 3, super_degrees
-            ).items(),
-            scalar,
-        )
-    return sparse.purge(total)
+    degrees = _bracket_degrees(algebra.nbasis, super_degrees)
+    placements = (((0, 1), (0, 2), None), ((1, 2), (0, 1), -1), ((0, 2), (1, 2), None))
+    return _three_term_sum(algebra.mul_basis, degrees, r2, placements)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +429,10 @@ def cybe_infty_residual(
     g: LieStructure, fam: RnFamily, n: int, literal_shuffles: bool = False
 ) -> InftyReport:
     """Both readings of the n-th classical residual, one governing the verdict."""
-    readings = (
-        _reading_result("shuffle", cybe_infty_sum(g, fam, n, "shuffle")),
-        _reading_result("literal", cybe_infty_sum(g, fam, n, "literal")),
+    g.require_lie()
+    _check_family(fam, g.nbasis, g.degrees)
+    readings = tuple(
+        _reading_result(name, _cybe_sum(g, fam, n, name)) for name in ("shuffle", "literal")
     )
     notes: list[str] = []
     if n == 3 and fam.arities == (2,):
@@ -563,29 +539,17 @@ def jacobi_infty_residual(
     slots with the outer bracket on the shared slot plus the remaining
     ones, weighted by ``(-1)^i`` and the odd Koszul sign of the rotation.
     """
-    degs = _bracket_degrees(algebra, super_degrees)
+    degs = _bracket_degrees(algebra.nbasis, super_degrees)
     _validate_bracket_family(fam, algebra, degs)
-    total = TensorMap.zero(algebra.nbasis, n, n)
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        inner = fam.get(i)
-        outer = fam.get(j)
-        if inner is None or outer is None:
-            continue
-        split_sign = 1 if i % 2 == 0 else -1
-        for sel in cyclic_selections(n):
-            slots_x, slots_y = _split_slots(sel, i)
-            inner_map = embed_components(inner, tuple(s + 1 for s in slots_x), n)
-            outer_map = embed_components(outer, tuple(s + 1 for s in slots_y), n)
-            composite = outer_map.compose(inner_map)
-            entries: dict[tuple[Word, Word], Fraction] = {}
-            for (out_word, in_word), coeff in composite.entries.items():
-                arg_degrees = tuple(degs[k] for k in in_word)
-                entries[(out_word, in_word)] = coeff * (
-                    split_sign * sign_odd(arg_degrees, sel)
-                )
-            total = total + TensorMap(algebra.nbasis, n, n, entries)
-    return total
+
+    def term(inner, slots_x, outer, slots_y, sel):
+        inner_map = embed_components(inner, tuple(s + 1 for s in slots_x), n)
+        outer_map = embed_components(outer, tuple(s + 1 for s in slots_y), n)
+        for (out_word, in_word), coeff in outer_map.compose(inner_map).entries.items():
+            yield (out_word, in_word), coeff * sign_odd(tuple(degs[k] for k in in_word), sel)
+
+    entries = _split_sum(fam, n, lambda i: cyclic_selections(n), term)
+    return TensorMap(algebra.nbasis, n, n, entries)
 
 
 def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> list[str]:
@@ -597,15 +561,9 @@ def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> lis
     """
     defects: list[str] = []
     for arity, b in sorted(fam.items()):
-        degs = (
-            (0,) * b.dim
-            if super_degrees is None
-            else tuple(int(d) for d in super_degrees)
-        )
+        degs = _bracket_degrees(b.dim, super_degrees)
         for t in range(arity - 1):
-            tau = list(range(arity))
-            tau[t], tau[t + 1] = tau[t + 1], tau[t]
-            tau = tuple(tau)
+            tau = tuple(range(t)) + (t + 1, t) + tuple(range(t + 2, arity))
             for w in words(b.dim, arity):
                 permuted_args = word_permute(tau, w)
                 lhs = {
@@ -636,7 +594,7 @@ def double_leibniz_defects(
     on the second term is read as ``(-1)^(arity * |y|)``.  Products that
     leave the truncation window are skipped and counted.
     """
-    degs = _bracket_degrees(algebra, super_degrees)
+    degs = _bracket_degrees(algebra.nbasis, super_degrees)
     defects: list[str] = []
     skipped = 0
     for arity, b in sorted(fam.items()):
@@ -743,7 +701,7 @@ def jacobi_infty_check(
 ) -> DoubleInftyReport:
     """Full n-ary double-bracket verdict; a failed skew clause is reported
     before any residual is evaluated."""
-    degs = _bracket_degrees(algebra, super_degrees)
+    degs = _bracket_degrees(algebra.nbasis, super_degrees)
     _validate_bracket_family(fam, algebra, degs)
     skew = tuple(skew_clause_defects(fam, super_degrees=degs))
     residual_zero: bool | None = None

@@ -281,6 +281,28 @@ class TestCliExitCodes:
         assert "fam.txt:2" in err
         assert "dim must be at least 1" in err
 
+    def test_misspelled_table_field_is_two(self, tmp_path, capsys):
+        # the zero bracket passes on every algebra, so only the parse can fail
+        text = io.dump_associative_algebra(polynomial_quotient_algebra(2))
+        algebra_path = write(tmp_path, "alg.txt", text + "tabel: 0 1 -> 1:1\n")
+        bracket_path = write(tmp_path, "zero.txt", io.dump_tensor_map(TensorMap.zero(2, 2)))
+        argv = ["double", "verify", "--algebra", algebra_path, "--bracket", bracket_path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = len(text.splitlines()) + 1
+        assert f"alg.txt:{line}: unexpected field 'tabel'" in captured.err
+
+    def test_misspelled_component_field_is_two(self, tmp_path, capsys):
+        lie_path = write(tmp_path, "gl.txt", io.dump_lie_structure(gl_lie(2)))
+        fam_path = write(
+            tmp_path, "fam.txt", "ybalg schema/1 rn-family\ndim: 4\ncompnent 2: 1,1 : 1\n"
+        )
+        argv = ["ybe-infty", "check", "--kind", "cybe", "--algebra", lie_path,
+                "--family", fam_path, "--n", "3"]
+        assert main(argv) == 2
+        assert "fam.txt:3: unexpected field 'compnent 2'" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert main(["ybe", "cae", "--input", str(tmp_path / "nope.txt")]) == 2
         assert "file not found" in capsys.readouterr().err

@@ -229,6 +229,31 @@ class TestParseErrors:
         )
         assert "degree" in msg
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                "ybalg schema/1 structure-constants\nflavor: assoc\nlabels: 1 x\n"
+                "degrees: 0 1\ntable: 0 0 -> 0:1\ntabel: 0 1 -> 1:1\n",
+                "tabel",
+            ),
+            (
+                "ybalg schema/1 rn-family\ndim: 2\ncomponent 2: 0,1 : 1\n"
+                "compnent 2: 1,0 : 1\n",
+                "compnent 2",
+            ),
+            (
+                "ybalg schema/1 linfty-family\nlabels: a b\ndegrees: 0 0\n"
+                "op 2: 0,1 -> 0:1\nopt 1: 0 -> 1:1\n",
+                "opt 1",
+            ),
+        ],
+        ids=["structure-constants", "rn-family", "linfty-family"],
+    )
+    def test_unknown_field_is_located(self, text, key):
+        msg = parse_err(text)
+        assert f"f.txt:{len(text.splitlines())}: unexpected field {key!r}" in msg
+
     def test_vector_length_mismatch(self):
         msg = parse_err(
             "ybalg schema/1 relation-coefficients\nvector: 1 2\nvector: 1\n"

@@ -29,7 +29,13 @@ from ybalg.linfty import (
     product_extension_check,
     three_generator_fixture,
 )
-from ybalg.tensoralg import block_permutation_expand, perm_compose, perm_inverse, perm_sign
+from ybalg.tensoralg import (
+    block_permutation_expand,
+    koszul_sort,
+    perm_compose,
+    perm_inverse,
+    perm_sign,
+)
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -43,6 +49,20 @@ def sign_odd_direct(degrees, sel):
             if sel[k] > sel[l]:
                 sign *= (-1) ** ((degrees[sel[k]] + 1) * (degrees[sel[l]] + 1))
     return sign
+
+
+def bubble_koszul_sort(word, odd):
+    """Independent oracle: a bubble sort flipping the sign at each swap of
+    two odd letters."""
+    items = list(word)
+    sign = 1
+    for i in range(len(items)):
+        for j in range(len(items) - 1 - i):
+            if items[j] > items[j + 1]:
+                if odd(items[j]) and odd(items[j + 1]):
+                    sign = -sign
+                items[j], items[j + 1] = items[j + 1], items[j]
+    return tuple(items), sign
 
 
 def sl2_family():
@@ -265,6 +285,19 @@ class TestSuperSymAlgebra:
         alg = SuperSymAlgebra(GradedBasis(("u", "v", "w"), (1, 1, 1)).degree, 3)
         word, sign = alg.sort_word((2, 1, 0))
         assert word == (0, 1, 2) and sign == -1
+
+    def test_kernel_and_sort_word_match_a_bubble_sort(self):
+        # four generators of mixed parity, every word of length <= 5
+        basis = GradedBasis(("a", "u", "b", "v"), (0, 1, -2, 3))
+        alg = SuperSymAlgebra(basis.degree)
+        odd = lambda g: basis.degree(g) % 2
+        for length in range(6):
+            for word in itertools.product(range(4), repeat=length):
+                items, sign = bubble_koszul_sort(word, odd)
+                assert koszul_sort(word, odd) == (items, sign), word
+                repeated_odd = any(a == b and odd(a) for a, b in zip(items, items[1:]))
+                expected = (None, 0) if repeated_odd else (items, sign)
+                assert alg.sort_word(word) == expected, word
 
 
 class TestExtension:

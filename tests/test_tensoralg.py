@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ybalg.tensoralg import (
     block_permutation_expand,
     embed_components,
     identity_perm,
+    koszul_sort,
     parse_perm,
     perm_compose,
     perm_inverse,
@@ -64,6 +66,26 @@ def test_perm_inverse(p):
 @given(perms4, perms4)
 def test_perm_sign_is_multiplicative(p, q):
     assert perm_sign(perm_compose(p, q)) == perm_sign(p) * perm_sign(q)
+
+
+def test_perm_sign_counts_inversions():
+    for n in range(7):
+        for p in itertools.permutations(range(n)):
+            inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+            assert perm_sign(p) == (-1) ** inversions
+
+
+def test_koszul_sort_is_stable_under_a_key():
+    items = [(2, "u"), (0, "a"), (2, "v"), (1, "w"), (0, "b")]
+    odd = lambda item: item[1] in "uvw"
+    placed, sign = koszul_sort(items, odd, key=lambda item: item[0])
+    assert placed == ((0, "a"), (0, "b"), (1, "w"), (2, "u"), (2, "v"))
+    # w moves past u and v, both odd; a and b are even
+    assert sign == 1
+    placed, sign = koszul_sort(items[:4], odd, key=lambda item: item[0])
+    assert placed == ((0, "a"), (1, "w"), (2, "u"), (2, "v")) and sign == 1
+    assert koszul_sort([(1, "u"), (0, "v")], odd, key=lambda item: item[0])[1] == -1
+    assert koszul_sort([(1, "u"), (0, "a")], odd, key=lambda item: item[0])[1] == 1
 
 
 @given(perms4)

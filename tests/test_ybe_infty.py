@@ -16,6 +16,7 @@ from ybalg.ybe_infty import (
     InftyReport,
     LieStructure,
     RnFamily,
+    _pair_product,
     abelian_lie,
     assoc_pair_product,
     aybe_infty_residual,
@@ -83,6 +84,42 @@ def letter_generator_values(alg, r):
         key = (lidx[in_pair[0]], lidx[in_pair[1]])
         values.setdefault(key, {})[(lidx[out_pair[0]], lidx[out_pair[1]])] = c
     return values
+
+
+def interleave_reference(resolve, degrees, x, slots_x, y, slots_y, n):
+    """Independent oracle for the pair product: an insertion sort of the
+    ``(slot, letter)`` factors by slot alone, flipping the sign at each swap
+    of two odd letters, then the letters grouped slot by slot."""
+    total = {}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            seq = [(s, wx[t]) for t, s in enumerate(slots_x)]
+            seq += [(s, wy[t]) for t, s in enumerate(slots_y)]
+            sign = 1
+            for top in range(1, len(seq)):
+                pos = top
+                while pos > 0 and seq[pos - 1][0] > seq[pos][0]:
+                    if (degrees[seq[pos - 1][1]] * degrees[seq[pos][1]]) % 2:
+                        sign = -sign
+                    seq[pos - 1], seq[pos] = seq[pos], seq[pos - 1]
+                    pos -= 1
+            per_slot = {}
+            for slot, letter in seq:
+                per_slot.setdefault(slot, []).append(letter)
+            choices = []
+            for slot in range(n):
+                letters = per_slot[slot]
+                if len(letters) == 1:
+                    choices.append([(letters[0], ONE)])
+                else:
+                    choices.append(sorted(resolve(letters[0], letters[1]).items()))
+            for combo in itertools.product(*choices):
+                coeff = sign * cx * cy
+                for _, c in combo:
+                    coeff *= c
+                word = tuple(k for k, _ in combo)
+                total[word] = total.get(word, 0) + coeff
+    return {w: c for w, c in total.items() if c}
 
 
 class TestLieStructure:
@@ -230,6 +267,32 @@ class TestPairOperations:
             sign = 1 if (px * py) % 2 else -1
             assert lhs == {w: sign * c for w, c in rhs.items()}
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pair_product_matches_the_interleave_reference(self, n):
+        # gl(1|1) matrix units (e12 and e21 odd) and a Lie structure with
+        # odd generators of positive and negative degree
+        A = matrix_algebra(2)
+        g = odd_pair_structure()
+        cases = [(A.mul_basis, (0, 1, 1, 0), 4), (g.bracket_basis, g.degrees, 3)]
+        rng = random.Random(40 + n)
+        for resolve, degrees, dim in cases:
+            for sel in full_selections(n):
+                for i in range(1, n + 1):
+                    slots_x, slots_y = sel[:i], (sel[0],) + sel[i:]
+                    x = random_element(rng, dim, len(slots_x), lo=-4, hi=4)
+                    y = random_element(rng, dim, len(slots_y), lo=-4, hi=4)
+                    x = {w: c / rng.randint(1, 3) for w, c in x.items()}
+                    got = _pair_product(resolve, degrees, x, slots_x, y, slots_y, n)
+                    want = interleave_reference(resolve, degrees, x, slots_x, y, slots_y, n)
+                    assert got == want, (sel, i)
+            # disjoint slots: a plain Koszul interleaving
+            for slots_x in itertools.combinations(range(n), n // 2):
+                slots_y = tuple(k for k in range(n) if k not in slots_x)
+                x = random_element(rng, dim, len(slots_x))
+                y = random_element(rng, dim, len(slots_y))
+                got = _pair_product(resolve, degrees, x, slots_x, y, slots_y, n)
+                assert got == interleave_reference(resolve, degrees, x, slots_x, y, slots_y, n)
+
 
 class TestSelections:
     @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
@@ -250,6 +313,14 @@ class TestSelections:
 
 
 class TestCybeInfty:
+    def test_residual_checks_the_algebra_once(self, monkeypatch):
+        g = gl_lie(2)
+        calls = []
+        monkeypatch.setattr(g, "require_lie", lambda: calls.append(1))
+        fam = RnFamily(4, {2: {(1, 1): ONE}})
+        assert cybe_infty_residual(g, fam, 3).passed
+        assert len(calls) == 1
+
     def test_shuffle_reading_reduces_to_single_bracket(self):
         g = gl_lie(2)
         rng = random.Random(11)
@@ -505,6 +576,11 @@ class TestJacobiInfty:
         chained = TensorMap(3, 1, 1, {((u,), (a,)): ONE, ((v,), (u,)): ONE})
         residual = jacobi_infty_residual({1: chained}, A, 1, super_degrees=degs)
         assert residual.entries == {((v,), (a,)): -ONE}
+
+    def test_skew_clause_needs_one_degree_per_letter(self):
+        sym = TensorMap(2, 2, 2, {((0, 1), (0, 1)): ONE})
+        with pytest.raises(ValueError, match="one degree per basis element"):
+            skew_clause_defects({2: sym}, super_degrees=(1,))
 
     def test_skew_clause_defect_location(self):
         sym = TensorMap(2, 2, 2, {((0, 1), (0, 1)): ONE, ((0, 1), (1, 0)): ONE})
