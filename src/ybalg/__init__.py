@@ -44,7 +44,6 @@ from .harness import Job, JobSpec, Report, default_suite, fixture_search, run_su
 from .io import SchemaError, parse_inputs
 from .sparse import frac
 from .tensoralg import (
-    BlockPermutation,
     GradedTensor,
     TensorMap,
     apply_permutation,
@@ -65,7 +64,6 @@ from .ybe import (
 )
 
 __all__ = [
-    "BlockPermutation",
     "GradedTensor",
     "Job",
     "JobSpec",

@@ -472,7 +472,7 @@ class MultCompareReport:
         ]
 
 
-def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareReport:
+def almcybe_check(db: DoubleBracket) -> MultCompareReport:
     """Check the one-sided multiplication identity on the associative residual.
 
     Preconditions (verified, reported separately from the conclusion): the
@@ -486,7 +486,8 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
     multiplying the first and third slots of AYBE's output words; an ``a``
     with any ``a x`` past the window is skipped.  It also re-derives the
     expansion identity for the classical residual against a middle-slot
-    product on sampled basis triples.
+    product on every triple ``(a, b1 b2, c)`` of basis elements (all of them,
+    though the report line still says "sampled").
     """
     db = db.integral_multiple()
     algebra = db.algebra
@@ -515,8 +516,7 @@ def almcybe_check(db: DoubleBracket, sample_stride: int = 1) -> MultCompareRepor
             break
 
     expansion = True
-    indices = list(range(0, n, sample_stride)) or [0]
-    for quadruple in itertools.product(indices, repeat=4):
+    for quadruple in itertools.product(range(n), repeat=4):
         try:
             if not _expansion_identity_holds(db, *columns, *quadruple):
                 expansion = False

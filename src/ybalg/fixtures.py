@@ -214,4 +214,4 @@ def sl2_poisson_bracket() -> PolynomialPoissonBracket:
         (0, 1): {(0,): -2 * ONE},  # {e, h} = -2e
         (1, 2): {(2,): -2 * ONE},  # {h, f} = -2f
     }
-    return PolynomialPoissonBracket(3, table)
+    return PolynomialPoissonBracket.from_table(3, table)

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import sparse, ybe
-from .linalg import Terms, Vector, rank, rref
-from .sparse import ONE, ZERO
+from .linalg import Terms, rank, rref
+from .sparse import ONE
 from .tensoralg import (
     Perm,
     TensorMap,
@@ -84,14 +84,8 @@ class GroupAlgebraElement:
     def basis(cls, perm: Perm) -> "GroupAlgebraElement":
         return cls(len(perm), {tuple(perm): ONE})
 
-    def support(self) -> list[Perm]:
-        return sorted(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.terms.values(), ZERO)
 
     def scale(self, scalar) -> "GroupAlgebraElement":
         return self._of(sparse.scale(self.terms, scalar))
@@ -274,13 +268,6 @@ def _adjacent_perm(b: int, m: int) -> Perm:
     return tuple(p)
 
 
-def _map_witness(defect: TensorMap) -> str:
-    (out_w, in_w), coeff = sorted(defect.entries.items())[0]
-    o = ",".join(map(str, out_w))
-    i = ",".join(map(str, in_w))
-    return f"out=({o}) in=({i}) value={coeff}"
-
-
 def _check_twist_shape(big_r: TensorMap) -> None:
     if big_r.dom_deg != 2 or big_r.cod_deg != 2:
         raise ValueError("the twist must be an operator on a tensor square")
@@ -296,7 +283,7 @@ def _twist_generators(big_r: TensorMap, m: int) -> tuple[TensorMap, ...]:
     return tuple(gens)
 
 
-def _verify_braid_relations(gens: Sequence[TensorMap], dim: int, m: int) -> None:
+def _verify_braid_relations(gens: Sequence[TensorMap]) -> None:
     for b in range(len(gens) - 1):
         lhs = gens[b].compose(gens[b + 1]).compose(gens[b])
         rhs = gens[b + 1].compose(gens[b]).compose(gens[b + 1])
@@ -313,14 +300,11 @@ def _verify_braid_relations(gens: Sequence[TensorMap], dim: int, m: int) -> None
 
 @dataclass(frozen=True)
 class RPermutationAction:
-    """Generators of the twisted ``S_m`` action; iterating yields the maps."""
+    """Generators of the twisted ``S_m`` action."""
 
     dim: int
     m: int
     generators: tuple[TensorMap, ...]
-
-    def __iter__(self) -> Iterator[TensorMap]:
-        return iter(self.generators)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -329,9 +313,9 @@ class RPermutationAction:
 def r_permutation_action(big_r: TensorMap, m: int) -> RPermutationAction:
     """Adjacent-transposition generators ``swap o R^{b,b+1}`` on ``m`` slots.
 
-    Requires a unitary solution of the quantum equation; the resulting
-    generators are verified to satisfy the full Coxeter presentation
-    (squares from unitarity, braiding from the quantum equation).
+    Requires a unitary solution of the quantum equation; the generators of
+    :func:`braid_generators` are verified to satisfy the full Coxeter
+    presentation (squares from unitarity, braiding from the quantum equation).
     """
     _check_twist_shape(big_r)
     if m < 1:
@@ -339,39 +323,34 @@ def r_permutation_action(big_r: TensorMap, m: int) -> RPermutationAction:
     unit_defect = ybe.unitarity_defect(big_r)
     if not unit_defect.is_zero():
         raise ValueError(
-            f"twist is not unitary (R^21 R != Id): {_map_witness(unit_defect)}"
+            "twist is not unitary (R^21 R != Id):"
+            f" {ybe.witness_str(unit_defect.first_nonzero())}"
         )
-    q_defect = ybe.qybe_residual(big_r)
-    if not q_defect.is_zero():
-        raise ValueError(
-            "twist fails the quantum Yang-Baxter equation:"
-            f" {_map_witness(q_defect)}"
-        )
-    gens = _twist_generators(big_r, m)
+    gens = braid_generators(big_r, m)
     ident = TensorMap.identity(big_r.dim, m)
     for b, g in enumerate(gens):
         if not (g.compose(g) - ident).is_zero():
             raise RuntimeError(f"internal: generator {b + 1} squared is not Id")
-    _verify_braid_relations(gens, big_r.dim, m)
-    return RPermutationAction(big_r.dim, m, gens)
+    return RPermutationAction(big_r.dim, m, tuple(gens))
 
 
 def braid_generators(big_r: TensorMap, m: int) -> list[TensorMap]:
     """Twisted generators for a not-necessarily-unitary quantum solution.
 
     Only the braid and distant-commutation relations are available here,
-    so the return value is meant for commutant computations, not for the
-    symmetric-group decomposition.
+    so the return value is meant for commutant computations;
+    :func:`r_permutation_action` adds unitarity and the squares before the
+    symmetric-group decomposition uses them.
     """
     _check_twist_shape(big_r)
     q_defect = ybe.qybe_residual(big_r)
     if not q_defect.is_zero():
         raise ValueError(
             "twist fails the quantum Yang-Baxter equation:"
-            f" {_map_witness(q_defect)}"
+            f" {ybe.witness_str(q_defect.first_nonzero())}"
         )
     gens = _twist_generators(big_r, m)
-    _verify_braid_relations(gens, big_r.dim, m)
+    _verify_braid_relations(gens)
     return list(gens)
 
 
@@ -439,27 +418,6 @@ def map_matrix(tmap: TensorMap) -> list[Terms]:
 def image_dimension(tmap: TensorMap) -> int:
     """Exact rank of the operator."""
     return rank(map_matrix(tmap), tmap.dim**tmap.dom_deg)
-
-
-def image_vectors(tmap: TensorMap) -> list[Vector]:
-    """Columns of the matrix: spanning vectors of the image, in-word order."""
-    rows = map_matrix(tmap)
-    ncols = tmap.dim**tmap.dom_deg
-    return [[row.get(j, ZERO) for row in rows] for j in range(ncols)]
-
-
-def apply_to_vector(tmap: TensorMap, vec: Sequence[Fraction]) -> Vector:
-    """Matrix-vector product in the lexicographic word coordinates."""
-    index_in = _word_index(tmap.dim, tmap.dom_deg)
-    index_out = _word_index(tmap.dim, tmap.cod_deg)
-    if len(vec) != len(index_in):
-        raise ValueError("length mismatch")
-    out = [ZERO] * len(index_out)
-    for (out_w, in_w), coeff in tmap.entries.items():
-        c = vec[index_in[in_w]]
-        if c:
-            out[index_out[out_w]] += coeff * c
-    return out
 
 
 def _flatten_operator(tmap: TensorMap, index: Mapping[Word, int]) -> Terms:
@@ -586,10 +544,13 @@ def hr_relation_rank(big_r: TensorMap, m: int) -> int:
 
 
 def hr_dimension_oracles(big_r: TensorMap, m: int) -> tuple[int, int]:
-    """The component dimension by relations and by commutant, unasserted."""
-    action = r_permutation_action(big_r, m)
+    """The component dimension by relations and by commutant, unasserted.
+
+    The commutant count is the size of :func:`hr_component_dual_basis`,
+    which also checks the twist before the relation rank is computed.
+    """
+    by_commutant = len(hr_component_dual_basis(big_r, m))
     by_relations = big_r.dim ** (2 * m) - hr_relation_rank(big_r, m)
-    by_commutant = len(commutant(action.generators, dim=big_r.dim, deg=m))
     return by_relations, by_commutant
 
 

@@ -234,8 +234,12 @@ def _parse_structure_constants(lines: _Lines):
         degrees = [0] * len(labels)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     marked: dict[tuple[int, int], int] = {}  # overflow marker -> its line
+    # a Lie structure has no window and no unit
+    known = ("flavor", "labels", "degrees")
+    if flavor == "assoc":
+        known += ("mode", "cap", "unit")
     for number, key, value in fields:
-        if key in ("flavor", "labels", "degrees", "mode", "cap", "unit"):
+        if key in known:
             continue
         if key != "table":
             raise SchemaError(f"unexpected field {key!r}", path, number)

@@ -198,16 +198,6 @@ class MultiBracketFamily:
     def value(self, n: int, args: tuple[int, ...]) -> Element:
         return _skew_lookup(self.ops.get(n), args, self.basis.degree)
 
-    def value_on_elements(self, n: int, args: list[Element]) -> Element:
-        total: Element = {}
-        for combo in itertools.product(*[list(a.items()) for a in args]):
-            coeff = ONE
-            for _, c in combo:
-                coeff *= c
-            value = self.value(n, tuple(idx for idx, _ in combo))
-            sparse.accumulate(total, value.items(), coeff)
-        return sparse.purge(total)
-
 
 def linfty_residual_blocks(
     fam: MultiBracketFamily, m: int, args: tuple[int, ...], mode: str = "shuffle"

@@ -10,9 +10,11 @@ into one slot of the relation produces cross terms ``(x*y)(z*w)`` that must
 cancel identically.  This module expands the substitution symbolically,
 extracts the exact linear constraints on the relation coefficients, computes
 the admissible relation space, and names the resulting operads.  A numeric
-oracle re-derives every verdict on genuine polynomial algebras with the
-operation implemented as an honest biderivation, bypassing the symbolic
-expansion entirely.
+oracle re-derives every verdict on genuine polynomial algebras, bypassing the
+symbolic expansion entirely: the operation is the polynomial bracket of
+:class:`ybalg.twisted.PolynomialPoissonBracket`, the same biderivation that
+carries the degree-0 Poisson checks, with a fresh variable as its value on
+each pair of variables.
 
 Relation coordinates: a quadratic relation in arguments ``b1, b2, b3`` is
 
@@ -40,6 +42,7 @@ from . import sparse
 from .linalg import nullspace, rref
 from .sparse import ONE, ZERO, frac
 from .tensoralg import perm_str
+from .twisted import Poly, PolynomialPoissonBracket, poly_mul
 
 # ---------------------------------------------------------------------------
 # formal trees and Leibniz normal form
@@ -376,74 +379,24 @@ def jacobi_vector() -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle: honest biderivations on polynomial algebras
+# numeric oracle: the operation as a polynomial Poisson bracket
 # ---------------------------------------------------------------------------
-
-# polynomials over named variables: {((var, exponent), ...) sorted: coefficient}
-Poly = dict[tuple, Fraction]
 
 
 def poly_var(name: str) -> Poly:
-    return {((name, 1),): ONE}
+    return {(name,): ONE}
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    exps: dict = {}
-    for var, e in a + b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return sparse.product(p, q, _mono_mul)
-
-
-def _mono_delete(m: tuple, var: str) -> tuple:
-    out = []
-    for v, e in m:
-        if v == var:
-            if e > 1:
-                out.append((v, e - 1))
-        else:
-            out.append((v, e))
-    return tuple(out)
-
-
-class Biderivation:
-    """``*`` on a polynomial ring, a derivation in each argument.
-
-    ``gen(a, b)`` supplies the value on a pair of variables; the extension to
-    monomials is the honest double-derivation sum with multiplicities, and to
-    polynomials by bilinearity.  This is the independent numeric route: no
-    tree rewriting is involved.
-    """
-
-    def __init__(self, gen: Callable[[str, str], Poly]):
-        self.gen = gen
-
-    def __call__(self, p: Poly, q: Poly) -> Poly:
-        out: Poly = {}
-        for mp, cp in p.items():
-            for mq, cq in q.items():
-                for var_a, exp_a in mp:
-                    rest_a = {_mono_delete(mp, var_a): frac(exp_a)}
-                    for var_b, exp_b in mq:
-                        rest_b = {_mono_delete(mq, var_b): frac(exp_b)}
-                        piece = poly_mul(poly_mul(rest_a, rest_b), self.gen(var_a, var_b))
-                        sparse.accumulate(out, piece.items(), cp * cq)
-        return sparse.purge(out)
-
-
-def eval_tree(tree, env: dict[str, Poly], op: Callable[[Poly, Poly], Poly]) -> Poly:
+def eval_tree(tree, env: dict[str, Poly], op: PolynomialPoissonBracket) -> Poly:
     if isinstance(tree, str):
         return env[tree]
     kind, left, right = tree
     lv = eval_tree(left, env, op)
     rv = eval_tree(right, env, op)
-    return poly_mul(lv, rv) if kind == "p" else op(lv, rv)
+    return poly_mul(lv, rv) if kind == "p" else op.bracket(lv, rv)
 
 
-def generic_assignment(sym: str) -> Biderivation:
+def generic_assignment(sym: str) -> PolynomialPoissonBracket:
     """A faithful instantiation: each variable pair gets a fresh variable.
 
     Values of the operation on base variables are fresh symbols (with the
@@ -458,35 +411,10 @@ def generic_assignment(sym: str) -> Biderivation:
             return sparse.scale(gen(b, a), eps)
         return poly_var(f"<{a}|{b}>")
 
-    return Biderivation(gen)
+    return PolynomialPoissonBracket(gen)
 
 
-def zero_assignment() -> Biderivation:
-    """The operation on a free commutative algebra with zero generator values
-    (a polynomial ring on an abelian Lie algebra)."""
-    return Biderivation(lambda a, b: {})
-
-
-def sl2_poisson_assignment() -> Biderivation:
-    """Linear Poisson structure with standard three-dimensional structure
-    constants: e*f = h, h*e = 2e, h*f = -2f, extended skew."""
-    values = {
-        ("e", "f"): poly_var("h"),
-        ("h", "e"): sparse.scale(poly_var("e"), 2),
-        ("h", "f"): sparse.scale(poly_var("f"), -2),
-    }
-
-    def gen(a: str, b: str) -> Poly:
-        if (a, b) in values:
-            return values[(a, b)]
-        if (b, a) in values:
-            return sparse.scale(values[(b, a)], -1)
-        return {}
-
-    return Biderivation(gen)
-
-
-def relation_value(coeffs, basis, env, op) -> Poly:
+def relation_value(coeffs, basis, env, op: PolynomialPoissonBracket) -> Poly:
     total: Poly = {}
     for coeff, term in zip(coeffs, basis):
         if coeff:
@@ -495,17 +423,16 @@ def relation_value(coeffs, basis, env, op) -> Poly:
     return sparse.purge(total)
 
 
-def symbolic_expand_oracle(coeffs, sym: str, op: Biderivation | None = None) -> bool:
+def symbolic_expand_oracle(coeffs, sym: str) -> bool:
     """Numerically confirm (or refute) compatibility of a relation.
 
     Substitutes a product of two fresh variables into each slot in turn and
     compares against the outer-multiple form, with the operation realized
-    concretely on polynomials.  With the generic assignment (the default)
-    the verdict agrees exactly with the linear constraint system.
+    concretely on polynomials by :func:`generic_assignment`.  The verdict
+    agrees exactly with the linear constraint system.
     """
     basis = relation_basis(sym)
-    if op is None:
-        op = generic_assignment(sym)
+    op = generic_assignment(sym)
     base_env = {"b1": poly_var("u1"), "b2": poly_var("u2"), "b3": poly_var("u3")}
     for slot in (1, 2, 3):
         name = f"b{slot}"

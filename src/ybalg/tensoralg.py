@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import sparse
 from .sparse import ONE, ZERO, Scalar
@@ -137,6 +137,12 @@ def block_permutation_expand(tau: Perm, sizes: Sequence[int]) -> Perm:
     their relative order.  Example: ``block_permutation_expand((1, 0), (1, 2))``
     is ``(2, 0, 1)``, printed ``(312)``, which sends ``v (x) w1 (x) w2`` to
     ``w1 (x) w2 (x) v``.
+
+    No evaluator expands a block permutation any more (:mod:`ybalg.twisted`
+    regroups word slices); this and :func:`sigma_prime` stay as the reference
+    construction the tests compare against: ``_extend_direct`` in
+    ``test_extend_matches_sigma_prime_reference``, the twisted defects and
+    regrouping, and ``linfty.sign_odd``.
     """
     if len(tau) != len(sizes) or not is_perm(tau):
         raise ValueError("invalid block permutation")
@@ -154,20 +160,6 @@ def block_permutation_expand(tau: Perm, sizes: Sequence[int]) -> Perm:
     return tuple(expanded)
 
 
-class BlockPermutation(NamedTuple):
-    """A permutation of blocks together with the block sizes."""
-
-    tau: Perm
-    sizes: tuple[int, ...]
-
-    def expand(self) -> Perm:
-        return block_permutation_expand(self.tau, self.sizes)
-
-    def __str__(self) -> str:
-        sup = ",".join(str(s) for s in self.sizes)
-        return f"{perm_str(self.tau)}^{{{sup}}}"
-
-
 def sigma_prime(
     target_order: Sequence[Hashable],
     current: Sequence[tuple[Hashable, int]],
@@ -178,7 +170,8 @@ def sigma_prime(
     blocks actually appear, each with the number of slots it occupies;
     ``target_order`` lists the same symbols in the order they should appear.
     Returns the expanded permutation that moves each block to its target
-    position.  Symbols must be pairwise distinct.
+    position.  Symbols must be pairwise distinct.  Kept as a test reference,
+    see :func:`block_permutation_expand`.
     """
     symbols = [sym for sym, _ in current]
     if sorted(map(repr, symbols)) != sorted(map(repr, target_order)):
@@ -369,9 +362,6 @@ class TensorMap:
 
     def is_degree_preserving(self) -> bool:
         return self.dom_deg == self.cod_deg
-
-    def sorted_entries(self) -> list[tuple[tuple[Word, Word], Scalar]]:
-        return sorted(self.entries.items())
 
     def first_nonzero(self) -> tuple[Word, Word, Scalar] | None:
         """Lexicographically first nonzero entry, as ``(out, in, value)``."""

@@ -29,7 +29,11 @@ cutting each word into its blocks and concatenating them in the new order
 
 For a space placed in degree 0 the same extension scheme is the classical
 Poisson one on a polynomial algebra (all realignments become trivial);
-:class:`PolynomialPoissonBracket` implements that case directly.
+:class:`PolynomialPoissonBracket` implements that case directly.  Its
+generator values come from a callable: the antisymmetric extension of a
+table of ordered pairs (:meth:`PolynomialPoissonBracket.from_table`), or the
+fresh-variable assignment with which :mod:`ybalg.operad`'s numeric oracle
+evaluates a relation.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import sparse
 from .sparse import ONE, Scalar
@@ -393,55 +397,67 @@ def bracket_roundtrip(r: TensorMap, max_degree: int) -> RoundtripReport:
 # the degree-0 case: classical Poisson brackets on polynomial algebras
 # ---------------------------------------------------------------------------
 
-Poly = dict[Word, Fraction]  # monomial (sorted generator tuple) -> coefficient
+Poly = dict[tuple, Fraction]  # monomial (sorted generator tuple) -> coefficient
 
 
-def _times_monomial(p: Poly, mono: Word) -> Poly:
-    """``p`` times one monomial; distinct monomials stay distinct."""
-    return {tuple(sorted(m + mono)): c for m, c in p.items()}
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    """Product of polynomials: monomials concatenate and re-sort."""
+    return sparse.product(p, q, lambda m1, m2: tuple(sorted(m1 + m2)))
 
 
 class PolynomialPoissonBracket:
-    """Classical Poisson bracket on a polynomial algebra, by biderivation.
+    """Bracket on a polynomial algebra, a derivation in each argument.
 
-    ``table[(i, j)]`` for ``i < j`` gives ``{x_i, x_j}`` as a polynomial; the
-    table is extended antisymmetrically and by the Leibniz rule in both slots.
+    ``gen(a, b)`` gives the bracket of two generators as a polynomial.
+    Generators are any mutually comparable values and a monomial is the
+    sorted tuple of its generators, repeats included.  The bracket extends
+    ``gen`` by the Leibniz rule in both slots (a repeated generator
+    contributes once per occurrence) and to polynomials by bilinearity.
+    :meth:`check` enumerates the monomials in the generators
+    ``0 .. dim-1``.
     """
 
-    def __init__(self, dim: int, table: dict[tuple[int, int], Poly]):
+    def __init__(self, gen: Callable[[Any, Any], Poly], dim: int = 0):
+        self.gen = gen
         self.dim = dim
-        self.table = {
+
+    @classmethod
+    def from_table(
+        cls, dim: int, table: dict[tuple[int, int], Poly]
+    ) -> "PolynomialPoissonBracket":
+        """``table[(i, j)]`` for ``i < j`` gives ``{x_i, x_j}``; the generator
+        values are its antisymmetric extension."""
+        table = {
             key: sparse.vector((tuple(sorted(m)), c) for m, c in val.items())
             for key, val in table.items()
         }
-        for (i, j) in self.table:
+        for (i, j) in table:
             if not 0 <= i < j < dim:
                 raise ValueError("table keys must be ordered generator pairs")
 
-    def gen_value(self, i: int, j: int) -> Poly:
-        if i == j:
+        def gen(i: int, j: int) -> Poly:
+            if i < j:
+                return table.get((i, j), {})
+            if i > j:
+                return sparse.scale(table.get((j, i), {}), -1)
             return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return sparse.scale(self.table.get((j, i), {}), -1)
 
-    def extend(self, m1: Word, m2: Word) -> Poly:
+        return cls(gen, dim)
+
+    def extend(self, m1: tuple, m2: tuple) -> Poly:
+        """The bracket of two monomials."""
         total: Poly = {}
         for a, gi in enumerate(m1):
             for b, gj in enumerate(m2):
-                value = self.gen_value(gi, gj)
+                value = self.gen(gi, gj)
                 if not value:
                     continue
                 rest = m1[:a] + m1[a + 1 :] + m2[:b] + m2[b + 1 :]
-                sparse.accumulate(total, _times_monomial(value, rest).items())
+                sparse.accumulate(total, ((tuple(sorted(m + rest)), c) for m, c in value.items()))
         return sparse.purge(total)
 
     def bracket(self, p: Poly, q: Poly) -> Poly:
-        total: Poly = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                sparse.accumulate(total, self.extend(m1, m2).items(), c1 * c2)
-        return sparse.purge(total)
+        return sparse.structure_product(p, q, self.extend)
 
     # defects ---------------------------------------------------------------
 
@@ -457,8 +473,8 @@ class PolynomialPoissonBracket:
     def leibniz_defect(self, m1: Word, m2: Word, m3: Word) -> Poly:
         lhs = self.extend(m1, tuple(sorted(m2 + m3)))
         rhs = sparse.add(
-            _times_monomial(self.extend(m1, m2), m3),
-            _times_monomial(self.extend(m1, m3), m2),
+            poly_mul(self.extend(m1, m2), {m3: ONE}),
+            poly_mul(self.extend(m1, m3), {m2: ONE}),
         )
         return sparse.add(lhs, sparse.scale(rhs, -1))
 

@@ -303,6 +303,19 @@ class TestCliExitCodes:
         assert main(argv) == 2
         assert "fam.txt:3: unexpected field 'compnent 2'" in capsys.readouterr().err
 
+    def test_lie_file_with_cap_is_two(self, tmp_path, capsys):
+        # the zero family passes on every Lie algebra, so only the parse can fail
+        text = io.dump_lie_structure(gl_lie(2))
+        lie_path = write(tmp_path, "gl.txt", text + "cap: 9\n")
+        fam_path = write(tmp_path, "fam.txt", "ybalg schema/1 rn-family\ndim: 4\n")
+        argv = ["ybe-infty", "check", "--kind", "cybe", "--algebra", lie_path,
+                "--family", fam_path, "--n", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = len(text.splitlines()) + 1
+        assert f"gl.txt:{line}: unexpected field 'cap'" in captured.err
+
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert main(["ybe", "cae", "--input", str(tmp_path / "nope.txt")]) == 2
         assert "file not found" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from ybalg.frt import (
     GroupAlgebraElement,
     YoungDiagram,
     action_table,
-    apply_to_vector,
     braid_generators,
     commutant,
     evaluate_in_action,
@@ -26,7 +25,6 @@ from ybalg.frt import (
     hr_dimension_oracles,
     hr_graded_dimension,
     image_dimension,
-    image_vectors,
     partitions,
     permutation_operator,
     r_permutation_action,
@@ -455,10 +453,12 @@ class TestSchurWeyl:
         dual = commutant(action.generators, dim=2, deg=3)
         for lam in partitions(3):
             evaluated = evaluate_in_action(young_symmetrizer(lam), action)
-            image = rref(image_vectors(evaluated), 8)
+            # E^2 = (m!/f) E, so E's image is phi-stable iff E phi E = (m!/f) phi E
+            scale = Fraction(math.factorial(3), lam.irrep_dimension())
+            assert evaluated.compose(evaluated) == evaluated.scale(scale)
             for phi in dual:
-                for vec in image_vectors(evaluated):
-                    assert image.in_row_space(apply_to_vector(phi, vec))
+                phi_e = phi.compose(evaluated)
+                assert evaluated.compose(phi_e) == phi_e.scale(scale)
 
 
 # ---------------------------------------------------------------------------

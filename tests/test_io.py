@@ -254,6 +254,17 @@ class TestParseErrors:
         msg = parse_err(text)
         assert f"f.txt:{len(text.splitlines())}: unexpected field {key!r}" in msg
 
+    @pytest.mark.parametrize(
+        "line", ["mode: window", "cap: 9", "unit: 0:1"], ids=["mode", "cap", "unit"]
+    )
+    def test_lie_flavor_refuses_assoc_keys(self, line):
+        text = (
+            "ybalg schema/1 structure-constants\nflavor: lie\nlabels: a b\n"
+            f"degrees: 0 0\n{line}\ntable: 0 1 -> 1:1\ntable: 1 0 -> 1:-1\n"
+        )
+        key = line.partition(":")[0]
+        assert f"f.txt:5: unexpected field {key!r}" in parse_err(text)
+
     def test_vector_length_mismatch(self):
         msg = parse_err(
             "ybalg schema/1 relation-coefficients\nvector: 1 2\nvector: 1\n"

@@ -187,13 +187,6 @@ class TestMultiBracketFamily:
         fam = MultiBracketFamily(basis, {2: {(0, 1): {2: ONE}}})
         assert fam.value(2, (1, 0)) == fam.value(2, (0, 1))
 
-    def test_value_on_elements_is_bilinear(self):
-        fam = sl2_family()
-        x = {0: Fraction(2), 1: Fraction(3)}
-        y = {2: ONE}
-        out = fam.value_on_elements(2, [x, y])
-        assert out == {0: Fraction(-4), 1: Fraction(6)}
-
 
 class TestAxiomResiduals:
     def test_sl2_satisfies_all_axioms(self):

@@ -27,6 +27,7 @@ from ybalg.twisted import (
     bracket_roundtrip,
     check_bracket_extension,
     degree111_jacobi_map,
+    poly_mul,
     twisted_jacobi_defect,
     twisted_leibniz_defect,
     twisted_skew_defect,
@@ -287,10 +288,6 @@ def test_jacobi_defect_realignment_blocks():
 # ---------------------------------------------------------------------------
 
 
-def poly_mul(p, q):
-    return sparse.product(p, q, lambda m1, m2: tuple(sorted(m1 + m2)))
-
-
 def test_poly_arithmetic():
     p = sparse.vector({(0,): Fraction(2)})
     q = sparse.vector({(1,): Fraction(3)})
@@ -313,7 +310,7 @@ def test_sl2_casimir_is_central():
 
 
 def test_polynomial_bracket_detects_jacobi_failure():
-    bad = PolynomialPoissonBracket(
+    bad = PolynomialPoissonBracket.from_table(
         3,
         {
             (0, 1): {(2,): Fraction(1)},
@@ -325,3 +322,24 @@ def test_polynomial_bracket_detects_jacobi_failure():
     names = {c.name: c.passed for c in report.checks}
     assert names["antisymmetry"] and names["leibniz"]
     assert not names["jacobi"]
+
+
+def test_polynomial_bracket_table_keys_must_be_ordered():
+    with pytest.raises(ValueError, match="ordered generator pairs"):
+        PolynomialPoissonBracket.from_table(2, {(1, 0): {(0,): Fraction(1)}})
+
+
+def test_polynomial_bracket_from_callable_counts_multiplicity():
+    # named generators, {x, y} = z: {x^2, y} = 2 x z and {y, x^2} = -2 x z
+    def gen(a, b):
+        if (a, b) == ("x", "y"):
+            return {("z",): Fraction(1)}
+        if (a, b) == ("y", "x"):
+            return {("z",): Fraction(-1)}
+        return {}
+
+    br = PolynomialPoissonBracket(gen)
+    assert br.extend(("x", "x"), ("y",)) == {("x", "z"): Fraction(2)}
+    assert br.bracket({("y",): Fraction(1)}, {("x", "x"): Fraction(3)}) == {
+        ("x", "z"): Fraction(-6)
+    }
