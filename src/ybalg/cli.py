@@ -4,13 +4,15 @@ Every subcommand is a row of :data:`~ybalg.harness.CHECKS`: it builds a
 one-job :class:`~ybalg.harness.JobSpec`, runs it through
 :func:`~ybalg.harness.run_suite`, and prints the deterministic report;
 ``suite`` runs the canned battery.  Exit status: 0 when every check
-passes, 1 when a check fails or a precondition is unmet, 2 on input errors.
+passes, 1 when a check fails or a precondition is unmet, 2 on input errors,
+3 on an internal fault of the program.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .harness import CHECKS, Job, JobSpec, default_suite, run_suite
 
@@ -90,6 +92,10 @@ def main(argv=None) -> int:
     except ValueError as err:  # io.SchemaError included
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault of the program, not of its input
+        traceback.print_exc()
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.text())
     return 0 if report.passed else 1
 

@@ -45,6 +45,10 @@ from .tensoralg import (
 )
 
 
+class PreconditionError(ValueError):
+    """The twist is not unitary or fails the quantum Yang-Baxter equation."""
+
+
 # ---------------------------------------------------------------------------
 # group algebra of S_m
 
@@ -322,7 +326,7 @@ def r_permutation_action(big_r: TensorMap, m: int) -> RPermutationAction:
         raise ValueError("the number of tensor factors must be at least 1")
     unit_defect = ybe.unitarity_defect(big_r)
     if not unit_defect.is_zero():
-        raise ValueError(
+        raise PreconditionError(
             "twist is not unitary (R^21 R != Id):"
             f" {ybe.witness_str(unit_defect.first_nonzero())}"
         )
@@ -345,7 +349,7 @@ def braid_generators(big_r: TensorMap, m: int) -> list[TensorMap]:
     _check_twist_shape(big_r)
     q_defect = ybe.qybe_residual(big_r)
     if not q_defect.is_zero():
-        raise ValueError(
+        raise PreconditionError(
             "twist fails the quantum Yang-Baxter equation:"
             f" {ybe.witness_str(q_defect.first_nonzero())}"
         )

@@ -385,7 +385,7 @@ def _run_schurweyl_decompose(spec: JobSpec, R: str, m: int):
     require_bound("dim", r.dim, f"the commutant solve has {r.dim ** (2 * m)} unknowns", R)
     try:
         report = frt.schur_weyl_decompose(r, m, r.dim)
-    except ValueError as err:
+    except frt.PreconditionError as err:
         return "precondition-unmet", [f"precondition: {err}"]
     return _verdict(report.passed), report.lines()
 
@@ -396,7 +396,7 @@ def _run_schurweyl_hrdim(spec: JobSpec, R: str, m: int):
     require_bound("dim", r.dim, f"the relation span has {r.dim ** (2 * m)} columns", R)
     try:
         by_relations, by_commutant = frt.hr_dimension_oracles(r, m)
-    except ValueError as err:
+    except frt.PreconditionError as err:
         return "precondition-unmet", [f"precondition: {err}"]
     lines = [
         f"coefficient-algebra component dimension in degree {m}, dimV {r.dim}",

@@ -25,15 +25,18 @@ the symmetry factor i!(j-1)!, since skewness makes the shuffle
 representatives of a coset contribute equally; that reading lives only in
 :func:`linfty_residual_blocks` (``mode="full"``), for the blockwise comparison.
 
-The product extension follows the two-term Leibniz rule in its canonical
-last-slot form
+The product extension follows the two-term Leibniz rule, with unshifted
+degrees and ``{..., 1, ...} = 0``, and splits a product argument in place:
 
-    {a_1, ..., a_{m-1}, xy}
-        = {a_1, ..., a_{m-1}, x} . y + (-1)^{|x||y|} {a_1, ..., a_{m-1}, y} . x
+    {..., xy, ...} = (-1)^{|y|s} {..., x, ...} . y
+                     + (-1)^{|x||y| + |x|s} {..., y, ...} . x
 
-with unshifted degrees and ``{..., 1, ...} = 0``; products in other slots
-are first rotated to the last slot through the skew clause.  For the
-degree-0 binary bracket this recovers the familiar slot-wise rule
+where ``s`` sums ``degree + 1`` over the later arguments.  In the last slot
+(s = 0) this is the canonical ``{..., xy} = {..., x} . y + (-1)^{|x||y|}
+{..., y} . x``; in another slot it is that form conjugated by the skew-clause
+rotation to the last slot and back, which is where the sign comes from, but
+it uses no symmetry itself.  For the degree-0 binary bracket it is the
+familiar slot-wise rule
 ``{z, xy} = (-1)^{|x||z|} x {z, y} + (-1)^{|y|(|x|+|z|)} y {z, x}``, and for
 the unary bracket it is the usual odd derivation
 ``d(xy) = d(x) y + (-1)^{|x|} x d(y)``.
@@ -89,20 +92,21 @@ def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _vanishes(canonical, degree) -> bool:
-    # a repeated even-degree argument anticommutes with itself
-    return any(a == b and degree(a) % 2 == 0 for a, b in zip(canonical, canonical[1:]))
+def _vanishes(canonical, odd) -> bool:
+    # a repeated anticommuting argument anticommutes with itself
+    return any(a == b and odd(a) for a, b in zip(canonical, canonical[1:]))
 
 
-def _skew_lookup(table: dict | None, args: tuple, degree) -> dict:
+def _skew_lookup(table: dict | None, args: tuple, odd) -> dict:
     """A bracket stored by sorted arguments in ``table``, evaluated at ``args``.
 
-    By the skew clause it is the Koszul sign of sorting ``args`` times the
-    stored value; tables hold no argument tuple that skewness forces to vanish.
+    By the skew clause, with ``odd`` flagging the anticommuting arguments, it
+    is the Koszul sign of sorting ``args`` times the stored value; tables
+    hold no argument tuple that skewness forces to vanish.
     """
     if not table:
         return {}
-    canonical, sign = koszul_sort(args, lambda a: degree(a) % 2 == 0)
+    canonical, sign = koszul_sort(args, odd)
     stored = table.get(canonical)
     if not stored:
         return {}
@@ -153,6 +157,10 @@ class GradedBasis:
     def degree(self, generator: int) -> int:
         return self.degrees[generator]
 
+    def anticommutes(self, generator: int) -> bool:
+        """The skew clause's flag: even-degree generators anticommute."""
+        return self.degrees[generator] % 2 == 0
+
 
 class MultiBracketFamily:
     """Finitely many n-ary graded-skew operations of degree 2 - n.
@@ -173,7 +181,7 @@ class MultiBracketFamily:
                     raise ValueError(f"arity {n} entry with {len(args)} arguments")
                 if tuple(sorted(args)) != tuple(args):
                     raise ValueError("ops must be keyed by sorted argument tuples")
-                if _vanishes(args, basis.degree):
+                if _vanishes(args, basis.anticommutes):
                     if any(value.values()):
                         raise ValueError(
                             f"skewness forces {args} to vanish but a value was given"
@@ -196,7 +204,7 @@ class MultiBracketFamily:
         return sorted(self.ops)
 
     def value(self, n: int, args: tuple[int, ...]) -> Element:
-        return _skew_lookup(self.ops.get(n), args, self.basis.degree)
+        return _skew_lookup(self.ops.get(n), args, self.basis.anticommutes)
 
 
 def linfty_residual_blocks(
@@ -299,23 +307,20 @@ class ExtendedFamily:
         return result
 
     def _compute(self, n: int, args: tuple[Monomial, ...]) -> SuperElement:
-        if any(len(a) == 0 for a in args):
+        if not all(args):
             return {}  # unit argument
         split = next((k for k, a in enumerate(args) if len(a) > 1), None)
         if split is None:
             base = self.fam.value(n, tuple(a[0] for a in args))
             return {(g,): c for g, c in base.items()}
-        if split != n - 1:
-            # rotate the product argument into the last slot (skew clause)
-            sel = tuple(k for k in range(n) if k != split) + (split,)
-            sign = sign_odd([self.algebra.degree(a) for a in args], sel)
-            rotated = self.value(n, tuple(args[k] for k in sel))
-            return {m: sign * c for m, c in rotated.items()}
-        x, y = args[-1][:-1], args[-1][-1:]
+        head, tail = args[:split], args[split + 1 :]
+        x, y = args[split][:-1], args[split][-1:]
         dx, dy = self.algebra.degree(x), self.algebra.degree(y)
-        total = self.algebra.mul(self.value(n, args[:-1] + (x,)), {y: ONE})
-        swapped = self.algebra.mul(self.value(n, args[:-1] + (y,)), {x: ONE})
-        sparse.accumulate(total, swapped.items(), -1 if dx * dy % 2 else 1)
+        s = sum(self.algebra.degree(a) + 1 for a in tail)
+        total: SuperElement = {}
+        for kept, moved, exponent in ((x, y, dy * s), (y, x, dx * (dy + s))):
+            term = self.algebra.mul(self.value(n, head + (kept,) + tail), {moved: ONE})
+            sparse.accumulate(total, term.items(), -1 if exponent % 2 else 1)
         return sparse.purge(total)
 
     def axiom_terms(self, m: int, args: tuple[Monomial, ...]):
@@ -428,26 +433,36 @@ def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 
 # formal cancellation audit (uninterpreted brackets)
 # ---------------------------------------------------------------------------
 
-# formal atoms: ("g", name, degree) or ("B", arity, sorted args-tuple-of-atoms)
+# formal atoms: (0, name, degree) for a generator, (1, arity, args) for a
+# bracket of atoms, so that generators sort before brackets
 
 
 def _atom_degree(atom) -> int:
-    if atom[0] == "g":
+    if atom[0] == 0:
         return atom[2]
     return 2 - atom[1] + sum(map(_atom_degree, atom[2]))
 
 
-class _FormalBrackets:
-    """Uninterpreted brackets: each bracket of atoms is a new atom."""
+class FormalBrackets:
+    """Uninterpreted brackets: each bracket of atoms is a new atom.
 
-    @staticmethod
-    def value(n: int, atoms: tuple) -> dict:
-        canonical, sign = koszul_sort(atoms, lambda a: _atom_degree(a) % 2 == 0)
-        return {} if _vanishes(canonical, _atom_degree) else {("B", n, canonical): sign}
+    ``odd`` flags the arguments that anticommute: by default the skew
+    clause's even-degree ones.  With ``odd=None`` the brackets have no
+    symmetry and keep their arguments in order.
+    """
+
+    def __init__(self, odd=lambda atom: _atom_degree(atom) % 2 == 0):
+        self.odd = odd
+
+    def value(self, n: int, atoms: tuple) -> dict:
+        if self.odd is None:
+            return {(1, n, atoms): ONE}
+        canonical, sign = koszul_sort(atoms, self.odd)
+        return {} if _vanishes(canonical, self.odd) else {(1, n, canonical): sign}
 
 
 def _bracket_count(monomial: Monomial) -> int:
-    return sum(1 for atom in monomial if atom[0] == "B")
+    return sum(1 for atom in monomial if atom[0] == 1)
 
 
 def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool]:
@@ -466,11 +481,11 @@ def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool
     """
     if len(degrees) != m + 1:
         raise ValueError("need degrees for the two factors plus m-1 others")
-    x = ("g", "x", degrees[0])
-    y = ("g", "y", degrees[1])
-    others = tuple((("g", f"s{k}", degrees[2 + k]),) for k in range(m - 1))
+    x = (0, "x", degrees[0])
+    y = (0, "y", degrees[1])
+    others = tuple(((0, f"s{k}", degrees[2 + k]),) for k in range(m - 1))
     algebra = SuperSymAlgebra(_atom_degree)
-    ext = ExtendedFamily(_FormalBrackets, algebra)
+    ext = ExtendedFamily(FormalBrackets(), algebra)
 
     generated = 0
     expansion: SuperElement = {}
@@ -514,7 +529,7 @@ def solve_homotopy_bracket(
     unknowns: list[tuple[tuple[int, int, int], int]] = []
     b3_table: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for triple in itertools.combinations_with_replacement(range(ngen), 3):
-        if _vanishes(triple, basis.degree):
+        if _vanishes(triple, basis.anticommutes):
             continue
         want = sum(map(basis.degree, triple)) - 1
         for target in range(ngen):
@@ -532,7 +547,7 @@ def solve_homotopy_bracket(
         """
         gens = tuple(g for g, _ in tagged)
         if n == 3:
-            return _skew_lookup(b3_table, gens, basis.degree)
+            return _skew_lookup(b3_table, gens, basis.anticommutes)
         col = min(col for _, col in tagged)
         return {(w, col): c for w, c in partial.value(n, gens).items()}
 

@@ -7,11 +7,13 @@ both arguments (the generalized Leibniz rule)
 
 does not extend along an arbitrary quadratic relation: substituting a product
 into one slot of the relation produces cross terms ``(x*y)(z*w)`` that must
-cancel identically.  This module expands the substitution symbolically,
-extracts the exact linear constraints on the relation coefficients, computes
-the admissible relation space, and names the resulting operads.  A numeric
-oracle re-derives every verdict on genuine polynomial algebras, bypassing the
-symbolic expansion entirely: the operation is the polynomial bracket of
+cancel identically.  This module expands the substitution symbolically on
+the package's one formal Leibniz engine, the extension of uninterpreted
+brackets in :mod:`ybalg.linfty` with ``*`` as its binary bracket, extracts
+the exact linear constraints on the relation coefficients, computes the
+admissible relation space, and names the resulting operads.  An independent
+numeric oracle re-derives every verdict on genuine polynomial algebras,
+bypassing the engine entirely: the operation is the polynomial bracket of
 :class:`ybalg.twisted.PolynomialPoissonBracket`, the same biderivation that
 carries the degree-0 Poisson checks, with a fresh variable as its value on
 each pair of variables.
@@ -40,6 +42,7 @@ from typing import Callable
 
 from . import sparse
 from .linalg import nullspace, rref
+from .linfty import ExtendedFamily, FormalBrackets, SuperSymAlgebra
 from .sparse import ONE, ZERO, frac
 from .tensoralg import perm_str
 from .twisted import Poly, PolynomialPoissonBracket, poly_mul
@@ -49,7 +52,6 @@ from .twisted import Poly, PolynomialPoissonBracket, poly_mul
 # ---------------------------------------------------------------------------
 
 # a tree is a leaf (string) or ('s'|'p', left, right)
-Tree = object
 
 
 def star(left, right) -> tuple:
@@ -60,64 +62,34 @@ def prod(left, right) -> tuple:
     return ("p", left, right)
 
 
-def _atom_key(atom):
-    if isinstance(atom, str):
-        return (0, atom)
-    return (1, _atom_key(atom[1]), _atom_key(atom[2]))
-
-
 def _atom_str(atom) -> str:
-    if isinstance(atom, str):
-        return atom
-    return f"({_atom_str(atom[1])}*{_atom_str(atom[2])})"
+    if atom[0] == 0:
+        return atom[1]
+    return "(" + "*".join(map(_atom_str, atom[2])) + ")"
 
 
 def monomial_str(monomial: tuple) -> str:
     return ".".join(_atom_str(a) for a in monomial)
 
 
-class LeibnizExpander:
-    """Normalize trees of ``*`` and commutative products on distinct leaves.
+def _extension(sym: str) -> ExtendedFamily:
+    """``*`` on a commutative algebra in degree 0; ``x*y = eps y*x`` makes the
+    arguments anticommute (eps = -1), commute (eps = 1) or keep their order."""
+    eps = SYMMETRY_EPSILON[sym]
+    odd = None if eps is None else (lambda _: eps < 0)
+    return ExtendedFamily(FormalBrackets(odd), SuperSymAlgebra(lambda _: 0))
 
-    Normal form: a sum of commutative monomials whose atoms are leaves and
-    irreducible ``*``-trees (both arguments atomic).  ``epsilon`` declares the
-    symmetry ``x*y = eps y*x``; atomic stars are then stored with arguments in
-    canonical order and the swap sign absorbed into the coefficient.
-    """
 
-    def __init__(self, epsilon: Fraction | None = None):
-        self.epsilon = epsilon
-
-    def _canon_star(self, left, right) -> tuple[tuple, Fraction]:
-        if self.epsilon is None or _atom_key(left) <= _atom_key(right):
-            return ("s", left, right), ONE
-        return ("s", right, left), self.epsilon
-
-    def expand(self, tree) -> dict[tuple, Fraction]:
-        if isinstance(tree, str):
-            return {(tree,): ONE}
-        kind, left, right = tree
-        lx, rx = self.expand(left), self.expand(right)
-        if kind == "p":
-            return sparse.product(
-                lx, rx, lambda ml, mr: tuple(sorted(ml + mr, key=_atom_key))
-            )
-        if kind != "s":
-            raise ValueError(f"unknown node kind {kind!r}")
-        out: dict[tuple, Fraction] = {}
-        for ml, cl in lx.items():
-            for mr, cr in rx.items():
-                sparse.accumulate(out, self._star_terms(ml, mr), cl * cr)
-        return sparse.purge(out)
-
-    def _star_terms(self, ml: tuple, mr: tuple):
-        """Star of two monomials: derivation in each argument peels one atom
-        from each side, the rest multiply the atomic star."""
-        for i in range(len(ml)):
-            for j in range(len(mr)):
-                atom, sign = self._canon_star(ml[i], mr[j])
-                rest = ml[:i] + ml[i + 1 :] + mr[:j] + mr[j + 1 :]
-                yield tuple(sorted(rest + (atom,), key=_atom_key)), sign
+def _expand(tree, ext: ExtendedFamily) -> dict[tuple, Fraction]:
+    """Normal form of a tree on distinct leaves: a sum of commutative
+    monomials in the leaves and the atomic stars."""
+    if isinstance(tree, str):
+        return {((0, tree, 0),): ONE}
+    kind, left, right = tree
+    lx, rx = _expand(left, ext), _expand(right, ext)
+    if kind == "p":
+        return ext.algebra.mul(lx, rx)
+    return sparse.structure_product(lx, rx, lambda ml, mr: ext.value(2, (ml, mr)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,54 +217,39 @@ def leibniz_obstruction(sym: str, slot: int) -> ObstructionSystem:
     """
     if slot not in (1, 2, 3):
         raise ValueError("slot must be 1, 2 or 3")
-    basis = relation_basis(sym)
-    expander = LeibnizExpander(SYMMETRY_EPSILON[sym])
-    leaves = ["b1", "b2", "b3"]
-    split = leaves[slot - 1]
-    prime, dprime = split + "'", split + "''"
-
-    defect_by_term: list[dict[tuple, Fraction]] = []
-    for term in basis:
-        args_sub = list(leaves)
-        args_sub[slot - 1] = prod(prime, dprime)
-        lhs = expander.expand(term.build(*args_sub))
-
-        args_p = list(leaves)
-        args_p[slot - 1] = dprime
-        args_q = list(leaves)
-        args_q[slot - 1] = prime
-        rhs = sparse.add(
-            expander.expand(prod(prime, term.build(*args_p))),
-            expander.expand(prod(dprime, term.build(*args_q))),
-        )
-        defect_by_term.append(sparse.add(lhs, sparse.scale(rhs, -1)))
-
-    # one constraint row per residual monomial, one column per basis term
-    row_of: dict[tuple, list[Fraction]] = {}
-    for col, defect in enumerate(defect_by_term):
-        for mono, coeff in defect.items():
-            row_of.setdefault(mono, [ZERO] * len(basis))[col] = coeff
-    constraints = [
-        Constraint(slot, mono, tuple(row_of[mono]))
-        for mono in sorted(row_of, key=lambda m: tuple(map(_atom_key, m)))
-    ]
-    rows = [list(c.row) for c in constraints]
-    basis_vecs = nullspace(rows, len(basis)) if rows else _full_space(len(basis))
-    return ObstructionSystem(sym, tuple(constraints), tuple(map(tuple, basis_vecs)))
-
-
-def _full_space(n: int) -> list[list[Fraction]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return _system(sym, (slot,))
 
 
 def full_constraint_system(sym: str) -> ObstructionSystem:
     """Union of the slot-1, slot-2 and slot-3 obstruction systems."""
+    return _system(sym, (1, 2, 3))
+
+
+def _system(sym: str, slots) -> ObstructionSystem:
+    basis = relation_basis(sym)
+    ext = _extension(sym)
     constraints: list[Constraint] = []
-    for slot in (1, 2, 3):
-        constraints.extend(leibniz_obstruction(sym, slot).constraints)
-    nbasis = len(relation_basis(sym))
-    rows = [list(c.row) for c in constraints]
-    basis_vecs = nullspace(rows, nbasis) if rows else _full_space(nbasis)
+    rows: list[dict[int, Fraction]] = []
+    for slot in slots:
+        prime, dprime = f"b{slot}'", f"b{slot}''"
+
+        def build(term, leaf):
+            return term.build(*(leaf if k == slot else f"b{k}" for k in (1, 2, 3)))
+
+        # one constraint row per residual monomial, one column per basis term
+        row_of: dict[tuple, dict[int, Fraction]] = {}
+        for col, term in enumerate(basis):
+            defect = _expand(build(term, prod(prime, dprime)), ext)
+            for outer, leaf in ((prime, dprime), (dprime, prime)):
+                rhs = _expand(prod(outer, build(term, leaf)), ext)
+                sparse.accumulate(defect, rhs.items(), -1)
+            for mono, coeff in sparse.purge(defect).items():
+                row_of.setdefault(mono, {})[col] = coeff
+        for mono in sorted(row_of):
+            rows.append(row_of[mono])
+            row = tuple(row_of[mono].get(col, ZERO) for col in range(len(basis)))
+            constraints.append(Constraint(slot, mono, row))
+    basis_vecs = nullspace(rows, len(basis))
     return ObstructionSystem(sym, tuple(constraints), tuple(map(tuple, basis_vecs)))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import harness, io, operad, ybe
+from ybalg import frt, harness, io, operad, ybe
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
 from ybalg.cli import build_parser, main
 from ybalg.double import one_variable_lambda_bracket
@@ -365,6 +365,28 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "verdict schurweyl-decompose: precondition-unmet" in out
         assert "not unitary" in out
+
+    def test_internal_fault_is_three(self, tmp_path, capsys, monkeypatch):
+        def broken(gens):
+            raise RuntimeError("internal: braid relation fails at 1")
+
+        monkeypatch.setattr(frt, "_verify_braid_relations", broken)
+        path = write(tmp_path, "id.txt", io.dump_tensor_map(TensorMap.identity(2, 2)))
+        assert main(["schurweyl", "decompose", "--R", path, "--m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: internal: braid relation fails at 1" in captured.err
+
+    def test_program_value_error_is_not_a_precondition(self, tmp_path, capsys, monkeypatch):
+        def broken(big_r, m):
+            raise ValueError("hrdim lost a relation row")
+
+        monkeypatch.setattr(frt, "hr_dimension_oracles", broken)
+        path = write(tmp_path, "id.txt", io.dump_tensor_map(TensorMap.identity(2, 2)))
+        assert main(["schurweyl", "hrdim", "--R", path, "--m", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "precondition-unmet" not in captured.out
+        assert "error: hrdim lost a relation row" in captured.err
 
     @pytest.mark.parametrize(
         "argv, value",

@@ -324,6 +324,35 @@ class TestExtension:
         rotated = ext.value(2, ((1, 2), (0,)))
         assert rotated == {k: -c for k, c in forward.items()}
 
+    @pytest.mark.parametrize("make", [cone_fixture, homotopy_fixture])
+    def test_in_place_split_matches_the_rotation(self, make):
+        class Rotated(ExtendedFamily):
+            """The skew-clause rule: rotate the product into the last slot."""
+
+            def _compute(self, n, args):
+                split = next((k for k, a in enumerate(args) if len(a) > 1), n - 1)
+                if split == n - 1:
+                    return super()._compute(n, args)
+                sel = tuple(k for k in range(n) if k != split) + (split,)
+                sign = sign_odd([self.algebra.degree(a) for a in args], sel)
+                rotated = self.value(n, tuple(args[k] for k in sel))
+                return {w: sign * c for w, c in rotated.items()}
+
+        fam = make()
+        alg = SuperSymAlgebra(fam.basis.degree, 3)
+        in_place, rotated = ExtendedFamily(fam, alg), Rotated(fam, alg)
+        ngen = len(fam.basis.labels)
+        pairs = itertools.combinations_with_replacement(range(ngen), 2)
+        words = [w for w in (alg.sort_word(p)[0] for p in pairs) if w]
+        assert words
+        for n in (1, 2, 3):
+            for others in itertools.product(range(ngen), repeat=n - 1):
+                for pos in range(n):
+                    for word in words:
+                        args = tuple((g,) for g in others)
+                        args = args[:pos] + (word,) + args[pos:]
+                        assert in_place.value(n, args) == rotated.value(n, args), args
+
     def test_extension_residual_vanishes_on_products(self):
         cone = cone_fixture()
         alg = SuperSymAlgebra(cone.basis.degree, 3)
@@ -347,6 +376,13 @@ class TestCancellationAudit:
                 assert surviving == 0, (m, degs)
                 totals[m] += generated
         assert totals == {1: 8, 2: 32, 3: 128, 4: 512}
+
+    def test_pairs_pinned_per_degree_pattern(self):
+        # recorded with the product rotated into the last slot: 2^m paired
+        # product terms on every pattern, none surviving
+        for m in (1, 2, 3, 4):
+            for degs in itertools.product((0, 1), repeat=m + 1):
+                assert audit_cancellation(m, degs) == (2 ** m, 0, True), degs
 
     def test_cross_terms_are_actually_generated(self):
         generated, surviving, ok = audit_cancellation(2, (0, 0, 0))

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybalg.operad import (
+    _expand,
+    _extension,
     _normalize_row,
-    LeibnizExpander,
     associativity_vector,
     classify,
     cyclic_basis,
@@ -22,6 +23,7 @@ from ybalg.operad import (
     lie_admissible_vector,
     oracle_agreement_trial,
     prod,
+    relation_basis,
     relation_value,
     star,
     symbolic_expand_oracle,
@@ -46,38 +48,113 @@ def pair_row(idx_a, idx_b):
     return tuple(row)
 
 
+def gen(name):
+    return (0, name, 0)
+
+
+def atomic(left, right):
+    return (1, 2, (gen(left), gen(right)))
+
+
 class TestExpander:
+    """Leibniz normal forms of trees on the shared formal engine."""
+
     def test_leaf(self):
-        assert LeibnizExpander().expand("a") == {("a",): Fraction(1)}
+        assert _expand("a", _extension("none")) == {(gen("a"),): Fraction(1)}
 
     def test_atomic_star(self):
-        out = LeibnizExpander().expand(star("a", "b"))
-        assert out == {(("s", "a", "b"),): Fraction(1)}
+        out = _expand(star("a", "b"), _extension("none"))
+        assert out == {(atomic("a", "b"),): Fraction(1)}
 
     def test_product_into_first_argument(self):
-        out = LeibnizExpander().expand(star(prod("u", "v"), "w"))
+        out = _expand(star(prod("u", "v"), "w"), _extension("none"))
         assert out == {
-            ("u", ("s", "v", "w")): Fraction(1),
-            ("v", ("s", "u", "w")): Fraction(1),
+            (gen("u"), atomic("v", "w")): Fraction(1),
+            (gen("v"), atomic("u", "w")): Fraction(1),
         }
 
     def test_product_into_second_argument(self):
-        out = LeibnizExpander().expand(star("u", prod("v", "w")))
+        out = _expand(star("u", prod("v", "w")), _extension("none"))
         assert out == {
-            ("v", ("s", "u", "w")): Fraction(1),
-            ("w", ("s", "u", "v")): Fraction(1),
+            (gen("v"), atomic("u", "w")): Fraction(1),
+            (gen("w"), atomic("u", "v")): Fraction(1),
         }
 
     def test_cross_terms_from_nested_star(self):
         # ((u v) * w1) * w2 contains products of two atomic stars
-        out = LeibnizExpander().expand(star(star(prod("u", "v"), "w1"), "w2"))
-        assert (("s", "u", "w1"), ("s", "v", "w2")) in out
+        out = _expand(star(star(prod("u", "v"), "w1"), "w2"), _extension("none"))
+        assert (atomic("u", "w1"), atomic("v", "w2")) in out
 
     def test_epsilon_canonicalization(self):
-        skew = LeibnizExpander(epsilon=frac(-1))
-        assert skew.expand(star("b", "a")) == {(("s", "a", "b"),): Fraction(-1)}
-        symm = LeibnizExpander(epsilon=frac(1))
-        assert symm.expand(star("b", "a")) == {(("s", "a", "b"),): Fraction(1)}
+        skew = _expand(star("b", "a"), _extension("skew"))
+        assert skew == {(atomic("a", "b"),): Fraction(-1)}
+        symm = _expand(star("b", "a"), _extension("symmetric"))
+        assert symm == {(atomic("a", "b"),): Fraction(1)}
+
+    def test_no_symmetry_keeps_argument_order(self):
+        out = _expand(star("b", "a"), _extension("none"))
+        assert out == {(atomic("b", "a"),): Fraction(1)}
+
+
+# Constraint.pretty() lines of full_constraint_system, slots in order
+GOLDEN_CONSTRAINTS = {
+    "none": [
+        "slot 1, coefficient of (b1'*b2).(b1''*b3): + lam[(b1*b2)*b3 [sigma=(123)]] + lam[(b1*b3)*b2 [sigma=(132)]] = 0",
+        "slot 1, coefficient of (b1'*b2).(b3*b1''): + lam[b3*(b1*b2) [sigma=(312)]] + lam[(b3*b1)*b2 [sigma=(312)]] = 0",
+        "slot 1, coefficient of (b1'*b3).(b1''*b2): + lam[(b1*b2)*b3 [sigma=(123)]] + lam[(b1*b3)*b2 [sigma=(132)]] = 0",
+        "slot 1, coefficient of (b1'*b3).(b2*b1''): + lam[b2*(b1*b3) [sigma=(213)]] + lam[(b2*b1)*b3 [sigma=(213)]] = 0",
+        "slot 1, coefficient of (b1''*b2).(b3*b1'): + lam[b3*(b1*b2) [sigma=(312)]] + lam[(b3*b1)*b2 [sigma=(312)]] = 0",
+        "slot 1, coefficient of (b1''*b3).(b2*b1'): + lam[b2*(b1*b3) [sigma=(213)]] + lam[(b2*b1)*b3 [sigma=(213)]] = 0",
+        "slot 1, coefficient of (b2*b1').(b3*b1''): + lam[b2*(b3*b1) [sigma=(231)]] + lam[b3*(b2*b1) [sigma=(321)]] = 0",
+        "slot 1, coefficient of (b2*b1'').(b3*b1'): + lam[b2*(b3*b1) [sigma=(231)]] + lam[b3*(b2*b1) [sigma=(321)]] = 0",
+        "slot 2, coefficient of (b1*b2').(b2''*b3): + lam[b1*(b2*b3) [sigma=(123)]] + lam[(b1*b2)*b3 [sigma=(123)]] = 0",
+        "slot 2, coefficient of (b1*b2').(b3*b2''): + lam[b1*(b3*b2) [sigma=(132)]] + lam[b3*(b1*b2) [sigma=(312)]] = 0",
+        "slot 2, coefficient of (b1*b2'').(b2'*b3): + lam[b1*(b2*b3) [sigma=(123)]] + lam[(b1*b2)*b3 [sigma=(123)]] = 0",
+        "slot 2, coefficient of (b1*b2'').(b3*b2'): + lam[b1*(b3*b2) [sigma=(132)]] + lam[b3*(b1*b2) [sigma=(312)]] = 0",
+        "slot 2, coefficient of (b2'*b1).(b2''*b3): + lam[(b2*b1)*b3 [sigma=(213)]] + lam[(b2*b3)*b1 [sigma=(231)]] = 0",
+        "slot 2, coefficient of (b2'*b1).(b3*b2''): + lam[b3*(b2*b1) [sigma=(321)]] + lam[(b3*b2)*b1 [sigma=(321)]] = 0",
+        "slot 2, coefficient of (b2'*b3).(b2''*b1): + lam[(b2*b1)*b3 [sigma=(213)]] + lam[(b2*b3)*b1 [sigma=(231)]] = 0",
+        "slot 2, coefficient of (b2''*b1).(b3*b2'): + lam[b3*(b2*b1) [sigma=(321)]] + lam[(b3*b2)*b1 [sigma=(321)]] = 0",
+        "slot 3, coefficient of (b1*b3').(b2*b3''): + lam[b1*(b2*b3) [sigma=(123)]] + lam[b2*(b1*b3) [sigma=(213)]] = 0",
+        "slot 3, coefficient of (b1*b3').(b3''*b2): + lam[b1*(b3*b2) [sigma=(132)]] + lam[(b1*b3)*b2 [sigma=(132)]] = 0",
+        "slot 3, coefficient of (b1*b3'').(b2*b3'): + lam[b1*(b2*b3) [sigma=(123)]] + lam[b2*(b1*b3) [sigma=(213)]] = 0",
+        "slot 3, coefficient of (b1*b3'').(b3'*b2): + lam[b1*(b3*b2) [sigma=(132)]] + lam[(b1*b3)*b2 [sigma=(132)]] = 0",
+        "slot 3, coefficient of (b2*b3').(b3''*b1): + lam[b2*(b3*b1) [sigma=(231)]] + lam[(b2*b3)*b1 [sigma=(231)]] = 0",
+        "slot 3, coefficient of (b2*b3'').(b3'*b1): + lam[b2*(b3*b1) [sigma=(231)]] + lam[(b2*b3)*b1 [sigma=(231)]] = 0",
+        "slot 3, coefficient of (b3'*b1).(b3''*b2): + lam[(b3*b1)*b2 [sigma=(312)]] + lam[(b3*b2)*b1 [sigma=(321)]] = 0",
+        "slot 3, coefficient of (b3'*b2).(b3''*b1): + lam[(b3*b1)*b2 [sigma=(312)]] + lam[(b3*b2)*b1 [sigma=(321)]] = 0",
+    ],
+    "symmetric": [
+        "slot 1, coefficient of (b1'*b2).(b1''*b3): + lam[b2*(b3*b1)] + lam[b3*(b1*b2)] = 0",
+        "slot 1, coefficient of (b1'*b3).(b1''*b2): + lam[b2*(b3*b1)] + lam[b3*(b1*b2)] = 0",
+        "slot 2, coefficient of (b1*b2').(b2''*b3): + lam[b1*(b2*b3)] + lam[b3*(b1*b2)] = 0",
+        "slot 2, coefficient of (b1*b2'').(b2'*b3): + lam[b1*(b2*b3)] + lam[b3*(b1*b2)] = 0",
+        "slot 3, coefficient of (b1*b3').(b2*b3''): + lam[b1*(b2*b3)] + lam[b2*(b3*b1)] = 0",
+        "slot 3, coefficient of (b1*b3'').(b2*b3'): + lam[b1*(b2*b3)] + lam[b2*(b3*b1)] = 0",
+    ],
+    "skew": [
+        "slot 1, coefficient of (b1'*b2).(b1''*b3): + lam[b2*(b3*b1)] - lam[b3*(b1*b2)] = 0",
+        "slot 1, coefficient of (b1'*b3).(b1''*b2): + lam[b2*(b3*b1)] - lam[b3*(b1*b2)] = 0",
+        "slot 2, coefficient of (b1*b2').(b2''*b3): + lam[b1*(b2*b3)] - lam[b3*(b1*b2)] = 0",
+        "slot 2, coefficient of (b1*b2'').(b2'*b3): + lam[b1*(b2*b3)] - lam[b3*(b1*b2)] = 0",
+        "slot 3, coefficient of (b1*b3').(b2*b3''): + lam[b1*(b2*b3)] - lam[b2*(b3*b1)] = 0",
+        "slot 3, coefficient of (b1*b3'').(b2*b3'): + lam[b1*(b2*b3)] - lam[b2*(b3*b1)] = 0",
+    ],
+}
+
+GOLDEN_NULLSPACES = {
+    "none": [(1, -1, -1, 1, -1, 1, 1, -1, 1, -1, -1, 1)],
+    "symmetric": [],
+    "skew": [(1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("sym", ["none", "symmetric", "skew"])
+def test_constraint_text_and_nullspace_are_pinned(sym):
+    system = full_constraint_system(sym)
+    basis = relation_basis(sym)
+    assert [c.pretty(basis) for c in system.constraints] == GOLDEN_CONSTRAINTS[sym]
+    assert list(system.nullspace_basis) == GOLDEN_NULLSPACES[sym]
 
 
 def test_normalized_int_row_holds_fractions():
