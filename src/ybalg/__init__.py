@@ -7,8 +7,8 @@ The submodules group by subject:
 
 - :mod:`ybalg.sparse` — the sparse exact-vector kernel: the one place that
   builds, adds, scales, multiplies and purges coefficient dicts.
-- :mod:`ybalg.tensoralg` — words, graded tensors, maps, block permutations,
-  all stored as :mod:`ybalg.sparse` vectors.
+- :mod:`ybalg.tensoralg` — words, permutations and tensor maps; a tensor
+  is a plain :mod:`ybalg.sparse` vector keyed by words.
 - :mod:`ybalg.linalg` — sparse fraction-free row reduction on integer
   dict-rows into the canonical reduced echelon form; ranks, nullspaces.
 - :mod:`ybalg.ybe` — classical/associative/quantum residuals and the
@@ -44,7 +44,6 @@ from .harness import Job, JobSpec, Report, default_suite, fixture_search, run_su
 from .io import SchemaError, parse_inputs
 from .sparse import frac
 from .tensoralg import (
-    GradedTensor,
     TensorMap,
     apply_permutation,
     block_permutation_expand,
@@ -64,7 +63,6 @@ from .ybe import (
 )
 
 __all__ = [
-    "GradedTensor",
     "Job",
     "JobSpec",
     "Report",

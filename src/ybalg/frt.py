@@ -16,7 +16,11 @@ action, all by exact linear algebra:
 * the double commutant closes up onto the span of the twisted group
   image, giving the multiplicity-free decomposition bookkeeping.
 
-Everything is brute force over ``Fraction`` and deterministic: words are
+An element of the group algebra of ``S_m`` is a plain :mod:`ybalg.sparse`
+vector keyed by permutations in one-line form, multiplied by
+``sparse.product(x, y, perm_compose)`` (see :func:`young_symmetrizer`).
+
+Everything is brute force over exact scalars and deterministic: words are
 enumerated lexicographically, permutations in sorted one-line order, and
 partitions in descending lexicographic order.
 """
@@ -31,18 +35,8 @@ from typing import Iterator, Mapping, Sequence
 
 from . import sparse, ybe
 from .linalg import Terms, rank, rref
-from .sparse import ONE
-from .tensoralg import (
-    Perm,
-    TensorMap,
-    Word,
-    identity_perm,
-    is_perm,
-    perm_compose,
-    perm_sign,
-    perm_str,
-    words,
-)
+from .sparse import ONE, Scalar
+from .tensoralg import Perm, TensorMap, Word, identity_perm, perm_compose, perm_sign, words
 
 
 class PreconditionError(ValueError):
@@ -50,95 +44,21 @@ class PreconditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# group algebra of S_m
+# group algebra of S_m: sparse vectors keyed by permutations in one-line form
 
 
-class GroupAlgebraElement:
-    """Sparse rational element of the group algebra of one fixed ``S_m``.
-
-    Permutations are stored in one-line image form; the product is
-    convolution, with ``perm_compose`` (apply the right factor first) as
-    the group law so that evaluation in any left action is a homomorphism.
-    """
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: Mapping[Perm, Fraction] | None = None):
-        if m < 1:
-            raise ValueError("the symmetric group index must be at least 1")
-        self.m = m
-        terms = terms or {}
-        for perm in terms:
-            if len(perm) != m or not is_perm(perm):
-                raise ValueError(f"not a permutation of {m} letters: {perm!r}")
-        self.terms = sparse.vector((tuple(p), c) for p, c in terms.items())
-
-    def _of(self, terms: dict[Perm, Fraction]) -> "GroupAlgebraElement":
-        """An element of the same group algebra wrapping a purged kernel vector."""
-        x = object.__new__(GroupAlgebraElement)
-        x.m = self.m
-        x.terms = terms
-        return x
-
-    @classmethod
-    def identity(cls, m: int) -> "GroupAlgebraElement":
-        return cls(m, {identity_perm(m): ONE})
-
-    @classmethod
-    def basis(cls, perm: Perm) -> "GroupAlgebraElement":
-        return cls(len(perm), {tuple(perm): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, scalar) -> "GroupAlgebraElement":
-        return self._of(sparse.scale(self.terms, scalar))
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return self.scale(-1)
-
-    def _check_m(self, other: "GroupAlgebraElement") -> None:
-        if self.m != other.m:
-            raise ValueError("elements live in different symmetric groups")
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check_m(other)
-        return self._of(sparse.add(self.terms, other.terms))
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check_m(other)
-        return self._of(sparse.product(self.terms, other.terms, perm_compose))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"GroupAlgebraElement({self.m}, 0)"
-        body = " + ".join(f"{c}*{perm_str(p)}" for p, c in sorted(self.terms.items()))
-        return f"GroupAlgebraElement({self.m}, {body})"
-
-
-def group_algebra_rank(x: GroupAlgebraElement) -> int:
+def group_algebra_rank(x: dict[Perm, Scalar]) -> int:
     """Rank of right multiplication by ``x`` on the group algebra.
 
     For a Young symmetrizer this equals the dimension of the irreducible
     representation the symmetrizer generates, which makes it an oracle
-    independent of the hook-length count.
+    independent of the hook-length count.  The zero element has rank 0.
     """
-    perms = sorted(itertools.permutations(range(x.m)))
+    if not x:
+        return 0
+    perms = sorted(itertools.permutations(range(len(next(iter(x))))))
     index = {p: k for k, p in enumerate(perms)}
-    rows = [
-        {index[perm_compose(sigma, tau)]: c for tau, c in x.terms.items()}
-        for sigma in perms
-    ]
+    rows = [{index[perm_compose(sigma, tau)]: c for tau, c in x.items()} for sigma in perms]
     return rank(rows, len(perms))
 
 
@@ -162,11 +82,6 @@ class YoungDiagram:
     @property
     def m(self) -> int:
         return sum(self.rows)
-
-    def conjugate(self) -> "YoungDiagram":
-        return YoungDiagram(
-            [sum(1 for k in self.rows if k > j) for j in range(self.rows[0])]
-        )
 
     def hooks(self) -> list[int]:
         out = []
@@ -223,9 +138,9 @@ def _canonical_filling(lam: YoungDiagram) -> list[list[int]]:
     return filling
 
 
-def _group_sum(blocks: list[list[int]], m: int, signed: bool) -> GroupAlgebraElement:
+def _group_sum(blocks: list[list[int]], m: int, signed: bool) -> dict[Perm, Scalar]:
     """Sum over all permutations preserving each block, optionally signed."""
-    terms: dict[Perm, Fraction] = {}
+    terms: dict[Perm, Scalar] = {}
     for images in itertools.product(
         *[itertools.permutations(block) for block in blocks]
     ):
@@ -234,15 +149,15 @@ def _group_sum(blocks: list[list[int]], m: int, signed: bool) -> GroupAlgebraEle
             for pos, target in zip(block, image):
                 p[pos] = target
         perm = tuple(p)
-        terms[perm] = Fraction(perm_sign(perm)) if signed else ONE
-    return GroupAlgebraElement(m, terms)
+        terms[perm] = perm_sign(perm) if signed else ONE
+    return terms
 
 
-def row_symmetrizer(lam: YoungDiagram) -> GroupAlgebraElement:
+def row_symmetrizer(lam: YoungDiagram) -> dict[Perm, Scalar]:
     return _group_sum(_canonical_filling(lam), lam.m, signed=False)
 
 
-def column_antisymmetrizer(lam: YoungDiagram) -> GroupAlgebraElement:
+def column_antisymmetrizer(lam: YoungDiagram) -> dict[Perm, Scalar]:
     filling = _canonical_filling(lam)
     columns = [
         [filling[i][j] for i in range(len(filling)) if lam.rows[i] > j]
@@ -251,10 +166,14 @@ def column_antisymmetrizer(lam: YoungDiagram) -> GroupAlgebraElement:
     return _group_sum(columns, lam.m, signed=True)
 
 
-def young_symmetrizer(lam: YoungDiagram | Sequence[int]) -> GroupAlgebraElement:
+def young_symmetrizer(lam: YoungDiagram | Sequence[int]) -> dict[Perm, Scalar]:
     """Row symmetrizer times signed column sum for the row-major filling."""
     diagram = lam if isinstance(lam, YoungDiagram) else YoungDiagram(lam)
-    return row_symmetrizer(diagram) * column_antisymmetrizer(diagram)
+    # the group law: ``perm_compose`` applies the right factor first, so that
+    # evaluation in any left action is a homomorphism
+    return sparse.product(
+        row_symmetrizer(diagram), column_antisymmetrizer(diagram), perm_compose
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +300,22 @@ def action_table(action: RPermutationAction) -> dict[Perm, TensorMap]:
 
 
 def _evaluate_with_table(
-    x: GroupAlgebraElement, table: Mapping[Perm, TensorMap], dim: int, m: int
+    x: dict[Perm, Scalar], table: Mapping[Perm, TensorMap], dim: int, m: int
 ) -> TensorMap:
     total = TensorMap.zero(dim, m)
-    for perm in sorted(x.terms):
-        total = total + table[perm].scale(x.terms[perm])
+    for perm in sorted(x):
+        total = total + table[perm].scale(x[perm])
     return total
 
 
-def evaluate_in_action(
-    x: GroupAlgebraElement, action: RPermutationAction
-) -> TensorMap:
+def evaluate_in_action(x: dict[Perm, Scalar], action: RPermutationAction) -> TensorMap:
     """Substitute each permutation in ``x`` by its twisted-action operator."""
-    if x.m != action.m:
-        raise ValueError(
-            f"m mismatch: element lives in S_{x.m},"
-            f" the action is on {action.m} factors"
-        )
+    for perm in x:
+        if len(perm) != action.m:
+            raise ValueError(
+                f"m mismatch: element lives in S_{len(perm)},"
+                f" the action is on {action.m} factors"
+            )
     return _evaluate_with_table(x, action_table(action), action.dim, action.m)
 
 

@@ -230,10 +230,10 @@ def _run_poisson_extend(spec: JobSpec, r: str, lhs: str, rhs: str):
         f"lhs: ({io.word_str(lhs)})",
         f"rhs: ({io.word_str(rhs)})",
     ]
-    if value.is_zero():
+    if not value:
         lines.append("value: 0")
     else:
-        for word, coeff in sorted(value.terms.items()):
+        for word, coeff in sorted(value.items()):
             lines.append(f"term: ({io.word_str(word)}) -> {coeff}")
     return "PASS", lines
 
@@ -323,7 +323,7 @@ def _run_operad_classify(spec: JobSpec, sym: str, relation: str):
                 f"relation vectors need {len(basis)} coordinates for symmetry"
                 f" {sym!r}, got {len(vec)}"
             )
-    result = operad.classify(sym, vectors)
+    result = operad.classify(operad.full_constraint_system(sym), vectors)
     return _verdict(result.verdict != "not distributive"), result.lines(basis)
 
 
@@ -498,10 +498,12 @@ def _run_operad_classification(spec: JobSpec):
         ("none", [operad.associativity_vector()], "not distributive"),
         ("symmetric", [], "symmetric magmas"),
     )
+    # one system per symmetry, shared by its cases and its nullspace line
+    systems = {sym: operad.full_constraint_system(sym) for sym in ("skew", "none", "symmetric")}
     lines = []
     ok = True
     for sym, vectors, expected in cases:
-        result = operad.classify(sym, vectors)
+        result = operad.classify(systems[sym], vectors)
         agree = result.verdict == expected
         ok = ok and agree
         label = "jacobi" if vectors and sym == "skew" else (
@@ -512,7 +514,7 @@ def _run_operad_classification(spec: JobSpec):
             f" (expected {expected}): {'ok' if agree else 'MISMATCH'}"
         )
     for sym, expected_dim in (("none", 1), ("symmetric", 0), ("skew", 1)):
-        dim = operad.full_constraint_system(sym).nullspace_dim
+        dim = systems[sym].nullspace_dim
         agree = dim == expected_dim
         ok = ok and agree
         lines.append(

@@ -151,9 +151,6 @@ class ExactRREF:
         residual = self._residual(vec)
         return residual if isinstance(vec, Mapping) else self._dense(residual)
 
-    def in_row_space(self, vec: Row) -> bool:
-        return not self._residual(vec)
-
     def kernel(self) -> list[Terms]:
         """Sparse basis of the kernel, one vector per free column, in column order."""
         above: dict[int, Terms] = {}

@@ -281,14 +281,15 @@ class ClassificationResult:
         return out
 
 
-def classify(sym: str, r3_vectors: list) -> ClassificationResult:
+def classify(system: ObstructionSystem, r3_vectors: list) -> ClassificationResult:
     """Name the operad presented by (symmetry choice, quadratic relations).
 
+    ``system`` is :func:`full_constraint_system` of the symmetry choice and
     ``r3_vectors`` spans the imposed degree-3 relations in the coordinates of
-    ``relation_basis(sym)``.  Vectors outside the admissible nullspace yield
-    "not distributive" with the violated constraints as witnesses.
+    ``relation_basis(system.sym)``.  Vectors outside the admissible nullspace
+    yield "not distributive" with the violated constraints as witnesses.
     """
-    system = full_constraint_system(sym)
+    sym = system.sym
     violated: list[tuple[Constraint, Fraction]] = []
     for vec in r3_vectors:
         violated.extend(system.violated_by(vec))

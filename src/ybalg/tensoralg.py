@@ -2,11 +2,12 @@
 
 Basis tensors are indexed by *words*: the word ``(i1, ..., im)`` stands for
 ``e_{i1} (x) ... (x) e_{im}`` in the m-th tensor power of a fixed
-finite-dimensional space with basis ``e_0, ..., e_{dim-1}``.  Graded tensors
-and tensor maps keep their coefficients as sparse vectors of
-:mod:`ybalg.sparse` (every coefficient a nonzero ``int`` or
-``fractions.Fraction``), and
-all of their arithmetic is that module's; nothing here ever rounds.
+finite-dimensional space with basis ``e_0, ..., e_{dim-1}``.  A tensor is a
+plain sparse vector of :mod:`ybalg.sparse` keyed by words, whose lengths may
+differ (an element of the tensor algebra); a tensor map keeps its entries as
+such a vector keyed by ``(out_word, in_word)``.  Every coefficient is a
+nonzero ``int`` or ``fractions.Fraction``, all arithmetic is that module's,
+and nothing here ever rounds.
 
 Permutations are kept in one-line form as 0-indexed tuples under the *left
 action* convention: ``p[j]`` is the slot that the content of slot ``j`` moves
@@ -22,10 +23,11 @@ import operator
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import sparse
-from .sparse import ONE, ZERO, Scalar
+from .sparse import ONE, Scalar
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
+Tensor = dict[Word, Scalar]
 
 
 def words(dim: int, length: int) -> Iterator[Word]:
@@ -94,21 +96,6 @@ def perm_str(p: Perm) -> str:
     if len(p) <= 9:
         return "(" + "".join(str(i + 1) for i in p) + ")"
     return "(" + " ".join(str(i + 1) for i in p) + ")"
-
-
-def parse_perm(text: str) -> Perm:
-    """Inverse of :func:`perm_str`; accepts ``(312)`` or ``(3 1 2)``."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    if " " in body:
-        images = [int(tok) - 1 for tok in body.split()]
-    else:
-        images = [int(ch) - 1 for ch in body]
-    p = tuple(images)
-    if not is_perm(p):
-        raise ValueError(f"not a permutation: {text!r}")
-    return p
 
 
 def _reader(positions: Sequence[int]) -> Callable[[Sequence[int]], Word]:
@@ -184,109 +171,11 @@ def sigma_prime(
     return block_permutation_expand(tau, sizes)
 
 
-# ---------------------------------------------------------------------------
-# graded tensors
-# ---------------------------------------------------------------------------
-
-
-class GradedTensor:
-    """A finitely supported rational combination of basis words.
-
-    Terms of different lengths may coexist (an element of the tensor algebra).
-    Zero coefficients are purged eagerly, so structural equality of the term
-    dictionaries is semantic equality.
-    """
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: Mapping[Word, Scalar] | None = None):
-        self.dim = dim
-        self.terms = sparse.vector(terms or {})
-
-    @classmethod
-    def _of(cls, dim: int, terms: dict[Word, Scalar]) -> "GradedTensor":
-        """Wrap a vector the kernel already purged, without a second pass."""
-        t = object.__new__(cls)
-        t.dim = dim
-        t.terms = terms
-        return t
-
-    @classmethod
-    def basis(cls, dim: int, word: Word) -> "GradedTensor":
-        return cls._of(dim, {tuple(word): ONE})
-
-    @classmethod
-    def zero(cls, dim: int) -> "GradedTensor":
-        return cls._of(dim, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
-
-    def degree(self) -> int:
-        """Common word length; raises on mixed or zero tensors."""
-        lengths = {len(w) for w in self.terms}
-        if len(lengths) != 1:
-            raise ValueError("tensor is zero or not homogeneous")
-        return lengths.pop()
-
-    def __add__(self, other: "GradedTensor") -> "GradedTensor":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return GradedTensor._of(self.dim, sparse.add(self.terms, other.terms))
-
-    def __sub__(self, other: "GradedTensor") -> "GradedTensor":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "GradedTensor":
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "GradedTensor":
-        return GradedTensor._of(self.dim, sparse.scale(self.terms, scalar))
-
-    def tensor(self, other: "GradedTensor") -> "GradedTensor":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return GradedTensor._of(
-            self.dim, sparse.product(self.terms, other.terms, operator.add)
-        )
-
-    def permute(self, p: Perm) -> "GradedTensor":
-        return GradedTensor._of(
-            self.dim, {word_permute(p, w): c for w, c in self.terms.items()}
-        )
-
-    def coefficient(self, word: Word) -> Scalar:
-        return self.terms.get(tuple(word), ZERO)
-
-    def sorted_terms(self) -> list[tuple[Word, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedTensor)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for word, coeff in self.sorted_terms():
-            bits.append(f"{coeff}*{''.join(map(str, word))}")
-        return " + ".join(bits)
-
-
-def apply_permutation(p: Perm, t: GradedTensor) -> GradedTensor:
-    """Left action of a permutation on a graded tensor (see module docstring)."""
-    return t.permute(p)
+def apply_permutation(p: Perm, t: Tensor) -> Tensor:
+    """Left action of a permutation on a tensor, letter by letter, each word
+    through :func:`word_permute`.  The test reference for the slice regrouping
+    of :mod:`ybalg.twisted`."""
+    return {word_permute(p, w): c for w, c in t.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +280,17 @@ class TensorMap:
 
     # -- linear algebra -----------------------------------------------------
 
-    def apply(self, t: GradedTensor) -> GradedTensor:
-        if t.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        terms = t.terms
-        if any(len(word) != self.dom_deg for word in terms):
+    def apply(self, t: Tensor) -> Tensor:
+        if any(len(word) != self.dom_deg for word in t):
             raise ValueError("input degree does not match map domain")
-        out: dict[Word, Scalar] = {}
+        out: Tensor = {}
         sparse.accumulate(
-            out,
-            ((o, c * terms[i]) for (o, i), c in self.entries.items() if i in terms),
+            out, ((o, c * t[i]) for (o, i), c in self.entries.items() if i in t)
         )
-        return GradedTensor._of(self.dim, sparse.purge(out))
+        return sparse.purge(out)
 
-    def apply_word(self, w: Word) -> GradedTensor:
-        return self.apply(GradedTensor.basis(self.dim, w))
+    def apply_word(self, w: Word) -> Tensor:
+        return self.apply({tuple(w): ONE})
 
     def __add__(self, other: "TensorMap") -> "TensorMap":
         self._check_same_shape(other)

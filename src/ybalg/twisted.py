@@ -41,11 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from . import sparse
 from .sparse import ONE, Scalar
-from .tensoralg import GradedTensor, TensorMap, Word, words
+from .tensoralg import Tensor, TensorMap, Word, words
 from .ybe import cybe_residual, is_skew
 
 CONVENTIONS: dict[str, str] = {
@@ -62,32 +63,30 @@ CONVENTIONS: dict[str, str] = {
 }
 
 
-def _regroup(t: GradedTensor, sizes: Sequence[int], order: Sequence[int]) -> GradedTensor:
+def _regroup(t: Tensor, sizes: Sequence[int], order: Sequence[int]) -> Tensor:
     """``t`` with each word cut into consecutive blocks of ``sizes`` and the
     blocks concatenated in ``order`` (``order[k]`` is the source block that
     ends up k-th).  This is the action of the block permutation that sends
     block ``order[k]`` to position ``k``."""
     cuts = list(itertools.accumulate(sizes, initial=0))
     pieces = [slice(cuts[k], cuts[k + 1]) for k in order]
-    return GradedTensor._of(
-        t.dim,
-        {sum([w[s] for s in pieces], ()): c for w, c in t.terms.items()},
-    )
+    return {sum([w[s] for s in pieces], ()): c for w, c in t.items()}
 
 
-def _total(dim: int, *parts) -> GradedTensor:
+def _total(*parts) -> Tensor:
     """The sum of several ``(word, coeff)`` iterables, purged once."""
-    total: dict[Word, Scalar] = {}
+    total: Tensor = {}
     for terms in parts:
         sparse.accumulate(total, terms)
-    return GradedTensor._of(dim, sparse.purge(total))
+    return sparse.purge(total)
 
 
 class TensorWordBracket:
     """Bracket on the free algebra determined by a generator table.
 
-    ``r`` must be a map from the tensor square to itself.  Values are cached
-    per word pair; the bracket of empty words is zero (the unit is central).
+    ``r`` must be a map from the tensor square to itself.  Values are sparse
+    vectors keyed by words, cached per word pair; the bracket of empty words
+    is zero (the unit is central).
     """
 
     def __init__(self, r: TensorMap):
@@ -99,12 +98,12 @@ class TensorWordBracket:
         self._values: dict[Word, list[tuple[Word, Scalar]]] = {}
         for (out, inp), coeff in r.entries.items():
             self._values.setdefault(inp, []).append((out, coeff))
-        self._cache: dict[tuple[Word, Word], GradedTensor] = {}
-        self._cache_rec: dict[tuple[Word, Word], GradedTensor] = {}
+        self._cache: dict[tuple[Word, Word], Tensor] = {}
+        self._cache_rec: dict[tuple[Word, Word], Tensor] = {}
 
     # -- evaluation, closed form -------------------------------------------
 
-    def extend(self, v: Word, w: Word) -> GradedTensor:
+    def extend(self, v: Word, w: Word) -> Tensor:
         """Closed-form multilinear extension (sum over letter pairs)."""
         v, w = tuple(v), tuple(w)
         key = (v, w)
@@ -112,10 +111,10 @@ class TensorWordBracket:
             self._cache[key] = self._extend_direct(v, w)
         return self._cache[key]
 
-    def _extend_direct(self, v: Word, w: Word) -> GradedTensor:
+    def _extend_direct(self, v: Word, w: Word) -> Tensor:
         """Slot substitution: each term ``r(v_i w_j -> a b)`` contributes
         ``v[:i] + (a,) + v[i+1:] + w[:j] + (b,) + w[j+1:]``."""
-        total: dict[Word, Scalar] = {}
+        total: Tensor = {}
         for i, x in enumerate(v):
             v_head, v_tail = v[:i], v[i + 1 :]
             for j, y in enumerate(w):
@@ -129,11 +128,11 @@ class TensorWordBracket:
                             for (a, b), c in value
                         ),
                     )
-        return GradedTensor._of(self.dim, sparse.purge(total))
+        return sparse.purge(total)
 
     # -- evaluation, recursive peeling route --------------------------------
 
-    def extend_recursive(self, v: Word, w: Word) -> GradedTensor:
+    def extend_recursive(self, v: Word, w: Word) -> Tensor:
         """Independent evaluation route: Leibniz peeling plus antisymmetry.
 
         Requires no property of ``r`` to be defined, but only agrees with
@@ -145,38 +144,28 @@ class TensorWordBracket:
             return self._cache_rec[key]
         m, n = len(v), len(w)
         if m == 0 or n == 0:
-            result = GradedTensor.zero(self.dim)
+            result = {}
         elif m == 1 and n == 1:
             result = self.r.apply_word((v[0], w[0]))
         elif m > 1:
             head, tail = v[:1], v[1:]
-            term1 = GradedTensor.basis(self.dim, head).tensor(
-                self.extend_recursive(tail, w)
+            # head (x) {tail, w} + (213)(tail (x) {head, w}): tail moves
+            # between the two value slots of {head, w}
+            result = _total(
+                ((head + x, c) for x, c in self.extend_recursive(tail, w).items()),
+                ((x[:1] + tail + x[1:], c) for x, c in self.extend_recursive(head, w).items()),
             )
-            inner = GradedTensor.basis(self.dim, tail).tensor(
-                self.extend_recursive(head, w)
-            )
-            result = term1 + _regroup(inner, (m - 1, 1, n), (1, 0, 2))
         else:
             # single letter against a long word: flip with the twisted skew rule
-            result = -_regroup(self.extend_recursive(w, v), (n, 1), (1, 0))
+            result = sparse.scale(_regroup(self.extend_recursive(w, v), (n, 1), (1, 0)), -1)
         self._cache_rec[key] = result
         return result
 
     # -- bilinear wrapper ----------------------------------------------------
 
-    def bracket(
-        self, x: GradedTensor | Word, y: GradedTensor | Word
-    ) -> GradedTensor:
-        """Bilinear extension to arbitrary (sums of) words."""
-        xt = x if isinstance(x, GradedTensor) else GradedTensor.basis(self.dim, x)
-        yt = y if isinstance(y, GradedTensor) else GradedTensor.basis(self.dim, y)
-        return GradedTensor._of(
-            self.dim,
-            sparse.structure_product(
-                xt.terms, yt.terms, lambda a, b: self.extend(a, b).terms
-            ),
-        )
+    def bracket(self, x: Tensor, y: Tensor) -> Tensor:
+        """Bilinear extension to sums of words."""
+        return sparse.structure_product(x, y, self.extend)
 
 
 # ---------------------------------------------------------------------------
@@ -184,35 +173,30 @@ class TensorWordBracket:
 # ---------------------------------------------------------------------------
 
 
-def twisted_skew_defect(br: TensorWordBracket, v: Word, w: Word) -> GradedTensor:
+def twisted_skew_defect(br: TensorWordBracket, v: Word, w: Word) -> Tensor:
     """``{w,v} + (21)^{|v|,|w|} {v,w}``; zero iff the pair is antisymmetric."""
     swapped = _regroup(br.extend(v, w), (len(v), len(w)), (1, 0))
-    return _total(br.dim, br.extend(w, v).terms.items(), swapped.terms.items())
+    return _total(br.extend(w, v).items(), swapped.items())
 
 
-def twisted_jacobi_defect(
-    br: TensorWordBracket, u: Word, v: Word, w: Word
-) -> GradedTensor:
+def twisted_jacobi_defect(br: TensorWordBracket, u: Word, v: Word, w: Word) -> Tensor:
     """Cyclic Jacobi sum with each summand realigned to (u, v, w) slot order."""
     lu, lv, lw = len(u), len(v), len(w)
-    t1 = br.bracket(u, br.extend(v, w))
+    t1 = br.bracket({u: ONE}, br.extend(v, w))
     # the blocks of {v,{w,u}} are v, w, u and those of {w,{u,v}} are w, u, v
-    t2 = _regroup(br.bracket(v, br.extend(w, u)), (lv, lw, lu), (2, 0, 1))
-    t3 = _regroup(br.bracket(w, br.extend(u, v)), (lw, lu, lv), (1, 2, 0))
-    return _total(br.dim, t1.terms.items(), t2.terms.items(), t3.terms.items())
+    t2 = _regroup(br.bracket({v: ONE}, br.extend(w, u)), (lv, lw, lu), (2, 0, 1))
+    t3 = _regroup(br.bracket({w: ONE}, br.extend(u, v)), (lw, lu, lv), (1, 2, 0))
+    return _total(t1.items(), t2.items(), t3.items())
 
 
-def twisted_leibniz_defect(
-    br: TensorWordBracket, u: Word, v: Word, w: Word
-) -> GradedTensor:
+def twisted_leibniz_defect(br: TensorWordBracket, u: Word, v: Word, w: Word) -> Tensor:
     """Defect of the left Leibniz rule on ``{u (x) v, w}``."""
     lu = len(u)
     return _total(
-        br.dim,
-        br.extend(u + v, w).terms.items(),
-        ((u + x, -c) for x, c in br.extend(v, w).terms.items()),
+        br.extend(u + v, w).items(),
+        ((u + x, -c) for x, c in br.extend(v, w).items()),
         # (213)^{|v|,|u|,|w|} (v (x) {u, w}): v moves between u's and w's slots
-        ((x[:lu] + v + x[lu:], -c) for x, c in br.extend(u, w).terms.items()),
+        ((x[:lu] + v + x[lu:], -c) for x, c in br.extend(u, w).items()),
     )
 
 
@@ -226,7 +210,7 @@ def degree111_jacobi_map(br: TensorWordBracket) -> TensorMap:
     entries: dict[tuple[Word, Word], Fraction] = {}
     for a, b, c in words(br.dim, 3):
         defect = twisted_jacobi_defect(br, (a,), (b,), (c,))
-        for word, coeff in defect.terms.items():
+        for word, coeff in defect.items():
             entries[(word, (a, b, c))] = coeff
     return TensorMap(br.dim, 3, 3, entries)
 
@@ -315,13 +299,13 @@ def check_bracket_extension(r: TensorMap, max_degree: int) -> BracketReport:
     pairs = lambda: _word_pairs(r.dim, max_degree)
     triples = lambda: _word_triples(r.dim, max_degree)
     checks = (
-        _check("antisymmetry", pairs(), lambda v, w: twisted_skew_defect(br, v, w).terms),
-        _check("jacobi", triples(), lambda *t: twisted_jacobi_defect(br, *t).terms),
-        _check("leibniz", triples(), lambda *t: twisted_leibniz_defect(br, *t).terms),
+        _check("antisymmetry", pairs(), partial(twisted_skew_defect, br)),
+        _check("jacobi", triples(), partial(twisted_jacobi_defect, br)),
+        _check("leibniz", triples(), partial(twisted_leibniz_defect, br)),
         _check(
             "route-agreement",
             pairs(),
-            lambda v, w: (br.extend(v, w) - br.extend_recursive(v, w)).terms,
+            lambda v, w: sparse.add(br.extend(v, w), sparse.scale(br.extend_recursive(v, w), -1)),
         ),
     )
     return BracketReport(dim=r.dim, max_degree=max_degree, checks=checks)
@@ -379,7 +363,7 @@ def bracket_roundtrip(r: TensorMap, max_degree: int) -> RoundtripReport:
         {
             (word, (a, b)): coeff
             for a, b in words(r.dim, 2)
-            for word, coeff in br.extend((a,), (b,)).terms.items()
+            for word, coeff in br.extend((a,), (b,)).items()
         },
     )
     return RoundtripReport(

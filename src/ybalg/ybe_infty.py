@@ -36,10 +36,9 @@ from . import sparse
 from .algebras import TruncatedAlgebra, TruncationOverflow
 from .linfty import shuffles, sign_odd
 from .sparse import ONE, frac
-from .tensoralg import TensorMap, Word, embed_components, koszul_sort, word_permute, words
+from .tensoralg import Tensor, TensorMap, Word, embed_components, koszul_sort, word_permute, words
 
 Element = dict[int, Fraction]
-Tensor = dict[Word, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +567,10 @@ def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> lis
                 permuted_args = word_permute(tau, w)
                 lhs = {
                     word_permute(tau, v): c
-                    for v, c in b.apply_word(permuted_args).terms.items()
+                    for v, c in b.apply_word(permuted_args).items()
                 }
                 sign = sign_odd(tuple(degs[k] for k in w), tau)
-                if lhs != sparse.scale(b.apply_word(w).terms, sign):
+                if lhs != sparse.scale(b.apply_word(w), sign):
                     defects.append(
                         f"arity {arity}: swap ({t + 1} {t + 2}) fails on word"
                         f" ({','.join(map(str, w))})"
@@ -608,16 +607,16 @@ def double_leibniz_defects(
                         diff: Tensor = {}
                         for p, cp in sorted(product.items()):
                             sparse.accumulate(
-                                diff, b.apply_word(args + (p,)).terms.items(), cp
+                                diff, b.apply_word(args + (p,)).items(), cp
                             )
                         sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
-                        for v, c in b.apply_word(args + (y,)).terms.items():
+                        for v, c in b.apply_word(args + (y,)).items():
                             left = algebra.mul_basis(x, v[0]).items()
                             sparse.accumulate(
                                 diff, (((q,) + v[1:], cq) for q, cq in left), -sign_left * c
                             )
                         sign_right = -1 if (arity * degs[y]) % 2 else 1
-                        for v, c in b.apply_word(args + (x,)).terms.items():
+                        for v, c in b.apply_word(args + (x,)).items():
                             right = algebra.mul_basis(v[-1], y).items()
                             sparse.accumulate(
                                 diff, ((v[:-1] + (q,), cq) for q, cq in right), -sign_right * c

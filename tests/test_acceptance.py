@@ -152,7 +152,9 @@ def test_criterion_5_operad_classifier():
 
         assert operad.full_constraint_system("symmetric").nullspace_dim == 0
 
-        rejection = operad.classify("none", [operad.associativity_vector()])
+        rejection = operad.classify(
+            operad.full_constraint_system("none"), [operad.associativity_vector()]
+        )
         assert rejection.verdict == "not distributive"
         assert rejection.violated, "no violated constraint reported"
         constraint, value = rejection.violated[0]

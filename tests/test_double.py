@@ -343,7 +343,7 @@ def _apply3_by_words(map3, x, y, z):
     for i, ci in x.items():
         for j, cj in y.items():
             for k, ck in z.items():
-                sparse.accumulate(out, map3.apply_word((i, j, k)).terms.items(), ci * cj * ck)
+                sparse.accumulate(out, map3.apply_word((i, j, k)).items(), ci * cj * ck)
     return sparse.purge(out)
 
 

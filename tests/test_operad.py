@@ -263,16 +263,20 @@ class TestNullspaces:
         assert full_constraint_system("symmetric").nullspace_dim == 0
 
 
+def classify_sym(sym, vectors):
+    return classify(full_constraint_system(sym), vectors)
+
+
 class TestClassify:
     def test_all_five_operads(self):
-        assert classify("none", []).verdict == "magmas"
-        assert classify("none", [lie_admissible_vector()]).verdict == "Lie-admissible algebras"
-        assert classify("symmetric", []).verdict == "symmetric magmas"
-        assert classify("skew", []).verdict == "skew magmas"
-        assert classify("skew", [jacobi_vector()]).verdict == "Lie algebras"
+        assert classify_sym("none", []).verdict == "magmas"
+        assert classify_sym("none", [lie_admissible_vector()]).verdict == "Lie-admissible algebras"
+        assert classify_sym("symmetric", []).verdict == "symmetric magmas"
+        assert classify_sym("skew", []).verdict == "skew magmas"
+        assert classify_sym("skew", [jacobi_vector()]).verdict == "Lie algebras"
 
     def test_associativity_rejected_with_witness(self):
-        result = classify("none", [associativity_vector()])
+        result = classify_sym("none", [associativity_vector()])
         assert result.verdict == "not distributive"
         assert result.violated
         constraint, value = result.violated[0]
@@ -284,15 +288,25 @@ class TestClassify:
 
     def test_scalar_multiples_share_the_verdict(self):
         vec = [frac(7) * x for x in lie_admissible_vector()]
-        assert classify("none", [vec]).verdict == "Lie-admissible algebras"
+        assert classify_sym("none", [vec]).verdict == "Lie-admissible algebras"
 
     def test_symmetric_nonzero_relation_rejected(self):
-        result = classify("symmetric", [jacobi_vector()])
+        result = classify_sym("symmetric", [jacobi_vector()])
         assert result.verdict == "not distributive"
 
     def test_report_lines_name_the_operad(self):
-        lines = classify("skew", [jacobi_vector()]).lines(cyclic_basis())
+        lines = classify_sym("skew", [jacobi_vector()]).lines(cyclic_basis())
         assert any("Lie algebras" in line for line in lines)
+
+    def test_classification_builds_one_system_per_symmetry(self, monkeypatch):
+        from ybalg import harness, operad
+
+        calls = []
+        build = operad._system
+        monkeypatch.setattr(operad, "_system", lambda *a: calls.append(a) or build(*a))
+        report = harness.run_suite(harness.JobSpec((harness.Job("operad-classification"),)))
+        assert report.passed
+        assert len(calls) == 3  # one each for skew, none and symmetric
 
 
 class TestNumericOracle:

@@ -182,3 +182,42 @@ def test_accumulate_keeps_place_of_cancelled_keys():
     sparse.accumulate(total, [((0,), Fraction(-1)), ((2,), Fraction(3)), ((0,), Fraction(5))])
     assert list(total) == [(0,), (1,), (2,)]
     assert sparse.purge(total) == {(0,): Fraction(5), (1,): Fraction(2), (2,): Fraction(3)}
+
+
+def seeded_rational_map(dim, seed):
+    """A square map with about half its entries small nonzero fractions."""
+    import random
+
+    from ybalg.tensoralg import TensorMap, words
+
+    rng = random.Random(seed)
+    pairs = [(o, i) for o in words(dim, 2) for i in words(dim, 2)]
+    return TensorMap(
+        dim,
+        2,
+        2,
+        {pair: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+         for pair in pairs if rng.random() < 0.5},
+    )
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_computed_vectors_stay_canonical(dim, seed):
+    """Vectors the package builds by hand, not through ``sparse.vector``,
+    store no zero and no integral ``Fraction``."""
+    from ybalg.frt import partitions, young_symmetrizer
+    from ybalg.tensoralg import words
+    from ybalg.twisted import TensorWordBracket
+
+    r = seeded_rational_map(dim, seed)
+    br = TensorWordBracket(r)
+    all_words = [w for length in range(1, 4) for w in words(dim, length)]
+    for v in all_words:
+        if len(v) == 2:
+            assert is_vector(r.apply_word(v)), v
+        for w in all_words:
+            assert is_vector(br.extend(v, w)), (v, w)
+            assert is_vector(br.extend_recursive(v, w)), (v, w)
+    for m in range(1, 5):
+        for lam in partitions(m):
+            assert is_vector(young_symmetrizer(lam)), lam
