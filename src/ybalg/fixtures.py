@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from . import sparse
+from . import linalg, sparse
 from .sparse import ONE, Scalar, frac
 from .tensoralg import TensorMap, Word, embed_components, words
 from .twisted import PolynomialPoissonBracket
@@ -54,7 +55,7 @@ def skew_map_from_orbit_values(dim: int, values) -> TensorMap:
             entries[rep] = c
             entries[partner] = -c
     # the entries are canonical and nonzero already: wrap them as they are
-    return TensorMap.zero(dim, 2)._of(2, 2, entries)
+    return TensorMap._wrap(dim, 2, 2, entries)
 
 
 def orbit_values(r: TensorMap) -> list[Scalar]:
@@ -95,9 +96,17 @@ class SkewOrbitForm:
     permutations folded into the slots; row ``k`` of the coefficient maps
     is then a join of the embeddings of ``S_k`` with those of every ``S_l``
     through their middle words, and the residual itself is never called.
-    One row is held at a time.  A call costs one scaled accumulation per
-    nonzero term with a nonzero weight ``x_k x_l`` and returns ``R(r)``
-    entry for entry.
+    One row is held at a time.  ``terms`` lists the nonzero ``(k, l, D_k)``
+    and ``(k, l, P_kl)``.
+
+    Read as a matrix ``A`` with one row per output entry and one column per
+    term, ``R(r) = A w`` with ``w`` the weights ``x_k x_l``.  So ``R(r)`` is
+    zero exactly when ``E w`` is, for ``E`` the reduced echelon rows of
+    ``A``, which span the same row space; at dimension 2 the ``cybe`` form
+    has 4 of them and the ``aybe`` form 10.  ``E`` is computed once, and
+    :meth:`vanishes` decides ``R(r) = 0`` from it alone.  A call builds
+    ``R(r)`` itself, entry for entry, at one scaled accumulation per term
+    with a nonzero weight; only a witness needs it.
     """
 
     def __init__(self, products, dim: int):
@@ -144,6 +153,22 @@ class SkewOrbitForm:
                 split.setdefault(l, {})[o, i] = c
             for l in sorted(split):
                 self.terms.append((k, l, split[l]))
+        # the rows of A: each output entry's coefficients, by term index
+        rows: dict = {}
+        for j, (_, _, entries) in enumerate(self.terms):
+            for key, c in entries.items():
+                rows.setdefault(key, {})[j] = c
+        echelon = linalg.rref(list(rows.values()), len(self.terms))
+        # the rows of E as primitive integer (k, l, c) triples: a reduced row
+        # scaled by the lcm of its denominators has no common factor left
+        self.echelon = []
+        for row in echelon.sparse_rows:
+            scale = math.lcm(*(c.denominator for c in row.values()))
+            triples = []
+            for j, c in row.items():
+                k, l, _ = self.terms[j]
+                triples.append((k, l, c.numerator * (scale // c.denominator)))
+            self.echelon.append(tuple(triples))
 
     def __call__(self, values: Sequence[Scalar]) -> TensorMap:
         """``R`` at the skew map with these orbit values."""
@@ -155,13 +180,25 @@ class SkewOrbitForm:
         zero = self._zero
         return zero._of(zero.dom_deg, zero.cod_deg, sparse.purge(total))
 
+    def vanishes(self, values: Sequence[Scalar]) -> bool:
+        """Whether ``R`` is zero at the skew map with these orbit values: ``E w = 0``."""
+        for row in self.echelon:
+            total = 0
+            for k, l, c in row:
+                total += c * values[k] * values[l]
+            if total:
+                return False
+        return True
+
 
 def search_skew_solutions(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
     """Split the skew enumeration into exact solutions and non-solutions.
 
     ``kind`` names a residual quadratic in the map (``cybe``, ``aybe``,
-    ``aybe-prime`` or ``cae``); it is evaluated as a :class:`SkewOrbitForm`
-    built from its table in ``ybe.PRODUCTS``.
+    ``aybe-prime`` or ``cae``); it is built as a :class:`SkewOrbitForm` from
+    its table in ``ybe.PRODUCTS``, and each grid map is sorted by
+    :meth:`SkewOrbitForm.vanishes`, the form's echelon rows, without
+    building its residual.
     """
     if kind not in PRODUCTS:
         raise ValueError(f"the skew search needs a residual quadratic in r, not {kind!r}")
@@ -170,7 +207,7 @@ def search_skew_solutions(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
     non_solutions: list[TensorMap] = []
     for values in orbit_grid(dim, entry_values):
         r = skew_map_from_orbit_values(dim, values)
-        (solutions if form(values).is_zero() else non_solutions).append(r)
+        (solutions if form.vanishes(values) else non_solutions).append(r)
     return solutions, non_solutions
 
 

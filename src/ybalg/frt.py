@@ -558,6 +558,11 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
     nullity of ``[X, c] = 0`` over ``C'``, whose elimination stops once the
     nullity is down to the span dimension.  Without the inclusion it runs
     in full, so the printed dimension is exact.
+
+    The duality itself is an oracle on counts already made: with ``d`` the
+    irreducible and ``n`` the comodule dimensions, ``dim C' = sum n^2`` and
+    the span dimension is ``sum d^2`` over the partitions with ``n > 0``.
+    Either failing is a fault of the program and raises ``RuntimeError``.
     """
     if big_r.dim != dim_v:
         raise ValueError(
@@ -587,6 +592,18 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
     ncols = len(index) ** 2
     span_dim = rank(sr_rows, ncols)
     first = commutant(action.generators, dim=dim_v, deg=m)
+    # Maschke: V^(x)m = (+) S_lam (x) M_lam with dim M_lam = n_lam, so
+    # dim C' = sum n_lam^2 and the span is (+) End(S_lam) over n_lam > 0
+    if sum(b.comodule_dim**2 for b in blocks) != len(first):
+        raise RuntimeError(
+            "internal: the comodule dimensions squared do not sum to the"
+            f" commutant dimension {len(first)}"
+        )
+    if sum(b.rho_dim**2 for b in blocks if b.comodule_dim) != span_dim:
+        raise RuntimeError(
+            "internal: the irreducible dimensions squared do not sum to the"
+            f" span dimension {span_dim}"
+        )
     # the span lies in C'' exactly when every generator commutes with all of C'
     inside = all(
         (x.compose(g) - g.compose(x)).is_zero() for g in action.generators for x in first

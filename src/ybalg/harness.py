@@ -455,7 +455,8 @@ def _run_fixture_search(spec: JobSpec):
 
 def _run_double_lie_iff(spec: JobSpec):
     # every grid map is skew, so each verdict of dbjac_to_aybe reduces to
-    # one of these residuals vanishing
+    # one of these residuals vanishing; a form decides that from its echelon
+    # rows (E w = 0 exactly when A w = 0) and no residual map is built
     jacobi = SkewOrbitForm(double.JACOBI_PRODUCTS, 2)
     aybe = SkewOrbitForm(ybe.PRODUCTS["aybe"], 2)
     transform = SkewOrbitForm(double.TRANSFORM_PRODUCTS, 2)
@@ -465,12 +466,12 @@ def _run_double_lie_iff(spec: JobSpec):
     total = 0
     for values in orbit_grid(2, (-1, 0, 1)):
         total += 1
-        double_lie = jacobi(values).is_zero()
-        if double_lie != aybe(values).is_zero():
+        double_lie = jacobi.vanishes(values)
+        if double_lie != aybe.vanishes(values):
             mismatches += 1
         if double_lie:
             solutions += 1
-        if not transform(values).is_zero():
+        if not transform.vanishes(values):
             transform_failures += 1
     lines = [
         f"skew grid, dim 2: {total} maps, {solutions} induce a double Lie bracket",

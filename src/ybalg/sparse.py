@@ -42,6 +42,8 @@ def frac(value) -> Scalar:
     The result is an ``int`` when the value is integral, otherwise a
     ``Fraction``; anything else, floats included, raises ``TypeError``.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, str):
         value = Fraction(value)
     if isinstance(value, Fraction):

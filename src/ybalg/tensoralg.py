@@ -212,14 +212,19 @@ class TensorMap:
             ((tuple(o), tuple(i)), c) for (o, i), c in entries.items()
         )
 
-    def _of(self, dom_deg: int, cod_deg: int, entries: dict) -> "TensorMap":
-        """A map over the same space wrapping a vector the kernel already purged."""
+    @staticmethod
+    def _wrap(dim: int, dom_deg: int, cod_deg: int, entries: dict) -> "TensorMap":
+        """A map wrapping a vector the kernel already purged, keys checked by the caller."""
         t = object.__new__(TensorMap)
-        t.dim = self.dim
+        t.dim = dim
         t.dom_deg = dom_deg
         t.cod_deg = cod_deg
         t.entries = entries
         return t
+
+    def _of(self, dom_deg: int, cod_deg: int, entries: dict) -> "TensorMap":
+        """A map over the same space wrapping a vector the kernel already purged."""
+        return TensorMap._wrap(self.dim, dom_deg, cod_deg, entries)
 
     # -- constructors -------------------------------------------------------
 

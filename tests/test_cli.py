@@ -377,6 +377,27 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert "internal error: internal: braid relation fails at 1" in captured.err
 
+    @pytest.mark.parametrize("count", ["comodule", "rho"])
+    def test_duality_count_mismatch_is_three(self, tmp_path, capsys, monkeypatch, count):
+        if count == "comodule":
+            image_dimension = frt.image_dimension
+            monkeypatch.setattr(frt, "image_dimension", lambda x: image_dimension(x) + 1)
+            message = "comodule dimensions squared do not sum to the commutant dimension 10"
+        else:
+            # the hook-length check still agrees: both of its sides move together
+            irrep_dimension = frt.YoungDiagram.irrep_dimension
+            group_algebra_rank = frt.group_algebra_rank
+            monkeypatch.setattr(
+                frt.YoungDiagram, "irrep_dimension", lambda lam: irrep_dimension(lam) + 1
+            )
+            monkeypatch.setattr(frt, "group_algebra_rank", lambda x: group_algebra_rank(x) + 1)
+            message = "irreducible dimensions squared do not sum to the span dimension 2"
+        path = write(tmp_path, "id.txt", io.dump_tensor_map(TensorMap.identity(2, 2)))
+        assert main(["schurweyl", "decompose", "--R", path, "--m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"internal error: internal: the {message}" in captured.err
+
     def test_program_value_error_is_not_a_precondition(self, tmp_path, capsys, monkeypatch):
         def broken(big_r, m):
             raise ValueError("hrdim lost a relation row")

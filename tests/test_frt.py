@@ -501,12 +501,15 @@ def test_closure_by_rank_matches_the_basis_comparison(twist, m):
 
 def test_closure_fails_on_part_of_the_first_commutant(monkeypatch):
     # any basis of C' minus one map still generates C' on these small twists,
-    # so the truncation keeps only the first half of the basis
+    # so the truncation keeps only the first half of the basis; repeated up to
+    # the full count, it meets the counting oracle, and only the closure can
+    # tell that half of C' is missing
     original = frt.commutant
 
     def truncated(generators, dim=None, deg=None):
         basis = original(generators, dim, deg)
-        return basis[: len(basis) // 2]
+        half = basis[: len(basis) // 2]
+        return [half[k % len(half)] for k in range(len(basis))]
 
     monkeypatch.setattr(frt, "commutant", truncated)
     twist = rational_diagonal_twist(2)
@@ -514,18 +517,20 @@ def test_closure_fails_on_part_of_the_first_commutant(monkeypatch):
     assert not report.double_commutant_ok
     assert not report.passed
     first = truncated(r_permutation_action(twist, 3).generators, 2, 3)
-    assert report.sr_commutant_dim == len(first) == 6
+    assert report.sr_commutant_dim == len(first) == 12
+    assert len(set(first)) == 6
     assert report.hr_commutant_dim == len(original(first, 2, 3))
     assert report.hr_commutant_dim > report.sr_span_dim
 
 
 def test_closure_fails_with_a_non_commuting_map_added(monkeypatch):
+    # the map takes the place of the last basis map, so dim C' still counts
     original = frt.commutant
     unit = TensorMap(2, 3, 3, {((0, 0, 0), (0, 0, 1)): ONE})
     extended = []
 
     def with_unit(generators, dim=None, deg=None):
-        extended[:] = [*original(generators, dim, deg), unit]
+        extended[:] = [*original(generators, dim, deg)[:-1], unit]
         return list(extended)
 
     monkeypatch.setattr(frt, "commutant", with_unit)
@@ -557,3 +562,40 @@ def test_closure_fails_on_a_conjugated_first_commutant(monkeypatch):
     assert report.hr_commutant_dim == report.sr_span_dim == 5
     assert not report.double_commutant_ok
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the duality's counting identities, checked inside the decomposition
+
+
+def sign_diagonal_twist(dim):
+    """Unitary diagonal twist with sign entries: ``eps_ii = 1``, ``eps_ij = -1`` off it."""
+    return TensorMap(
+        dim, 2, 2, {(w, w): Fraction(1 if w[0] == w[1] else -1) for w in words(dim, 2)}
+    )
+
+
+_DUALITY_CASES = [
+    (name, make(dim), m)
+    for name, make in (
+        ("sign", sign_diagonal_twist),
+        ("rational", rational_diagonal_twist),
+        ("identity", identity_twist),
+    )
+    for dim, ms in ((2, (2, 3, 4)), (3, (2, 3)))
+    for m in ms
+]
+
+
+@pytest.mark.parametrize(
+    "twist, m", [case[1:] for case in _DUALITY_CASES],
+    ids=[f"{c[0]}-dim{c[1].dim}-m{c[2]}" for c in _DUALITY_CASES],
+)
+def test_duality_counts_commutant_and_span(twist, m):
+    report = schur_weyl_decompose(twist, m, twist.dim)
+    # dim C' = sum n_lam^2, and dim A = sum d_lam^2 over the lam with n_lam > 0
+    assert sum(b.comodule_dim**2 for b in report.blocks) == report.sr_commutant_dim
+    assert sum(b.rho_dim**2 for b in report.blocks if b.comodule_dim) == report.sr_span_dim
+    action = r_permutation_action(twist, m)
+    assert report.sr_commutant_dim == len(commutant(action.generators, dim=twist.dim, deg=m))
+    assert report.passed

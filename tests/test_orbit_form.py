@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,8 @@ def test_form_matches_the_literal_residual_on_the_dim2_grid(name):
         r = skew_map_from_orbit_values(2, values)
         literal = RESIDUALS[name][1](r)
         assert_same_map(form(name, 2)(values), literal)
+        # the echelon verdict against the built residual
+        assert form(name, 2).vanishes(values) == form(name, 2)(values).is_zero()
         count += 1
         nonzero += not literal.is_zero()
     assert count == 729
@@ -136,8 +139,24 @@ def test_form_matches_the_literal_residual_on_the_dim2_grid(name):
         # both vanish on every skew map: the identities the suite checks
         assert nonzero == 0
     else:
-        # the comparison is not vacuous: most grid maps leave a residual
-        assert nonzero > 600
+        # the comparison is not vacuous: most grid maps leave a residual,
+        # and the solutions are the grid searches' counts
+        assert 729 - nonzero == {"cybe": 47}.get(name, 17)
+
+
+def test_echelon_rows_are_primitive_integer_triples():
+    sizes = {name: len(form(name, 2).echelon) for name in RESIDUALS}
+    assert sizes == {
+        "cybe": 4, "aybe": 10, "aybe-prime": 10, "cae": 0,
+        "double-jacobi": 10, "transform-difference": 0,
+    }
+    for name in RESIDUALS:
+        for dim in (1, 2, 3):
+            pairs = {(k, l) for k, l, _ in form(name, dim).terms}
+            for row in form(name, dim).echelon:
+                assert row and all(type(c) is int and c for _, _, c in row)
+                assert math.gcd(*(c for _, _, c in row)) == 1
+                assert {(k, l) for k, l, _ in row} <= pairs
 
 
 @st.composite
@@ -149,12 +168,39 @@ def rational_skew_maps(draw):
     return skew_map_from_orbit_values(dim, values)
 
 
+@st.composite
+def scaled_grid_solutions(draw):
+    """A grid solution of one residual times a fraction: still a solution."""
+    name = draw(st.sampled_from(["cybe", "aybe"]))
+    solutions, _ = search_skew_solutions(name, 2)
+    r = draw(st.sampled_from(solutions))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    return r.scale(scale)
+
+
 @settings(max_examples=80, deadline=None)
-@given(rational_skew_maps(), st.sampled_from(sorted(RESIDUALS)))
+@given(st.one_of(rational_skew_maps(), scaled_grid_solutions()), st.sampled_from(sorted(RESIDUALS)))
 def test_form_matches_the_literal_residual_on_rational_skew_maps(r, name):
     assert is_skew(r)
-    assert skew_map_from_orbit_values(r.dim, orbit_values(r)) == r
-    assert_same_map(form(name, r.dim)(orbit_values(r)), RESIDUALS[name][1](r))
+    values = orbit_values(r)
+    assert skew_map_from_orbit_values(r.dim, values) == r
+    assert_same_map(form(name, r.dim)(values), RESIDUALS[name][1](r))
+    # the echelon verdict against the built residual
+    assert form(name, r.dim).vanishes(values) == form(name, r.dim)(values).is_zero()
+
+
+def test_grid_checks_never_build_a_residual(monkeypatch):
+    def refuse(self, values):
+        raise AssertionError("a grid check built a residual map")
+
+    monkeypatch.setattr(SkewOrbitForm, "__call__", refuse)
+    jobs = ("double-lie-iff-skew-aybe", "fixture-search")
+    text = run_suite(JobSpec(tuple(Job(name) for name in jobs))).text()
+    for name in jobs:
+        assert f"verdict {name}: PASS" in text
+    assert "classical solutions: 47" in text
+    assert "associative solutions: 17" in text
+    assert "skew grid, dim 2: 729 maps, 17 induce a double Lie bracket" in text
 
 
 def test_identities_leave_empty_forms():
