@@ -6,6 +6,11 @@ one-job :class:`~ybalg.harness.JobSpec`, runs it through
 ``suite`` runs the canned battery.  Exit status: 0 when every check
 passes, 1 when a check fails or a precondition is unmet, 2 on input errors,
 3 on an internal fault of the program.
+
+A well-formed invocation builds only its verb's parser, from that verb's
+row; :func:`build_parser` builds the full command tree, which serves the
+top-level and group help and the error messages of a missing, unknown or
+malformed command line.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     verbs = {}
     for row in (*CHECKS, _SUITE):
-        _, words, help, fields, flags, _ = row
+        words, help = row[1:3]
         if words is None:
             continue
         *command, word = words
@@ -55,16 +60,38 @@ def build_parser() -> argparse.ArgumentParser:
                 group = commands.add_parser(name, help=_COMMANDS[name])
                 verbs[name] = group.add_subparsers(dest="verb", required=True)
             parent = verbs[name]
-        verb = parent.add_parser(word, help=help)
-        verb.set_defaults(row=row)
-        for name, type_, choices, default, _, required, field_help in fields:
-            verb.add_argument(
-                "--" + name, required=required, type=type_, choices=choices,
-                default=default, help=field_help,
-            )
-        for name, flag_help in flags:
-            verb.add_argument("--" + name, action="store_true", help=flag_help)
+        _add_arguments(parent.add_parser(word, help=help), row)
     return parser
+
+
+def _add_arguments(parser: argparse.ArgumentParser, row) -> None:
+    """Declare one row's fields and flags on its verb's parser."""
+    _, _, _, fields, flags, _ = row
+    parser.set_defaults(row=row)
+    for name, type_, choices, default, _, required, field_help in fields:
+        parser.add_argument(
+            "--" + name, required=required, type=type_, choices=choices,
+            default=default, help=field_help,
+        )
+    for name, flag_help in flags:
+        parser.add_argument("--" + name, action="store_true", help=flag_help)
+
+
+def _parse_verb(argv) -> argparse.Namespace | None:
+    """``argv`` parsed by its verb's parser alone, or None to use the full tree.
+
+    The verb's parser has the ``prog`` and arguments of its place in the
+    tree, so its help and its errors are the tree's.  None when no row's
+    words lead ``argv`` or tokens are left over: the tree reports those.
+    """
+    for row in (*CHECKS, _SUITE):
+        words = row[1]
+        if words and tuple(argv[: len(words)]) == words:
+            parser = argparse.ArgumentParser(prog="ybalg " + " ".join(words))
+            _add_arguments(parser, row)
+            args, rest = parser.parse_known_args(argv[len(words):])
+            return None if rest else args
+    return None
 
 
 def _spec_from_args(args: argparse.Namespace) -> JobSpec:
@@ -85,8 +112,9 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_verb(argv) or build_parser().parse_args(argv)
     try:
         report = run_suite(_spec_from_args(args))
     except ValueError as err:  # io.SchemaError included

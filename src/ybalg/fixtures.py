@@ -111,12 +111,20 @@ class SkewOrbitForm:
 
     def __init__(self, products, dim: int):
         orbits, _ = skew_entry_orbits(dim)
-        # a conjugation only moves slots: P r^{st} P^-1 = r^{p(s) p(t)}
-        joins = []
+        # a conjugation only moves slots: P r^{st} P^-1 = r^{p(s) p(t)}; each
+        # S_k is skew, S_k^{ts} = -S_k^{st}, so every slot pair is folded into
+        # increasing order and joins on equal slots merge, some of them to zero
+        merged: dict = {}
         for c, a, b, p in products:
-            joins.append(
-                (c, (p[a[0] - 1] + 1, p[a[1] - 1] + 1), (p[b[0] - 1] + 1, p[b[1] - 1] + 1))
-            )
+            key = []
+            for s, t in (a, b):
+                s, t = p[s - 1] + 1, p[t - 1] + 1
+                if s > t:
+                    s, t, c = t, s, -c
+                key.append((s, t))
+            key = tuple(key)
+            merged[key] = merged.get(key, 0) + c
+        joins = [(c, a, b) for (a, b), c in merged.items() if c]
         # per slot tuple: each S_k, and all of them by middle word (the input
         # word of a left factor, the output word of a right one)
         family, by_in, by_out = {}, {}, {}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ybalg
-from ybalg import frt, harness, io, operad, ybe
+from ybalg import cli, frt, harness, io, operad, ybe
 from ybalg.algebras import Quiver, polynomial_quotient_algebra
 from ybalg.cli import build_parser, main
 from ybalg.double import one_variable_lambda_bracket
@@ -692,6 +692,80 @@ class TestCliCommands:
         stdout = capsys.readouterr().out
         assert out_path.read_text() == stdout
         assert "checks: %d" % len(harness.DEFAULT_CHECKS) in stdout
+
+
+def _representative_argv(row, optional=True):
+    """A command line for a row: every required field, its optional ones and flags."""
+    _, words, _, fields, flags, _ = row
+    argv = list(words)
+    for name, type_, choices, _, _, required, _ in fields:
+        if required or optional:
+            value = choices[0] if choices else {None: f"{name}.txt", int: "2"}.get(type_, "x")
+            argv += ["--" + name, value]
+    if optional:
+        argv += ["--" + name for name, _ in flags]
+    return argv
+
+
+VERB_ROWS = [row for row in (*harness.CHECKS, cli._SUITE) if row[1]]
+
+
+class TestCliParseParity:
+    """``main`` parses one verb alone; the full tree is the reference."""
+
+    @pytest.mark.parametrize("optional", [True, False])
+    @pytest.mark.parametrize("row", VERB_ROWS, ids=lambda row: " ".join(row[1]))
+    def test_one_verb_parse_gives_the_trees_job(self, row, optional, monkeypatch):
+        argv = _representative_argv(row, optional)
+        expected = cli._spec_from_args(build_parser().parse_args(argv))
+        specs = []
+
+        def record(spec):
+            specs.append(spec)
+            return Report(harness.VERSION, (), ())
+
+        def refuse():
+            raise AssertionError("a well-formed command line built the full tree")
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(argv) == 0
+        assert specs == [expected]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--help"],
+        ["ybe"],
+        ["ybe", "--help"],
+        ["ybe", "chek"],
+        ["ybe", "check", "--help"],
+        ["ybe", "check"],
+        ["ybe", "check", "--kind", "nope", "--input", "x"],
+        ["ybe", "check", "--kind", "cybe", "--input", "x", "--bogus"],
+    ])
+    def test_help_and_errors_match_the_tree(self, argv, capsys):
+        outcomes = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(list(argv))
+            outcomes.append((exit_info.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (0, 2)
+
+    def test_a_call_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["operad", "nullspace", "--sym", "sym"]) == 0
+        assert built == ["ybalg operad nullspace"]
+        built.clear()
+        build_parser()
+        assert len(built) == 23
 
 
 #: every command line, in help order, with (option, required, choices, default)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg import double, ybe
+from ybalg import double, fixtures, ybe
 from ybalg.double import (
     JACOBI_PRODUCTS,
     TRANSFORM_PRODUCTS,
@@ -210,6 +210,23 @@ def test_identities_leave_empty_forms():
         assert form("transform-difference", dim).terms == []
     assert form("cybe", 1).terms == []
     assert len(form("cybe", 2).terms) > 0
+
+
+def test_a_cancelling_table_embeds_nothing(monkeypatch):
+    # slot pairs fold into increasing order (each S_k is skew), so the cae
+    # table's joins cancel before any S_k is embedded
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return embed_components(*args)
+
+    monkeypatch.setattr(fixtures, "embed_components", counting)
+    for dim in (1, 2, 3):
+        assert SkewOrbitForm(PRODUCTS["cae"], dim).terms == []
+    assert calls == []
+    SkewOrbitForm(PRODUCTS["cybe"], 2)
+    assert calls
 
 
 def test_building_a_form_calls_no_residual(monkeypatch):
