@@ -28,8 +28,8 @@ from fractions import Fraction
 from . import sparse
 from .algebras import Element, TruncatedAlgebra, TruncationOverflow
 from .sparse import ONE, Terms
-from .tensoralg import TensorMap, Word, embed_components
-from .ybe import PRODUCTS, aybe_residual, is_skew
+from .tensoralg import TensorMap
+from .ybe import PRODUCTS, is_skew, table_residuals
 
 Elt2 = dict[tuple[int, int], Fraction]  # sparse elements of A (x) A
 Elt3 = dict[tuple[int, int, int], Fraction]
@@ -123,8 +123,6 @@ class DoubleBracket:
         for (out_pair, in_pair), coeff in r.entries.items():
             table.setdefault(in_pair, {})[out_pair] = coeff
         return cls(algebra, table)
-
-    to_tensor_map = as_tensor_map
 
 
 def extend_by_derivations(
@@ -346,18 +344,16 @@ def check_double_axioms(db: DoubleBracket) -> DoubleAxiomReport:
 # ---------------------------------------------------------------------------
 
 
-def double_jacobi_residual_map(r: TensorMap) -> TensorMap:
-    """``r12 r23 + r23 r31 + r31 r12`` as a map on cubes."""
-    r12 = embed_components(r, (1, 2), 3)
-    r23 = embed_components(r, (2, 3), 3)
-    r31 = embed_components(r, (3, 1), 3)
-    return r12.compose(r23) + r23.compose(r31) + r31.compose(r12)
-
-
-#: :func:`double_jacobi_residual_map` as a table of ``ybe.PRODUCTS``
+#: the double-Jacobi residual ``r12 r23 + r23 r31 + r31 r12``, a table of
+#: ``ybe.PRODUCTS``
 JACOBI_PRODUCTS = (
     (1, (1, 2), (2, 3), (0, 1, 2)), (1, (2, 3), (3, 1), (0, 1, 2)), (1, (3, 1), (1, 2), (0, 1, 2)),
 )
+
+
+def double_jacobi_residual_map(r: TensorMap) -> TensorMap:
+    """``r12 r23 + r23 r31 + r31 r12`` as a map on cubes."""
+    return table_residuals(r, JACOBI_PRODUCTS)[0]
 
 
 @dataclass(frozen=True)
@@ -401,9 +397,8 @@ def dbjac_to_aybe(r: TensorMap) -> JacobiToAybeReport:
     associative residual as a map, so one vanishes iff the other does.
     """
     skew = is_skew(r)
-    residual = double_jacobi_residual_map(r)
+    residual, aybe = table_residuals(r, JACOBI_PRODUCTS, PRODUCTS["aybe"])
     transformed = -residual.conjugate_by_perm((2, 1, 0))
-    aybe = aybe_residual(r)
     return JacobiToAybeReport(
         dim=r.dim,
         r_is_skew=skew,
@@ -413,17 +408,9 @@ def dbjac_to_aybe(r: TensorMap) -> JacobiToAybeReport:
     )
 
 
-def dbjac_transform_defect(r: TensorMap) -> TensorMap:
-    """The negated (321)-conjugate of the double-Jacobi residual minus ``aybe(r)``.
-
-    Zero exactly when the transform in :func:`dbjac_to_aybe` matches the
-    associative residual; like both of them it is quadratic in ``r``.
-    """
-    transformed = -double_jacobi_residual_map(r).conjugate_by_perm((2, 1, 0))
-    return transformed - aybe_residual(r)
-
-
-#: :func:`dbjac_transform_defect` as a table of ``ybe.PRODUCTS``
+#: the negated (321)-conjugate of the double-Jacobi residual minus ``aybe(r)``,
+#: zero exactly when the transform in :func:`dbjac_to_aybe` matches the
+#: associative residual
 TRANSFORM_PRODUCTS = tuple((-c, a, b, (2, 1, 0)) for c, a, b, _ in JACOBI_PRODUCTS) + tuple(
     (-c, a, b, p) for c, a, b, p in PRODUCTS["aybe"]
 )
@@ -477,10 +464,10 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
 
     Preconditions (verified, reported separately from the conclusion): the
     second-argument derivation rule holds on basis triples, and the classical
-    residual of the bracket's map vanishes.  ``r12``, ``r13``, ``r23`` are
-    embedded once; AYBE and AYBE' are each summed from three of their six
-    products as ``ybe.PRODUCTS`` lists them, and the classical residual is
-    read off as AYBE - AYBE', the identity that table declares.  The
+    residual of the bracket's map vanishes.  AYBE and AYBE' come from one
+    evaluation of their ``ybe.PRODUCTS`` tables, which embeds ``r12``,
+    ``r13``, ``r23`` once, and the classical residual is read off as
+    AYBE - AYBE', the identity that table declares.  The
     conclusion compares ``(a (x) 1 (x) 1) AYBE(r)`` with
     ``(1 (x) 1 (x) a) AYBE(r)`` for every basis element ``a`` by
     multiplying the first and third slots of AYBE's output words; an ``a``
@@ -494,13 +481,10 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
     n = algebra.nbasis
     leibniz_ok, skipped = _leibniz_holds(db)
 
-    r = db.as_tensor_map()
-    components = {slots: embed_components(r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3))}
-    aybe = _product_sum(components, PRODUCTS["aybe"])
-    aybe_p = _product_sum(components, PRODUCTS["aybe-prime"])
-    cybe = sparse.add(aybe, sparse.scale(aybe_p, -1))
-    cybe_ok = not cybe
-    columns = _columns(aybe), _columns(aybe_p), _columns(cybe)
+    aybe, aybe_p = table_residuals(db.as_tensor_map(), PRODUCTS["aybe"], PRODUCTS["aybe-prime"])
+    cybe = aybe - aybe_p
+    cybe_ok = cybe.is_zero()
+    columns = _columns(aybe.entries), _columns(aybe_p.entries), _columns(cybe.entries)
 
     comparison = True
     for a in range(n):
@@ -532,17 +516,6 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
         expansion_identity_holds=expansion,
         skipped=skipped,
     )
-
-
-def _product_sum(components: dict[tuple[int, int], TensorMap], products) -> dict:
-    # the entries of sum coeff * r^left o r^right over ybe.PRODUCTS rows with
-    # the identity permutation, one product alive at a time
-    total: dict = {}
-    for coeff, left, right, _ in products:
-        sparse.accumulate(
-            total, components[left].compose(components[right]).entries.items(), coeff
-        )
-    return sparse.purge(total)
 
 
 def _columns(entries: dict) -> dict:

@@ -9,11 +9,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg, sparse
+from . import linalg, sparse, ybe
 from .sparse import ONE, Scalar, frac
-from .tensoralg import TensorMap, Word, embed_components, words
+from .tensoralg import TensorMap, Word, words
 from .twisted import PolynomialPoissonBracket
-from .ybe import PRODUCTS
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,12 +91,12 @@ class SkewOrbitForm:
         ``R(r) = sum_k x_k^2 D_k + sum_{k<l} x_k x_l P_kl``,
         ``D_k = B(S_k, S_k)``,  ``P_kl = B(S_k, S_l) + B(S_l, S_k)``.
 
-    Each ``S_k`` is embedded once per slot tuple of the table, with the
-    permutations folded into the slots; row ``k`` of the coefficient maps
-    is then a join of the embeddings of ``S_k`` with those of every ``S_l``
-    through their middle words, and the residual itself is never called.
-    One row is held at a time.  ``terms`` lists the nonzero ``(k, l, D_k)``
-    and ``(k, l, P_kl)``.
+    The table is folded with :func:`ybe.fold`, and then once more: each
+    ``S_k`` is skew, ``S_k^{ts} = -S_k^{st}``, so every slot pair is put in
+    increasing order and equal joins merge, some of them to zero.  Each
+    ``S_k`` is embedded once per slot pair, and every coefficient map is one
+    :func:`ybe.join` of those embeddings; the residual itself is never
+    called.  ``terms`` lists the nonzero ``(k, k, D_k)`` and ``(k, l, P_kl)``.
 
     Read as a matrix ``A`` with one row per output entry and one column per
     term, ``R(r) = A w`` with ``w`` the weights ``x_k x_l``.  So ``R(r)`` is
@@ -111,56 +110,28 @@ class SkewOrbitForm:
 
     def __init__(self, products, dim: int):
         orbits, _ = skew_entry_orbits(dim)
-        # a conjugation only moves slots: P r^{st} P^-1 = r^{p(s) p(t)}; each
-        # S_k is skew, S_k^{ts} = -S_k^{st}, so every slot pair is folded into
-        # increasing order and joins on equal slots merge, some of them to zero
         merged: dict = {}
-        for c, a, b, p in products:
-            key = []
-            for s, t in (a, b):
-                s, t = p[s - 1] + 1, p[t - 1] + 1
-                if s > t:
-                    s, t, c = t, s, -c
-                key.append((s, t))
-            key = tuple(key)
-            merged[key] = merged.get(key, 0) + c
-        joins = [(c, a, b) for (a, b), c in merged.items() if c]
-        # per slot tuple: each S_k, and all of them by middle word (the input
-        # word of a left factor, the output word of a right one)
-        family, by_in, by_out = {}, {}, {}
-        for _, a, b in joins:
-            for slots in (a, b):
-                if slots in family:
-                    continue
-                family[slots], by_in[slots], by_out[slots] = [], {}, {}
-                for k, (rep, partner) in enumerate(orbits):
-                    s_k = TensorMap(dim, 2, 2, {rep: 1, partner: -1})
-                    entries = embed_components(s_k, slots, 3).entries
-                    family[slots].append(entries)
-                    for (o, i), c in entries.items():
-                        by_in[slots].setdefault(i, []).append((k, o, c))
-                        by_out[slots].setdefault(o, []).append((k, i, c))
-        self._zero = TensorMap.zero(dim, 3, 3)
+        for (a, b), c in ybe.fold(products).items():
+            if a[0] > a[1]:
+                a, c = a[::-1], -c
+            if b[0] > b[1]:
+                b, c = b[::-1], -c
+            merged[a, b] = merged.get((a, b), 0) + c
+        joins = {key: c for key, c in merged.items() if c}
+        # each S_k's embeddings; a table that cancels has no terms
+        family = [
+            ybe.embed_slot_pairs(TensorMap._wrap(dim, 2, 2, {rep: 1, partner: -1}), joins)
+            for rep, partner in orbits
+        ] if joins else []
+        self.dim = dim
         self.terms = []
-        for k in range(len(orbits)):
-            pairs = []
-            for c, a, b in joins:
-                # S_k then S_l (l >= k), and S_l (l > k) then S_k
-                for (o, mid), c1 in family[a][k].items():
-                    for l, i, c2 in by_out[b].get(mid, ()):
-                        if l >= k:
-                            pairs.append(((l, o, i), c * c1 * c2))
-                for (mid, i), c2 in family[b][k].items():
-                    for l, o, c1 in by_in[a].get(mid, ()):
-                        if l > k:
-                            pairs.append(((l, o, i), c * c1 * c2))
-            row: dict = {}
-            sparse.accumulate(row, pairs)
-            split: dict = {}
-            for (l, o, i), c in sparse.purge(row).items():
-                split.setdefault(l, {})[o, i] = c
-            for l in sorted(split):
-                self.terms.append((k, l, split[l]))
+        for k, s_k in enumerate(family):
+            # D_k = B(S_k, S_k), then P_kl = B(S_k, S_l) + B(S_l, S_k)
+            for l in range(k, len(family)):
+                pairs = ((s_k, s_k),) if l == k else ((s_k, family[l]), (family[l], s_k))
+                entries = ybe.join(joins, pairs)
+                if entries:
+                    self.terms.append((k, l, entries))
         # the rows of A: each output entry's coefficients, by term index
         rows: dict = {}
         for j, (_, _, entries) in enumerate(self.terms):
@@ -185,8 +156,7 @@ class SkewOrbitForm:
             weight = values[k] * values[l]
             if weight:
                 sparse.accumulate(total, entries.items(), weight)
-        zero = self._zero
-        return zero._of(zero.dom_deg, zero.cod_deg, sparse.purge(total))
+        return TensorMap._wrap(self.dim, 3, 3, sparse.purge(total))
 
     def vanishes(self, values: Sequence[Scalar]) -> bool:
         """Whether ``R`` is zero at the skew map with these orbit values: ``E w = 0``."""
@@ -208,9 +178,9 @@ def search_skew_solutions(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
     :meth:`SkewOrbitForm.vanishes`, the form's echelon rows, without
     building its residual.
     """
-    if kind not in PRODUCTS:
+    if kind not in ybe.PRODUCTS:
         raise ValueError(f"the skew search needs a residual quadratic in r, not {kind!r}")
-    form = SkewOrbitForm(PRODUCTS[kind], dim)
+    form = SkewOrbitForm(ybe.PRODUCTS[kind], dim)
     solutions: list[TensorMap] = []
     non_solutions: list[TensorMap] = []
     for values in orbit_grid(dim, entry_values):

@@ -543,7 +543,7 @@ class DecompositionReport:
         return out
 
 
-def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionReport:
+def schur_weyl_decompose(big_r: TensorMap, m: int) -> DecompositionReport:
     """Cut the tensor power along partitions and audit the bookkeeping.
 
     For every partition the irreducible dimension (hook lengths,
@@ -564,10 +564,7 @@ def schur_weyl_decompose(big_r: TensorMap, m: int, dim_v: int) -> DecompositionR
     the span dimension is ``sum d^2`` over the partitions with ``n > 0``.
     Either failing is a fault of the program and raises ``RuntimeError``.
     """
-    if big_r.dim != dim_v:
-        raise ValueError(
-            f"the twist acts on dimension {big_r.dim}, not {dim_v}"
-        )
+    dim_v = big_r.dim
     action = r_permutation_action(big_r, m)
     table = action_table(action)
     blocks = []

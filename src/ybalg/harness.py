@@ -384,7 +384,7 @@ def _run_schurweyl_decompose(spec: JobSpec, R: str, m: int):
     require_bound("m", m, f"the commutant solve has {r.dim}^(2m) unknowns")
     require_bound("dim", r.dim, f"the commutant solve has {r.dim ** (2 * m)} unknowns", R)
     try:
-        report = frt.schur_weyl_decompose(r, m, r.dim)
+        report = frt.schur_weyl_decompose(r, m)
     except frt.PreconditionError as err:
         return "precondition-unmet", [f"precondition: {err}"]
     return _verdict(report.passed), report.lines()
@@ -567,7 +567,7 @@ def _run_ybe_infty_classical(spec: JobSpec):
 
 def _run_schurweyl_anchor(spec: JobSpec):
     identity = TensorMap.identity(2, 2)
-    report = frt.schur_weyl_decompose(identity, 3, 2)
+    report = frt.schur_weyl_decompose(identity, 3)
     dims = [frt.hr_graded_dimension(identity, m) for m in (1, 2, 3)]
     lines = report.lines()
     lines.append(
@@ -585,7 +585,7 @@ def _run_double_commutant(spec: JobSpec):
     ok = True
     for name, twist in twists:
         for m in (1, 2, 3):
-            report = frt.schur_weyl_decompose(twist, m, 2)
+            report = frt.schur_weyl_decompose(twist, m)
             ok = ok and report.passed and report.double_commutant_ok
             lines.append(
                 f"{name} twist, m={m}: span {report.sr_span_dim},"
@@ -672,17 +672,8 @@ CHECKS = (
 )
 
 
-DEFAULT_CHECKS = (
-    "cae-random",
-    "fixture-search",
-    "double-lie-iff-skew-aybe",
-    "lambda-almcybe",
-    "operad-classification",
-    "linfty-extension",
-    "ybe-infty-classical",
-    "schurweyl-anchor",
-    "double-commutant",
-)
+#: the canned checks, the rows with no command words, in table order
+DEFAULT_CHECKS = tuple(row[0] for row in CHECKS if row[1] is None)
 
 
 def default_suite(

@@ -80,10 +80,6 @@ def _word(token: str, path: str, line: int) -> Word:
     return tuple(_int(part.strip(), path, line) for part in token.split(","))
 
 
-def _word_str(w: Word) -> str:
-    return ",".join(map(str, w)) if w else "-"
-
-
 def parse_word(text: str, where: str, dim: int) -> Word:
     """Parse a word argument: comma-separated letter indices in ``0..dim-1``,
     ``-`` for empty."""
@@ -95,7 +91,7 @@ def parse_word(text: str, where: str, dim: int) -> Word:
 
 def word_str(w: Word) -> str:
     """Render a word the way the file formats do."""
-    return _word_str(w)
+    return ",".join(map(str, w)) if w else "-"
 
 
 def _element(tokens: list[str], path: str, line: int) -> dict[int, Fraction]:
@@ -207,7 +203,7 @@ def dump_tensor_map(tmap: TensorMap) -> str:
         f"cod: {tmap.cod_deg}",
     ]
     for (out_w, in_w), coeff in sorted(tmap.entries.items()):
-        out.append(f"entry: {_word_str(out_w)} <- {_word_str(in_w)} : {coeff}")
+        out.append(f"entry: {word_str(out_w)} <- {word_str(in_w)} : {coeff}")
     return "\n".join(out) + "\n"
 
 
@@ -362,7 +358,7 @@ def dump_rn_family(fam: RnFamily) -> str:
     ]
     for arity in fam.arities:
         for word, coeff in sorted(fam.component(arity).items()):
-            out.append(f"component {arity}: {_word_str(word)} : {coeff}")
+            out.append(f"component {arity}: {word_str(word)} : {coeff}")
     return "\n".join(out) + "\n"
 
 
@@ -403,7 +399,7 @@ def dump_linfty_family(fam: MultiBracketFamily) -> str:
     ]
     for arity in fam.arities():
         for args, value in sorted(fam.ops[arity].items()):
-            out.append(f"op {arity}: {_word_str(args)} -> {_element_str(value)}")
+            out.append(f"op {arity}: {word_str(args)} -> {_element_str(value)}")
     return "\n".join(out) + "\n"
 
 

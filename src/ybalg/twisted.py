@@ -351,11 +351,11 @@ class RoundtripReport:
 def bracket_roundtrip(r: TensorMap, max_degree: int) -> RoundtripReport:
     br = TensorWordBracket(r)
     skew = is_skew(r)
-    cybe_zero = cybe_residual(r).is_zero()
+    cybe = cybe_residual(r)
     report = check_bracket_extension(r, max_degree)
     # the identification of the letter-triple jacobi defect with the classical
     # residual is only asserted for skew tables; vacuous otherwise
-    jac_matches = (not skew) or degree111_jacobi_map(br) == cybe_residual(r)
+    jac_matches = (not skew) or degree111_jacobi_map(br) == cybe
     restriction = TensorMap(
         r.dim,
         2,
@@ -370,7 +370,7 @@ def bracket_roundtrip(r: TensorMap, max_degree: int) -> RoundtripReport:
         dim=r.dim,
         max_degree=max_degree,
         r_is_skew=skew,
-        cybe_holds=cybe_zero,
+        cybe_holds=cybe.is_zero(),
         bracket_report=report,
         jacobi111_equals_cybe=jac_matches,
         restriction_equals_r=restriction == r,

@@ -3,16 +3,23 @@
 All residuals are returned as exact tensor maps on the third tensor power;
 an equation "holds" precisely when its residual map has no entries.  The
 component-embedding and r21 conventions live in :mod:`ybalg.tensoralg`.
+
+Each residual quadratic in ``r`` is stated once, as a table of products
+(:data:`PRODUCTS`, ``double.JACOBI_PRODUCTS``, ``double.TRANSFORM_PRODUCTS``),
+and :func:`table_residuals` is their one evaluator; ``fixtures.SkewOrbitForm``
+builds its coefficient maps with the same :func:`fold` and :func:`join`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import sparse
 from .sparse import Scalar
-from .tensoralg import TensorMap, Word, commutator, embed_components
+from .tensoralg import TensorMap, Word, embed_components
 
 CONVENTIONS: dict[str, str] = {
     "permutation_action": "left action: content of slot j moves to slot p(j)",
@@ -25,61 +32,6 @@ CONVENTIONS: dict[str, str] = {
     "unitarity": "unitarity means R21 o R = id",
     "cae": "cae defect = cybe(r) - (aybe(r) - P23 aybe(r) P23), P23 printed (132)",
 }
-
-
-def _components(r: TensorMap) -> tuple[TensorMap, TensorMap, TensorMap]:
-    """``(r12, r13, r23)``."""
-    return tuple(embed_components(r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3)))
-
-
-def is_skew(r: TensorMap) -> bool:
-    """Whether ``r + r21 = 0``."""
-    return (r + r.r21()).is_zero()
-
-
-def skew_defect(r: TensorMap) -> TensorMap:
-    return r + r.r21()
-
-
-def cybe_residual(r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _components(r)
-    return commutator(r12, r13) - commutator(r23, r12) + commutator(r13, r23)
-
-
-def aybe_residual(r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _components(r)
-    return r12.compose(r13) - r23.compose(r12) + r13.compose(r23)
-
-
-def aybe_prime_residual(r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _components(r)
-    return r13.compose(r12) - r12.compose(r23) + r23.compose(r13)
-
-
-def qybe_residual(big_r: TensorMap) -> TensorMap:
-    r12, r13, r23 = _components(big_r)
-    return r12.compose(r13).compose(r23) - r23.compose(r13).compose(r12)
-
-
-def unitarity_defect(big_r: TensorMap) -> TensorMap:
-    return big_r.r21().compose(big_r) - TensorMap.identity(big_r.dim, 2)
-
-
-def cae_defect(r: TensorMap) -> TensorMap:
-    """Difference between the classical residual and its associative expansion.
-
-    For skew ``r`` this is identically zero:
-    ``cybe(r) = aybe(r) - P aybe(r) P`` with ``P`` the operator exchanging
-    the second and third slots (one-line form ``(132)``).  Both residuals
-    are built from the same six products of ``r12``, ``r13``, ``r23``.
-    """
-    r12, r13, r23 = _components(r)
-    p = r12.compose(r13), r23.compose(r12), r13.compose(r23)
-    q = r13.compose(r12), r12.compose(r23), r23.compose(r13)
-    cybe = (p[0] - q[0]) - (p[1] - q[1]) + (p[2] - q[2])
-    a = p[0] - p[1] + p[2]
-    return cybe - (a - a.conjugate_by_perm((0, 2, 1)))
-
 
 #: each quadratic residual as a signed sum of conjugated products of two
 #: slot embeddings: ``(coeff, left_slots, right_slots, perm)`` stands for
@@ -98,6 +50,94 @@ PRODUCTS = {
     "aybe-prime": _AYBE_PRIME,
     "cae": _MINUS_AYBE_PRIME + tuple((c, a, b, (0, 2, 1)) for c, a, b, _ in _AYBE),
 }
+
+
+def fold(products) -> dict:
+    """A table's joins ``{(left_slots, right_slots): coeff}``: each conjugation
+    folded into its slot pairs, ``P r^{st} P^-1 = r^{p(s) p(t)}``, equal joins
+    merged and those that cancel dropped."""
+    merged: dict = {}
+    for c, a, b, p in products:
+        key = tuple((p[s - 1] + 1, p[t - 1] + 1) for s, t in (a, b))
+        merged[key] = merged.get(key, 0) + c
+    return {key: c for key, c in merged.items() if c}
+
+
+def embed_slot_pairs(r: TensorMap, joins) -> dict:
+    """The entries of ``r^{st}`` on the third tensor power, once for each slot
+    pair ``(s, t)`` that the joins ``(left_slots, right_slots)`` use."""
+    pairs = dict.fromkeys(itertools.chain.from_iterable(joins))
+    return {slots: embed_components(r, slots, 3).entries for slots in pairs}
+
+
+def _join_terms(joins: dict, factors):
+    for left, right in factors:
+        for (a, b), c in joins.items():
+            by_mid: dict = {}
+            for (o, mid), c1 in left[a].items():
+                by_mid.setdefault(mid, []).append((o, c * c1))
+            for (mid, i), c2 in right[b].items():
+                for o, c1 in by_mid.get(mid, ()):
+                    yield (o, i), c1 * c2
+
+
+def join(joins: dict, factors) -> dict:
+    """The entries of ``sum coeff * left[a] o right[b]`` over the joins
+    ``{(a, b): coeff}`` and the ``(left, right)`` pairs of embeddings in
+    ``factors``, joined on middle words into one total, purged once."""
+    total: dict = {}
+    sparse.accumulate(total, _join_terms(joins, factors))
+    return sparse.purge(total)
+
+
+def table_residuals(r: TensorMap, *tables) -> tuple[TensorMap, ...]:
+    """Each table's ``sum coeff * P (r^left o r^right) P^-1`` at ``r``; each
+    slot pair of ``r`` is embedded once for all the tables."""
+    folded = [fold(products) for products in tables]
+    embedded = embed_slot_pairs(r, itertools.chain.from_iterable(folded))
+    return tuple(r._of(3, 3, join(joins, ((embedded, embedded),))) for joins in folded)
+
+
+def is_skew(r: TensorMap) -> bool:
+    """Whether ``r + r21 = 0``."""
+    return (r + r.r21()).is_zero()
+
+
+def skew_defect(r: TensorMap) -> TensorMap:
+    return r + r.r21()
+
+
+def cybe_residual(r: TensorMap) -> TensorMap:
+    return table_residuals(r, PRODUCTS["cybe"])[0]
+
+
+def aybe_residual(r: TensorMap) -> TensorMap:
+    return table_residuals(r, PRODUCTS["aybe"])[0]
+
+
+def aybe_prime_residual(r: TensorMap) -> TensorMap:
+    return table_residuals(r, PRODUCTS["aybe-prime"])[0]
+
+
+def qybe_residual(big_r: TensorMap) -> TensorMap:
+    r12, r13, r23 = (embed_components(big_r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3)))
+    return r12.compose(r13).compose(r23) - r23.compose(r13).compose(r12)
+
+
+def unitarity_defect(big_r: TensorMap) -> TensorMap:
+    return big_r.r21().compose(big_r) - TensorMap.identity(big_r.dim, 2)
+
+
+def cae_defect(r: TensorMap) -> TensorMap:
+    """Difference between the classical residual and its associative expansion.
+
+    For skew ``r`` this is identically zero:
+    ``cybe(r) = aybe(r) - P aybe(r) P`` with ``P`` the operator exchanging
+    the second and third slots (one-line form ``(132)``).  Folded, two of
+    the table's six products cancel for every ``r``.
+    """
+    return table_residuals(r, PRODUCTS["cae"])[0]
+
 
 RESIDUALS = {
     "cybe": cybe_residual,

@@ -91,7 +91,7 @@ def test_criterion_4_one_sided_multiplication():
             assert report.cybe_precondition
             assert report.comparison_holds, f"lambda={lam}"
             assert report.passed
-            assert ybe.aybe_residual(db.to_tensor_map()).is_zero(), f"lambda={lam}"
+            assert ybe.aybe_residual(db.as_tensor_map()).is_zero(), f"lambda={lam}"
 
         # sweep other generator values on the same quotient: every bracket
         # satisfying the derivation rule with zero classical residual must
@@ -196,7 +196,7 @@ def test_criterion_7_identity_twist_anchor():
     def body():
         start = time.perf_counter()
         identity = TensorMap.identity(2, 2)
-        report = frt.schur_weyl_decompose(identity, 3, 2)
+        report = frt.schur_weyl_decompose(identity, 3)
         blocks = {block.partition: block for block in report.blocks}
         assert blocks[(3,)].rho_dim == 1 and blocks[(3,)].comodule_dim == 4
         assert blocks[(2, 1)].rho_dim == 2 and blocks[(2, 1)].comodule_dim == 2
@@ -223,7 +223,7 @@ def test_criterion_8_double_commutant_closure():
         assert ybe.unitarity_defect(diagonal).is_zero()
         for twist in (identity, diagonal):
             for m in (1, 2, 3):
-                report = frt.schur_weyl_decompose(twist, m, 2)
+                report = frt.schur_weyl_decompose(twist, m)
                 assert report.double_commutant_ok, (m, report.lines())
                 assert report.passed
 

@@ -75,6 +75,20 @@ class TestHarness:
         assert len(report.verdicts) == len(harness.DEFAULT_CHECKS)
         assert all(v == "PASS" for _, v in report.verdicts)
 
+    def test_default_checks_are_the_canned_rows_in_order(self):
+        # the order fixes the bytes of the suite report
+        assert harness.DEFAULT_CHECKS == (
+            "cae-random",
+            "fixture-search",
+            "double-lie-iff-skew-aybe",
+            "lambda-almcybe",
+            "operad-classification",
+            "linfty-extension",
+            "ybe-infty-classical",
+            "schurweyl-anchor",
+            "double-commutant",
+        )
+
     def test_default_suite_is_byte_deterministic(self):
         first = run_suite(default_suite()).text()
         second = run_suite(default_suite()).text()
@@ -567,7 +581,7 @@ class TestCliCommands:
         )
         db = one_variable_lambda_bracket(5, Fraction(1))
         bracket_path = write(
-            tmp_path, "br.txt", io.dump_tensor_map(db.to_tensor_map())
+            tmp_path, "br.txt", io.dump_tensor_map(db.as_tensor_map())
         )
         assert main(["double", "verify", "--algebra", algebra_path, "--bracket", bracket_path]) == 0
         assert "double bracket axioms" in capsys.readouterr().out
@@ -578,7 +592,7 @@ class TestCliCommands:
         text = io.dump_associative_algebra(polynomial_quotient_algebra(2))
         algebra_path = write(tmp_path, "alg.txt", text + "table: 1 1 -> !overflow\n")
         db = one_variable_lambda_bracket(2, Fraction(1))
-        bracket_path = write(tmp_path, "br.txt", io.dump_tensor_map(db.to_tensor_map()))
+        bracket_path = write(tmp_path, "br.txt", io.dump_tensor_map(db.as_tensor_map()))
         assert main(["double", "verify", "--algebra", algebra_path, "--bracket", bracket_path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

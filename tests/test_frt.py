@@ -349,7 +349,7 @@ class TestComponentDimensions:
 
 class TestSchurWeyl:
     def test_two_factor_identity_anchor(self):
-        report = schur_weyl_decompose(identity_twist(), 2, 2)
+        report = schur_weyl_decompose(identity_twist(), 2)
         assert [
             (b.partition, b.rho_dim, b.comodule_dim, b.included)
             for b in report.blocks
@@ -358,7 +358,7 @@ class TestSchurWeyl:
         assert report.passed
 
     def test_three_factor_identity_anchor(self):
-        report = schur_weyl_decompose(identity_twist(), 3, 2)
+        report = schur_weyl_decompose(identity_twist(), 3)
         assert [
             (b.partition, b.rho_dim, b.comodule_dim, b.included)
             for b in report.blocks
@@ -374,7 +374,7 @@ class TestSchurWeyl:
         assert report.passed
 
     def test_single_factor(self):
-        report = schur_weyl_decompose(identity_twist(), 1, 2)
+        report = schur_weyl_decompose(identity_twist(), 1)
         assert [
             (b.partition, b.rho_dim, b.comodule_dim) for b in report.blocks
         ] == [((1,), 1, 2)]
@@ -382,13 +382,13 @@ class TestSchurWeyl:
         assert report.passed
 
     def test_diagonal_twist_decomposition(self):
-        report = schur_weyl_decompose(diagonal_twist(), 3, 2)
+        report = schur_weyl_decompose(diagonal_twist(), 3)
         assert report.total == 8 == report.expected
         assert report.double_commutant_ok
         assert report.passed
 
     def test_swap_twist_concentrates_in_one_block(self):
-        report = schur_weyl_decompose(swap_twist(), 3, 2)
+        report = schur_weyl_decompose(swap_twist(), 3)
         assert [(b.partition, b.comodule_dim) for b in report.blocks] == [
             ((3,), 8),
             ((2, 1), 0),
@@ -401,7 +401,7 @@ class TestSchurWeyl:
     def test_dim_three_cube_within_budget(self):
         start = time.perf_counter()
         identity = identity_twist(3)
-        report = schur_weyl_decompose(identity, 3, 3)
+        report = schur_weyl_decompose(identity, 3)
         assert [(b.partition, b.rho_dim, b.comodule_dim) for b in report.blocks] == [
             ((3,), 1, 10),
             ((2, 1), 2, 8),
@@ -420,7 +420,7 @@ class TestSchurWeyl:
             (identity_twist(3), 495, 23),
             (rational_diagonal_twist(3), 321, 24),
         ):
-            report = schur_weyl_decompose(twist, 4, 3)
+            report = schur_weyl_decompose(twist, 4)
             assert report.total == 81 == report.expected
             assert report.sr_commutant_dim == first
             assert report.hr_commutant_dim == report.sr_span_dim == second
@@ -429,13 +429,9 @@ class TestSchurWeyl:
             assert hr_dimension_oracles(twist, 4) == (first, first)
         assert time.perf_counter() - start < 30.0
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="acts on dimension"):
-            schur_weyl_decompose(identity_twist(), 2, 3)
-
     def test_report_lines_deterministic(self):
-        first = schur_weyl_decompose(diagonal_twist(), 3, 2).lines()
-        second = schur_weyl_decompose(diagonal_twist(), 3, 2).lines()
+        first = schur_weyl_decompose(diagonal_twist(), 3).lines()
+        second = schur_weyl_decompose(diagonal_twist(), 3).lines()
         assert first == second
         assert first[0] == "check: schur-weyl"
         assert first[-1] == "result: PASS"
@@ -490,7 +486,7 @@ _CLOSURE_CASES = [
     "twist, m", [case[1:] for case in _CLOSURE_CASES], ids=[f"{c[0]}-m{c[2]}" for c in _CLOSURE_CASES]
 )
 def test_closure_by_rank_matches_the_basis_comparison(twist, m):
-    report = schur_weyl_decompose(twist, m, twist.dim)
+    report = schur_weyl_decompose(twist, m)
     assert (
         report.sr_commutant_dim,
         report.hr_commutant_dim,
@@ -513,7 +509,7 @@ def test_closure_fails_on_part_of_the_first_commutant(monkeypatch):
 
     monkeypatch.setattr(frt, "commutant", truncated)
     twist = rational_diagonal_twist(2)
-    report = schur_weyl_decompose(twist, 3, 2)
+    report = schur_weyl_decompose(twist, 3)
     assert not report.double_commutant_ok
     assert not report.passed
     first = truncated(r_permutation_action(twist, 3).generators, 2, 3)
@@ -534,7 +530,7 @@ def test_closure_fails_with_a_non_commuting_map_added(monkeypatch):
         return list(extended)
 
     monkeypatch.setattr(frt, "commutant", with_unit)
-    report = schur_weyl_decompose(identity_twist(), 3, 2)
+    report = schur_weyl_decompose(identity_twist(), 3)
     assert not report.double_commutant_ok
     assert not report.passed
     # no early stop on a failed inclusion: the printed dimension is exact
@@ -558,7 +554,7 @@ def test_closure_fails_on_a_conjugated_first_commutant(monkeypatch):
         return [shear.compose(x).compose(unshear) for x in original(generators, dim, deg)]
 
     monkeypatch.setattr(frt, "commutant", conjugated)
-    report = schur_weyl_decompose(identity_twist(), 3, 2)
+    report = schur_weyl_decompose(identity_twist(), 3)
     assert report.hr_commutant_dim == report.sr_span_dim == 5
     assert not report.double_commutant_ok
     assert not report.passed
@@ -592,7 +588,7 @@ _DUALITY_CASES = [
     ids=[f"{c[0]}-dim{c[1].dim}-m{c[2]}" for c in _DUALITY_CASES],
 )
 def test_duality_counts_commutant_and_span(twist, m):
-    report = schur_weyl_decompose(twist, m, twist.dim)
+    report = schur_weyl_decompose(twist, m)
     # dim C' = sum n_lam^2, and dim A = sum d_lam^2 over the lam with n_lam > 0
     assert sum(b.comodule_dim**2 for b in report.blocks) == report.sr_commutant_dim
     assert sum(b.rho_dim**2 for b in report.blocks if b.comodule_dim) == report.sr_span_dim

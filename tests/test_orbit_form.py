@@ -1,4 +1,5 @@
-"""Residuals as quadratic forms on the skew-orbit basis, against the literal evaluators."""
+"""Residual tables and their quadratic forms on the skew-orbit basis, against literal
+compose chains that do not go through the table evaluator."""
 
 import functools
 import itertools
@@ -9,13 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg import double, fixtures, ybe
-from ybalg.double import (
-    JACOBI_PRODUCTS,
-    TRANSFORM_PRODUCTS,
-    dbjac_transform_defect,
-    double_jacobi_residual_map,
-)
+from ybalg import double, ybe
+from ybalg.double import JACOBI_PRODUCTS, TRANSFORM_PRODUCTS, one_variable_lambda_bracket
 from ybalg.fixtures import (
     SkewOrbitForm,
     orbit_grid,
@@ -25,24 +21,72 @@ from ybalg.fixtures import (
     skew_map_from_orbit_values,
 )
 from ybalg.harness import Job, JobSpec, run_suite
-from ybalg.tensoralg import TensorMap, embed_components, words
-from ybalg.ybe import (
-    PRODUCTS,
-    aybe_prime_residual,
-    aybe_residual,
-    cae_defect,
-    cybe_residual,
-    is_skew,
-)
+from ybalg.tensoralg import TensorMap, commutator, embed_components, words
+from ybalg.ybe import PRODUCTS, is_skew, table_residuals
+
+# the literal residuals: hand-written compose chains of the slot embeddings
+
+
+def _components(r: TensorMap) -> tuple[TensorMap, TensorMap, TensorMap]:
+    """``(r12, r13, r23)``."""
+    return tuple(embed_components(r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3)))
+
+
+def literal_cybe(r: TensorMap) -> TensorMap:
+    r12, r13, r23 = _components(r)
+    return commutator(r12, r13) - commutator(r23, r12) + commutator(r13, r23)
+
+
+def literal_aybe(r: TensorMap) -> TensorMap:
+    r12, r13, r23 = _components(r)
+    return r12.compose(r13) - r23.compose(r12) + r13.compose(r23)
+
+
+def literal_aybe_prime(r: TensorMap) -> TensorMap:
+    r12, r13, r23 = _components(r)
+    return r13.compose(r12) - r12.compose(r23) + r23.compose(r13)
+
+
+def literal_cae(r: TensorMap) -> TensorMap:
+    r12, r13, r23 = _components(r)
+    p = r12.compose(r13), r23.compose(r12), r13.compose(r23)
+    q = r13.compose(r12), r12.compose(r23), r23.compose(r13)
+    cybe = (p[0] - q[0]) - (p[1] - q[1]) + (p[2] - q[2])
+    a = p[0] - p[1] + p[2]
+    return cybe - (a - a.conjugate_by_perm((0, 2, 1)))
+
+
+def literal_double_jacobi(r: TensorMap) -> TensorMap:
+    """``r12 r23 + r23 r31 + r31 r12`` as a map on cubes."""
+    r12 = embed_components(r, (1, 2), 3)
+    r23 = embed_components(r, (2, 3), 3)
+    r31 = embed_components(r, (3, 1), 3)
+    return r12.compose(r23) + r23.compose(r31) + r31.compose(r12)
+
+
+def literal_transform_difference(r: TensorMap) -> TensorMap:
+    """The negated (321)-conjugate of the double-Jacobi residual minus ``aybe(r)``."""
+    transformed = -literal_double_jacobi(r).conjugate_by_perm((2, 1, 0))
+    return transformed - literal_aybe(r)
+
 
 #: name -> (table of products, literal residual)
 RESIDUALS = {
-    "cybe": (PRODUCTS["cybe"], cybe_residual),
-    "aybe": (PRODUCTS["aybe"], aybe_residual),
-    "aybe-prime": (PRODUCTS["aybe-prime"], aybe_prime_residual),
-    "cae": (PRODUCTS["cae"], cae_defect),
-    "double-jacobi": (JACOBI_PRODUCTS, double_jacobi_residual_map),
-    "transform-difference": (TRANSFORM_PRODUCTS, dbjac_transform_defect),
+    "cybe": (PRODUCTS["cybe"], literal_cybe),
+    "aybe": (PRODUCTS["aybe"], literal_aybe),
+    "aybe-prime": (PRODUCTS["aybe-prime"], literal_aybe_prime),
+    "cae": (PRODUCTS["cae"], literal_cae),
+    "double-jacobi": (JACOBI_PRODUCTS, literal_double_jacobi),
+    "transform-difference": (TRANSFORM_PRODUCTS, literal_transform_difference),
+}
+
+#: the named residual functions, each one evaluation of its table
+NAMED = {
+    "cybe": ybe.cybe_residual,
+    "aybe": ybe.aybe_residual,
+    "aybe-prime": ybe.aybe_prime_residual,
+    "cae": ybe.cae_defect,
+    "double-jacobi": double.double_jacobi_residual_map,
 }
 
 
@@ -106,7 +150,14 @@ def rational_maps(draw):
 @given(rational_maps(), st.sampled_from(sorted(RESIDUALS)))
 def test_every_table_is_its_literal_residual(r, name):
     products, residual = RESIDUALS[name]
-    assert_same_map(table_value(products, r), residual(r))
+    literal = residual(r)
+    assert_same_map(table_value(products, r), literal)
+    # the evaluator, on its own and with all six tables in one call
+    assert_same_map(table_residuals(r, products)[0], literal)
+    every = table_residuals(r, *(table for table, _ in RESIDUALS.values()))
+    assert_same_map(every[list(RESIDUALS).index(name)], literal)
+    if name in NAMED:
+        assert_same_map(NAMED[name](r), literal)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -119,7 +170,8 @@ def test_table_build_equals_the_literal_build(name, dim):
         assert sorted(map(repr, entries.items())) == sorted(
             map(repr, literal_form(name, dim)[key].items())
         )
-    assert (form(name, dim)._zero.dom_deg, form(name, dim)._zero.cod_deg) == (3, 3)
+    n = len(skew_entry_orbits(dim)[0])
+    assert_same_map(form(name, dim)([0] * n), TensorMap.zero(dim, 3, 3))
 
 
 @pytest.mark.parametrize("name", sorted(RESIDUALS))
@@ -221,7 +273,7 @@ def test_a_cancelling_table_embeds_nothing(monkeypatch):
         calls.append(args)
         return embed_components(*args)
 
-    monkeypatch.setattr(fixtures, "embed_components", counting)
+    monkeypatch.setattr(ybe, "embed_components", counting)
     for dim in (1, 2, 3):
         assert SkewOrbitForm(PRODUCTS["cae"], dim).terms == []
     assert calls == []
@@ -229,13 +281,34 @@ def test_a_cancelling_table_embeds_nothing(monkeypatch):
     assert calls
 
 
+def test_each_slot_pair_is_embedded_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return embed_components(*args)
+
+    monkeypatch.setattr(ybe, "embed_components", counting)
+    # AYBE and AYBE' share r12, r13 and r23
+    assert double.almcybe_check(one_variable_lambda_bracket(4, 1)).passed
+    assert sorted(calls) == [(1, 2), (1, 3), (2, 3)]
+    calls.clear()
+    # the double-Jacobi table adds r31 to the associative table's three
+    r = skew_map_from_orbit_values(2, [1, 0, -1, 2, 0, 1])
+    double.dbjac_to_aybe(r)
+    assert sorted(calls) == [(1, 2), (1, 3), (2, 3), (3, 1)]
+
+
 def test_building_a_form_calls_no_residual(monkeypatch):
     def refuse(*args):
         raise AssertionError("a form evaluated a literal residual")
 
     for module, names in (
-        (ybe, ("cybe_residual", "aybe_residual", "aybe_prime_residual", "cae_defect")),
-        (double, ("double_jacobi_residual_map", "dbjac_transform_defect")),
+        (ybe, (
+            "cybe_residual", "aybe_residual", "aybe_prime_residual", "cae_defect",
+            "table_residuals",
+        )),
+        (double, ("double_jacobi_residual_map",)),
     ):
         for attr in names:
             monkeypatch.setattr(module, attr, refuse)
