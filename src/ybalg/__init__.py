@@ -47,7 +47,6 @@ from .tensoralg import (
     TensorMap,
     apply_permutation,
     block_permutation_expand,
-    commutator,
     embed_components,
     sigma_prime,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "block_permutation_expand",
     "cae_defect",
     "check",
-    "commutator",
     "cybe_residual",
     "default_suite",
     "diagonal_unitary_qybe_solution",

@@ -93,19 +93,18 @@ class SkewOrbitForm:
 
     The table is folded with :func:`ybe.fold`, and then once more: each
     ``S_k`` is skew, ``S_k^{ts} = -S_k^{st}``, so every slot pair is put in
-    increasing order and equal joins merge, some of them to zero.  Each
-    ``S_k`` is embedded once per slot pair, and every coefficient map is one
-    :func:`ybe.join` of those embeddings; the residual itself is never
-    called.  ``terms`` lists the nonzero ``(k, k, D_k)`` and ``(k, l, P_kl)``.
+    increasing order and equal joins merge, some of them to zero.  The right
+    factors of all the ``S_l`` share one index with in-words tagged by ``l``,
+    so one :func:`ybe.push_rows` per ``k`` gives ``B(S_k, S_l)`` for every
+    ``l``; no residual is called.  ``terms`` lists the nonzero ``(k, k, D_k)``
+    and ``(k, l, P_kl)``.
 
     Read as a matrix ``A`` with one row per output entry and one column per
     term, ``R(r) = A w`` with ``w`` the weights ``x_k x_l``.  So ``R(r)`` is
     zero exactly when ``E w`` is, for ``E`` the reduced echelon rows of
-    ``A``, which span the same row space; at dimension 2 the ``cybe`` form
-    has 4 of them and the ``aybe`` form 10.  ``E`` is computed once, and
-    :meth:`vanishes` decides ``R(r) = 0`` from it alone.  A call builds
-    ``R(r)`` itself, entry for entry, at one scaled accumulation per term
-    with a nonzero weight; only a witness needs it.
+    ``A``; at dimension 2 the ``cybe`` form has 4 of them and the ``aybe``
+    form 10.  :meth:`vanishes` decides ``R(r) = 0`` from ``E`` alone; a call
+    builds ``R(r)`` itself, which only a witness needs.
     """
 
     def __init__(self, products, dim: int):
@@ -118,20 +117,33 @@ class SkewOrbitForm:
                 b, c = b[::-1], -c
             merged[a, b] = merged.get((a, b), 0) + c
         joins = {key: c for key, c in merged.items() if c}
-        # each S_k's embeddings; a table that cancels has no terms
+        # each S_k's embeddings; a table that cancels embeds nothing
+        slots = dict.fromkeys(itertools.chain.from_iterable(joins))
         family = [
-            ybe.embed_slot_pairs(TensorMap._wrap(dim, 2, 2, {rep: 1, partner: -1}), joins)
+            {s: ybe.slot_index(TensorMap._wrap(dim, 2, 2, {rep: 1, partner: -1}), s, 3)
+             for s in slots}
             for rep, partner in orbits
         ] if joins else []
+        # the right factors of all the S_l in one index, in-words tagged by l
+        tagged: dict = {b: {} for _, b in joins}
+        for l, s_l in enumerate(family):
+            for b, index in tagged.items():
+                for mid, row in s_l[b].items():
+                    index.setdefault(mid, []).extend(((l, i), c) for i, c in row)
+        # B(S_k, S_l) for every l from one push
+        halves: dict = {}
+        for k, s_k in enumerate(family):
+            chains = [(c, (s_k[a], tagged[b])) for (a, b), c in joins.items()]
+            for o, row in ybe.push_rows(chains):
+                for (l, i), c in row.items():
+                    halves.setdefault((k, l), {})[o, i] = c
         self.dim = dim
         self.terms = []
-        for k, s_k in enumerate(family):
-            # D_k = B(S_k, S_k), then P_kl = B(S_k, S_l) + B(S_l, S_k)
-            for l in range(k, len(family)):
-                pairs = ((s_k, s_k),) if l == k else ((s_k, family[l]), (family[l], s_k))
-                entries = ybe.join(joins, pairs)
-                if entries:
-                    self.terms.append((k, l, entries))
+        for k, l in itertools.combinations_with_replacement(range(len(family)), 2):
+            # D_k = B(S_k, S_k), P_kl = B(S_k, S_l) + B(S_l, S_k)
+            entries = sparse.add(halves.get((k, l), {}), halves.get((l, k), {}) if l > k else {})
+            if entries:
+                self.terms.append((k, l, entries))
         # the rows of A: each output entry's coefficients, by term index
         rows: dict = {}
         for j, (_, _, entries) in enumerate(self.terms):

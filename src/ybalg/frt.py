@@ -243,11 +243,10 @@ def r_permutation_action(big_r: TensorMap, m: int) -> RPermutationAction:
     _check_twist_shape(big_r)
     if m < 1:
         raise ValueError("the number of tensor factors must be at least 1")
-    unit_defect = ybe.unitarity_defect(big_r)
-    if not unit_defect.is_zero():
+    unit_witness = ybe.first_witness("unitarity", big_r)
+    if unit_witness is not None:
         raise PreconditionError(
-            "twist is not unitary (R^21 R != Id):"
-            f" {ybe.witness_str(unit_defect.first_nonzero())}"
+            f"twist is not unitary (R^21 R != Id): {ybe.witness_str(unit_witness)}"
         )
     gens = braid_generators(big_r, m)
     ident = TensorMap.identity(big_r.dim, m)
@@ -266,11 +265,10 @@ def braid_generators(big_r: TensorMap, m: int) -> list[TensorMap]:
     symmetric-group decomposition uses them.
     """
     _check_twist_shape(big_r)
-    q_defect = ybe.qybe_residual(big_r)
-    if not q_defect.is_zero():
+    q_witness = ybe.first_witness("qybe", big_r)
+    if q_witness is not None:
         raise PreconditionError(
-            "twist fails the quantum Yang-Baxter equation:"
-            f" {ybe.witness_str(q_defect.first_nonzero())}"
+            f"twist fails the quantum Yang-Baxter equation: {ybe.witness_str(q_witness)}"
         )
     gens = _twist_generators(big_r, m)
     _verify_braid_relations(gens)

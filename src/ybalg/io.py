@@ -124,6 +124,7 @@ class _Lines:
         if not self.items:
             raise SchemaError("empty file", path)
         number, header = self.items.pop(0)
+        self.header_line = number
         if not header.startswith(HEADER_PREFIX):
             raise SchemaError(
                 f"missing header {HEADER_PREFIX!r} <kind>", path, number
@@ -142,14 +143,16 @@ class _Lines:
         return out
 
 
-def _single(fields, key, path, default=None, required=True):
+def _single(lines: _Lines, fields, key, default=None, required=True):
+    """A field's ``(line, value)``; a missing one is located at the header,
+    which names the schema."""
     hits = [(n, v) for n, k, v in fields if k == key]
     if not hits:
         if required and default is None:
-            raise SchemaError(f"missing required field {key!r}", path)
+            raise SchemaError(f"missing required field {key!r}", lines.path, lines.header_line)
         return None, default
     if len(hits) > 1:
-        raise SchemaError(f"field {key!r} given twice", path, hits[1][0])
+        raise SchemaError(f"field {key!r} given twice", lines.path, hits[1][0])
     return hits[0]
 
 
@@ -160,9 +163,9 @@ def _single(fields, key, path, default=None, required=True):
 def _parse_tensor_map(lines: _Lines) -> TensorMap:
     fields = lines.fields()
     path = lines.path
-    n_dim, dim_text = _single(fields, "dim", path)
-    n_dom, dom_text = _single(fields, "dom", path)
-    n_cod, cod_text = _single(fields, "cod", path)
+    n_dim, dim_text = _single(lines, fields, "dim")
+    n_dom, dom_text = _single(lines, fields, "dom")
+    n_cod, cod_text = _single(lines, fields, "cod")
     dim = _dim(dim_text, path, n_dim)
     dom = _degree(dom_text, "dom", path, n_dom)
     cod = _degree(cod_text, "cod", path, n_cod)
@@ -214,14 +217,14 @@ def dump_tensor_map(tmap: TensorMap) -> str:
 def _parse_structure_constants(lines: _Lines):
     fields = lines.fields()
     path = lines.path
-    _, flavor = _single(fields, "flavor", path)
+    n_flavor, flavor = _single(lines, fields, "flavor")
     if flavor not in ("lie", "assoc"):
-        raise SchemaError(f"flavor must be 'lie' or 'assoc', got {flavor!r}", path)
-    _, labels_text = _single(fields, "labels", path)
+        raise SchemaError(f"flavor must be 'lie' or 'assoc', got {flavor!r}", path, n_flavor)
+    n_labels, labels_text = _single(lines, fields, "labels")
     labels = labels_text.split()
     if not labels:
-        raise SchemaError("labels must be nonempty", path)
-    n_deg, degrees_text = _single(fields, "degrees", path, default="", required=False)
+        raise SchemaError("labels must be nonempty", path, n_labels)
+    n_deg, degrees_text = _single(lines, fields, "degrees", default="", required=False)
     if degrees_text:
         degrees = [_int(t, path, n_deg or 0) for t in degrees_text.split()]
         if len(degrees) != len(labels):
@@ -263,15 +266,15 @@ def _parse_structure_constants(lines: _Lines):
         if marked:
             raise SchemaError("a Lie table cannot hold overflow markers", path, min(marked.values()))
         return LieStructure(tuple(labels), table, degrees=tuple(degrees))
-    _, mode = _single(fields, "mode", path, default="quotient", required=False)
+    n_mode, mode = _single(lines, fields, "mode", default="quotient", required=False)
     if mode not in ("quotient", "window"):
-        raise SchemaError(f"mode must be 'quotient' or 'window', got {mode!r}", path)
-    n_cap, cap_text = _single(fields, "cap", path, default="0", required=False)
+        raise SchemaError(f"mode must be 'quotient' or 'window', got {mode!r}", path, n_mode)
+    n_cap, cap_text = _single(lines, fields, "cap", default="0", required=False)
     cap = _int(cap_text, path, n_cap or 0)
     for (i, j), number in marked.items():
         if mode != "window" or degrees[i] + degrees[j] <= cap:
             raise SchemaError("an overflow marker needs a window pair past the cap", path, number)
-    n_unit, unit_text = _single(fields, "unit", path, default="", required=False)
+    n_unit, unit_text = _single(lines, fields, "unit", default="", required=False)
     unit = _element(unit_text.split(), path, n_unit or 0) if unit_text else {}
     if any(k < 0 or k >= len(labels) for k in unit):
         raise SchemaError("unit index out of range", path, n_unit)
@@ -320,9 +323,9 @@ def dump_associative_algebra(algebra: TruncatedAlgebra) -> str:
 def _parse_rn_family(lines: _Lines) -> RnFamily:
     fields = lines.fields()
     path = lines.path
-    n_dim, dim_text = _single(fields, "dim", path)
+    n_dim, dim_text = _single(lines, fields, "dim")
     dim = _dim(dim_text, path, n_dim)
-    n_deg, degrees_text = _single(fields, "degrees", path, default="", required=False)
+    n_deg, degrees_text = _single(lines, fields, "degrees", default="", required=False)
     degrees = (
         tuple(_int(t, path, n_deg or 0) for t in degrees_text.split())
         if degrees_text
@@ -365,9 +368,9 @@ def dump_rn_family(fam: RnFamily) -> str:
 def _parse_linfty_family(lines: _Lines) -> MultiBracketFamily:
     fields = lines.fields()
     path = lines.path
-    _, labels_text = _single(fields, "labels", path)
+    _, labels_text = _single(lines, fields, "labels")
     labels = tuple(labels_text.split())
-    n_deg, degrees_text = _single(fields, "degrees", path)
+    n_deg, degrees_text = _single(lines, fields, "degrees")
     degrees = tuple(_int(t, path, n_deg) for t in degrees_text.split())
     ops: dict[int, dict[tuple[int, ...], dict[int, Fraction]]] = {}
     for number, key, value in fields:
@@ -417,11 +420,15 @@ def _parse_quiver(lines: _Lines):
         if key == "vertex":
             if not value or len(value.split()) != 1:
                 raise SchemaError("vertex line needs one name", path, number)
+            if value in vertices:
+                raise SchemaError(f"duplicate vertex {value!r}", path, number)
             vertices.append(value)
         elif key == "edge":
             parts = value.split()
             if len(parts) != 3:
                 raise SchemaError("edge line needs 'label source target'", path, number)
+            if any(parts[0] == label for label, _, _ in edges):
+                raise SchemaError(f"duplicate edge label {parts[0]!r}", path, number)
             edges.append((parts[0], parts[1], parts[2]))
         else:
             raise SchemaError(f"unexpected field {key!r}", path, number)
@@ -516,8 +523,8 @@ def load_square_map(path) -> TensorMap:
 
 def field_error(path, key: str, message: str) -> SchemaError:
     """An input error located at the line of the ``key`` field of a parsed file."""
-    fields = _Lines(Path(path).read_text(), str(path)).fields()
-    number, _ = _single(fields, key, str(path))
+    lines = _Lines(Path(path).read_text(), str(path))
+    number, _ = _single(lines, lines.fields(), key)
     return SchemaError(message, str(path), number)
 
 

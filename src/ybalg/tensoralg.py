@@ -398,7 +398,3 @@ def embed_components(r: TensorMap, slots: Sequence[int], n: int) -> TensorMap:
         for filler in fillers
     }
     return r._of(n, n, out)
-
-
-def commutator(f: TensorMap, g: TensorMap) -> TensorMap:
-    return f.compose(g) - g.compose(f)

@@ -1,25 +1,25 @@
 """Residuals for the classical, associative, and quantum Yang-Baxter equations.
 
-All residuals are returned as exact tensor maps on the third tensor power;
-an equation "holds" precisely when its residual map has no entries.  The
-component-embedding and r21 conventions live in :mod:`ybalg.tensoralg`.
-
-Each residual quadratic in ``r`` is stated once, as a table of products
-(:data:`PRODUCTS`, ``double.JACOBI_PRODUCTS``, ``double.TRANSFORM_PRODUCTS``),
-and :func:`table_residuals` is their one evaluator; ``fixtures.SkewOrbitForm``
-builds its coefficient maps with the same :func:`fold` and :func:`join`.
+Every residual is a signed sum of chains of slot embeddings of ``r``
+(:data:`CHAINS`), a map on a tensor power that is zero exactly when its
+equation holds.  :func:`push_rows` is their one evaluator and yields the
+nonzero rows in sorted output order: a residual map collects every row, and
+a check (:func:`first_witness`) reads rows only up to the first nonzero one.
+The quadratic residuals are tables of products (:data:`PRODUCTS`,
+``double.JACOBI_PRODUCTS``, ``double.TRANSFORM_PRODUCTS``) that :func:`fold`
+turns into chains, for ``fixtures.SkewOrbitForm`` too.  The embedding and
+r21 conventions live in :mod:`ybalg.tensoralg`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import sparse
 from .sparse import Scalar
-from .tensoralg import TensorMap, Word, embed_components
+from .tensoralg import TensorMap, Word, embed_components, words
 
 CONVENTIONS: dict[str, str] = {
     "permutation_action": "left action: content of slot j moves to slot p(j)",
@@ -63,69 +63,121 @@ def fold(products) -> dict:
     return {key: c for key, c in merged.items() if c}
 
 
-def embed_slot_pairs(r: TensorMap, joins) -> dict:
-    """The entries of ``r^{st}`` on the third tensor power, once for each slot
-    pair ``(s, t)`` that the joins ``(left_slots, right_slots)`` use."""
-    pairs = dict.fromkeys(itertools.chain.from_iterable(joins))
-    return {slots: embed_components(r, slots, 3).entries for slots in pairs}
+#: every residual as a folded table ``{(slots_1, ..., slots_k): coeff}``, each
+#: chain ``coeff * r^{slots_1} o ... o r^{slots_k}`` on the tensor power of its
+#: highest slot; the empty slot tuple ``()`` stands for the identity
+CHAINS = {
+    **{kind: fold(products) for kind, products in PRODUCTS.items()},
+    "qybe": {((1, 2), (1, 3), (2, 3)): 1, ((2, 3), (1, 3), (1, 2)): -1},
+    "unitarity": {((2, 1), (1, 2)): 1, ((),): -1},
+    "skew": {((1, 2),): 1, ((2, 1),): 1},
+}
 
 
-def _join_terms(joins: dict, factors):
-    for left, right in factors:
-        for (a, b), c in joins.items():
-            by_mid: dict = {}
-            for (o, mid), c1 in left[a].items():
-                by_mid.setdefault(mid, []).append((o, c * c1))
-            for (mid, i), c2 in right[b].items():
-                for o, c1 in by_mid.get(mid, ()):
-                    yield (o, i), c1 * c2
+def slot_index(r: TensorMap, slots, n: int) -> dict:
+    """``r^{slots}`` on the ``n``-th tensor power by output word, ``{out: [(in, c), ...]}``;
+    no slots give the identity."""
+    if not slots:
+        return {w: [(w, 1)] for w in words(r.dim, n)}
+    index: dict = {}
+    for (o, i), c in embed_components(r, slots, n).entries.items():
+        index.setdefault(o, []).append((i, c))
+    return index
 
 
-def join(joins: dict, factors) -> dict:
-    """The entries of ``sum coeff * left[a] o right[b]`` over the joins
-    ``{(a, b): coeff}`` and the ``(left, right)`` pairs of embeddings in
-    ``factors``, joined on middle words into one total, purged once."""
+def _tree(chains) -> tuple:
+    """The chains as ``(identity coeff, [(factor, tree of its prefixes), ...])``,
+    one child for each distinct last factor."""
+    identity, groups = 0, {}
+    for c, factors in chains:
+        if factors:
+            groups.setdefault(id(factors[-1]), (factors[-1], []))[1].append((c, factors[:-1]))
+        else:
+            identity += c
+    return identity, [(factor, _tree(prefixes)) for factor, prefixes in groups.values()]
+
+
+def _push(row: dict, tree: tuple) -> dict:
+    """``row`` through the tree's chains, accumulated but not purged."""
+    identity, children = tree
     total: dict = {}
-    sparse.accumulate(total, _join_terms(joins, factors))
-    return sparse.purge(total)
+    if identity:
+        sparse.accumulate(total, row.items(), identity)
+    for factor, (scalar, prefixes) in children:
+        # a first factor takes the row as it is, times the chains' coefficient
+        pushed, scalar = (_push(row, (scalar, prefixes)), 1) if prefixes else (row, scalar)
+        for mid, c in pushed.items():
+            sparse.accumulate(total, factor.get(mid, ()), c * scalar)
+    return total
+
+
+def push_rows(chains):
+    """The nonzero rows ``(out, {in: c})`` of ``sum coeff * F_1 o ... o F_k`` over the
+    chains ``(coeff, (F_1, ..., F_k))``, each factor indexed by output word
+    (:func:`slot_index`), in sorted output order and only as they are read.
+
+    Row ``out`` is ``{out: 1}`` pushed through the factors one at a time and
+    accumulated after each; the chains that end in one factor are summed
+    before it, so each row goes through each distinct last factor once.  Only
+    the out-words of the first factors can have a nonzero row.
+    """
+    tree = _tree(chains)
+    for o in sorted(set().union(*(factors[0] for _, factors in chains))):
+        row = sparse.purge(_push({o: 1}, tree))
+        if row:
+            yield o, row
+
+
+def _rows(r: TensorMap, *tables) -> tuple[int, list]:
+    """The tensor power of the folded tables and a row stream for each at ``r``;
+    each slot embedding of ``r`` is indexed once for all of them."""
+    slots = dict.fromkeys(s for table in tables for chain in table for s in chain)
+    # a table that cancels completely is the zero map on cubes
+    n = max((t for s in slots for t in s), default=3)
+    index = {s: slot_index(r, s, n) for s in slots}
+    chains = ([(c, tuple(map(index.get, chain))) for chain, c in table.items()] for table in tables)
+    return n, [push_rows(each) for each in chains]
+
+
+def _maps(r: TensorMap, *tables) -> tuple[TensorMap, ...]:
+    n, streams = _rows(r, *tables)
+    entries = ({(o, i): c for o, row in rows for i, c in row.items()} for rows in streams)
+    return tuple(r._of(n, n, each) for each in entries)
 
 
 def table_residuals(r: TensorMap, *tables) -> tuple[TensorMap, ...]:
     """Each table's ``sum coeff * P (r^left o r^right) P^-1`` at ``r``; each
     slot pair of ``r`` is embedded once for all the tables."""
-    folded = [fold(products) for products in tables]
-    embedded = embed_slot_pairs(r, itertools.chain.from_iterable(folded))
-    return tuple(r._of(3, 3, join(joins, ((embedded, embedded),))) for joins in folded)
+    return _maps(r, *map(fold, tables))
 
 
 def is_skew(r: TensorMap) -> bool:
     """Whether ``r + r21 = 0``."""
-    return (r + r.r21()).is_zero()
+    return first_witness("skew", r) is None
 
 
 def skew_defect(r: TensorMap) -> TensorMap:
-    return r + r.r21()
+    return _maps(r, CHAINS["skew"])[0]
 
 
 def cybe_residual(r: TensorMap) -> TensorMap:
-    return table_residuals(r, PRODUCTS["cybe"])[0]
+    return _maps(r, CHAINS["cybe"])[0]
 
 
 def aybe_residual(r: TensorMap) -> TensorMap:
-    return table_residuals(r, PRODUCTS["aybe"])[0]
+    return _maps(r, CHAINS["aybe"])[0]
 
 
 def aybe_prime_residual(r: TensorMap) -> TensorMap:
-    return table_residuals(r, PRODUCTS["aybe-prime"])[0]
+    return _maps(r, CHAINS["aybe-prime"])[0]
 
 
 def qybe_residual(big_r: TensorMap) -> TensorMap:
-    r12, r13, r23 = (embed_components(big_r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3)))
-    return r12.compose(r13).compose(r23) - r23.compose(r13).compose(r12)
+    return _maps(big_r, CHAINS["qybe"])[0]
 
 
 def unitarity_defect(big_r: TensorMap) -> TensorMap:
-    return big_r.r21().compose(big_r) - TensorMap.identity(big_r.dim, 2)
+    return _maps(big_r, CHAINS["unitarity"])[0]
 
 
 def cae_defect(r: TensorMap) -> TensorMap:
@@ -136,7 +188,7 @@ def cae_defect(r: TensorMap) -> TensorMap:
     the second and third slots (one-line form ``(132)``).  Folded, two of
     the table's six products cancel for every ``r``.
     """
-    return table_residuals(r, PRODUCTS["cae"])[0]
+    return _maps(r, CHAINS["cae"])[0]
 
 
 RESIDUALS = {
@@ -149,26 +201,39 @@ RESIDUALS = {
     "skew": skew_defect,
 }
 
-#: each residual's degree as a homogeneous polynomial in the map; the
-#: unitarity defect ``R21 R - id`` is not homogeneous and has none
-DEGREE = {"cybe": 2, "aybe": 2, "aybe-prime": 2, "qybe": 3, "cae": 2, "skew": 1}
+
+def _integral(kind: str, r: TensorMap) -> tuple[TensorMap, Scalar]:
+    """``(lam r, lam^-d)`` as :func:`evaluate` uses them, or ``(r, 1)``."""
+    lam = math.lcm(*(c.denominator for c in r.entries.values() if type(c) is Fraction))
+    degrees = {sum(map(bool, chain)) for chain in CHAINS[kind]}
+    if lam == 1 or len(degrees) != 1:
+        return r, 1
+    return r.scale(lam), Fraction(1, lam ** degrees.pop())
 
 
 def evaluate(kind: str, r: TensorMap) -> TensorMap:
     """``RESIDUALS[kind](r)``, computed on an integral multiple of ``r``.
 
-    A residual homogeneous of degree ``d`` has ``R(lam r) = lam^d R(r)``.
+    A residual whose chains all embed ``r`` ``d`` times has ``R(lam r) = lam^d R(r)``.
     With ``lam`` the least common multiple of the entry denominators,
     ``lam r`` has integer entries, so the residual runs on integer
     arithmetic and is divided by ``lam^d`` once at the end.  Integral maps
     (``lam = 1``) and the unitarity defect are evaluated as given.
     """
-    residual = RESIDUALS[kind]
-    degree = DEGREE.get(kind)
-    lam = math.lcm(*(c.denominator for c in r.entries.values() if type(c) is Fraction))
-    if lam == 1 or degree is None:
-        return residual(r)
-    return residual(r.scale(lam)).scale(Fraction(1, lam**degree))
+    scaled, unscale = _integral(kind, r)
+    residual = RESIDUALS[kind](scaled)
+    return residual if unscale == 1 else residual.scale(unscale)
+
+
+def first_witness(kind: str, r: TensorMap) -> tuple[Word, Word, Scalar] | None:
+    """The first nonzero entry ``(out, in, value)`` of ``evaluate(kind, r)``, or
+    ``None``: the least in-word of the first nonzero row; no later row is pushed."""
+    scaled, unscale = _integral(kind, r)
+    _, (rows,) = _rows(scaled, CHAINS[kind])
+    for o, row in rows:
+        i = min(row)
+        return o, i, sparse.frac(row[i] * unscale)
+    return None
 
 
 _RELEVANT_FLAGS = {
@@ -201,8 +266,6 @@ class ResidualReport:
     conventions: tuple[tuple[str, str], ...]
     preconditions: tuple[tuple[str, bool], ...] = field(default=())
     notes: tuple[str, ...] = field(default=())
-    #: the residual map itself, kept for witness emission and never printed
-    residual: TensorMap | None = field(default=None, compare=False, repr=False)
 
     def lines(self) -> list[str]:
         out = [f"check: {self.kind}", f"dim: {self.dim}"]
@@ -218,8 +281,9 @@ class ResidualReport:
         return out
 
 
-def check(kind: str, r: TensorMap) -> ResidualReport:
-    """Run one named residual check and wrap the outcome in a report."""
+def check(kind: str, r: TensorMap, residual: TensorMap | None = None) -> ResidualReport:
+    """Run one named residual check and wrap the outcome in a report; the witness
+    is read off ``residual = evaluate(kind, r)`` when the caller has built it."""
     if kind not in RESIDUALS:
         raise ValueError(f"unknown check kind: {kind!r}")
     preconditions: list[tuple[str, bool]] = []
@@ -229,15 +293,13 @@ def check(kind: str, r: TensorMap) -> ResidualReport:
         preconditions.append(("skew", skew_ok))
         if not skew_ok:
             notes.append("the expansion identity is only asserted for skew r")
-    residual = evaluate(kind, r)
-    passed = residual.is_zero() and all(ok for _, ok in preconditions)
+    witness = first_witness(kind, r) if residual is None else residual.first_nonzero()
     return ResidualReport(
         kind=kind,
         dim=r.dim,
-        passed=passed,
-        witness=residual.first_nonzero(),
+        passed=witness is None and all(ok for _, ok in preconditions),
+        witness=witness,
         conventions=tuple((k, CONVENTIONS[k]) for k in _RELEVANT_FLAGS[kind]),
         preconditions=tuple(preconditions),
         notes=tuple(notes),
-        residual=residual,
     )

@@ -514,8 +514,11 @@ class TestCliCommands:
         assert "ybalg schema/1 tensor-map" in out
 
     @pytest.mark.parametrize("verb", [["check", "--kind", "cybe"], ["cae"]])
-    def test_emit_witness_evaluates_the_residual_once(self, skew_files, monkeypatch, verb):
+    def test_emit_witness_evaluates_the_residual_once(
+        self, skew_files, monkeypatch, row_streams, verb
+    ):
         kind = "cybe" if verb[0] == "check" else "cae"
+        _, bad = skew_files
         calls = []
         residual = ybe.RESIDUALS[kind]
 
@@ -523,10 +526,17 @@ class TestCliCommands:
             calls.append(r)
             return residual(r)
 
+        rows = sorted({o for o, _ in residual(io.load_square_map(bad)).entries})
+        row_streams.clear()
         monkeypatch.setitem(ybe.RESIDUALS, kind, counted)
-        _, bad = skew_files
-        main(["ybe", *verb, "--input", bad, "--emit-witness"])
+        code = main(["ybe", *verb, "--input", bad, "--emit-witness"])
+        assert code == (1 if kind == "cybe" else 0)
         assert len(calls) == 1
+        # one stream of the residual's rows, read once to its end, gives both
+        # the map and its witness; cae's skew precondition reads one more
+        assert row_streams[0] == {"rows": rows, "done": True}
+        assert len(row_streams) == (1 if kind == "cybe" else 2)
+        assert all(stream["done"] for stream in row_streams)
 
     def test_poisson_extend_prints_terms(self, skew_files, capsys):
         good, _ = skew_files

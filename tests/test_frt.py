@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from ybalg.linalg import rref
-from ybalg.tensoralg import TensorMap, identity_perm, perm_compose, word_permute, words
-from ybalg import frt, sparse
+from ybalg.tensoralg import (
+    TensorMap, embed_components, identity_perm, perm_compose, word_permute, words,
+)
+from ybalg import frt, sparse, ybe
 from ybalg.frt import (
     YoungDiagram,
     action_table,
@@ -228,12 +230,20 @@ class TestRPermutationAction:
         assert not (action.generators[0] - swap).is_zero()
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            r_permutation_action(identity_twist().scale(2), 2)
+        big_r = identity_twist().scale(2)
+        with pytest.raises(ValueError, match="not unitary") as err:
+            r_permutation_action(big_r, 2)
+        # the witness is the first entry of the literal defect, read off its first row
+        literal = big_r.r21().compose(big_r) - TensorMap.identity(2, 2)
+        assert str(err.value).endswith(ybe.witness_str(literal.first_nonzero()))
 
     def test_non_qybe_rejected(self):
-        with pytest.raises(ValueError, match="quantum Yang-Baxter"):
-            r_permutation_action(signed_swap(), 3)
+        big_r = signed_swap()
+        with pytest.raises(ValueError, match="quantum Yang-Baxter") as err:
+            r_permutation_action(big_r, 3)
+        r12, r13, r23 = (embed_components(big_r, slots, 3) for slots in ((1, 2), (1, 3), (2, 3)))
+        literal = r12.compose(r13).compose(r23) - r23.compose(r13).compose(r12)
+        assert str(err.value).endswith(ybe.witness_str(literal.first_nonzero()))
 
     def test_braid_generators_allow_non_unitary(self):
         gens = braid_generators(identity_twist().scale(2), 3)

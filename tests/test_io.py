@@ -191,8 +191,9 @@ class TestParseErrors:
         assert "f.txt:6" in msg
 
     def test_missing_required_field(self):
-        assert "missing required field 'dom'" in parse_err(
-            "ybalg schema/1 tensor-map\ndim: 2\ncod: 2\n"
+        # located at the header, which names the schema that requires it
+        assert "f.txt:2: missing required field 'dom'" in parse_err(
+            "# a comment\nybalg schema/1 tensor-map\ndim: 2\ncod: 2\n"
         )
 
     def test_field_given_twice(self):
@@ -203,7 +204,7 @@ class TestParseErrors:
         msg = parse_err(
             "ybalg schema/1 structure-constants\nflavor: ring\nlabels: x\n"
         )
-        assert "flavor" in msg
+        assert "f.txt:2: flavor" in msg
 
     def test_table_index_out_of_range(self):
         msg = parse_err(
@@ -216,6 +217,15 @@ class TestParseErrors:
     def test_quiver_edge_needs_three_parts(self):
         msg = parse_err("ybalg schema/1 quiver\nvertex: v\nedge: a v\n")
         assert "label source target" in msg
+
+    @pytest.mark.parametrize("line, message", [
+        ("vertex: v", "f.txt:4: duplicate vertex 'v'"),
+        ("edge: a v v", "f.txt:4: duplicate edge label 'a'"),
+    ])
+    def test_quiver_duplicate_line(self, line, message):
+        # a repeated vertex would otherwise build a second idempotent e_v
+        text = f"ybalg schema/1 quiver\nvertex: v\nedge: a v v\n{line}\n"
+        assert message in parse_err(text)
 
     def test_quiver_dangling_edge(self):
         msg = parse_err("ybalg schema/1 quiver\nvertex: v\nedge: a v w\n")

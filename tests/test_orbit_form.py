@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ybalg import double, ybe
@@ -21,10 +21,14 @@ from ybalg.fixtures import (
     skew_map_from_orbit_values,
 )
 from ybalg.harness import Job, JobSpec, run_suite
-from ybalg.tensoralg import TensorMap, commutator, embed_components, words
+from ybalg.tensoralg import TensorMap, embed_components, words
 from ybalg.ybe import PRODUCTS, is_skew, table_residuals
 
 # the literal residuals: hand-written compose chains of the slot embeddings
+
+
+def commutator(f: TensorMap, g: TensorMap) -> TensorMap:
+    return f.compose(g) - g.compose(f)
 
 
 def _components(r: TensorMap) -> tuple[TensorMap, TensorMap, TensorMap]:
@@ -69,6 +73,26 @@ def literal_transform_difference(r: TensorMap) -> TensorMap:
     transformed = -literal_double_jacobi(r).conjugate_by_perm((2, 1, 0))
     return transformed - literal_aybe(r)
 
+
+def literal_qybe(big_r: TensorMap) -> TensorMap:
+    r12, r13, r23 = _components(big_r)
+    return r12.compose(r13).compose(r23) - r23.compose(r13).compose(r12)
+
+
+def literal_unitarity(big_r: TensorMap) -> TensorMap:
+    return big_r.r21().compose(big_r) - TensorMap.identity(big_r.dim, 2)
+
+
+def literal_skew(r: TensorMap) -> TensorMap:
+    return r + r.r21()
+
+
+#: the residuals that are not quadratic tables: name -> (residual, literal chain)
+CHAINED = {
+    "qybe": (ybe.qybe_residual, literal_qybe),
+    "unitarity": (ybe.unitarity_defect, literal_unitarity),
+    "skew": (ybe.skew_defect, literal_skew),
+}
 
 #: name -> (table of products, literal residual)
 RESIDUALS = {
@@ -158,6 +182,16 @@ def test_every_table_is_its_literal_residual(r, name):
     assert_same_map(every[list(RESIDUALS).index(name)], literal)
     if name in NAMED:
         assert_same_map(NAMED[name](r), literal)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_maps(), st.sampled_from(sorted(CHAINED)))
+def test_every_chain_is_its_literal_residual(r, name):
+    # a diagonal map would leave the chains' slot order untested
+    assume(any(o != i for o, i in r.entries))
+    residual, literal = CHAINED[name]
+    assert_same_map(residual(r), literal(r))
+    assert is_skew(r) == literal_skew(r).is_zero()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -284,9 +318,11 @@ def test_a_cancelling_table_embeds_nothing(monkeypatch):
 def test_each_slot_pair_is_embedded_once(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args[1])
-        return embed_components(*args)
+    def counting(r, slots, n):
+        # the skew check embeds r12 and r21 on squares; count the cubes
+        if n == 3:
+            calls.append(slots)
+        return embed_components(r, slots, n)
 
     monkeypatch.setattr(ybe, "embed_components", counting)
     # AYBE and AYBE' share r12, r13 and r23

@@ -187,6 +187,30 @@ def test_report_carries_witness_and_conventions():
     assert "FAIL" in text and "witness" in text
 
 
+@pytest.mark.parametrize("kind", ["cybe", "aybe", "aybe-prime", "qybe"])
+def test_check_reads_rows_only_up_to_its_witness(row_streams, kind):
+    r = random_map(2, 2, random.Random(5), density=0.2)
+    residual = RESIDUALS[kind](r)
+    rows = sorted({o for o, _ in residual.entries})
+    # the witness row is not the first word, and rows follow it
+    assert rows[0] != (0, 0, 0) and len(rows) > 1
+    row_streams.clear()
+    report = check(kind, r)
+    assert report.witness == residual.first_nonzero()
+    # rows are pushed as they are read: none after the first nonzero one
+    assert row_streams == [{"rows": rows[:1], "done": False}]
+    row_streams.clear()
+    # the map reads every row and yields the nonzero ones
+    assert RESIDUALS[kind](r) == residual
+    assert row_streams == [{"rows": rows, "done": True}]
+
+
+def test_a_passing_check_reads_every_row(row_streams):
+    r = TensorMap(2, 2, 2, {((0, 1), (0, 1)): Fraction(1), ((1, 0), (1, 0)): Fraction(-1)})
+    assert check("cybe", r).passed
+    assert row_streams == [{"rows": [], "done": True}]
+
+
 def test_report_pass_line():
     z = TensorMap.zero(2, 2)
     report = check("aybe", z)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ybalg import double, fixtures, ybe
 from ybalg.algebras import TruncatedAlgebra, TruncationOverflow, free_algebra
-from ybalg.tensoralg import TensorMap, commutator, embed_components
+from ybalg.tensoralg import TensorMap, embed_components
 from ybalg.ybe_infty import (
     InftyReport,
     LieStructure,
@@ -39,6 +39,11 @@ from ybalg.ybe_infty import (
     shuffle_selections,
     skew_clause_defects,
 )
+
+
+def commutator(f: TensorMap, g: TensorMap) -> TensorMap:
+    return f.compose(g) - g.compose(f)
+
 
 ONE = Fraction(1)
 
