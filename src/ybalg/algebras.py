@@ -7,15 +7,20 @@ Elements are sparse vectors ``{basis_index: Fraction}`` of
 * ``"quotient"`` — products beyond the cap are genuinely zero (the algebra is
   the intended quotient, like a truncated polynomial ring);
 * ``"window"`` — products beyond the cap are *unknown* where ``unknown``
-  holds; using one raises :class:`TruncationOverflow` so checks can flag
-  the triple instead of silently treating it as zero.
+  holds; using one raises :class:`TruncationOverflow` instead of silently
+  treating it as zero.
+
+Every exhaustive check walks its basis tuples through :func:`scan` (or
+:func:`first_failure`, which reads it up to the first witness): a tuple
+whose evaluation raises :class:`TruncationOverflow` is skipped and counted,
+never read as a pass or a failure.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -28,6 +33,32 @@ Element = dict[int, Fraction]
 
 class TruncationOverflow(Exception):
     """A product left the truncation window."""
+
+
+def scan(tuples, defect):
+    """Yield ``(args, value)`` for each tuple of ``tuples`` whose
+    ``defect(*args)`` is nonzero, and ``(args, None)`` for each whose
+    evaluation left the window."""
+    for args in tuples:
+        try:
+            value = defect(*args)
+        except TruncationOverflow:
+            yield args, None
+            continue
+        if value:
+            yield args, value
+
+
+def first_failure(tuples, defect):
+    """The first tuple on which ``defect`` is nonzero (``None`` if there is
+    none), its value, and how many tuples before it left the window."""
+    skipped = 0
+    for args, value in scan(tuples, defect):
+        if value is None:
+            skipped += 1
+        else:
+            return args, value, skipped
+    return None, None, skipped
 
 
 class TruncatedAlgebra:
@@ -100,23 +131,18 @@ class TruncatedAlgebra:
     def check_associativity(self):
         """Exact check of (ab)c = a(bc) on all basis triples within the cap.
 
-        Returns ``(ok, first_failure, skipped)`` where ``skipped`` counts
-        window-mode triples whose products overflow.
+        Returns ``(ok, first_failure, skipped)`` where ``skipped`` counts the
+        window-mode triples before the failure whose products overflow.
         """
-        skipped = 0
-        n = self.nbasis
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    try:
-                        left = self.mul(self.mul_basis(i, j), {k: ONE})
-                        right = self.mul({i: ONE}, self.mul_basis(j, k))
-                    except TruncationOverflow:
-                        skipped += 1
-                        continue
-                    if left != right:
-                        return False, (i, j, k), skipped
-        return True, None, skipped
+
+        def defect(i, j, k):
+            left = self.mul(self.mul_basis(i, j), {k: ONE})
+            return left != self.mul({i: ONE}, self.mul_basis(j, k))
+
+        triple, _, skipped = first_failure(
+            itertools.product(range(self.nbasis), repeat=3), defect
+        )
+        return triple is None, triple, skipped
 
 
 def _build_table(degrees, raw_product, cap):

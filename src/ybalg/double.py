@@ -20,15 +20,15 @@ tensor factors; the cyclic Jacobi identity carries no signs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import sparse
-from .algebras import Element, TruncatedAlgebra, TruncationOverflow
+from .algebras import TruncatedAlgebra, TruncationOverflow, first_failure, scan
 from .sparse import ONE, Terms
-from .tensoralg import TensorMap
+from .tensoralg import TensorMap, words
 from .ybe import PRODUCTS, is_skew, table_residuals
 
 Elt2 = dict[tuple[int, int], Fraction]  # sparse elements of A (x) A
@@ -156,7 +156,8 @@ def extend_by_derivations(
                 # {{i, g rest}} = (g (x) 1){{i, rest}} + {{i, g}}(1 (x) rest)
                 g, rest = fact[j]
                 total: Elt2 = {}
-                sparse.accumulate(total, _slot_terms(algebra, db_el(i, rest), 0, g, "left"))
+                inner = db_sum(((i, r), rc) for r, rc in rest.items())
+                sparse.accumulate(total, _slot_terms(algebra, inner, 0, g, "left"))
                 outer = db(i, g)
                 for ridx, rc in rest.items():
                     sparse.accumulate(total, _slot_terms(algebra, outer, 1, ridx, "right"), rc)
@@ -166,9 +167,8 @@ def extend_by_derivations(
                 # {{g rest, j}} = (1 (x) g){{rest, j}} + {{g, j}}(rest (x) 1)
                 g, rest = fact[i]
                 total = {}
-                sparse.accumulate(
-                    total, _slot_terms(algebra, db_el_first(rest, j), 1, g, "left")
-                )
+                inner = db_sum(((r, j), rc) for r, rc in rest.items())
+                sparse.accumulate(total, _slot_terms(algebra, inner, 1, g, "left"))
                 outer = db(g, j)
                 for ridx, rc in rest.items():
                     sparse.accumulate(total, _slot_terms(algebra, outer, 0, ridx, "right"), rc)
@@ -179,16 +179,11 @@ def extend_by_derivations(
         cache[key] = result
         return result
 
-    def db_el(i: int, y: Element) -> Elt2:
+    def db_sum(pairs) -> Elt2:
+        # db summed over a linear combination of basis pairs
         total: Elt2 = {}
-        for j, cj in y.items():
-            sparse.accumulate(total, db(i, j).items(), cj)
-        return sparse.purge(total)
-
-    def db_el_first(x: Element, j: int) -> Elt2:
-        total: Elt2 = {}
-        for i, ci in x.items():
-            sparse.accumulate(total, db(i, j).items(), ci)
+        for (i, j), c in pairs:
+            sparse.accumulate(total, db(i, j).items(), c)
         return sparse.purge(total)
 
     n = algebra.nbasis
@@ -211,14 +206,11 @@ def extension_consistency_check(
     """Both peeling orders must produce the same table (no overdetermination)."""
     a = extend_by_derivations(algebra, generator_values, first_argument_first=False)
     b = extend_by_derivations(algebra, generator_values, first_argument_first=True)
-    n = algebra.nbasis
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in a.overflow_pairs or (i, j) in b.overflow_pairs:
-                continue  # only comparable where both routes stayed in the window
-            if a.value(i, j) != b.value(i, j):
-                return False, (i, j)
-    return True, None
+    # an overflow pair of either route raises in value, so the scan skips it
+    pair, _, _ = first_failure(
+        words(algebra.nbasis, 2), lambda i, j: a.value(i, j) != b.value(i, j)
+    )
+    return pair is None, pair
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +289,12 @@ def _leibniz_holds(db: DoubleBracket) -> tuple[bool, int]:
     # whether the second-argument rule holds on every basis triple inside
     # the window, and how many triples overflowed it
     holds, skipped = True, 0
-    for triple in itertools.product(range(db.algebra.nbasis), repeat=3):
-        try:
-            if dbpoiss_defect(db, *triple):
-                holds = False
-        except TruncationOverflow:
+    for _, value in scan(words(db.algebra.nbasis, 3), partial(dbpoiss_defect, db)):
+        if value is None:
             skipped += 1
+        else:
+            holds = False
     return holds, skipped
-
-
-def _first_failure(db: DoubleBracket, defect, arity: int):
-    """The first basis tuple, in lexicographic order, where ``defect`` is
-    nonzero (``None`` if there is none), and how many tuples before it
-    overflowed the window."""
-    skipped = 0
-    for args in itertools.product(range(db.algebra.nbasis), repeat=arity):
-        try:
-            if defect(db, *args):
-                return args, skipped
-        except TruncationOverflow:
-            skipped += 1
-    return None, skipped
 
 
 def check_double_axioms(db: DoubleBracket) -> DoubleAxiomReport:
@@ -329,7 +306,7 @@ def check_double_axioms(db: DoubleBracket) -> DoubleAxiomReport:
         ("jacobi", dbjac_residual, 3),
         ("leibniz", dbpoiss_defect, 3),
     ):
-        witness, skipped = _first_failure(db, defect, arity)
+        witness, _, skipped = first_failure(words(algebra.nbasis, arity), partial(defect, db))
         checks.append(AxiomCheck(name, witness is None, witness, skipped))
 
     return DoubleAxiomReport(
@@ -465,8 +442,8 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
     Preconditions (verified, reported separately from the conclusion): the
     second-argument derivation rule holds on basis triples, and the classical
     residual of the bracket's map vanishes.  AYBE and AYBE' come from one
-    evaluation of their ``ybe.PRODUCTS`` tables, which embeds ``r12``,
-    ``r13``, ``r23`` once, and the classical residual is read off as
+    evaluation of their ``ybe.PRODUCTS`` tables, which embeds each slot pair
+    of ``r`` once, and the classical residual is read off as
     AYBE - AYBE', the identity that table declares.  The
     conclusion compares ``(a (x) 1 (x) 1) AYBE(r)`` with
     ``(1 (x) 1 (x) a) AYBE(r)`` for every basis element ``a`` by
@@ -486,35 +463,24 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
     cybe_ok = cybe.is_zero()
     columns = _columns(aybe.entries), _columns(aybe_p.entries), _columns(cybe.entries)
 
-    comparison = True
-    for a in range(n):
-        try:  # an a with some product a x past the window is skipped
-            for x in range(n):
-                algebra.mul_basis(a, x)
-        except TruncationOverflow:
-            skipped += 1
-            continue
+    def comparison_defect(a: int) -> bool:
+        # an a with some product a x past the window raises, and is skipped
+        for x in range(n):
+            algebra.mul_basis(a, x)
         # (a (x) 1 (x) 1 - 1 (x) 1 (x) a) AYBE, one column at a time
-        if any(_diff_op(algebra, a, image, (0, 2)) for image in columns[0].values()):
-            comparison = False
-            break
+        return any(_diff_op(algebra, a, image, (0, 2)) for image in columns[0].values())
 
-    expansion = True
-    for quadruple in itertools.product(range(n), repeat=4):
-        try:
-            if not _expansion_identity_holds(db, *columns, *quadruple):
-                expansion = False
-                break
-        except TruncationOverflow:
-            skipped += 1
-
+    comparison, _, comparison_skipped = first_failure(words(n, 1), comparison_defect)
+    expansion, _, expansion_skipped = first_failure(
+        words(n, 4), lambda *quadruple: not _expansion_identity_holds(db, *columns, *quadruple)
+    )
     return MultCompareReport(
         algebra_kind=algebra.info.get("kind", "unknown"),
         leibniz_precondition=leibniz_ok,
         cybe_precondition=cybe_ok,
-        comparison_holds=comparison,
-        expansion_identity_holds=expansion,
-        skipped=skipped,
+        comparison_holds=comparison is None,
+        expansion_identity_holds=expansion is None,
+        skipped=skipped + comparison_skipped + expansion_skipped,
     )
 
 
@@ -605,23 +571,15 @@ def commutative_remark_checks(db: DoubleBracket) -> CommutativeRemarkReport:
     algebra = db.algebra
     n = algebra.nbasis
 
-    commutative = True
-    for i in range(n):
-        for j in range(n):
-            try:
-                if sparse.add(
-                    algebra.mul_basis(i, j), sparse.scale(algebra.mul_basis(j, i), -1)
-                ):
-                    commutative = False
-            except TruncationOverflow:
-                continue
-
+    noncommuting, _, _ = first_failure(
+        words(n, 2),
+        lambda i, j: sparse.add(algebra.mul_basis(i, j), sparse.scale(algebra.mul_basis(j, i), -1)),
+    )
     leibniz_ok, _ = _leibniz_holds(db)
-
-    chain_witness, _ = _first_failure(db, _chain_defect, 3)
-    two_variable_witness, _ = _first_failure(db, _two_variable_defect, 4)
+    chain_witness, _, _ = first_failure(words(n, 3), partial(_chain_defect, db))
+    two_variable_witness, _, _ = first_failure(words(n, 4), partial(_two_variable_defect, db))
     return CommutativeRemarkReport(
-        commutative=commutative,
+        commutative=noncommuting is None,
         leibniz_precondition=leibniz_ok,
         chain_holds=chain_witness is None,
         chain_witness=chain_witness,

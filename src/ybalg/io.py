@@ -143,6 +143,15 @@ class _Lines:
         return out
 
 
+def _located(line: int | None, path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ``ValueError`` it raises refused
+    at ``line`` of the file."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise SchemaError(str(err), path, line) from None
+
+
 def _single(lines: _Lines, fields, key, default=None, required=True):
     """A field's ``(line, value)``; a missing one is located at the header,
     which names the schema."""
@@ -224,13 +233,14 @@ def _parse_structure_constants(lines: _Lines):
     labels = labels_text.split()
     if not labels:
         raise SchemaError("labels must be nonempty", path, n_labels)
-    n_deg, degrees_text = _single(lines, fields, "degrees", default="", required=False)
-    if degrees_text:
-        degrees = [_int(t, path, n_deg or 0) for t in degrees_text.split()]
+    n_deg, degrees_text = _single(lines, fields, "degrees", required=False)
+    if n_deg is None:
+        degrees = [0] * len(labels)
+    else:
+        # a degrees line, even an empty one, states every degree
+        degrees = [_int(t, path, n_deg) for t in degrees_text.split()]
         if len(degrees) != len(labels):
             raise SchemaError("one degree per label is required", path, n_deg)
-    else:
-        degrees = [0] * len(labels)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     marked: dict[tuple[int, int], int] = {}  # overflow marker -> its line
     # a Lie structure has no window and no unit
@@ -325,13 +335,11 @@ def _parse_rn_family(lines: _Lines) -> RnFamily:
     path = lines.path
     n_dim, dim_text = _single(lines, fields, "dim")
     dim = _dim(dim_text, path, n_dim)
-    n_deg, degrees_text = _single(lines, fields, "degrees", default="", required=False)
-    degrees = (
-        tuple(_int(t, path, n_deg or 0) for t in degrees_text.split())
-        if degrees_text
-        else None
-    )
-    elements: dict[int, dict[Word, Fraction]] = {}
+    n_deg, degrees_text = _single(lines, fields, "degrees", required=False)
+    # a degrees line, even an empty one, states every degree
+    degrees = None if n_deg is None else [_int(t, path, n_deg) for t in degrees_text.split()]
+    fam = _located(n_deg, path, RnFamily, dim, {}, degrees=degrees)
+    seen: set[tuple[int, Word]] = set()
     for number, key, value in fields:
         if key in ("dim", "degrees"):
             continue
@@ -343,14 +351,11 @@ def _parse_rn_family(lines: _Lines) -> RnFamily:
         if not sep:
             raise SchemaError("component line needs 'word : coefficient'", path, number)
         word = _word(word_text, path, number)
-        component = elements.setdefault(arity, {})
-        if word in component:
+        if (arity, word) in seen:
             raise SchemaError(f"duplicate word {word}", path, number)
-        component[word] = _scalar(coeff_text, path, number)
-    try:
-        return RnFamily(dim, elements, degrees=degrees)
-    except ValueError as err:
-        raise SchemaError(str(err), path) from None
+        seen.add((arity, word))
+        _located(number, path, fam.add, arity, word, _scalar(coeff_text, path, number))
+    return fam
 
 
 def dump_rn_family(fam: RnFamily) -> str:
@@ -372,7 +377,9 @@ def _parse_linfty_family(lines: _Lines) -> MultiBracketFamily:
     labels = tuple(labels_text.split())
     n_deg, degrees_text = _single(lines, fields, "degrees")
     degrees = tuple(_int(t, path, n_deg) for t in degrees_text.split())
-    ops: dict[int, dict[tuple[int, ...], dict[int, Fraction]]] = {}
+    basis = _located(n_deg, path, GradedBasis, labels, degrees)
+    fam = MultiBracketFamily(basis, {})
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     for number, key, value in fields:
         if key in ("labels", "degrees"):
             continue
@@ -384,14 +391,11 @@ def _parse_linfty_family(lines: _Lines) -> MultiBracketFamily:
         if not arrow:
             raise SchemaError("op line needs 'args -> element'", path, number)
         args = _word(args_text, path, number)
-        table = ops.setdefault(arity, {})
-        if args in table:
+        if (arity, args) in seen:
             raise SchemaError(f"duplicate argument tuple {args}", path, number)
-        table[args] = _element(element_text.split(), path, number)
-    try:
-        return MultiBracketFamily(GradedBasis(labels, degrees), ops)
-    except ValueError as err:
-        raise SchemaError(str(err), path) from None
+        seen.add((arity, args))
+        _located(number, path, fam.add, arity, args, _element(element_text.split(), path, number))
+    return fam
 
 
 def dump_linfty_family(fam: MultiBracketFamily) -> str:

@@ -47,9 +47,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import sparse
-from .algebras import TruncationOverflow
+from .algebras import TruncationOverflow, first_failure
 from .linalg import rref
 from .sparse import ONE
 from .tensoralg import is_perm, koszul_sort
@@ -175,30 +176,33 @@ class MultiBracketFamily:
         self.basis = basis
         self.ops: dict[int, dict[tuple[int, ...], Element]] = {}
         for n, table in ops.items():
-            clean: dict[tuple[int, ...], Element] = {}
             for args, value in table.items():
-                if len(args) != n:
-                    raise ValueError(f"arity {n} entry with {len(args)} arguments")
-                if tuple(sorted(args)) != tuple(args):
-                    raise ValueError("ops must be keyed by sorted argument tuples")
-                if _vanishes(args, basis.anticommutes):
-                    if any(value.values()):
-                        raise ValueError(
-                            f"skewness forces {args} to vanish but a value was given"
-                        )
-                    continue
-                value = sparse.purge(value)
-                want = sum(self.basis.degrees[a] for a in args) + 2 - n
-                for target in value:
-                    if self.basis.degrees[target] != want:
-                        raise ValueError(
-                            f"value of arity-{n} bracket at {args} has degree "
-                            f"{self.basis.degrees[target]}, expected {want}"
-                        )
-                if value:
-                    clean[tuple(args)] = value
-            if clean:
-                self.ops[n] = clean
+                self.add(n, args, value)
+
+    def add(self, n: int, args: tuple[int, ...], value: Element) -> None:
+        """Store ``value`` as the n-ary bracket at ``args``, a zero dropped;
+        raises ``ValueError`` on an entry the family cannot hold."""
+        degrees = self.basis.degrees
+        if len(args) != n:
+            raise ValueError(f"arity {n} entry with {len(args)} arguments")
+        if any(not 0 <= k < len(degrees) for k in (*args, *value)):
+            raise ValueError(f"generator index out of range 0..{len(degrees) - 1}")
+        if tuple(sorted(args)) != tuple(args):
+            raise ValueError("ops must be keyed by sorted argument tuples")
+        if _vanishes(args, self.basis.anticommutes):
+            if any(value.values()):
+                raise ValueError(f"skewness forces {args} to vanish but a value was given")
+            return
+        value = sparse.purge(value)
+        want = sum(degrees[a] for a in args) + 2 - n
+        for target in value:
+            if degrees[target] != want:
+                raise ValueError(
+                    f"value of arity-{n} bracket at {args} has degree "
+                    f"{degrees[target]}, expected {want}"
+                )
+        if value:
+            self.ops.setdefault(n, {})[tuple(args)] = value
 
     def arities(self) -> list[int]:
         return sorted(self.ops)
@@ -238,11 +242,13 @@ def linfty_residual(fam: MultiBracketFamily, m: int, args: tuple[int, ...]) -> E
 def family_is_linfty(fam: MultiBracketFamily, max_m: int) -> tuple[bool, tuple | None]:
     """Check the axioms for m <= max_m on all sorted generator tuples."""
     n = len(fam.basis.labels)
-    for m in range(1, max_m + 1):
-        for args in itertools.combinations_with_replacement(range(n), m):
-            if linfty_residual(fam, m, args):
-                return False, (m, args)
-    return True, None
+    tuples = (
+        (m, args)
+        for m in range(1, max_m + 1)
+        for args in itertools.combinations_with_replacement(range(n), m)
+    )
+    witness, _, _ = first_failure(tuples, partial(linfty_residual, fam))
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +377,18 @@ class ExtensionReport:
         return out
 
 
+def _product_tuples(algebra: SuperSymAlgebra, fam: MultiBracketFamily, max_m: int):
+    """``(m, args)`` for each m up to ``max_m`` with one argument a nonzero
+    product of two generators, followed by m - 1 generators."""
+    ngen = len(fam.basis.labels)
+    for m in range(1, max_m + 1):
+        for others in itertools.combinations_with_replacement(range(ngen), m - 1):
+            for pair in itertools.combinations_with_replacement(range(ngen), 2):
+                prod_word, _ = algebra.sort_word(pair)
+                if prod_word is not None:
+                    yield m, (prod_word,) + tuple((g,) for g in others)
+
+
 def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 3) -> ExtensionReport:
     """Axioms for the extended family on products, plus the formal audit.
 
@@ -386,27 +404,7 @@ def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 
 
     algebra = SuperSymAlgebra(fam.basis.degree, cap)
     ext = ExtendedFamily(fam, algebra)
-    ngen = len(fam.basis.labels)
-    witness = None
-    skipped = 0
-    for m in range(1, max_m + 1):
-        gen_tuples = itertools.combinations_with_replacement(range(ngen), m - 1)
-        for others in gen_tuples:
-            for pair in itertools.combinations_with_replacement(range(ngen), 2):
-                prod_word, _ = algebra.sort_word(pair)
-                if prod_word is None:
-                    continue
-                args = (prod_word,) + tuple((g,) for g in others)
-                try:
-                    if ext.residual(m, args):
-                        witness = (m, args)
-                        break
-                except TruncationOverflow:
-                    skipped += 1
-            if witness:
-                break
-        if witness:
-            break
+    witness, _, skipped = first_failure(_product_tuples(algebra, fam, max_m), ext.residual)
     checks.append(
         ExtensionCheck("axioms on products of two generators", witness is None, witness, skipped)
     )

@@ -330,9 +330,6 @@ class TensorMap:
         )
         return self._of(other.dom_deg, self.cod_deg, sparse.purge(out))
 
-    def __matmul__(self, other: "TensorMap") -> "TensorMap":
-        return self.compose(other)
-
     def tensor_product(self, other: "TensorMap") -> "TensorMap":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")

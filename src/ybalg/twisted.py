@@ -45,6 +45,7 @@ from functools import partial
 from typing import Any, Callable, Sequence
 
 from . import sparse
+from .algebras import first_failure
 from .sparse import ONE, Scalar
 from .tensoralg import Tensor, TensorMap, Word, words
 from .ybe import cybe_residual, is_skew
@@ -220,24 +221,14 @@ def degree111_jacobi_map(br: TensorWordBracket) -> TensorMap:
 # ---------------------------------------------------------------------------
 
 
-def _word_pairs(dim: int, max_total: int):
-    for total in range(2, max_total + 1):
-        for lv in range(1, total):
-            lw = total - lv
-            for v in words(dim, lv):
-                for w in words(dim, lw):
-                    yield v, w
-
-
-def _word_triples(dim: int, max_total: int):
-    for total in range(3, max_total + 1):
-        for lu in range(1, total - 1):
-            for lv in range(1, total - lu):
-                lw = total - lu - lv
-                for u in words(dim, lu):
-                    for v in words(dim, lv):
-                        for w in words(dim, lw):
-                            yield u, v, w
+def _word_tuples(dim: int, arity: int, max_total: int):
+    """Tuples of ``arity`` nonempty words of total length at most
+    ``max_total``: by total length, then by the tuple of lengths, then by
+    the words."""
+    for total in range(arity, max_total + 1):
+        for lengths in itertools.product(range(1, total), repeat=arity):
+            if sum(lengths) == total:
+                yield from itertools.product(*(words(dim, n) for n in lengths))
 
 
 @dataclass(frozen=True)
@@ -280,12 +271,11 @@ class BracketReport:
 def _check(name: str, arg_tuples, defect) -> BracketCheck:
     """The first argument tuple on which ``defect`` (returning a vector) is
     nonzero, with the shortest, then least, word of its value."""
-    for args in arg_tuples:
-        terms = defect(*args)
-        if terms:
-            word, coeff = min(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            return BracketCheck(name, False, (args, word, coeff))
-    return BracketCheck(name, True, None)
+    args, terms, _ = first_failure(arg_tuples, defect)
+    if args is None:
+        return BracketCheck(name, True, None)
+    word, coeff = min(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return BracketCheck(name, False, (args, word, coeff))
 
 
 def check_bracket_extension(r: TensorMap, max_degree: int) -> BracketReport:
@@ -296,8 +286,8 @@ def check_bracket_extension(r: TensorMap, max_degree: int) -> BracketReport:
     failing tuple for each family.
     """
     br = TensorWordBracket(r)
-    pairs = lambda: _word_pairs(r.dim, max_degree)
-    triples = lambda: _word_triples(r.dim, max_degree)
+    pairs = lambda: _word_tuples(r.dim, 2, max_degree)
+    triples = lambda: _word_tuples(r.dim, 3, max_degree)
     checks = (
         _check("antisymmetry", pairs(), partial(twisted_skew_defect, br)),
         _check("jacobi", triples(), partial(twisted_jacobi_defect, br)),

@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from . import sparse
-from .algebras import TruncatedAlgebra, TruncationOverflow
+from .algebras import TruncatedAlgebra, first_failure, scan
 from .linfty import shuffles, sign_odd
 from .sparse import ONE, frac
 from .tensoralg import Tensor, TensorMap, Word, embed_components, koszul_sort, word_permute, words
@@ -89,36 +89,30 @@ class LieStructure:
                     f"bracket [{self.labels[i]}, {self.labels[j]}]"
                     " is not degree-homogeneous"
                 )
-        for i in range(self.nbasis):
-            for j in range(self.nbasis):
-                twist = -ONE if (deg[i] * deg[j]) % 2 else ONE
-                defect = sparse.add(
-                    self.bracket_basis(i, j),
-                    sparse.scale(self.bracket_basis(j, i), twist),
-                )
-                if defect:
-                    found.append(
-                        f"graded antisymmetry fails on"
-                        f" ({self.labels[i]}, {self.labels[j]})"
-                    )
-        for i in range(self.nbasis):
-            for j in range(self.nbasis):
-                twist = -ONE if (deg[i] * deg[j]) % 2 else ONE
-                for k in range(self.nbasis):
-                    lhs = self.bracket({i: ONE}, self.bracket_basis(j, k))
-                    rhs = sparse.add(
-                        self.bracket(self.bracket_basis(i, j), {k: ONE}),
-                        sparse.scale(
-                            self.bracket({j: ONE}, self.bracket_basis(i, k)),
-                            twist,
-                        ),
-                    )
-                    if lhs != rhs:
-                        found.append(
-                            "graded Jacobi fails on ("
-                            f"{self.labels[i]}, {self.labels[j]},"
-                            f" {self.labels[k]})"
-                        )
+
+        def twist(i, j):
+            return -ONE if (deg[i] * deg[j]) % 2 else ONE
+
+        def skew_defect(i, j):
+            return sparse.add(
+                self.bracket_basis(i, j), sparse.scale(self.bracket_basis(j, i), twist(i, j))
+            )
+
+        def jacobi_defect(i, j, k):
+            lhs = self.bracket({i: ONE}, self.bracket_basis(j, k))
+            rhs = sparse.add(
+                self.bracket(self.bracket_basis(i, j), {k: ONE}),
+                sparse.scale(self.bracket({j: ONE}, self.bracket_basis(i, k)), twist(i, j)),
+            )
+            return lhs != rhs
+
+        for name, defect, arity in (
+            ("graded antisymmetry", skew_defect, 2),
+            ("graded Jacobi", jacobi_defect, 3),
+        ):
+            for args, _ in scan(words(self.nbasis, arity), defect):
+                labels = ", ".join(self.labels[k] for k in args)
+                found.append(f"{name} fails on ({labels})")
         return found
 
     def require_lie(self) -> None:
@@ -142,33 +136,29 @@ class RnFamily:
         self.degrees = tuple(int(d) for d in degrees)
         if len(self.degrees) != self.dim:
             raise ValueError("one degree per basis index is required")
-        norm: dict[int, Tensor] = {}
+        self.elements: dict[int, Tensor] = {}
         for n, tensor in elements.items():
-            n = int(n)
-            if n < 1:
-                raise ValueError("component arity must be at least 1")
-            cleaned: Tensor = {}
             for word, coeff in tensor.items():
-                w = tuple(word)
-                if len(w) != n:
-                    raise ValueError(
-                        f"component {n} holds a word of length {len(w)}"
-                    )
-                if any(not 0 <= k < self.dim for k in w):
-                    raise ValueError("word letter out of range")
-                c = frac(coeff)
-                if not c:
-                    continue
-                total = sum(self.degrees[k] for k in w)
-                if total != 2 - n:
-                    raise ValueError(
-                        f"component {n} entry {w} has degree {total},"
-                        f" expected {2 - n}"
-                    )
-                cleaned[w] = c
-            if cleaned:
-                norm[n] = cleaned
-        self.elements = norm
+                self.add(n, word, coeff)
+
+    def add(self, n, word, coeff) -> None:
+        """Store ``coeff`` at ``word`` of component ``n``, a zero dropped;
+        raises ``ValueError`` on an entry the family cannot hold."""
+        n = int(n)
+        if n < 1:
+            raise ValueError("component arity must be at least 1")
+        w = tuple(word)
+        if len(w) != n:
+            raise ValueError(f"component {n} holds a word of length {len(w)}")
+        if any(not 0 <= k < self.dim for k in w):
+            raise ValueError("word letter out of range")
+        c = frac(coeff)
+        if not c:
+            return
+        total = sum(self.degrees[k] for k in w)
+        if total != 2 - n:
+            raise ValueError(f"component {n} entry {w} has degree {total}, expected {2 - n}")
+        self.elements.setdefault(n, {})[w] = c
 
     @property
     def arities(self) -> tuple[int, ...]:
@@ -563,19 +553,19 @@ def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> lis
         degs = _bracket_degrees(b.dim, super_degrees)
         for t in range(arity - 1):
             tau = tuple(range(t)) + (t + 1, t) + tuple(range(t + 2, arity))
-            for w in words(b.dim, arity):
-                permuted_args = word_permute(tau, w)
-                lhs = {
-                    word_permute(tau, v): c
-                    for v, c in b.apply_word(permuted_args).items()
-                }
+
+            def defect(*w):
+                permuted = b.apply_word(word_permute(tau, w))
+                lhs = {word_permute(tau, v): c for v, c in permuted.items()}
                 sign = sign_odd(tuple(degs[k] for k in w), tau)
-                if lhs != sparse.scale(b.apply_word(w), sign):
-                    defects.append(
-                        f"arity {arity}: swap ({t + 1} {t + 2}) fails on word"
-                        f" ({','.join(map(str, w))})"
-                    )
-                    break
+                return lhs != sparse.scale(b.apply_word(w), sign)
+
+            w, _, _ = first_failure(words(b.dim, arity), defect)
+            if w is not None:
+                defects.append(
+                    f"arity {arity}: swap ({t + 1} {t + 2}) fails on word"
+                    f" ({','.join(map(str, w))})"
+                )
     return defects
 
 
@@ -594,42 +584,43 @@ def double_leibniz_defects(
     leave the truncation window are skipped and counted.
     """
     degs = _bracket_degrees(algebra.nbasis, super_degrees)
+    n = algebra.nbasis
+
+    def defect(b: TensorMap, args: Word, x: int, y: int) -> bool:
+        arity = len(args) + 1
+        arg_deg = sum(degs[k] for k in args)
+        # lhs minus the left and right terms, in one total
+        diff: Tensor = {}
+        for p, cp in sorted(algebra.mul_basis(x, y).items()):
+            sparse.accumulate(diff, b.apply_word(args + (p,)).items(), cp)
+        sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
+        for v, c in b.apply_word(args + (y,)).items():
+            left = algebra.mul_basis(x, v[0]).items()
+            sparse.accumulate(diff, (((q,) + v[1:], cq) for q, cq in left), -sign_left * c)
+        sign_right = -1 if (arity * degs[y]) % 2 else 1
+        for v, c in b.apply_word(args + (x,)).items():
+            right = algebra.mul_basis(v[-1], y).items()
+            sparse.accumulate(diff, ((v[:-1] + (q,), cq) for q, cq in right), -sign_right * c)
+        return any(diff.values())
+
+    tuples = (
+        (b, args, x, y)
+        for arity, b in sorted(fam.items())
+        for args in words(n, arity - 1)
+        for x in range(n)
+        for y in range(n)
+    )
     defects: list[str] = []
     skipped = 0
-    for arity, b in sorted(fam.items()):
-        for args in words(algebra.nbasis, arity - 1):
-            arg_deg = sum(degs[k] for k in args)
-            for x in range(algebra.nbasis):
-                for y in range(algebra.nbasis):
-                    try:
-                        product = algebra.mul_basis(x, y)
-                        # lhs minus the left and right terms, in one total
-                        diff: Tensor = {}
-                        for p, cp in sorted(product.items()):
-                            sparse.accumulate(
-                                diff, b.apply_word(args + (p,)).items(), cp
-                            )
-                        sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
-                        for v, c in b.apply_word(args + (y,)).items():
-                            left = algebra.mul_basis(x, v[0]).items()
-                            sparse.accumulate(
-                                diff, (((q,) + v[1:], cq) for q, cq in left), -sign_left * c
-                            )
-                        sign_right = -1 if (arity * degs[y]) % 2 else 1
-                        for v, c in b.apply_word(args + (x,)).items():
-                            right = algebra.mul_basis(v[-1], y).items()
-                            sparse.accumulate(
-                                diff, ((v[:-1] + (q,), cq) for q, cq in right), -sign_right * c
-                            )
-                    except TruncationOverflow:
-                        skipped += 1
-                        continue
-                    if any(diff.values()):
-                        defects.append(
-                            f"arity {arity}: leibniz fails at args="
-                            f"({','.join(algebra.labels[k] for k in args)}),"
-                            f" x={algebra.labels[x]}, y={algebra.labels[y]}"
-                        )
+    for (b, args, x, y), value in scan(tuples, defect):
+        if value is None:
+            skipped += 1
+        else:
+            defects.append(
+                f"arity {len(args) + 1}: leibniz fails at args="
+                f"({','.join(algebra.labels[k] for k in args)}),"
+                f" x={algebra.labels[x]}, y={algebra.labels[y]}"
+            )
     return defects, skipped
 
 

@@ -11,11 +11,13 @@ from ybalg.algebras import (
     TruncationOverflow,
     deformed_preprojective_algebra,
     double_quiver,
+    first_failure,
     free_algebra,
     path_algebra,
     polynomial_quotient_algebra,
     preprojective_algebra,
     preprojective_relation,
+    scan,
     structural_primeness_report,
 )
 from ybalg.double import two_cycle_symplectic_bracket
@@ -63,6 +65,13 @@ class TestFreeAlgebra:
         A = free_algebra(2, cap=2)
         ok, failure, skipped = A.check_associativity()
         assert ok and failure is None and skipped > 0
+
+    def test_associativity_counts_skips_before_the_witness_only(self):
+        # x0 x0 = x1 breaks (x0 x0) x0 = x0 (x0 x0); of the 343 triples
+        # before it, 36 leave the window
+        A = free_algebra(2, cap=2, mode="window")
+        A.table[(1, 1)] = {2: ONE}
+        assert A.check_associativity() == (False, (1, 1, 1), 36)
 
     def test_noncommutative(self):
         A = free_algebra(2, cap=2)
@@ -285,3 +294,28 @@ class TestWindowRule:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestScan:
+    """The one walk of every exhaustive check over basis tuples."""
+
+    @staticmethod
+    def defect(x):
+        if x % 3 == 0:
+            raise TruncationOverflow("past the cap")
+        return {x: ONE} if x % 4 == 1 else {}
+
+    def test_yields_failures_and_skips_in_order(self):
+        tuples = [(x,) for x in range(10)]
+        assert list(scan(tuples, self.defect)) == [
+            ((0,), None), ((1,), {1: ONE}), ((3,), None), ((5,), {5: ONE}),
+            ((6,), None), ((9,), None),
+        ]
+
+    def test_first_failure_counts_skips_before_the_witness(self):
+        assert first_failure([(x,) for x in range(10)], self.defect) == ((1,), {1: ONE}, 1)
+        assert first_failure([(x,) for x in (3, 6, 5)], self.defect) == ((5,), {5: ONE}, 2)
+
+    def test_first_failure_on_a_pass_counts_every_skip(self):
+        tuples = [(x,) for x in (0, 2, 3, 4, 6)]
+        assert first_failure(tuples, self.defect) == (None, None, 3)

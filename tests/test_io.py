@@ -275,6 +275,35 @@ class TestParseErrors:
         key = line.partition(":")[0]
         assert f"f.txt:5: unexpected field {key!r}" in parse_err(text)
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("dim: 2\ndegrees: 0\n", "f.txt:3: one degree per basis index"),
+            ("dim: 1\ndegrees:\n", "f.txt:3: one degree per basis index"),
+            ("dim: 1\ndegrees: 1\ncomponent 2: 0,0 : 1\n", "f.txt:4: component 2 entry"),
+            ("dim: 1\ncomponent 2: 0,1 : 1\n", "f.txt:3: word letter out of range"),
+        ],
+        ids=["short-degrees", "empty-degrees", "wrong-degree", "letter"],
+    )
+    def test_rn_family_refusals_carry_their_line(self, body, where):
+        assert where in parse_err("ybalg schema/1 rn-family\n" + body)
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("labels: a b\ndegrees: 0\n", "f.txt:3: labels and degrees must align"),
+            ("labels: a\ndegrees: 0\nop 2: 0,3 -> 0:1\n", "f.txt:4: generator index out of range"),
+            ("labels: a\ndegrees: 0\nop 1: 0 -> 0:1\n", "f.txt:4: value of arity-1 bracket"),
+        ],
+        ids=["degrees", "index", "value-degree"],
+    )
+    def test_linfty_family_refusals_carry_their_line(self, body, where):
+        assert where in parse_err("ybalg schema/1 linfty-family\n" + body)
+
+    def test_empty_degrees_line_is_not_all_zero(self):
+        text = "ybalg schema/1 structure-constants\nflavor: lie\nlabels: a\ndegrees:\n"
+        assert "f.txt:4: one degree per label is required" in parse_err(text)
+
     def test_vector_length_mismatch(self):
         msg = parse_err(
             "ybalg schema/1 relation-coefficients\nvector: 1 2\nvector: 1\n"

@@ -1,7 +1,9 @@
 """Fuzzed file formats: every generated object round-trips through its writer,
-and a file with one line dropped, duplicated or garbled is refused as an
-input error (exit 2) located at a line of the file, never given a verdict."""
+and a file with one line dropped, duplicated or garbled, or one token dropped
+from a list-valued line, is refused as an input error (exit 2) located at a
+line of the file, never given a verdict."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from ybalg import io
 from ybalg.algebras import Quiver, TruncatedAlgebra
 from ybalg.cli import main
+from ybalg.linfty import GradedBasis, MultiBracketFamily
+from ybalg.operad import relation_basis
 from ybalg.tensoralg import TensorMap, words
-from ybalg.ybe_infty import LieStructure
+from ybalg.ybe_infty import LieStructure, RnFamily
 
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 label = st.from_regex(r"[a-z][a-z0-9*]{0,2}", fullmatch=True)
@@ -80,6 +84,47 @@ def quivers(draw):
     return Quiver(tuple(vertices), tuple((name, draw(ends), draw(ends)) for name in arrows))
 
 
+@st.composite
+def rn_families(draw):
+    """Families whose every word has degree ``2 - n`` in its component ``n``."""
+    dim = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+    fitting = [
+        (n, w) for n in (1, 2, 3) for w in words(dim, n)
+        if sum(degrees[k] for k in w) == 2 - n
+    ]
+    chosen = draw(st.lists(st.sampled_from(fitting), max_size=5, unique=True)) if fitting else []
+    elements = {}
+    for n, w in chosen:
+        elements.setdefault(n, {})[w] = draw(scalars)
+    return RnFamily(dim, elements, degrees)
+
+
+@st.composite
+def linfty_families(draw):
+    """Families of n-ary operations of degree ``2 - n`` on sorted arguments
+    that skewness does not force to vanish."""
+    names = draw(labels)
+    k = len(names)
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=k, max_size=k))
+    basis = GradedBasis(tuple(names), tuple(degrees))
+    ops = {}
+    for n in (1, 2, 3):
+        for args in itertools.combinations_with_replacement(range(k), n):
+            if any(a == b and basis.anticommutes(a) for a, b in zip(args, args[1:])):
+                continue
+            want = sum(degrees[a] for a in args) + 2 - n
+            targets = [t for t in range(k) if degrees[t] == want]
+            if targets and draw(st.booleans()):
+                chosen = draw(st.lists(st.sampled_from(targets), min_size=1, unique=True))
+                ops.setdefault(n, {})[args] = {t: draw(scalars) for t in chosen}
+    return MultiBracketFamily(basis, ops)
+
+
+def relation_vectors(width):
+    return st.lists(st.lists(scalars, min_size=width, max_size=width), min_size=1, max_size=3)
+
+
 def overflow_pairs(algebra):
     n = algebra.nbasis
     return {(i, j) for i in range(n) for j in range(n) if algebra.overflows(i, j)}
@@ -122,23 +167,67 @@ def test_quivers_round_trip(q):
     assert io.dump_quiver(io.parse_text(text)) == text
 
 
+@settings(max_examples=60, deadline=None)
+@given(rn_families())
+def test_rn_families_round_trip(fam):
+    text = io.dump_rn_family(fam)
+    back = io.parse_text(text)
+    assert (back.dim, back.degrees, back.elements) == (fam.dim, fam.degrees, fam.elements)
+    assert io.dump_rn_family(back) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(linfty_families())
+def test_linfty_families_round_trip(fam):
+    text = io.dump_linfty_family(fam)
+    back = io.parse_text(text)
+    assert (back.basis, back.ops) == (fam.basis, fam.ops)
+    assert io.dump_linfty_family(back) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_vectors(4))
+def test_relation_vectors_round_trip(vectors):
+    text = io.dump_relation_vectors(vectors)
+    back = io.parse_text(text)
+    assert back == vectors
+    assert io.dump_relation_vectors(back) == text
+
+
 #: the fields without which a file of each kind is malformed
 REQUIRED = {
     "tensor-map": ("dim", "dom", "cod"),
     "structure-constants": ("flavor", "labels"),
+    "rn-family": ("dim",),
+    "linfty-family": ("labels", "degrees"),
+    "relation-coefficients": (),
     "quiver": (),
 }
+#: the list-valued lines, each of which must hold one token per basis element
+LISTS = ("labels", "degrees")
 #: tokens that no field accepts as one more token of its value
 JUNK = ("?", "x", ":", "->", "<-", "1/0", "#")
 
 
 @st.composite
-def mutations(draw, text):
+def mutations(draw, text, hows=("drop", "duplicate", "append", "misspell", "shorten")):
     """``text`` with one line dropped (the header or a required field),
-    duplicated, or garbled (a stray token appended, or its key misspelt)."""
+    duplicated, or garbled (a stray token appended, or its key misspelt), or
+    with one token dropped from a list-valued line."""
     lines = text.splitlines()
     kind = lines[0].split()[-1]
-    how = draw(st.sampled_from(["drop", "duplicate", "append", "misspell"]))
+    lists = [
+        k for k, line in enumerate(lines)
+        if line.partition(":")[0] in LISTS and line.partition(":")[2].split()
+    ]
+    how = draw(st.sampled_from([h for h in hows if h != "shorten" or lists]))
+    if how == "shorten":
+        k = draw(st.sampled_from(lists))
+        key, _, value = lines[k].partition(":")
+        tokens = value.split()
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        lines[k] = f"{key}: {' '.join(tokens)}"
+        return "\n".join(lines) + "\n"
     if how == "drop":
         required = [0] + [k for k, line in enumerate(lines) if line.split(":")[0] in REQUIRED[kind]]
         del lines[draw(st.sampled_from(required))]
@@ -241,5 +330,46 @@ def test_mutated_quivers_are_refused(capsys, data, q):
 
     def argv(path, tmp):
         return ["quiver", "build", "--quiver", path, "--type", "path", "--cap", "2"]
+
+    assert_refused(capsys, original, text, argv)
+
+
+@mutation_settings
+@given(st.data(), rn_families())
+def test_mutated_rn_families_are_refused(capsys, data, fam):
+    original = io.dump_rn_family(fam)
+    text = data.draw(mutations(original))
+
+    def argv(path, tmp):
+        names = [f"g{k}" for k in range(fam.dim)]
+        lie = _write(tmp, "lie.txt", io.dump_lie_structure(LieStructure(names, {}, fam.degrees)))
+        return ["ybe-infty", "check", "--kind", "cybe", "--algebra", lie,
+                "--family", path, "--n", "3"]
+
+    assert_refused(capsys, original, text, argv)
+
+
+@mutation_settings
+@given(st.data(), linfty_families())
+def test_mutated_linfty_families_are_refused(capsys, data, fam):
+    original = io.dump_linfty_family(fam)
+    text = data.draw(mutations(original))
+
+    def argv(path, tmp):
+        return ["linfty", "check", "--family", path, "--max-m", "3"]
+
+    assert_refused(capsys, original, text, argv)
+
+
+@mutation_settings
+@given(st.data(), relation_vectors(len(relation_basis("none"))))
+def test_mutated_relation_vectors_are_refused(capsys, data, vectors):
+    # a duplicated vector line is well formed, so only garbling and a dropped
+    # header are refused
+    original = io.dump_relation_vectors(vectors)
+    text = data.draw(mutations(original, hows=("drop", "append", "misspell")))
+
+    def argv(path, tmp):
+        return ["operad", "classify", "--sym", "none", "--relation", path]
 
     assert_refused(capsys, original, text, argv)

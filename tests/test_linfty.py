@@ -490,6 +490,20 @@ class TestProductExtensionCheck:
         assert not report.passed
         assert report.checks[0].witness is not None
 
+    @pytest.mark.parametrize("max_m, skipped", [(2, 15), (3, 48), (4, 105)])
+    def test_a_pass_counts_every_tuple_beyond_the_cap(self, max_m, skipped):
+        # at cap 1 every product argument leaves the cap, so the products
+        # check passes on the broken family with all its tuples skipped
+        basis = GradedBasis(("e", "f", "h"), (0, 0, 0))
+        fam = MultiBracketFamily(
+            basis, {2: {(0, 1): {2: ONE}, (0, 2): {0: ONE}, (1, 2): {1: ONE}}}
+        )
+        check = product_extension_check(fam, max_m=max_m, cap=1).checks[1]
+        assert (check.passed, check.witness, check.skipped) == (True, None, skipped)
+        assert check.line() == (
+            f"axioms on products of two generators: PASS ({skipped} tuples beyond the cap skipped)"
+        )
+
     def test_report_lists_conventions(self):
         report = product_extension_check(sl2_family(), max_m=2, cap=2)
         listed = dict(report.conventions)

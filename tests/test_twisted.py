@@ -25,6 +25,7 @@ from ybalg.twisted import (
     PolynomialPoissonBracket,
     TensorWordBracket,
     _regroup,
+    _word_tuples,
     bracket_roundtrip,
     check_bracket_extension,
     degree111_jacobi_map,
@@ -352,3 +353,31 @@ def test_polynomial_bracket_from_callable_counts_multiplicity():
     assert br.bracket({("y",): Fraction(1)}, {("x", "x"): Fraction(3)}) == {
         ("x", "z"): Fraction(-6)
     }
+
+
+def _word_pairs(dim, max_total):
+    for total in range(2, max_total + 1):
+        for lv in range(1, total):
+            lw = total - lv
+            for v in words(dim, lv):
+                for w in words(dim, lw):
+                    yield v, w
+
+
+def _word_triples(dim, max_total):
+    for total in range(3, max_total + 1):
+        for lu in range(1, total - 1):
+            for lv in range(1, total - lu):
+                lw = total - lu - lv
+                for u in words(dim, lu):
+                    for v in words(dim, lv):
+                        for w in words(dim, lw):
+                            yield u, v, w
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("max_total", [0, 1, 2, 3, 4, 5])
+def test_word_tuples_keep_the_pair_and_triple_order(dim, max_total):
+    # by total length, then by the tuple of lengths, then by the words
+    assert list(_word_tuples(dim, 2, max_total)) == list(_word_pairs(dim, max_total))
+    assert list(_word_tuples(dim, 3, max_total)) == list(_word_triples(dim, max_total))
