@@ -16,6 +16,11 @@ square of the algebra.  Two settings are covered:
 
 Antisymmetry here is ``{{b, a}} = -(21){{a, b}}`` where (21) swaps the two
 tensor factors; the cyclic Jacobi identity carries no signs.
+
+The skew-symmetry and double-Leibniz clauses are written once, for every
+arity and grading (:func:`skew_defect`, :func:`leibniz_defect`): the binary
+axioms are their arity-2 case with zero degrees, as :mod:`ybalg.ybe_infty`'s
+n-ary checks are their general case.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from functools import partial
 
 from . import sparse
 from .algebras import TruncatedAlgebra, TruncationOverflow, first_failure, scan
+from .linfty import sign_odd
 from .sparse import ONE, Terms
-from .tensoralg import TensorMap, words
+from .tensoralg import TensorMap, columns, word_permute, words
 from .ybe import PRODUCTS, is_skew, table_residuals
 
 Elt2 = dict[tuple[int, int], Fraction]  # sparse elements of A (x) A
@@ -40,10 +46,6 @@ CONVENTIONS: dict[str, str] = {
     "dbpoiss": "{{a,bc}} = (b(x)1){{a,c}} + {{a,b}}(1(x)c)",
     "first_arg_rule": "{{ab,c}} = (1(x)a){{b,c}} + {{a,c}}(b(x)1), derived not postulated",
 }
-
-
-def t2_swap(x: Elt2) -> Elt2:
-    return {(l, k): c for (k, l), c in x.items()}
 
 
 def _slot_terms(algebra: TruncatedAlgebra, t: dict, slot: int, b: int, side: str) -> Terms:
@@ -79,10 +81,10 @@ class DoubleBracket:
         self.table = {key: val for key, val in purged if val}
         self.overflow_pairs = overflow_pairs
 
-    def value(self, i: int, j: int) -> Elt2:
-        if (i, j) in self.overflow_pairs:
-            raise TruncationOverflow(f"bracket value at pair {(i, j)} left the window")
-        return self.table.get((i, j), {})
+    def value(self, *pair: int) -> Elt2:
+        if pair in self.overflow_pairs:
+            raise TruncationOverflow(f"bracket value at pair {pair} left the window")
+        return self.table.get(pair, {})
 
     def integral_multiple(self) -> "DoubleBracket":
         """The bracket times the least common multiple of its denominators.
@@ -119,10 +121,7 @@ class DoubleBracket:
     def from_tensor_map(cls, algebra: TruncatedAlgebra, r: TensorMap) -> "DoubleBracket":
         if r.dim != algebra.nbasis or r.dom_deg != 2 or r.cod_deg != 2:
             raise ValueError("map shape does not match the algebra basis")
-        table: dict[tuple[int, int], Elt2] = {}
-        for (out_pair, in_pair), coeff in r.entries.items():
-            table.setdefault(in_pair, {})[out_pair] = coeff
-        return cls(algebra, table)
+        return cls(algebra, columns(r.entries))
 
 
 def extend_by_derivations(
@@ -149,33 +148,23 @@ def extend_by_derivations(
                 raise ValueError(f"cyclic factorization chain at basis pair {key}")
             return cache[key]
         cache[key] = None  # re-entrancy marker
-        orders = ("second", "first") if not first_argument_first else ("first", "second")
-        result: Elt2 | None = None
-        for which in orders:
-            if which == "second" and fact[j] is not None:
-                # {{i, g rest}} = (g (x) 1){{i, rest}} + {{i, g}}(1 (x) rest)
-                g, rest = fact[j]
-                total: Elt2 = {}
-                inner = db_sum(((i, r), rc) for r, rc in rest.items())
-                sparse.accumulate(total, _slot_terms(algebra, inner, 0, g, "left"))
-                outer = db(i, g)
-                for ridx, rc in rest.items():
-                    sparse.accumulate(total, _slot_terms(algebra, outer, 1, ridx, "right"), rc)
-                result = sparse.purge(total)
-                break
-            if which == "first" and fact[i] is not None:
-                # {{g rest, j}} = (1 (x) g){{rest, j}} + {{g, j}}(rest (x) 1)
-                g, rest = fact[i]
-                total = {}
-                inner = db_sum(((r, j), rc) for r, rc in rest.items())
-                sparse.accumulate(total, _slot_terms(algebra, inner, 1, g, "left"))
-                outer = db(g, j)
-                for ridx, rc in rest.items():
-                    sparse.accumulate(total, _slot_terms(algebra, outer, 0, ridx, "right"), rc)
-                result = sparse.purge(total)
-                break
-        if result is None:
+        order = (0, 1) if first_argument_first else (1, 0)
+        p = next((p for p in order if fact[key[p]] is not None), None)
+        if p is None:
             result = sparse.purge(generator_values.get(key, {}))
+        else:
+            # peel argument p = g rest; g multiplies the other output slot:
+            # {{i, g rest}} = (g (x) 1){{i, rest}} + {{i, g}}(1 (x) rest)
+            # {{g rest, j}} = (1 (x) g){{rest, j}} + {{g, j}}(rest (x) 1)
+            g, rest = fact[key[p]]
+            head, tail = key[:p], key[p + 1 :]
+            total: Elt2 = {}
+            inner = db_sum((head + (r,) + tail, rc) for r, rc in rest.items())
+            sparse.accumulate(total, _slot_terms(algebra, inner, 1 - p, g, "left"))
+            outer = db(*head, g, *tail)
+            for ridx, rc in rest.items():
+                sparse.accumulate(total, _slot_terms(algebra, outer, p, ridx, "right"), rc)
+            result = sparse.purge(total)
         cache[key] = result
         return result
 
@@ -207,9 +196,7 @@ def extension_consistency_check(
     a = extend_by_derivations(algebra, generator_values, first_argument_first=False)
     b = extend_by_derivations(algebra, generator_values, first_argument_first=True)
     # an overflow pair of either route raises in value, so the scan skips it
-    pair, _, _ = first_failure(
-        words(algebra.nbasis, 2), lambda i, j: a.value(i, j) != b.value(i, j)
-    )
+    pair, _, _ = first_failure(words(algebra.nbasis, 2), lambda *p: a.value(*p) != b.value(*p))
     return pair is None, pair
 
 
@@ -218,37 +205,48 @@ def extension_consistency_check(
 # ---------------------------------------------------------------------------
 
 
-def dbskew_defect(db: DoubleBracket, i: int, j: int) -> Elt2:
-    return sparse.add(db.value(j, i), t2_swap(db.value(i, j)))
+def skew_defect(value, degrees, t: int, *w: int) -> dict:
+    """The skew-symmetry clause at the word ``w`` for the swap ``tau`` of slots
+    ``t, t+1``: ``value(*tau w)`` with its output slots permuted by ``tau``,
+    minus ``sign_odd(degrees of w, tau)`` times ``value(*w)``.  In arity 2
+    with zero degrees the sign is -1: ``{{b, a}} = -(21){{a, b}}``."""
+    tau = tuple(range(t)) + (t + 1, t) + tuple(range(t + 2, len(w)))
+    total: dict = {}
+    swapped = value(*word_permute(tau, w)).items()
+    sparse.accumulate(total, ((word_permute(tau, v), c) for v, c in swapped))
+    sparse.accumulate(total, value(*w).items(), -sign_odd(tuple(degrees[k] for k in w), tau))
+    return sparse.purge(total)
+
+
+def leibniz_defect(algebra: TruncatedAlgebra, value, degrees, *word: int) -> dict:
+    """The double-Leibniz clause at ``word = (*args, x, y)``: ``value(*args, x y)``,
+    minus ``(-1)^(|x||args|)`` times ``value(*args, y)`` with ``x`` multiplied
+    onto its first output slot from the left, minus ``(-1)^(arity |y|)`` times
+    ``value(*args, x)`` with ``y`` multiplied onto its last slot from the right.
+    In arity 2 with zero degrees: ``{{a, bc}} - (b (x) 1){{a, c}} - {{a, b}}(1 (x) c)``.
+    May raise ``TruncationOverflow`` in window mode; the scans count the tuple."""
+    args, x, y = word[:-2], word[-2], word[-1]
+    arity = len(word) - 1
+    total: dict = {}
+    for p, cp in algebra.mul_basis(x, y).items():
+        sparse.accumulate(total, value(*args, p).items(), cp)
+    left = -1 if degrees[x] % 2 and sum(degrees[k] for k in args) % 2 else 1
+    right = -1 if arity * degrees[y] % 2 else 1
+    sparse.accumulate(total, _slot_terms(algebra, value(*args, y), 0, x, "left"), -left)
+    sparse.accumulate(total, _slot_terms(algebra, value(*args, x), arity - 1, y, "right"), -right)
+    return sparse.purge(total)
 
 
 def dbjac_residual(db: DoubleBracket, i: int, j: int, k: int) -> Elt3:
     """Cyclic sum of (231)-conjugates of the left-nested double bracket."""
     # a key (x, y, q) of {{a, {{b, c}}}}_L is written rotated: the
-    # (231)-conjugate moves slot content 1->2, 2->3, 3->1
+    # (231)-conjugate moves slot content 1->2, 2->3, 3->1, so the three
+    # turns rotate it left by 0, 2 and 1 places, a slice of (x, y, q, x, y)
     total: Elt3 = {}
-    for turn, (a, b, c) in enumerate(((i, j, k), (j, k, i), (k, i, j))):
+    for s, (a, b, c) in zip((0, 2, 1), ((i, j, k), (j, k, i), (k, i, j))):
         for (p, q), coeff in db.value(b, c).items():
-            inner = db.value(a, p).items()
-            if turn == 0:
-                terms = (((x, y, q), cx) for (x, y), cx in inner)
-            elif turn == 1:
-                terms = (((q, x, y), cx) for (x, y), cx in inner)
-            else:
-                terms = (((y, q, x), cx) for (x, y), cx in inner)
-            sparse.accumulate(total, terms, coeff)
-    return sparse.purge(total)
-
-
-def dbpoiss_defect(db: DoubleBracket, i: int, j: int, k: int) -> Elt2:
-    """May raise TruncationOverflow in window mode; callers flag the triple."""
-    # {{i, jk}} - (j (x) 1){{i, k}} - {{i, j}}(1 (x) k)
-    algebra = db.algebra
-    total: Elt2 = {}
-    for m, cm in algebra.mul_basis(j, k).items():
-        sparse.accumulate(total, db.value(i, m).items(), cm)
-    sparse.accumulate(total, _slot_terms(algebra, db.value(i, k), 0, j, "left"), -1)
-    sparse.accumulate(total, _slot_terms(algebra, db.value(i, j), 1, k, "right"), -1)
+            rotated = (((x, y, q, x, y)[s : s + 3], cx) for (x, y), cx in db.value(a, p).items())
+            sparse.accumulate(total, rotated, coeff)
     return sparse.purge(total)
 
 
@@ -288,25 +286,23 @@ class DoubleAxiomReport:
 def _leibniz_holds(db: DoubleBracket) -> tuple[bool, int]:
     # whether the second-argument rule holds on every basis triple inside
     # the window, and how many triples overflowed it
-    holds, skipped = True, 0
-    for _, value in scan(words(db.algebra.nbasis, 3), partial(dbpoiss_defect, db)):
-        if value is None:
-            skipped += 1
-        else:
-            holds = False
-    return holds, skipped
+    n = db.algebra.nbasis
+    defect = partial(leibniz_defect, db.algebra, db.value, (0,) * n)
+    skips = [value is None for _, value in scan(words(n, 3), defect)]
+    return all(skips), sum(skips)
 
 
 def check_double_axioms(db: DoubleBracket) -> DoubleAxiomReport:
     db = db.integral_multiple()
     algebra = db.algebra
+    zero = (0,) * algebra.nbasis
     checks = []
     for name, defect, arity in (
-        ("antisymmetry", dbskew_defect, 2),
-        ("jacobi", dbjac_residual, 3),
-        ("leibniz", dbpoiss_defect, 3),
+        ("antisymmetry", partial(skew_defect, db.value, zero, 0), 2),
+        ("jacobi", partial(dbjac_residual, db), 3),
+        ("leibniz", partial(leibniz_defect, algebra, db.value, zero), 3),
     ):
-        witness, _, skipped = first_failure(words(algebra.nbasis, arity), partial(defect, db))
+        witness, _, skipped = first_failure(words(algebra.nbasis, arity), defect)
         checks.append(AxiomCheck(name, witness is None, witness, skipped))
 
     return DoubleAxiomReport(
@@ -461,18 +457,18 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
     aybe, aybe_p = table_residuals(db.as_tensor_map(), PRODUCTS["aybe"], PRODUCTS["aybe-prime"])
     cybe = aybe - aybe_p
     cybe_ok = cybe.is_zero()
-    columns = _columns(aybe.entries), _columns(aybe_p.entries), _columns(cybe.entries)
+    images = columns(aybe.entries), columns(aybe_p.entries), columns(cybe.entries)
 
     def comparison_defect(a: int) -> bool:
         # an a with some product a x past the window raises, and is skipped
         for x in range(n):
             algebra.mul_basis(a, x)
         # (a (x) 1 (x) 1 - 1 (x) 1 (x) a) AYBE, one column at a time
-        return any(_diff_op(algebra, a, image, (0, 2)) for image in columns[0].values())
+        return any(_diff_op(algebra, a, image, (0, 2)) for image in images[0].values())
 
     comparison, _, comparison_skipped = first_failure(words(n, 1), comparison_defect)
     expansion, _, expansion_skipped = first_failure(
-        words(n, 4), lambda *quadruple: not _expansion_identity_holds(db, *columns, *quadruple)
+        words(n, 4), lambda *quadruple: not _expansion_identity_holds(db, *images, *quadruple)
     )
     return MultCompareReport(
         algebra_kind=algebra.info.get("kind", "unknown"),
@@ -482,14 +478,6 @@ def almcybe_check(db: DoubleBracket) -> MultCompareReport:
         expansion_identity_holds=expansion is None,
         skipped=skipped + comparison_skipped + expansion_skipped,
     )
-
-
-def _columns(entries: dict) -> dict:
-    """A map's entries as input word -> its nonzero image."""
-    out: dict = {}
-    for (o, i), c in entries.items():
-        out.setdefault(i, {})[o] = c
-    return out
 
 
 def _expansion_identity_holds(

@@ -420,6 +420,7 @@ def _parse_quiver(lines: _Lines):
     path = lines.path
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
+    edge_lines: dict[str, int] = {}
     for number, key, value in lines.fields():
         if key == "vertex":
             if not value or len(value.split()) != 1:
@@ -431,15 +432,18 @@ def _parse_quiver(lines: _Lines):
             parts = value.split()
             if len(parts) != 3:
                 raise SchemaError("edge line needs 'label source target'", path, number)
-            if any(parts[0] == label for label, _, _ in edges):
+            if parts[0] in edge_lines:
                 raise SchemaError(f"duplicate edge label {parts[0]!r}", path, number)
             edges.append((parts[0], parts[1], parts[2]))
+            edge_lines[parts[0]] = number
         else:
             raise SchemaError(f"unexpected field {key!r}", path, number)
-    try:
-        return Quiver(tuple(vertices), tuple(edges))
-    except ValueError as err:
-        raise SchemaError(str(err), path) from None
+    # vertex lines may follow edge lines, so endpoints are checked at the end
+    for label, src, tgt in edges:
+        if src not in vertices or tgt not in vertices:
+            message = f"edge {label} has an endpoint off the vertex list"
+            raise SchemaError(message, path, edge_lines[label])
+    return Quiver(tuple(vertices), tuple(edges))
 
 
 def dump_quiver(q) -> str:

@@ -257,12 +257,6 @@ def _system(sym: str, slots) -> ObstructionSystem:
 # classification
 # ---------------------------------------------------------------------------
 
-LIE_ADMISSIBLE_LABEL = (
-    "alternating sum over S3 of [ (b1*b2)*b3 - b1*(b2*b3) ] (Lie-admissibility)"
-)
-JACOBI_LABEL = "b1*(b2*b3) + b2*(b3*b1) + b3*(b1*b2) (Jacobi)"
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
     sym: str

@@ -368,6 +368,14 @@ class TensorMap:
             raise ValueError("shape mismatch")
 
 
+def columns(entries: Mapping[tuple[Word, Word], Scalar]) -> dict[Word, Tensor]:
+    """A map's entries as input word -> its nonzero image, in entry order."""
+    out: dict[Word, Tensor] = {}
+    for (o, i), c in entries.items():
+        out.setdefault(i, {})[o] = c
+    return out
+
+
 def embed_components(r: TensorMap, slots: Sequence[int], n: int) -> TensorMap:
     """Embed a degree-preserving map so it acts on the given slots of ``n``.
 

@@ -46,8 +46,8 @@ from typing import Any, Callable, Sequence
 
 from . import sparse
 from .algebras import first_failure
-from .sparse import ONE, Scalar
-from .tensoralg import Tensor, TensorMap, Word, words
+from .sparse import ONE
+from .tensoralg import Tensor, TensorMap, Word, columns, words
 from .ybe import cybe_residual, is_skew
 
 CONVENTIONS: dict[str, str] = {
@@ -95,10 +95,8 @@ class TensorWordBracket:
             raise ValueError("generator table must act on the tensor square")
         self.r = r
         self.dim = r.dim
-        # r's entries by input pair: (x, y) -> [((a, b), coeff), ...]
-        self._values: dict[Word, list[tuple[Word, Scalar]]] = {}
-        for (out, inp), coeff in r.entries.items():
-            self._values.setdefault(inp, []).append((out, coeff))
+        # r's entries by input pair: (x, y) -> {(a, b): coeff}
+        self._values = columns(r.entries)
         self._cache: dict[tuple[Word, Word], Tensor] = {}
         self._cache_rec: dict[tuple[Word, Word], Tensor] = {}
 
@@ -126,7 +124,7 @@ class TensorWordBracket:
                         total,
                         (
                             (v_head + (a,) + v_tail + w_head + (b,) + w_tail, c)
-                            for (a, b), c in value
+                            for (a, b), c in value.items()
                         ),
                     )
         return sparse.purge(total)

@@ -14,7 +14,9 @@ case).
 Map side: an n-ary bracket family ``{}_k`` acting on tensor powers of a
 truncated algebra's basis alphabet.  The cyclic residual generalizes the
 three-term double-Jacobi composition sum, and the skew-symmetry and
-double-Leibniz clauses are verified alongside it.
+double-Leibniz clauses are verified alongside it: the binary axioms' own
+:func:`ybalg.double.skew_defect` and :func:`ybalg.double.leibniz_defect`,
+read through each component's column index (:func:`ybalg.tensoralg.columns`).
 
 The classical-side shuffle set is recorded ambiguously in the source
 display (its subscript does not match the number of indices in use), so
@@ -29,14 +31,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Mapping
 
 from . import sparse
-from .algebras import TruncatedAlgebra, first_failure, scan
+from .algebras import TruncatedAlgebra, TruncationOverflow, first_failure, scan
+from .double import leibniz_defect, skew_defect
 from .linfty import shuffles, sign_odd
 from .sparse import ONE, frac
-from .tensoralg import Tensor, TensorMap, Word, embed_components, koszul_sort, word_permute, words
+from .tensoralg import Tensor, TensorMap, Word, columns, embed_components, koszul_sort, words
 
 Element = dict[int, Fraction]
 
@@ -461,14 +465,18 @@ def cybe_infty_residual(
 def aybe_infty_residual(
     algebra: TruncatedAlgebra, fam: RnFamily, n: int, super_degrees=None
 ) -> InftyReport:
-    """The n-th associative residual; the cyclic reading is the only one."""
-    readings = (
-        _reading_result("cyclic", aybe_infty_sum(algebra, fam, n, super_degrees)),
-    )
+    """The n-th associative residual; the cyclic reading is the only one.
+    A product past the window is an input error, a ``ValueError`` naming it."""
+    try:
+        residual = aybe_infty_sum(algebra, fam, n, super_degrees)
+        classical = None
+        if n == 3 and fam.arities == (2,):
+            classical = classical_aybe_element(algebra, fam.component(2), super_degrees)
+    except TruncationOverflow as err:
+        raise ValueError(f"the residual needs a product outside the window: {err}") from None
+    readings = (_reading_result("cyclic", residual),)
     notes: list[str] = []
-    if n == 3 and fam.arities == (2,):
-        r2 = fam.component(2)
-        classical = classical_aybe_element(algebra, r2, super_degrees)
+    if classical is not None:
         notes.append(
             "classical three-term product sum r^12 r^13 - r^23 r^12 + r^13 r^23:"
             f" {'zero' if not classical else 'nonzero'}"
@@ -541,6 +549,12 @@ def jacobi_infty_residual(
     return TensorMap(algebra.nbasis, n, n, entries)
 
 
+def _lookup(b: TensorMap):
+    """``value(*word)``: the image of a basis word under ``b``."""
+    images = columns(b.entries)
+    return lambda *word: images.get(word, {})
+
+
 def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> list[str]:
     """Adjacent-transposition violations of the skew-symmetry clause.
 
@@ -551,16 +565,9 @@ def skew_clause_defects(fam: Mapping[int, TensorMap], super_degrees=None) -> lis
     defects: list[str] = []
     for arity, b in sorted(fam.items()):
         degs = _bracket_degrees(b.dim, super_degrees)
+        value = _lookup(b)
         for t in range(arity - 1):
-            tau = tuple(range(t)) + (t + 1, t) + tuple(range(t + 2, arity))
-
-            def defect(*w):
-                permuted = b.apply_word(word_permute(tau, w))
-                lhs = {word_permute(tau, v): c for v, c in permuted.items()}
-                sign = sign_odd(tuple(degs[k] for k in w), tau)
-                return lhs != sparse.scale(b.apply_word(w), sign)
-
-            w, _, _ = first_failure(words(b.dim, arity), defect)
+            w, _, _ = first_failure(words(b.dim, arity), partial(skew_defect, value, degs, t))
             if w is not None:
                 defects.append(
                     f"arity {arity}: swap ({t + 1} {t + 2}) fails on word"
@@ -584,43 +591,19 @@ def double_leibniz_defects(
     leave the truncation window are skipped and counted.
     """
     degs = _bracket_degrees(algebra.nbasis, super_degrees)
-    n = algebra.nbasis
-
-    def defect(b: TensorMap, args: Word, x: int, y: int) -> bool:
-        arity = len(args) + 1
-        arg_deg = sum(degs[k] for k in args)
-        # lhs minus the left and right terms, in one total
-        diff: Tensor = {}
-        for p, cp in sorted(algebra.mul_basis(x, y).items()):
-            sparse.accumulate(diff, b.apply_word(args + (p,)).items(), cp)
-        sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
-        for v, c in b.apply_word(args + (y,)).items():
-            left = algebra.mul_basis(x, v[0]).items()
-            sparse.accumulate(diff, (((q,) + v[1:], cq) for q, cq in left), -sign_left * c)
-        sign_right = -1 if (arity * degs[y]) % 2 else 1
-        for v, c in b.apply_word(args + (x,)).items():
-            right = algebra.mul_basis(v[-1], y).items()
-            sparse.accumulate(diff, ((v[:-1] + (q,), cq) for q, cq in right), -sign_right * c)
-        return any(diff.values())
-
-    tuples = (
-        (b, args, x, y)
-        for arity, b in sorted(fam.items())
-        for args in words(n, arity - 1)
-        for x in range(n)
-        for y in range(n)
-    )
     defects: list[str] = []
     skipped = 0
-    for (b, args, x, y), value in scan(tuples, defect):
-        if value is None:
-            skipped += 1
-        else:
-            defects.append(
-                f"arity {len(args) + 1}: leibniz fails at args="
-                f"({','.join(algebra.labels[k] for k in args)}),"
-                f" x={algebra.labels[x]}, y={algebra.labels[y]}"
-            )
+    for arity, b in sorted(fam.items()):
+        defect = partial(leibniz_defect, algebra, _lookup(b), degs)
+        for (*args, x, y), value in scan(words(algebra.nbasis, arity + 1), defect):
+            if value is None:
+                skipped += 1
+            else:
+                defects.append(
+                    f"arity {arity}: leibniz fails at args="
+                    f"({','.join(algebra.labels[k] for k in args)}),"
+                    f" x={algebra.labels[x]}, y={algebra.labels[y]}"
+                )
     return defects, skipped
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import ybalg
 from ybalg import cli, frt, harness, io, operad, ybe
-from ybalg.algebras import Quiver, polynomial_quotient_algebra
+from ybalg.algebras import Quiver, path_algebra, polynomial_quotient_algebra
 from ybalg.cli import build_parser, main
 from ybalg.double import one_variable_lambda_bracket
 from ybalg.fixtures import (
@@ -675,6 +675,28 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "check: aybe-infty" in out
         assert "full terms of reading cyclic:" in out
+
+    def test_ybe_infty_aybe_past_the_window_is_an_input_error(self, tmp_path, capsys):
+        # the residual multiplies a by aa on the two-loop path algebra at cap 2
+        loops = Quiver(("v",), (("a", "v", "v"), ("b", "v", "v")))
+        algebra_path = write(
+            tmp_path, "loops.txt", io.dump_associative_algebra(path_algebra(loops, 2))
+        )
+        fam_path = write(
+            tmp_path, "fam.txt", "ybalg schema/1 rn-family\ndim: 7\ncomponent 2: 1,3 : 1\n"
+        )
+        code = main(
+            [
+                "ybe-infty", "check", "--kind", "aybe", "--algebra", algebra_path,
+                "--family", fam_path, "--n", "3",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the residual needs a product outside the window:"
+            " product a * aa leaves the window\n"
+        )
 
     def test_ybe_infty_flavor_mismatch(self, tmp_path, capsys):
         lie_path = write(tmp_path, "gl.txt", io.dump_lie_structure(gl_lie(2)))

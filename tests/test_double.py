@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 import time
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -16,34 +17,36 @@ from ybalg.algebras import (
     TruncatedAlgebra,
     TruncationOverflow,
     double_quiver,
+    first_failure,
+    free_algebra,
     path_algebra,
     polynomial_quotient_algebra,
+    scan,
 )
 from ybalg.double import (
     AxiomCheck,
     CommutativeRemarkReport,
     DoubleBracket,
     MultCompareReport,
-    _columns,
     _expansion_identity_holds,
+    _slot_terms,
     almcybe_check,
     check_double_axioms,
     commutative_remark_checks,
     dbjac_residual,
     dbjac_to_aybe,
-    dbpoiss_defect,
-    dbskew_defect,
     double_jacobi_residual_map,
     double_lie_iff_skew_aybe,
     extend_by_derivations,
     extension_consistency_check,
+    leibniz_defect,
     one_variable_lambda_bracket,
-    t2_swap,
+    skew_defect,
     two_cycle_symplectic_bracket,
 )
 from ybalg.fixtures import enumerate_skew_maps, random_skew_map
 from ybalg.twisted import TensorWordBracket, check_bracket_extension
-from ybalg.tensoralg import TensorMap, embed_components, word_permute
+from ybalg.tensoralg import TensorMap, columns, embed_components, word_permute, words
 from ybalg.ybe import PRODUCTS, aybe_prime_residual, aybe_residual, cybe_residual, is_skew
 
 ONE = Fraction(1)
@@ -135,9 +138,9 @@ class TestOneVariableBracket:
         pairs = [(i, j) for i in range(n) for j in range(n)]
         triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
         expect = {
-            "antisymmetry": next((p for p in pairs if dbskew_defect(bad, *p)), None),
+            "antisymmetry": next((p for p in pairs if _ref_skew(bad, *p)), None),
             "jacobi": next((t for t in triples if dbjac_residual(bad, *t)), None),
-            "leibniz": next((t for t in triples if dbpoiss_defect(bad, *t)), None),
+            "leibniz": next((t for t in triples if _ref_dbpoiss(bad, *t)), None),
         }
         report = check_double_axioms(bad)
         assert {c.name: c.witness for c in report.checks} == expect
@@ -245,10 +248,6 @@ class TestSymplecticBracket:
 
 
 class TestTensorSquareHelpers:
-    def test_swap_involution(self):
-        t = {(0, 1): ONE, (2, 2): Fraction(-3)}
-        assert t2_swap(t2_swap(t)) == t
-
     def test_add_cancels(self):
         t = {(0, 1): ONE}
         assert sparse.add(t, sparse.scale(t, -1)) == {}
@@ -387,11 +386,11 @@ def test_expansion_columns_match_the_word_by_word_oracle(db):
     perturbed = r + TensorMap(n, 2, 2, {((0, 1), (1, 1)): 1})
     for m in (r, perturbed):
         maps = [aybe_residual(m), aybe_prime_residual(m), cybe_residual(m)]
-        columns = [_columns(x.entries) for x in maps]
+        images = [columns(x.entries) for x in maps]
         verdicts = collections.Counter()
         for quad in itertools.product(range(n), repeat=4):
             want = _verdict(_expansion_by_words, db, *maps, *quad)
-            assert _verdict(_expansion_identity_holds, db, *columns, *quad) == want, quad
+            assert _verdict(_expansion_identity_holds, db, *images, *quad) == want, quad
             verdicts[want] += 1
         assert verdicts[True] > 0
         assert (verdicts[False] > 0) == (m is perturbed)
@@ -406,7 +405,20 @@ def _value_el(db, x, y):
 
 
 def _ref_skew(db, i, j):
+    # the binary antisymmetry defect as it stood before the shared clause
     return sparse.add(db.value(j, i), {(l, k): c for (k, l), c in db.value(i, j).items()})
+
+
+def _ref_dbpoiss(db, i, j, k):
+    # the binary Leibniz defect as it stood before the shared clause:
+    # {{i, jk}} - (j (x) 1){{i, k}} - {{i, j}}(1 (x) k)
+    algebra = db.algebra
+    total = {}
+    for m, cm in algebra.mul_basis(j, k).items():
+        sparse.accumulate(total, db.value(i, m).items(), cm)
+    sparse.accumulate(total, _slot_terms(algebra, db.value(i, k), 0, j, "left"), -1)
+    sparse.accumulate(total, _slot_terms(algebra, db.value(i, j), 1, k, "right"), -1)
+    return sparse.purge(total)
 
 
 def _ref_jacobi(db, i, j, k):
@@ -673,3 +685,99 @@ def test_both_checks_on_the_sixteenth_power_within_budget():
     assert axioms.passed and comparison.passed
     assert comparison.skipped == 0
     assert elapsed < 7.0
+
+
+# ---------------------------------------------------------------------------
+# the shared clauses against the binary defects they replaced
+# ---------------------------------------------------------------------------
+
+
+def _two_cycle_window(cap):
+    return path_algebra(double_quiver(Quiver(("1", "2"), (("a", "1", "2"),))), cap)
+
+
+WINDOW_ALGEBRAS = {
+    "two-loops-cap2": lambda: path_algebra(
+        Quiver(("v",), (("a", "v", "v"), ("b", "v", "v"))), 2
+    ),
+    "two-cycle-cap1": lambda: _two_cycle_window(1),
+    "two-cycle-cap2": lambda: _two_cycle_window(2),
+    "two-cycle-cap3": lambda: _two_cycle_window(3),
+    "free-2-cap2": lambda: free_algebra(2, cap=2),
+    "poly-x4": lambda: polynomial_quotient_algebra(4),
+}
+
+
+def _random_table(n, rng, entries=8):
+    table = {}
+    for _ in range(entries):
+        pair = (rng.randrange(n), rng.randrange(n))
+        out = (rng.randrange(n), rng.randrange(n))
+        table.setdefault(pair, {})[out] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return table
+
+
+def _skew_table(table):
+    out = {}
+    for (i, j), val in table.items():
+        for (k, l), c in val.items():
+            sparse.accumulate(out.setdefault((i, j), {}), [((k, l), c)])
+            sparse.accumulate(out.setdefault((j, i), {}), [((l, k), -c)])
+    return out
+
+
+def _random_brackets(algebra, rng):
+    """Random, skew, partly overflowing and derivation-extended brackets."""
+    n = algebra.nbasis
+    table = _random_table(n, rng)
+    overflow = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(2))
+    yield DoubleBracket(algebra, table)
+    yield DoubleBracket(algebra, _skew_table(table))
+    yield DoubleBracket(algebra, _skew_table(table), overflow)
+    if algebra.factorizations is not None:
+        generators = [k for k in range(n) if algebra.factorizations[k] is None]
+        values = {
+            (rng.choice(generators), rng.choice(generators)): {
+                (rng.randrange(n), rng.randrange(n)): Fraction(rng.randint(-2, 2))
+            }
+            for _ in range(2)
+        }
+        for first in (False, True):
+            yield extend_by_derivations(algebra, _skew_table(values), first_argument_first=first)
+
+
+def _outcomes(n, arity, defect):
+    """Every failing or skipped tuple of a scan, and the first failure with
+    its skip count."""
+    found = [(args, value is None) for args, value in scan(words(n, arity), defect)]
+    witness, _, skipped = first_failure(words(n, arity), defect)
+    return found, witness, skipped
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_ALGEBRAS))
+def test_shared_clauses_match_the_binary_defects(name):
+    algebra = WINDOW_ALGEBRAS[name]()
+    n = algebra.nbasis
+    zero = (0,) * n
+    rng = random.Random(name)
+    skew_verdicts, leibniz_skips = set(), 0
+    for _ in range(4):
+        for db in _random_brackets(algebra, rng):
+            skew = partial(skew_defect, db.value, zero, 0)
+            outcome = _outcomes(n, 2, skew)
+            assert outcome == _outcomes(n, 2, partial(_ref_skew, db))
+            skew_verdicts.add(outcome[1] is None)
+            for pair in words(n, 2):
+                # the shared clause reads {{b, a}} through (21): the old defect swapped
+                want = _verdict(_ref_skew, db, *pair)
+                if want != "skipped":
+                    want = {(l, k): c for (k, l), c in want.items()}
+                assert _verdict(skew, *pair) == want
+            leibniz = partial(leibniz_defect, algebra, db.value, zero)
+            found = list(scan(words(n, 3), leibniz))
+            assert found == list(scan(words(n, 3), partial(_ref_dbpoiss, db)))
+            assert _outcomes(n, 3, leibniz) == _outcomes(n, 3, partial(_ref_dbpoiss, db))
+            leibniz_skips += sum(value is None for _, value in found)
+            assert check_double_axioms(db).checks == _ref_axiom_checks(db)
+    assert skew_verdicts == {True, False}
+    assert leibniz_skips > 0

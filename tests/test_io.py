@@ -229,7 +229,13 @@ class TestParseErrors:
 
     def test_quiver_dangling_edge(self):
         msg = parse_err("ybalg schema/1 quiver\nvertex: v\nedge: a v w\n")
-        assert "endpoint off the vertex list" in msg
+        assert "f.txt:3: edge a has an endpoint off the vertex list" in msg
+
+    def test_quiver_vertex_may_follow_its_edge(self):
+        q = io.parse_text("ybalg schema/1 quiver\nvertex: u\nedge: a u w\nvertex: w\n", "f.txt")
+        assert q.vertices == ("u", "w") and q.edges == (("a", "u", "w"),)
+        msg = parse_err("ybalg schema/1 quiver\nedge: a u u\nedge: b u w\nvertex: u\n")
+        assert "f.txt:3: edge b has an endpoint off the vertex list" in msg
 
     def test_rn_family_degree_violation(self):
         # an arity-2 component must sit in degree zero when letters do

@@ -4,14 +4,25 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg import double, fixtures, ybe
-from ybalg.algebras import TruncatedAlgebra, TruncationOverflow, free_algebra
-from ybalg.tensoralg import TensorMap, embed_components
+from ybalg import double, fixtures, sparse, ybe
+from ybalg.algebras import (
+    Quiver,
+    TruncatedAlgebra,
+    TruncationOverflow,
+    double_quiver,
+    first_failure,
+    free_algebra,
+    path_algebra,
+    scan,
+)
+from ybalg.linfty import sign_odd
+from ybalg.tensoralg import TensorMap, columns, embed_components, word_permute, words
 from ybalg.ybe_infty import (
     InftyReport,
     LieStructure,
@@ -490,6 +501,17 @@ class TestAybeInfty:
         with pytest.raises(TruncationOverflow):
             aybe_infty_sum(F, fam, 3)
 
+    def test_window_overflow_in_the_report_is_an_input_error(self):
+        F = free_algebra(2, cap=1, mode="window")
+        one, x0 = F.index("1"), F.index("x0")
+        # (x0, x0) overflows in the residual; (1, x0) only in the n=3 classical note
+        for word in ((x0, x0), (one, x0)):
+            fam = RnFamily(F.nbasis, {2: {word: ONE}})
+            with pytest.raises(ValueError, match=r"product x0 \* x0 leaves the window"):
+                aybe_infty_residual(F, fam, 3)
+        # the residual alone stays inside the window
+        assert aybe_infty_sum(F, RnFamily(F.nbasis, {2: {(one, x0): ONE}}), 3)
+
     def test_graded_arity_one_is_negated_square(self):
         F = free_algebra(2, cap=2, mode="window")
         lengths = tuple(F.degrees)
@@ -602,9 +624,146 @@ class TestJacobiInfty:
         assert skipped == 0
         assert defects
 
+    def test_report_lines_on_the_symplectic_window(self):
+        # the whole report, skip counts included, for the bracket and for
+        # its map with one entry added
+        bracket = double.two_cycle_symplectic_bracket(cap=2)
+        r = bracket.as_tensor_map()
+        perturbed = r + TensorMap(r.dim, 2, 2, {((2, 3), (3, 2)): 1})
+        head = ["check: double-jacobi-infty", "n: 3", "alphabet: 6", "arities: 2"]
+        conventions = [
+            "convention cyclic sum: rotations of range(n) with sign (-1)^i sign_odd",
+            "convention skew clause: permuted arguments and output slots cost the odd"
+            " Koszul sign; the ungraded binary case is the usual minus",
+            "convention leibniz sign: second term read as (-1)^(arity * |y|); the source"
+            " display leaves the exponent unclosed",
+        ]
+        assert jacobi_infty_check({2: r}, bracket.algebra, 3).lines() == head + [
+            "skew-symmetry clause: holds",
+            "residual zero: True",
+            "double-leibniz clause: holds (36 products outside the window skipped)",
+            "result: PASS",
+        ] + conventions
+        assert jacobi_infty_check({2: perturbed}, bracket.algebra, 3).lines() == head + [
+            "skew-symmetry clause: FAILS",
+            "  arity 2: swap (1 2) fails on word (2,3)",
+            "residual: skipped (skew-symmetry clause failed)",
+            "double-leibniz clause: FAILS (37 products outside the window skipped)",
+            "  arity 2: leibniz fails at args=(a*), x=a, y=e_1",
+            "  arity 2: leibniz fails at args=(a*), x=a, y=e_2",
+            "  arity 2: leibniz fails at args=(a*), x=a, y=a",
+            "result: FAIL",
+        ] + conventions
+
     def test_report_lines_deterministic(self):
         bracket = double.two_cycle_symplectic_bracket(cap=2)
         fam = {2: bracket.as_tensor_map()}
         first = jacobi_infty_check(fam, bracket.algebra, 3).lines()
         second = jacobi_infty_check(fam, bracket.algebra, 3).lines()
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the shared clauses against the n-ary defects they replaced: each reads
+# the bracket word by word through ``TensorMap.apply_word``
+
+
+def _ref_skew_word(b, degs, tau, *w):
+    permuted = b.apply_word(word_permute(tau, w))
+    lhs = {word_permute(tau, v): c for v, c in permuted.items()}
+    sign = sign_odd(tuple(degs[k] for k in w), tau)
+    return lhs != sparse.scale(b.apply_word(w), sign)
+
+
+def _ref_leibniz_word(algebra, degs, b, args, x, y):
+    arity = len(args) + 1
+    arg_deg = sum(degs[k] for k in args)
+    # lhs minus the left and right terms, in one total
+    diff = {}
+    for p, cp in sorted(algebra.mul_basis(x, y).items()):
+        sparse.accumulate(diff, b.apply_word(args + (p,)).items(), cp)
+    sign_left = -1 if (degs[x] * arg_deg) % 2 else 1
+    for v, c in b.apply_word(args + (y,)).items():
+        left = algebra.mul_basis(x, v[0]).items()
+        sparse.accumulate(diff, (((q,) + v[1:], cq) for q, cq in left), -sign_left * c)
+    sign_right = -1 if (arity * degs[y]) % 2 else 1
+    for v, c in b.apply_word(args + (x,)).items():
+        right = algebra.mul_basis(v[-1], y).items()
+        sparse.accumulate(diff, ((v[:-1] + (q,), cq) for q, cq in right), -sign_right * c)
+    return any(diff.values())
+
+
+def _clause_outcomes(n, length, defect):
+    """The failing and skipped words of a scan as (word, skipped) pairs, and
+    the first failure with its skip count."""
+    found = [(w, value is None) for w, value in scan(words(n, length), defect)]
+    witness, _, skipped = first_failure(words(n, length), defect)
+    return found, witness, skipped
+
+
+def _column_lookup(m):
+    images = columns(m.entries)
+    return lambda *w: images.get(w, {})
+
+
+def _graded_cases():
+    two_cycle = path_algebra(double_quiver(Quiver(("1", "2"), (("a", "1", "2"),))), 2)
+    two_loops = path_algebra(Quiver(("v",), (("a", "v", "v"), ("b", "v", "v"))), 1)
+    return {
+        "zero-product-3": zero_product_algebra(3),
+        "free-2-cap1": free_algebra(2, cap=1),
+        "two-loops-cap1": two_loops,
+        "two-cycle-cap2": two_cycle,
+    }
+
+
+def _random_component(rng, n, arity, entries):
+    out = {}
+    for _ in range(entries):
+        out_word, in_word = (tuple(rng.randrange(n) for _ in range(arity)) for _ in range(2))
+        out[(out_word, in_word)] = Fraction(rng.randint(-3, 3))
+    return TensorMap(n, arity, arity, out)
+
+
+def _skew_binary(b, degs):
+    """``b`` plus its image under the swap rule, which the clause then holds on."""
+    tau = (1, 0)
+    out = dict(b.entries)
+    for (o, i), c in b.entries.items():
+        key = (word_permute(tau, o), word_permute(tau, i))
+        out[key] = out.get(key, 0) + sign_odd(tuple(degs[k] for k in i), tau) * c
+    return TensorMap(b.dim, 2, 2, out)
+
+
+@pytest.mark.parametrize("name", sorted(_graded_cases()))
+def test_shared_clauses_match_the_nary_defects(name):
+    algebra = _graded_cases()[name]
+    n = algebra.nbasis
+    rng = random.Random(name)
+    skew_verdicts, leibniz_verdicts, skips = set(), set(), 0
+    for trial in range(6):
+        degs = tuple(rng.randrange(2) for _ in range(n))
+        for arity in (1, 2, 3):
+            b = _random_component(rng, n, arity, entries=2 + 2 * trial)
+            maps = [b, _skew_binary(b, degs)] if arity == 2 else [b]
+            for m in maps:
+                value = _column_lookup(m)
+                for t in range(arity - 1):
+                    tau = tuple(range(t)) + (t + 1, t) + tuple(range(t + 2, arity))
+                    got = _clause_outcomes(n, arity, partial(double.skew_defect, value, degs, t))
+                    assert got == _clause_outcomes(n, arity, partial(_ref_skew_word, m, degs, tau))
+                    skew_verdicts.add(got[1] is None)
+
+                def ref(*w, _m=m):
+                    return _ref_leibniz_word(algebra, degs, _m, w[:-2], w[-2], w[-1])
+
+                got = _clause_outcomes(
+                    n, arity + 1, partial(double.leibniz_defect, algebra, value, degs)
+                )
+                assert got == _clause_outcomes(n, arity + 1, ref)
+                leibniz_verdicts.add(got[1] is None)
+                skips += sum(skipped for _, skipped in got[0])
+    assert skew_verdicts == {True, False}
+    # a zero product satisfies the Leibniz clause on every bracket
+    assert (False in leibniz_verdicts) == bool(algebra.table)
+    assert (skips > 0) == (algebra.mode == "window")
