@@ -379,11 +379,18 @@ def quotient_algebra(
     reps = reduced.free_cols()
     rep_pos = {col: k for k, col in enumerate(reps)}
 
+    normal_forms: dict[int, Element] = {}
+
     def reduce_to_quotient(element: Element) -> Element:
-        # the residual vanishes on every pivot column, so it lives on reps;
-        # reduce returns Fractions, integral ones included, so canonicalize
-        residual = sparse.purge(reduced.reduce(element))
-        return {rep_pos[c]: coeff for c, coeff in residual.items()}
+        # reduce is linear and sorts its columns, so each parent column is
+        # reduced once per build; its residual lives on reps, in column order
+        total: Element = {}
+        for col, coeff in element.items():
+            if col not in normal_forms:
+                residual = sparse.purge(reduced.reduce({col: ONE}))
+                normal_forms[col] = {rep_pos[c]: x for c, x in residual.items()}
+            sparse.accumulate(total, normal_forms[col].items(), coeff)
+        return sparse.purge(dict(sorted(total.items())))
 
     labels = [parent.labels[c] for c in reps]
     degrees = [parent.degrees[c] for c in reps]

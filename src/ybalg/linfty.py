@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import sparse
 from .algebras import TruncationOverflow, first_failure
@@ -74,7 +74,7 @@ def sign_odd(degrees, selection) -> int:
 
     ``selection[k]`` is the 0-indexed original position of the k-th output
     element.  Each element counts as a block of size ``degree + 1``, so two
-    odd-degree elements commute and all other pairs anticommute: the sign
+    even-degree elements anticommute and every other pair commutes: the sign
     is that of sorting the selection back with even degree as the odd flag.
     """
     if len(degrees) != len(selection):
@@ -91,6 +91,23 @@ def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
         tail = tuple(k for k in range(i + j) if k not in head)
         out.append(head + tail)
     return out
+
+
+def all_orders(i: int, j: int):
+    """Every selection in S_{i+j}: the all-of-S_m reading of a block."""
+    return itertools.permutations(range(i + j))
+
+
+@lru_cache(maxsize=256)
+def _selection_table(m: int, parities: tuple[int, ...], selections) -> tuple:
+    """Rows ``(i, j, head, tail, sign)`` of the m-th axiom, one per sigma of
+    ``selections(i, j - 1)`` for each i + j = m + 1, with ``sign`` the
+    :func:`sign_odd` of sigma on degrees of these parities."""
+    return tuple(
+        (i, m + 1 - i, sel[:i], sel[i:], sign_odd(parities, sel))
+        for i in range(1, m + 1)
+        for sel in selections(i, m - i)
+    )
 
 
 def _vanishes(canonical, odd) -> bool:
@@ -120,20 +137,20 @@ def _axiom_terms(m: int, args: tuple, degrees, bracket, selections=shuffles):
     Yields ``((i, j), sign * c, {v, tail}_j)`` for each term ``c . v`` of each
     inner bracket ``{head}_i``, with ``bracket(n, args)`` evaluating the
     n-ary bracket.  ``selections(i, j - 1)`` lists the sigma of the (i, j)
-    block: the shuffles for the axiom.
+    block: the shuffles for the axiom.  The sigma and their signs depend only
+    on m and the degree parities, so they are read from one signed-selection
+    table per parity pattern and selection rule (:func:`_selection_table`).
     """
     if len(args) != m:
         raise ValueError(f"expected {m} arguments, got {len(args)}")
-    for i in range(1, m + 1):
-        j = m + 1 - i
-        for sel in selections(i, j - 1):
-            inner = bracket(i, tuple(args[k] for k in sel[:i]))
-            if not inner:
-                continue
-            sign = sign_odd(degrees, sel)
-            tail = tuple(args[k] for k in sel[i:])
-            for v, c in inner.items():
-                yield (i, j), sign * c, bracket(j, (v,) + tail)
+    parities = tuple(d % 2 for d in degrees)
+    for i, j, head, tail, sign in _selection_table(m, parities, selections):
+        inner = bracket(i, tuple(args[k] for k in head))
+        if not inner:
+            continue
+        rest = tuple(args[k] for k in tail)
+        for v, c in inner.items():
+            yield (i, j), sign * c, bracket(j, (v,) + rest)
 
 
 def _axiom_sum(terms) -> dict:
@@ -222,9 +239,7 @@ def linfty_residual_blocks(
     """
     if mode not in ("full", "shuffle"):
         raise ValueError("mode must be 'full' or 'shuffle'")
-    selections = shuffles if mode == "shuffle" else (
-        lambda i, k: itertools.permutations(range(i + k))
-    )
+    selections = shuffles if mode == "shuffle" else all_orders
     degrees = [fam.basis.degree(a) for a in args]
     blocks: dict[tuple[int, int], Element] = {}
     for block, c, outer in _axiom_terms(m, args, degrees, fam.value, selections):
@@ -282,11 +297,18 @@ class SuperSymAlgebra:
     def degree(self, monomial: Monomial) -> int:
         return sum(map(self.generator_degree, monomial))
 
+    def mul_monomial(self, x: SuperElement, b: Monomial):
+        """The terms of ``x . b`` in the order of ``x``, the cap checked on
+        each; distinct monomials of ``x`` give distinct words."""
+        for a, c in x.items():
+            if self.cap is not None and len(a) + len(b) > self.cap:
+                raise TruncationOverflow(f"product of words {a} and {b} leaves the cap")
+            word, sign = self.sort_word(a + b)
+            if word is not None:
+                yield word, sign * c
+
     def mul_word(self, a: Monomial, b: Monomial) -> SuperElement:
-        if self.cap is not None and len(a) + len(b) > self.cap:
-            raise TruncationOverflow(f"product of words {a} and {b} leaves the cap")
-        word, sign = self.sort_word(a + b)
-        return {} if word is None else {word: sign}
+        return dict(self.mul_monomial({a: ONE}, b))
 
     def mul(self, x: SuperElement, y: SuperElement) -> SuperElement:
         return sparse.structure_product(x, y, self.mul_word)
@@ -325,8 +347,8 @@ class ExtendedFamily:
         s = sum(self.algebra.degree(a) + 1 for a in tail)
         total: SuperElement = {}
         for kept, moved, exponent in ((x, y, dy * s), (y, x, dx * (dy + s))):
-            term = self.algebra.mul(self.value(n, head + (kept,) + tail), {moved: ONE})
-            sparse.accumulate(total, term.items(), -1 if exponent % 2 else 1)
+            term = self.algebra.mul_monomial(self.value(n, head + (kept,) + tail), moved)
+            sparse.accumulate(total, term, -1 if exponent % 2 else 1)
         return sparse.purge(total)
 
     def axiom_terms(self, m: int, args: tuple[Monomial, ...]):

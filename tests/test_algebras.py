@@ -17,10 +17,13 @@ from ybalg.algebras import (
     polynomial_quotient_algebra,
     preprojective_algebra,
     preprojective_relation,
+    quotient_algebra,
     scan,
     structural_primeness_report,
 )
+from ybalg import sparse
 from ybalg.double import two_cycle_symplectic_bracket
+from ybalg.linalg import rref
 from ybalg.ybe_infty import matrix_algebra
 
 ONE = Fraction(1)
@@ -217,6 +220,79 @@ def products_digest(A):
 
 
 PATH_DIGEST = "611820fd38c1e3a5"
+
+
+def per_product_quotient(parent, relation, span):
+    """The quotient's table and unit with one ``reduce`` per product: the
+    ideal rows ``p * relation * s`` inside ``cap - span``, then each product
+    of two free columns inside the cap reduced on its own."""
+    n = parent.nbasis
+    rows = [
+        parent.mul(parent.mul({p: ONE}, relation), {s: ONE})
+        for p in range(n)
+        for s in range(n)
+        if parent.degrees[p] + parent.degrees[s] <= parent.cap - span
+    ]
+    reduced = rref([row for row in rows if row], n)
+    reps = reduced.free_cols()
+
+    def normal_form(element):
+        residual = sparse.purge(reduced.reduce(element))
+        return {reps.index(c): x for c, x in residual.items()}
+
+    table = {}
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            if parent.degrees[a] + parent.degrees[b] <= parent.cap:
+                value = normal_form(parent.mul_basis(a, b))
+                if value:
+                    table[(i, j)] = value
+    return table, normal_form(parent.unit)
+
+
+def in_order(table):
+    """Keys and values in order, each scalar with its type."""
+    return [(key, [(k, repr(c)) for k, c in value.items()]) for key, value in table.items()]
+
+
+class TestQuotientTable:
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "quiver", [one_loop, two_loops, one_arrow], ids=["one-loop", "two-loop", "one-arrow"]
+    )
+    @pytest.mark.parametrize("deformed", [False, True], ids=["preprojective", "deformed"])
+    def test_matches_a_per_product_reduce(self, deformed, quiver, cap):
+        q = quiver()
+        parent = path_algebra(double_quiver(q), cap)
+        relation = preprojective_relation(q, parent)
+        if deformed:
+            weights = {v: Fraction(k + 2) for k, v in enumerate(q.vertices)}
+            A = deformed_preprojective_algebra(q, weights, cap)
+            relation = sparse.scale(relation, -1)
+            for v, weight in weights.items():
+                relation = sparse.add(relation, sparse.scale(parent.element(f"e_{v}"), weight))
+        else:
+            A = preprojective_algebra(q, cap)
+        table, unit = per_product_quotient(parent, relation, 2)
+        # a deformed quotient past cap 2 keeps only top-degree paths as its
+        # basis, so none of its products stays inside the cap
+        assert bool(A.table) == (not deformed or cap == 2)
+        assert in_order(A.table) == in_order(table)
+        assert in_order({"unit": A.unit}) == in_order({"unit": unit})
+
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_quotient_of_a_quotient_matches(self, cap):
+        # products of several signed terms, and a unit of two fractional
+        # terms, so the normal forms are scaled and merged
+        parent = preprojective_algebra(two_loops(), cap)
+        relation = {parent.labels.index("ab"): 2, parent.labels.index("ba"): -3}
+        deformed = deformed_preprojective_algebra(one_arrow(), {"1": 2 * ONE, "2": 3 * ONE}, 2)
+        for parent, relation, span in ((parent, relation, 2), (deformed, {2: ONE}, 2)):
+            assert len(parent.unit) > 1 or any(len(v) > 1 for v in parent.table.values())
+            A = quotient_algebra(parent, relation, span)
+            table, unit = per_product_quotient(parent, relation, span)
+            assert in_order(A.table) == in_order(table)
+            assert in_order({"unit": A.unit}) == in_order({"unit": unit})
 
 
 class TestWindowRule:

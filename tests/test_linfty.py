@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybalg import io, sparse
+from ybalg.sparse import structure_product
 from ybalg.algebras import TruncationOverflow
 from ybalg.linfty import (
     CONVENTIONS,
     ExtendedFamily,
+    FormalBrackets,
     GradedBasis,
     MultiBracketFamily,
     SuperSymAlgebra,
+    _atom_degree,
+    _axiom_terms,
+    _selection_table,
+    all_orders,
     audit_cancellation,
     cone_fixture,
     family_is_linfty,
@@ -252,6 +258,114 @@ class TestAxiomResiduals:
             linfty_residual(sl2_family(), 3, (0, 1))
 
 
+
+def axiom_terms_per_selection(m, args, degrees, bracket, selections=shuffles):
+    """The axiom's terms with the selections listed and ``sign_odd``
+    evaluated afresh for every argument tuple: the literal loop."""
+    if len(args) != m:
+        raise ValueError(f"expected {m} arguments, got {len(args)}")
+    for i in range(1, m + 1):
+        j = m + 1 - i
+        for sel in selections(i, j - 1):
+            inner = bracket(i, tuple(args[k] for k in sel[:i]))
+            if not inner:
+                continue
+            sign = sign_odd(degrees, sel)
+            tail = tuple(args[k] for k in sel[i:])
+            for v, c in inner.items():
+                yield (i, j), sign * c, bracket(j, (v,) + tail)
+
+
+def in_order(terms):
+    """Each term with its value's keys in order and every scalar's type."""
+    return [
+        (block, repr(c), [(k, repr(x)) for k, x in outer.items()])
+        for block, c, outer in terms
+    ]
+
+
+def random_family(seed):
+    """Arities 1-3 on four generators of degrees in -1..1, random integral
+    values of the right degree; no axiom is expected to hold."""
+    rng = random.Random(seed)
+    degrees = tuple(rng.choice((-1, 0, 1)) for _ in range(4))
+    fam = MultiBracketFamily(GradedBasis(tuple("abcd"), degrees), {})
+    for n in (1, 2, 3):
+        for args in itertools.combinations_with_replacement(range(4), n):
+            want = sum(degrees[a] for a in args) + 2 - n
+            value = {t: rng.choice((-2, -1, 1, 3)) for t in range(4) if degrees[t] == want}
+            if value and rng.random() < 0.6 and not any(
+                a == b and degrees[a] % 2 == 0 for a, b in zip(args, args[1:])
+            ):
+                fam.add(n, args, value)
+    return fam
+
+
+class TestSelectionTable:
+    @pytest.mark.parametrize("rule", [shuffles, all_orders], ids=["shuffle", "full"])
+    def test_rows_carry_the_literal_sign(self, rule):
+        for m in range(1, 6):
+            for parities in itertools.product((0, 1), repeat=m):
+                expected = [
+                    (i, m + 1 - i, sel[:i], sel[i:], sign_odd(parities, sel))
+                    for i in range(1, m + 1)
+                    for sel in rule(i, m - i)
+                ]
+                assert list(_selection_table(m, parities, rule)) == expected
+                assert all(
+                    sign == sign_odd_direct(parities, head + tail)
+                    for _, _, head, tail, sign in expected
+                )
+
+    @pytest.mark.parametrize("mode", ["shuffle", "full"])
+    @pytest.mark.parametrize(
+        "make",
+        [cone_fixture, homotopy_fixture, three_generator_fixture]
+        + [lambda seed=seed: random_family(seed) for seed in range(6)],
+        ids=["cone", "homotopy", "three-generator"] + [f"random-{s}" for s in range(6)],
+    )
+    def test_terms_match_the_per_selection_loop(self, make, mode):
+        fam = make()
+        rule = shuffles if mode == "shuffle" else all_orders
+        ngen = len(fam.basis.labels)
+        for m in (1, 2, 3, 4):
+            tuples = (
+                itertools.product(range(ngen), repeat=m)
+                if m <= 3
+                else itertools.combinations_with_replacement(range(ngen), m)
+            )
+            for args in tuples:
+                degrees = [fam.basis.degree(a) for a in args]
+                got = _axiom_terms(m, args, degrees, fam.value, rule)
+                want = axiom_terms_per_selection(m, args, degrees, fam.value, rule)
+                assert in_order(got) == in_order(want), (m, args)
+
+    @pytest.mark.parametrize("make", [cone_fixture, homotopy_fixture])
+    def test_extended_terms_match_the_per_selection_loop(self, make):
+        fam = make()
+        ext = ExtendedFamily(fam, SuperSymAlgebra(fam.basis.degree, 3))
+        ngen = len(fam.basis.labels)
+        for m in (1, 2, 3):
+            for others in itertools.combinations_with_replacement(range(ngen), m - 1):
+                for word in itertools.combinations_with_replacement(range(ngen), 2):
+                    args = (word,) + tuple((g,) for g in others)
+                    degrees = [ext.algebra.degree(a) for a in args]
+                    got = ext.axiom_terms(m, args)
+                    want = axiom_terms_per_selection(m, args, degrees, ext.value)
+                    assert in_order(got) == in_order(want), args
+
+    def test_full_mode_reuses_its_tables(self):
+        _selection_table.cache_clear()
+        cone = cone_fixture()
+        linfty_residual_blocks(cone, 3, (0, 3, 4), mode="full")
+        before = _selection_table.cache_info()
+        for _ in range(3):
+            linfty_residual_blocks(cone, 3, (0, 3, 4), mode="full")
+        after = _selection_table.cache_info()
+        assert 0 < after.currsize == before.currsize < after.maxsize
+        assert after.hits > before.hits
+
+
 class TestSuperSymAlgebra:
     def test_even_generators_commute(self):
         alg = SuperSymAlgebra(GradedBasis(("a", "b"), (0, 0)).degree, 3)
@@ -363,6 +477,98 @@ class TestExtension:
                 continue
             for extra in range(6):
                 assert ext.residual(2, (word, (extra,))) == {}
+
+
+
+def mul_word_literal(alg, a, b):
+    """The product of two words as a one-term vector, refused past the cap."""
+    if alg.cap is not None and len(a) + len(b) > alg.cap:
+        raise TruncationOverflow(f"product of words {a} and {b} leaves the cap")
+    word, sign = alg.sort_word(a + b)
+    return {} if word is None else {word: sign}
+
+
+class MulRoute(ExtendedFamily):
+    """The Leibniz step through ``sparse.structure_product`` on a one-term
+    vector, the way ``SuperSymAlgebra.mul`` multiplies."""
+
+    def _compute(self, n, args):
+        if not all(args):
+            return {}
+        split = next((k for k, a in enumerate(args) if len(a) > 1), None)
+        if split is None:
+            base = self.fam.value(n, tuple(a[0] for a in args))
+            return {(g,): c for g, c in base.items()}
+        head, tail = args[:split], args[split + 1 :]
+        x, y = args[split][:-1], args[split][-1:]
+        dx, dy = self.algebra.degree(x), self.algebra.degree(y)
+        s = sum(self.algebra.degree(a) + 1 for a in tail)
+        total = {}
+        for kept, moved, exponent in ((x, y, dy * s), (y, x, dx * (dy + s))):
+            value = self.value(n, head + (kept,) + tail)
+            term = structure_product(
+                value, {moved: ONE}, lambda a, b: mul_word_literal(self.algebra, a, b)
+            )
+            sparse.accumulate(total, term.items(), -1 if exponent % 2 else 1)
+        return sparse.purge(total)
+
+
+def outcome(ext, n, args):
+    """The value with its keys in order and scalar types, or the overflow."""
+    try:
+        return [(k, repr(c)) for k, c in ext.value(n, args).items()]
+    except TruncationOverflow as exc:
+        return f"overflow: {exc}"
+
+
+class TestOneMonomialStep:
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "make", [sl2_family, cone_fixture, homotopy_fixture, three_generator_fixture]
+    )
+    def test_matches_the_mul_route(self, make, cap):
+        fam = make()
+        alg = SuperSymAlgebra(fam.basis.degree, cap)
+        new, old = ExtendedFamily(fam, alg), MulRoute(fam, alg)
+        ngen = len(fam.basis.labels)
+        words = [
+            word
+            for size in (2, 3)
+            for gens in itertools.combinations_with_replacement(range(ngen), size)
+            for word in [alg.sort_word(gens)[0]]
+            if word
+        ]
+        seen = set()
+        for n in (1, 2, 3):
+            for others in itertools.product(range(ngen), repeat=n - 1):
+                for pos in range(n):
+                    for word in words:
+                        args = tuple((g,) for g in others)
+                        args = args[:pos] + (word,) + args[pos:]
+                        got, want = outcome(new, n, args), outcome(old, n, args)
+                        assert got == want, args
+                        seen.add("overflow" if isinstance(got, str) else bool(got))
+        # only a three-letter word can leave cap 2; no value leaves cap 3
+        assert True in seen and ("overflow" in seen) == (cap == 2)
+
+    def test_cancelling_leibniz_terms(self):
+        # {h, e f} = {h, e} f + {h, f} e = 2 e f - 2 e f
+        fam = sl2_family()
+        alg = SuperSymAlgebra(fam.basis.degree, 3)
+        ext = ExtendedFamily(fam, alg)
+        assert ext.value(2, ((2,), (0,))) == {(0,): TWO}
+        assert ext.value(2, ((2,), (1,))) == {(1,): -TWO}
+        assert ext.value(2, ((2,), (0, 1))) == {}
+        assert MulRoute(fam, alg).value(2, ((2,), (0, 1))) == {}
+
+    def test_formal_brackets_match_the_mul_route(self):
+        for degs in itertools.product((0, 1), repeat=3):
+            x, y, z = ((0, name, d) for name, d in zip("xyz", degs))
+            alg = SuperSymAlgebra(_atom_degree)
+            for fam in (FormalBrackets(), FormalBrackets(None)):
+                new, old = ExtendedFamily(fam, alg), MulRoute(fam, alg)
+                for args in (((x, y),), ((z,), (x, y)), ((x, y), (z,)), ((x, y, z), (x,))):
+                    assert outcome(new, len(args), args) == outcome(old, len(args), args)
 
 
 class TestCancellationAudit:
