@@ -545,8 +545,9 @@ def schur_weyl_decompose(big_r: TensorMap, m: int) -> DecompositionReport:
     """Cut the tensor power along partitions and audit the bookkeeping.
 
     For every partition the irreducible dimension (hook lengths,
-    cross-checked against the group-algebra rank of the symmetrizer) is
-    paired with the exact rank of the evaluated symmetrizer; the weighted
+    cross-checked on every call against the group-algebra rank of the
+    symmetrizer, which is built once and then evaluated) is paired with the
+    exact rank of the evaluated symmetrizer; the weighted
     total must account for the whole tensor power, and the double
     commutant of the twisted action must close onto its span.
 
@@ -569,15 +570,13 @@ def schur_weyl_decompose(big_r: TensorMap, m: int) -> DecompositionReport:
     total = 0
     for lam in partitions(m):
         rho_dim = lam.irrep_dimension()
-        by_rank = group_algebra_rank(young_symmetrizer(lam))
-        if rho_dim != by_rank:
+        symmetrizer = young_symmetrizer(lam)
+        if rho_dim != group_algebra_rank(symmetrizer):
             raise RuntimeError(
                 "internal: hook-length dimension disagrees with the"
                 f" group-algebra rank for {lam.label()}"
             )
-        comodule_dim = image_dimension(
-            _evaluate_with_table(young_symmetrizer(lam), table, dim_v, m)
-        )
+        comodule_dim = image_dimension(_evaluate_with_table(symmetrizer, table, dim_v, m))
         total += rho_dim * comodule_dim
         blocks.append(
             PartitionBlock(lam.rows, rho_dim, comodule_dim, comodule_dim > 0)

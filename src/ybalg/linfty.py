@@ -144,11 +144,12 @@ def _axiom_terms(m: int, args: tuple, degrees, bracket, selections=shuffles):
     if len(args) != m:
         raise ValueError(f"expected {m} arguments, got {len(args)}")
     parities = tuple(d % 2 for d in degrees)
+    pick = args.__getitem__
     for i, j, head, tail, sign in _selection_table(m, parities, selections):
-        inner = bracket(i, tuple(args[k] for k in head))
+        inner = bracket(i, tuple(map(pick, head)))
         if not inner:
             continue
-        rest = tuple(args[k] for k in tail)
+        rest = tuple(map(pick, tail))
         for v, c in inner.items():
             yield (i, j), sign * c, bracket(j, (v,) + rest)
 
@@ -328,10 +329,9 @@ class ExtendedFamily:
 
     def value(self, n: int, args: tuple[Monomial, ...]) -> SuperElement:
         key = (n, tuple(args))
-        if key in self._cache:
-            return self._cache[key]
-        result = self._compute(n, tuple(args))
-        self._cache[key] = result
+        result = self._cache.get(key)
+        if result is None:
+            result = self._cache[key] = self._compute(*key)
         return result
 
     def _compute(self, n: int, args: tuple[Monomial, ...]) -> SuperElement:
@@ -343,8 +343,9 @@ class ExtendedFamily:
             return {(g,): c for g, c in base.items()}
         head, tail = args[:split], args[split + 1 :]
         x, y = args[split][:-1], args[split][-1:]
-        dx, dy = self.algebra.degree(x), self.algebra.degree(y)
-        s = sum(self.algebra.degree(a) + 1 for a in tail)
+        degree = self.algebra.degree
+        dx, dy = degree(x), degree(y)
+        s = sum(map(degree, tail)) + len(tail)
         total: SuperElement = {}
         for kept, moved, exponent in ((x, y, dy * s), (y, x, dx * (dy + s))):
             term = self.algebra.mul_monomial(self.value(n, head + (kept,) + tail), moved)
@@ -418,7 +419,9 @@ def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 
     argument tuples in which one argument is a product of two generators,
     for every m up to ``max_m``.  The formal audit re-derives the pairwise
     cancellation of product-of-bracket terms with uninterpreted brackets on
-    every degree pattern in {0,1}.
+    every degree pattern in {0,1}; all the patterns of one call share one
+    family of formal brackets, so each bracket value is worked out once per
+    call.
     """
     checks = []
     ok, witness = family_is_linfty(fam, max_m)
@@ -433,9 +436,10 @@ def product_extension_check(fam: MultiBracketFamily, max_m: int = 3, cap: int = 
 
     generated = surviving = 0
     audit_ok = True
+    formal = _formal_extension()
     for m in range(1, max_m + 1):
         for degs in itertools.product((0, 1), repeat=m + 1):
-            gen, surv, identity_ok = audit_cancellation(m, degs)
+            gen, surv, identity_ok = _audit_pattern(formal, m, degs)
             generated += gen
             surviving += surv
             audit_ok = audit_ok and identity_ok
@@ -501,11 +505,22 @@ def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool
     """
     if len(degrees) != m + 1:
         raise ValueError("need degrees for the two factors plus m-1 others")
+    return _audit_pattern(_formal_extension(), m, degrees)
+
+
+def _formal_extension() -> ExtendedFamily:
+    return ExtendedFamily(FormalBrackets(), SuperSymAlgebra(_atom_degree))
+
+
+def _audit_pattern(ext: ExtendedFamily, m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool]:
+    """:func:`audit_cancellation` with the formal brackets' values read from
+    ``ext``.  A formal atom determines its degree, so a value computed for
+    one degree pattern holds for every other, and one ``ext`` serves them
+    all."""
     x = (0, "x", degrees[0])
     y = (0, "y", degrees[1])
     others = tuple(((0, f"s{k}", degrees[2 + k]),) for k in range(m - 1))
-    algebra = SuperSymAlgebra(_atom_degree)
-    ext = ExtendedFamily(FormalBrackets(), algebra)
+    algebra = ext.algebra
 
     generated = 0
     expansion: SuperElement = {}
@@ -515,10 +530,10 @@ def audit_cancellation(m: int, degrees: tuple[int, ...]) -> tuple[int, int, bool
     expansion = sparse.purge(expansion)
     surviving = sum(1 for mono in expansion if _bracket_count(mono) >= 2)
 
-    reference = algebra.mul(ext.residual(m, others + ((x,),)), {(y,): ONE})
-    swapped = algebra.mul(ext.residual(m, others + ((y,),)), {(x,): ONE})
+    reference = dict(algebra.mul_monomial(ext.residual(m, others + ((x,),)), (y,)))
+    swapped = algebra.mul_monomial(ext.residual(m, others + ((y,),)), (x,))
     sign = -1 if degrees[0] * degrees[1] % 2 else 1
-    sparse.accumulate(reference, swapped.items(), sign)
+    sparse.accumulate(reference, swapped, sign)
     identity_ok = sparse.purge(reference) == expansion
     return generated, surviving, identity_ok
 
@@ -558,18 +573,27 @@ def solve_homotopy_bracket(
                 unknowns.append((triple, target))
     const = len(unknowns)  # the column of the constant term
 
+    values: dict[tuple, dict] = {}
+
     def bracket(n: int, tagged: tuple[tuple[int, int], ...]) -> dict:
-        """The n-ary bracket on (generator, column) arguments.
+        """The n-ary bracket on (generator, column) arguments, each computed
+        once per solve.
 
         A term holds at most one ternary bracket through m=4, so every
         argument of the ternary one is constant, and the column of a term is
         its one unknown column, which lies below ``const``, if it has one.
         """
+        key = (n, tagged)
+        if key in values:
+            return values[key]
         gens = tuple(g for g, _ in tagged)
         if n == 3:
-            return _skew_lookup(b3_table, gens, basis.anticommutes)
-        col = min(col for _, col in tagged)
-        return {(w, col): c for w, c in partial.value(n, gens).items()}
+            value = _skew_lookup(b3_table, gens, basis.anticommutes)
+        else:
+            col = min(col for _, col in tagged)
+            value = {(w, col): c for w, c in partial.value(n, gens).items()}
+        values[key] = value
+        return value
 
     rows: list[dict[int, Fraction]] = []
     for m in (3, 4):

@@ -446,6 +446,18 @@ class TestSchurWeyl:
         assert first[0] == "check: schur-weyl"
         assert first[-1] == "result: PASS"
 
+    def test_each_symmetrizer_is_built_once_per_partition(self, monkeypatch):
+        built = []
+        build = frt.young_symmetrizer
+        monkeypatch.setattr(frt, "young_symmetrizer", lambda lam: built.append(lam) or build(lam))
+        schur_weyl_decompose(diagonal_twist(), 3)
+        assert built == list(partitions(3))
+
+    def test_hook_length_disagreement_is_a_program_fault(self, monkeypatch):
+        monkeypatch.setattr(frt, "group_algebra_rank", lambda x: group_algebra_rank(x) + 1)
+        with pytest.raises(RuntimeError, match=r"hook-length dimension .* rank for \(3\)"):
+            schur_weyl_decompose(diagonal_twist(), 3)
+
     @pytest.mark.parametrize("twist", ["identity", "diagonal"])
     def test_symmetrizer_images_are_commutant_stable(self, twist):
         big_r = identity_twist() if twist == "identity" else diagonal_twist()

@@ -18,9 +18,12 @@ from ybalg.linfty import (
     FormalBrackets,
     GradedBasis,
     MultiBracketFamily,
+    ExtensionCheck,
     SuperSymAlgebra,
     _atom_degree,
+    _audit_pattern,
     _axiom_terms,
+    _formal_extension,
     _selection_table,
     all_orders,
     audit_cancellation,
@@ -616,6 +619,43 @@ class TestCancellationAudit:
         assert used and all(type(c) in (int, Fraction) for c in used)
 
 
+class TestSharedAudit:
+    """The audit's degree patterns share one family of formal brackets."""
+
+    PATTERNS = [
+        (m, degs) for m in (1, 2, 3, 4) for degs in itertools.product((0, 1), repeat=m + 1)
+    ]
+
+    def test_a_shared_family_gives_every_pattern_its_own_result(self):
+        for order in (self.PATTERNS, self.PATTERNS[::-1]):
+            shared = _formal_extension()
+            for m, degs in order:
+                assert _audit_pattern(shared, m, degs) == audit_cancellation(m, degs), (m, degs)
+
+    @pytest.mark.parametrize("max_m, generated", [(1, 8), (2, 40), (3, 168), (4, 680)])
+    def test_report_totals_are_the_per_pattern_sums(self, max_m, generated):
+        results = [audit_cancellation(m, degs) for m, degs in self.PATTERNS if m <= max_m]
+        report = product_extension_check(homotopy_fixture(), max_m=max_m, cap=3)
+        assert report.audit_cross_terms_generated == sum(r[0] for r in results) == generated
+        assert report.audit_cross_terms_surviving == sum(r[1] for r in results) == 0
+        assert report.checks[-1] == ExtensionCheck("formal Leibniz identity", True, None)
+
+    def test_a_failing_family_gets_the_same_audit_lines(self):
+        basis = GradedBasis(("e", "f", "h"), (0, 0, 0))
+        broken = MultiBracketFamily(
+            basis, {2: {(0, 1): {2: ONE}, (0, 2): {0: ONE}, (1, 2): {1: ONE}}}
+        )
+
+        def audit_lines(fam):
+            lines = product_extension_check(fam, max_m=3, cap=3).lines()
+            return [line for line in lines if line.startswith(("formal", "cancellation"))]
+
+        assert audit_lines(broken) == audit_lines(homotopy_fixture()) == [
+            "formal Leibniz identity: PASS",
+            "cancellation audit: 168 paired product terms generated, 0 survive collection",
+        ]
+
+
 class TestHomotopyFixture:
     def test_partial_family_fails_m3_on_the_nose(self):
         fam = homotopy_fixture()
@@ -636,6 +676,11 @@ class TestHomotopyFixture:
         basis = GradedBasis(("e", "f", "h"), (0, 0, 0))
         bad = {(0, 1): {2: ONE}, (0, 2): {0: ONE}, (1, 2): {1: ONE}}
         assert solve_homotopy_bracket(basis, {}, bad) is None
+
+    def test_solver_adds_nothing_to_a_dgla(self):
+        cone = cone_fixture()
+        solved = solve_homotopy_bracket(cone.basis, cone.ops[1], cone.ops[2])
+        assert solved is not None and solved.ops == cone.ops
 
     def test_solver_reproduces_a_known_correction(self):
         fam = homotopy_fixture()
