@@ -132,17 +132,28 @@ class TruncatedAlgebra:
         """Exact check of (ab)c = a(bc) on all basis triples within the cap.
 
         Returns ``(ok, first_failure, skipped)`` where ``skipped`` counts the
-        window-mode triples before the failure whose products overflow.
+        window-mode triples before the failure whose products overflow; those
+        whose ``ab`` or ``bc`` overflows are counted before any product.
         """
+        n, skipped = self.nbasis, 0
+        leaves = lambda i, j: (i, j) not in self.table and self.overflows(i, j)
+
+        def within():
+            nonlocal skipped
+            for i, j in itertools.product(range(n), repeat=2):
+                out = leaves(i, j)
+                for k in range(n):
+                    if out or leaves(j, k):
+                        skipped += 1
+                    else:
+                        yield i, j, k
 
         def defect(i, j, k):
             left = self.mul(self.mul_basis(i, j), {k: ONE})
             return left != self.mul({i: ONE}, self.mul_basis(j, k))
 
-        triple, _, skipped = first_failure(
-            itertools.product(range(self.nbasis), repeat=3), defect
-        )
-        return triple is None, triple, skipped
+        triple, _, outer = first_failure(within(), defect)
+        return triple is None, triple, skipped + outer
 
 
 def _build_table(degrees, raw_product, cap):

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from infty_helpers import matrix_element_to_map, matrix_map_to_element
 from ybalg import double, frt, harness, operad, twisted, ybe, ybe_infty
 from ybalg.fixtures import (
     diagonal_unitary_qybe_solution,
@@ -247,8 +248,8 @@ def test_criterion_9_higher_residual_readings():
             ]
             # the classical evaluator agrees exactly with the element-form
             # three-term sum the report compares against
-            rmap = ybe_infty.matrix_element_to_map(r2, 2, 2)
-            classical = ybe_infty.matrix_map_to_element(ybe.cybe_residual(rmap), 2)
+            rmap = matrix_element_to_map(r2, 2, 2)
+            classical = matrix_map_to_element(ybe.cybe_residual(rmap), 2)
             assert ybe_infty.classical_cybe_element(g, r2) == classical
             # and the report states that comparison next to both readings
             assert any(
@@ -272,7 +273,7 @@ def test_criterion_9_higher_residual_readings():
             )
 
             associative = ybe_infty.aybe_infty_residual(algebra, fam, 3)
-            assoc_classical = ybe_infty.matrix_map_to_element(
+            assoc_classical = matrix_map_to_element(
                 ybe.aybe_residual(rmap), 2
             )
             assert ybe_infty.classical_aybe_element(algebra, r2) == assoc_classical

@@ -1,6 +1,7 @@
 """Truncated algebras: structure constants, quotients, and the window policy."""
 
 import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -145,6 +146,50 @@ class TestQuiver:
         text = "\n".join(lines)
         assert "strongly connected" in text
         assert "not verified from first principles" in text
+
+
+def associativity_by_raised_overflows(A):
+    """The associativity scan that forms every product and counts a triple
+    as skipped when one of them raises."""
+
+    def defect(i, j, k):
+        left = A.mul(A.mul_basis(i, j), {k: ONE})
+        return left != A.mul({i: ONE}, A.mul_basis(j, k))
+
+    triple, _, skipped = first_failure(itertools.product(range(A.nbasis), repeat=3), defect)
+    return triple is None, triple, skipped
+
+
+def two_loops():
+    return Quiver(("v",), (("a", "v", "v"), ("b", "v", "v")))
+
+
+class TestAssociativitySkips:
+    def test_two_loop_preprojective_count_is_pinned(self):
+        A = preprojective_algebra(two_loops(), 3)
+        assert A.nbasis == 76
+        assert A.check_associativity() == (True, None, 438278)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: free_algebra(2, cap=2),
+            lambda: path_algebra(double_quiver(one_arrow()), cap=3),
+            lambda: path_algebra(two_loops(), cap=2),
+            lambda: preprojective_algebra(one_loop(), 3),
+            lambda: deformed_preprojective_algebra(
+                one_arrow(), {"1": Fraction(1), "2": Fraction(-1)}, 3
+            ),
+        ],
+    )
+    def test_counts_match_the_raised_overflows(self, build):
+        A = build()
+        assert A.check_associativity() == associativity_by_raised_overflows(A)
+
+    def test_failing_counts_match_the_raised_overflows(self):
+        A = free_algebra(2, cap=2, mode="window")
+        A.table[(1, 1)] = {2: ONE}
+        assert A.check_associativity() == associativity_by_raised_overflows(A)
 
 
 class TestPreprojective:

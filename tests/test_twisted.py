@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybalg import sparse
+from ybalg import sparse, twisted
 from ybalg.fixtures import (
     random_map,
     random_skew_map,
     search_skew_solutions,
     sl2_poisson_bracket,
 )
+from ybalg.harness import BOUNDS
 from ybalg.tensoralg import (
     TensorMap,
     apply_permutation,
@@ -24,8 +25,10 @@ from ybalg.tensoralg import (
 from ybalg.twisted import (
     PolynomialPoissonBracket,
     TensorWordBracket,
+    _families,
     _regroup,
     _word_tuples,
+    audit_extension,
     bracket_roundtrip,
     check_bracket_extension,
     degree111_jacobi_map,
@@ -291,6 +294,172 @@ def test_jacobi_defect_realignment_blocks():
     br = TensorWordBracket(r)
     assert twisted_jacobi_defect(br, (0, 1), (1,), (0,)) == {}
     assert twisted_jacobi_defect(br, (1,), (0, 0), (1, 0)) == {}
+
+
+# ---------------------------------------------------------------------------
+# skew maps by the theorem: letter triples plus the formal audit
+# ---------------------------------------------------------------------------
+
+
+def skew_diagonal(dim, rng):
+    """``r(e_i (x) e_j) = a_ij e_i (x) e_j`` with ``a`` antisymmetric: a
+    classical solution."""
+    entries = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+            entries[((i, j), (i, j))] = a
+            entries[((j, i), (j, i))] = -a
+    return TensorMap(dim, 2, 2, entries)
+
+
+def abelian_r_matrix(dim, rng):
+    """``A (x) B - B (x) A`` acting on the tensor square, with ``A = M`` and
+    ``B = M^2 + M`` for a seeded integer matrix ``M``: ``A`` and ``B``
+    commute, so this is a dense skew classical solution."""
+    m = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+    b = [
+        [sum(m[i][k] * m[k][j] for k in range(dim)) + m[i][j] for j in range(dim)]
+        for i in range(dim)
+    ]
+    return TensorMap(dim, 2, 2, {
+        ((o1, o2), (i1, i2)): m[o1][i1] * b[o2][i2] - b[o1][i1] * m[o2][i2]
+        for o1, o2, i1, i2 in words(dim, 4)
+    })
+
+
+SKEW_GRID = [
+    (kind, dim, seed)
+    for kind in ("random", "diagonal", "abelian")
+    for dim in (2, 3)
+    for seed in range(3)
+]
+
+
+def skew_grid_map(kind, dim, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_skew_map(dim, rng)
+    return (skew_diagonal if kind == "diagonal" else abelian_r_matrix)(dim, rng)
+
+
+@pytest.mark.parametrize("kind,dim,seed", SKEW_GRID)
+def test_skew_reports_match_the_literal_families(kind, dim, seed):
+    r = skew_grid_map(kind, dim, seed)
+    assert is_skew(r)
+    for max_degree in (2, 3, 4):
+        fast = check_bracket_extension(r, max_degree)
+        assert fast.lines() == _families(r, max_degree).lines(), (max_degree, fast.lines())
+    if kind != "random":
+        assert fast.passed and not r.is_zero()
+
+
+def test_skew_grid_sees_jacobi_failures_and_vacuous_degree_two():
+    r = skew_grid_map("random", 3, 0)
+    assert not cybe_residual(r).is_zero()
+    assert check_bracket_extension(r, 4).lines()[2].startswith("jacobi: FAIL at args [")
+    # no word triple has total length 2
+    assert check_bracket_extension(r, 2).lines()[2] == "jacobi: PASS"
+
+
+def test_skew_maps_evaluate_only_letter_triples(monkeypatch):
+    calls = []
+    for name in ("twisted_skew_defect", "twisted_jacobi_defect", "twisted_leibniz_defect"):
+
+        def recording(br, *args, defect=getattr(twisted, name), name=name):
+            if type(br) is TensorWordBracket:
+                calls.append((name, tuple(map(len, args))))
+            return defect(br, *args)
+
+        monkeypatch.setattr(twisted, name, recording)
+    extend_recursive = TensorWordBracket.extend_recursive
+
+    def recording_route(br, v, w):
+        if type(br) is TensorWordBracket:
+            calls.append(("extend_recursive", (len(v), len(w))))
+        return extend_recursive(br, v, w)
+
+    monkeypatch.setattr(TensorWordBracket, "extend_recursive", recording_route)
+    report = check_bracket_extension(skew_grid_map("abelian", 3, 0), 4)
+    assert report.passed
+    assert calls == [("twisted_jacobi_defect", (1, 1, 1))] * 27
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 3)])
+def test_non_skew_maps_take_the_literal_families(monkeypatch, dim, seed):
+    r = seeded_non_skew(seed, dim)
+    assert not is_skew(r)
+
+    def no_audit(max_degree, skew=True):
+        raise AssertionError("a map that is not skew has no audit to rest on")
+
+    monkeypatch.setattr(twisted, "audit_extension", no_audit)
+    report = check_bracket_extension(r, 3)
+    assert report.lines() == _families(r, 3).lines()
+    assert not report.passed
+
+
+def test_patterns_the_audit_leaves_open_are_checked_literally(monkeypatch):
+    # with no pattern settled, the skew path scans every tuple as before
+    monkeypatch.setattr(
+        twisted,
+        "audit_extension",
+        lambda max_degree: {
+            name: {tuple(map(len, t)) for t in _word_tuples(1, arity, max_degree)}
+            for name, arity in (
+                ("antisymmetry", 2), ("jacobi", 3), ("leibniz", 3), ("route-agreement", 2)
+            )
+        },
+    )
+    for kind in ("random", "abelian"):
+        r = skew_grid_map(kind, 2, 1)
+        assert check_bracket_extension(r, 4).lines() == _families(r, 4).lines()
+
+
+FAMILIES = ("antisymmetry", "jacobi", "leibniz", "route-agreement")
+
+
+def test_audit_reduces_every_pattern_up_to_the_degree_bound():
+    assert audit_extension(BOUNDS["degree"]) == {name: set() for name in FAMILIES}
+    assert audit_extension(BOUNDS["degree"] + 1) == {name: set() for name in FAMILIES}
+
+
+def test_audit_with_a_table_that_is_not_skew_fails():
+    failed = audit_extension(BOUNDS["degree"], skew=False)
+    assert (1, 1) in failed["antisymmetry"]
+    assert failed["route-agreement"]
+    # Leibniz holds for every table, skew or not
+    assert failed["leibniz"] == set()
+
+
+def test_audit_sees_a_swapped_jacobi_realignment(monkeypatch):
+    def swapped(br, u, v, w):
+        lu, lv, lw = len(u), len(v), len(w)
+        t1 = br.bracket({u: 1}, br.extend(v, w))
+        t2 = _regroup(br.bracket({v: 1}, br.extend(w, u)), (lv, lw, lu), (2, 0, 1))
+        # (1, 2, 0) is the realignment of {w,{u,v}}; (2, 0, 1) is that of {v,{w,u}}
+        t3 = _regroup(br.bracket({w: 1}, br.extend(u, v)), (lw, lu, lv), (2, 0, 1))
+        return sparse.add(sparse.add(t1, t2), t3)
+
+    monkeypatch.setattr(twisted, "twisted_jacobi_defect", swapped)
+    assert audit_extension(BOUNDS["degree"])["jacobi"] == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+
+
+def test_audit_sees_a_leibniz_rule_without_its_realignment(monkeypatch):
+    def unaligned(br, u, v, w):
+        # v (x) {u, w} left in block order instead of between u's and w's slots
+        terms = sparse.add(br.extend(u + v, w), sparse.scale(tensor({u: 1}, br.extend(v, w)), -1))
+        return sparse.add(terms, sparse.scale(tensor({v: 1}, br.extend(u, w)), -1))
+
+    monkeypatch.setattr(twisted, "twisted_leibniz_defect", unaligned)
+    assert audit_extension(BOUNDS["degree"])["leibniz"] == {
+        (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)
+    }
+
+
+def test_audit_repeats_exactly_in_one_process():
+    assert audit_extension(4) == audit_extension(4)
+    assert audit_extension(4, skew=False) == audit_extension(4, skew=False)
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,24 @@ from ybalg.algebras import (
 )
 from ybalg.linfty import sign_odd
 from ybalg.tensoralg import TensorMap, columns, embed_components, word_permute, words
+from infty_helpers import (
+    abelian_lie,
+    assoc_pair_product,
+    cybe_infty_sum,
+    matrix_element_to_map,
+    matrix_map_to_element,
+    scalar_algebra,
+)
 from ybalg.ybe_infty import (
     InftyReport,
     LieStructure,
     RnFamily,
     _pair_product,
-    abelian_lie,
-    assoc_pair_product,
     aybe_infty_residual,
     aybe_infty_sum,
     classical_aybe_element,
     classical_cybe_element,
     cybe_infty_residual,
-    cybe_infty_sum,
     cyclic_selections,
     double_leibniz_defects,
     full_selections,
@@ -44,9 +49,6 @@ from ybalg.ybe_infty import (
     jacobi_infty_residual,
     lie_pair_bracket,
     matrix_algebra,
-    matrix_element_to_map,
-    matrix_map_to_element,
-    scalar_algebra,
     shuffle_selections,
     skew_clause_defects,
 )
