@@ -43,13 +43,7 @@ from .fixtures import (
 from .harness import Job, JobSpec, Report, default_suite, fixture_search, run_suite
 from .io import SchemaError, parse_inputs
 from .sparse import frac
-from .tensoralg import (
-    TensorMap,
-    apply_permutation,
-    block_permutation_expand,
-    embed_components,
-    sigma_prime,
-)
+from .tensoralg import TensorMap, embed_components
 from .ybe import (
     ResidualReport,
     aybe_residual,
@@ -68,9 +62,7 @@ __all__ = [
     "ResidualReport",
     "SchemaError",
     "TensorMap",
-    "apply_permutation",
     "aybe_residual",
-    "block_permutation_expand",
     "cae_defect",
     "check",
     "cybe_residual",
@@ -84,7 +76,6 @@ __all__ = [
     "random_skew_map",
     "run_suite",
     "search_skew_solutions",
-    "sigma_prime",
     "skew_defect",
     "unitarity_defect",
     "__version__",

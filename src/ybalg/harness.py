@@ -537,35 +537,21 @@ def _run_linfty_extension(spec: JobSpec):
 
 
 def _run_ybe_infty_classical(spec: JobSpec):
-    g = ybe_infty.gl_lie(2)
-    r2 = {(1, 1): Fraction(1)}  # the nilpotent generator paired with itself
-    fam = ybe_infty.RnFamily(4, {2: dict(r2)})
-    classical_report = ybe_infty.cybe_infty_residual(
-        g, fam, 3, literal_shuffles=spec.literal_shuffles
+    # the nilpotent generator paired with itself
+    fam = ybe_infty.RnFamily(4, {2: {(1, 1): Fraction(1)}})
+    reports = (
+        ybe_infty.cybe_infty_residual(
+            ybe_infty.gl_lie(2), fam, 3, literal_shuffles=spec.literal_shuffles
+        ),
+        ybe_infty.aybe_infty_residual(ybe_infty.matrix_algebra(2), fam, 3),
     )
-    algebra = ybe_infty.matrix_algebra(2)
-    associative_report = ybe_infty.aybe_infty_residual(algebra, fam, 3)
-    agree_c = (
-        dict(classical_report.readings[0].terms)
-        == ybe_infty.classical_cybe_element(g, r2)
-    )
-    agree_a = (
-        dict(associative_report.readings[0].terms)
-        == ybe_infty.classical_aybe_element(algebra, r2)
-    )
-    lines = ["[classical flavor]"]
-    lines.extend(classical_report.lines())
-    lines.append("[associative flavor]")
-    lines.extend(associative_report.lines())
-    lines.append(f"shuffle reading equals the classical bracket sum: {agree_c}")
-    lines.append(f"cyclic reading equals the classical product sum: {agree_a}")
-    ok = (
-        agree_c
-        and agree_a
-        and classical_report.passed
-        and associative_report.passed
-    )
-    return _verdict(ok), lines
+    lines = []
+    for flavor, report in zip(("classical", "associative"), reports):
+        lines.append(f"[{flavor} flavor]")
+        lines.extend(report.lines())
+    lines.append(f"shuffle reading equals the classical bracket sum: {reports[0].classical_equal}")
+    lines.append(f"cyclic reading equals the classical product sum: {reports[1].classical_equal}")
+    return _verdict(all(r.classical_equal and r.passed for r in reports)), lines
 
 
 def _run_schurweyl_anchor(spec: JobSpec):

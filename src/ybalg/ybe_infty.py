@@ -9,7 +9,10 @@ power and no enveloping algebra is needed: Koszul signs come from the
 stable Koszul sort of the interleaved tensor factors by slot
 (:func:`ybalg.tensoralg.koszul_sort`), and at the shared slot the two
 factors meet in a supercommutator (Lie case) or a product (associative
-case).
+case).  The grading that drives those signs comes from the Lie structure
+on the classical side, where the family's degrees must match it, and from
+the family itself on the associative side, where its degrees must grade the
+algebra's products.
 
 Map side: an n-ary bracket family ``{}_k`` acting on tensor powers of a
 truncated algebra's basis alphabet.  The cyclic residual generalizes the
@@ -38,9 +41,10 @@ from typing import Mapping
 from . import sparse
 from .algebras import TruncatedAlgebra, TruncationOverflow, first_failure, scan
 from .double import leibniz_defect, skew_defect
-from .linfty import shuffles, sign_odd
+from .linfty import all_orders, shuffles, sign_odd
 from .sparse import ONE, frac
 from .tensoralg import Tensor, TensorMap, Word, columns, embed_components, koszul_sort, words
+from .ybe import witness_str
 
 Element = dict[int, Fraction]
 
@@ -230,24 +234,17 @@ def lie_pair_bracket(g: LieStructure, x: Tensor, slots_x, y: Tensor, slots_y, n:
 # selections
 
 
-def shuffle_selections(n: int, i: int) -> list[tuple[int, ...]]:
-    """The (i, n-i)-shuffles of ``range(n)`` as image tuples."""
-    return shuffles(i, n - i)
-
-
-def full_selections(n: int) -> list[tuple[int, ...]]:
-    """All of S_n, the unrestricted transcription of the display."""
-    return [tuple(p) for p in itertools.permutations(range(n))]
-
-
 def cyclic_selections(n: int) -> list[tuple[int, ...]]:
     """The n cyclic rotations of ``range(n)``."""
     return [tuple((k + c) % n for k in range(n)) for c in range(n)]
 
 
-def _check_family(fam: RnFamily, dim: int, degrees) -> None:
-    if fam.dim != dim or fam.degrees != tuple(degrees):
-        raise ValueError("family does not match the algebra basis")
+def _check_family(fam: RnFamily, dim: int, degrees=None) -> None:
+    """Refuse a family over another alphabet, or graded unlike ``degrees``."""
+    if fam.dim != dim:
+        raise ValueError(f"family dim {fam.dim} does not match the algebra's dim {dim}")
+    if degrees is not None and fam.degrees != tuple(degrees):
+        raise ValueError(f"family degrees {fam.degrees} do not match the algebra's {tuple(degrees)}")
 
 
 def _bracket_degrees(nbasis: int, super_degrees) -> tuple[int, ...]:
@@ -285,24 +282,28 @@ def _split_sum(components, n: int, selections, term) -> dict:
 
 
 def _cybe_sum(g: LieStructure, fam: RnFamily, n: int, reading: str) -> Tensor:
-    def selections(i):
-        return full_selections(n) if reading == "literal" else shuffle_selections(n, i)
+    selections = all_orders if reading == "literal" else shuffles
 
     def term(x, slots_x, y, slots_y, sel):
         return _pair_product(g.bracket_basis, g.degrees, x, slots_x, y, slots_y, n).items()
 
-    return _split_sum(fam.elements, n, selections, term)
+    return _split_sum(fam.elements, n, lambda i: selections(i, n - i), term)
 
 
-def aybe_infty_sum(
-    algebra: TruncatedAlgebra, fam: RnFamily, n: int, super_degrees=None
-) -> Tensor:
-    """The n-th associative residual over the cyclic selections."""
+def aybe_infty_sum(algebra: TruncatedAlgebra, fam: RnFamily, n: int) -> Tensor:
+    """The n-th associative residual over the cyclic selections, graded by
+    ``fam.degrees``, which must grade every product of the table."""
     ok, failure, _ = algebra.check_associativity()
     if not ok:
         raise ValueError(f"structure constants are not associative: {failure}")
-    degs = _bracket_degrees(algebra.nbasis, super_degrees)
-    _check_family(fam, algebra.nbasis, degs)
+    _check_family(fam, algebra.nbasis)
+    degs = fam.degrees
+    for (i, j), entry in sorted(algebra.table.items()):
+        if any(degs[k] != degs[i] + degs[j] for k in entry):
+            raise ValueError(
+                f"family degrees do not grade the products:"
+                f" {algebra.labels[i]} * {algebra.labels[j]} is not degree-homogeneous"
+            )
 
     def term(x, slots_x, y, slots_y, sel):
         return _pair_product(algebra.mul_basis, degs, x, slots_x, y, slots_y, n).items()
@@ -357,6 +358,7 @@ class InftyReport:
     readings: tuple[ReadingResult, ...]
     notes: tuple[str, ...]
     conventions: tuple[tuple[str, str], ...]
+    classical_equal: bool | None  # first reading == three-term sum; n=3 and r_2 only
 
     @property
     def passed(self) -> bool:
@@ -405,6 +407,7 @@ def cybe_infty_residual(
         _reading_result(name, _cybe_sum(g, fam, n, name)) for name in ("shuffle", "literal")
     )
     notes: list[str] = []
+    classical_equal = None
     if n == 3 and fam.arities == (2,):
         r2 = fam.component(2)
         single = lie_pair_bracket(g, r2, (1, 2), r2, (1, 0), 3)
@@ -414,14 +417,12 @@ def cybe_infty_residual(
             f" [r^23, r^21]: {reduced}"
         )
         classical = classical_cybe_element(g, r2)
+        classical_equal = dict(readings[0].terms) == classical
         notes.append(
             "classical three-term bracket sum [r^12,r^13]+[r^12,r^23]+[r^13,r^23]:"
             f" {'zero' if not classical else 'nonzero'}"
         )
-        notes.append(
-            "shuffle reading equals the classical sum:"
-            f" {dict(readings[0].terms) == classical}"
-        )
+        notes.append(f"shuffle reading equals the classical sum: {classical_equal}")
     return InftyReport(
         kind="cybe-infty",
         n=n,
@@ -436,32 +437,31 @@ def cybe_infty_residual(
             ("shared slot", _SHARED_SLOT_NOTE),
             ("split sign", "(-1)^i on the (i, n+1-i) split"),
         ),
+        classical_equal=classical_equal,
     )
 
 
-def aybe_infty_residual(
-    algebra: TruncatedAlgebra, fam: RnFamily, n: int, super_degrees=None
-) -> InftyReport:
-    """The n-th associative residual; the cyclic reading is the only one.
-    A product past the window is an input error, a ``ValueError`` naming it."""
+def aybe_infty_residual(algebra: TruncatedAlgebra, fam: RnFamily, n: int) -> InftyReport:
+    """The n-th associative residual, graded by ``fam.degrees``; the cyclic
+    reading is the only one.  A product past the window, or one the degrees
+    do not grade, is an input error, a ``ValueError`` naming it."""
     try:
-        residual = aybe_infty_sum(algebra, fam, n, super_degrees)
+        residual = aybe_infty_sum(algebra, fam, n)
         classical = None
         if n == 3 and fam.arities == (2,):
-            classical = classical_aybe_element(algebra, fam.component(2), super_degrees)
+            classical = classical_aybe_element(algebra, fam.component(2), fam.degrees)
     except TruncationOverflow as err:
         raise ValueError(f"the residual needs a product outside the window: {err}") from None
     readings = (_reading_result("cyclic", residual),)
     notes: list[str] = []
+    classical_equal = None
     if classical is not None:
+        classical_equal = residual == classical
         notes.append(
             "classical three-term product sum r^12 r^13 - r^23 r^12 + r^13 r^23:"
             f" {'zero' if not classical else 'nonzero'}"
         )
-        notes.append(
-            f"cyclic residual equals the classical sum:"
-            f" {dict(readings[0].terms) == classical}"
-        )
+        notes.append(f"cyclic residual equals the classical sum: {classical_equal}")
     return InftyReport(
         kind="aybe-infty",
         n=n,
@@ -475,6 +475,7 @@ def aybe_infty_residual(
             ("shared slot", _SHARED_SLOT_NOTE),
             ("split sign", "(-1)^i on the (i, n+1-i) split"),
         ),
+        classical_equal=classical_equal,
     )
 
 
@@ -621,11 +622,7 @@ class DoubleInftyReport:
         else:
             out.append(f"residual zero: {self.residual_zero}")
             if self.residual_witness is not None:
-                o, w, c = self.residual_witness
-                out.append(
-                    f"  witness: out=({','.join(map(str, o))})"
-                    f" in=({','.join(map(str, w))}) value={c}"
-                )
+                out.append(f"  witness: {witness_str(self.residual_witness)}")
         out.append(
             "double-leibniz clause: "
             + ("holds" if not self.leibniz_defects else "FAILS")

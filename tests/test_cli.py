@@ -714,6 +714,95 @@ class TestCliCommands:
         assert code == 2
         assert "flavor assoc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "components, n, cyclic, verdict, code",
+        [
+            ("component 1: 1 : 1\ncomponent 2: 0,3 : 1\n", 2,
+             ["reading cyclic: nonzero (2 terms)", "  witness: (1,3) -> 1"], "FAIL", 1),
+            ("component 1: 1 : 1\ncomponent 2: 0,3 : 1\n", 3,
+             ["reading cyclic: nonzero (3 terms)", "  witness: (0,3,3) -> 1"], "FAIL", 1),
+            ("component 2: 1,2 : 1/2\ncomponent 3: 2,0,0 : 1\n", 2,
+             ["reading cyclic: zero"], "PASS", 0),
+            ("component 2: 1,2 : 1/2\ncomponent 3: 2,0,0 : 1\n", 3,
+             ["reading cyclic: zero"], "PASS", 0),
+        ],
+    )
+    def test_ybe_infty_aybe_graded_families(
+        self, tmp_path, capsys, components, n, cyclic, verdict, code
+    ):
+        # the gl(1|1) grading of the matrix units; the expected lines are those
+        # the residual gave when the same degrees were passed to it separately
+        algebra_path = write(
+            tmp_path, "mat.txt", io.dump_associative_algebra(matrix_algebra(2))
+        )
+        fam_path = write(
+            tmp_path, "fam.txt",
+            "ybalg schema/1 rn-family\ndim: 4\ndegrees: 0 1 -1 0\n" + components,
+        )
+        argv = [
+            "ybe-infty", "check", "--kind", "aybe", "--algebra", algebra_path,
+            "--family", fam_path, "--n", str(n),
+        ]
+        assert main(argv) == code
+        arities = "1,2" if "component 1" in components else "2,3"
+        expected = [
+            "--- ybe-infty-check ---",
+            "check: aybe-infty", f"n: {n}", "dim: 4", f"arities: {arities}", *cyclic,
+            "governing reading: cyclic", f"result: {verdict}",
+            "convention cyclic reading: sum over the n cyclic rotations of range(n)",
+            "convention shared slot: both tensors of a split use the first selected slot;"
+            " the overlap carries the supercommutator/product",
+            "convention split sign: (-1)^i on the (i, n+1-i) split",
+            f"verdict ybe-infty-check: {verdict}", f"result: {verdict}",
+        ]
+        assert capsys.readouterr().out.endswith("\n".join(expected) + "\n")
+
+    @pytest.mark.parametrize(
+        "kind, family, message",
+        [
+            (
+                "aybe",
+                "dim: 4\ndegrees: 1 -1 0 0\ncomponent 2: 0,1 : 1\n",
+                "error: family degrees do not grade the products:"
+                " e11 * e11 is not degree-homogeneous\n",
+            ),
+            (
+                "aybe",
+                "dim: 2\ncomponent 2: 0,1 : 1\n",
+                "error: family dim 2 does not match the algebra's dim 4\n",
+            ),
+            (
+                "cybe",
+                "dim: 2\ncomponent 2: 0,1 : 1\n",
+                "error: family dim 2 does not match the algebra's dim 4\n",
+            ),
+            (
+                "cybe",
+                "dim: 4\ndegrees: 0 1 -1 0\ncomponent 2: 1,2 : 1\n",
+                "error: family degrees (0, 1, -1, 0) do not match"
+                " the algebra's (0, 0, 0, 0)\n",
+            ),
+        ],
+    )
+    def test_ybe_infty_family_refusals_say_what_differs(
+        self, tmp_path, capsys, kind, family, message
+    ):
+        structure = matrix_algebra(2) if kind == "aybe" else gl_lie(2)
+        dump = io.dump_associative_algebra if kind == "aybe" else io.dump_lie_structure
+        algebra_path = write(tmp_path, "algebra.txt", dump(structure))
+        fam_path = write(tmp_path, "fam.txt", "ybalg schema/1 rn-family\n" + family)
+        for n in ("2", "3"):
+            code = main(
+                [
+                    "ybe-infty", "check", "--kind", kind, "--algebra", algebra_path,
+                    "--family", fam_path, "--n", n,
+                ]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.err == message
+            assert captured.out == ""
+
     def test_schurweyl_decompose(self, tmp_path, capsys):
         path = write(
             tmp_path,

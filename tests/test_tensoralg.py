@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from ybalg import sparse
 from ybalg.tensoralg import (
     TensorMap,
-    apply_permutation,
-    block_permutation_expand,
     embed_components,
     identity_perm,
     koszul_sort,
@@ -18,10 +16,10 @@ from ybalg.tensoralg import (
     perm_inverse,
     perm_sign,
     perm_str,
-    sigma_prime,
     word_permute,
     words,
 )
+from perm_reference import apply_permutation, block_permutation_expand, sigma_prime
 
 perms3 = st.permutations(range(3)).map(tuple)
 perms4 = st.permutations(range(4)).map(tuple)

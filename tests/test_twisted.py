@@ -14,14 +14,8 @@ from ybalg.fixtures import (
     sl2_poisson_bracket,
 )
 from ybalg.harness import BOUNDS
-from ybalg.tensoralg import (
-    TensorMap,
-    apply_permutation,
-    block_permutation_expand,
-    perm_inverse,
-    sigma_prime,
-    words,
-)
+from ybalg.tensoralg import TensorMap, perm_inverse, words
+from perm_reference import apply_permutation, block_permutation_expand, sigma_prime
 from ybalg.twisted import (
     PolynomialPoissonBracket,
     TensorWordBracket,

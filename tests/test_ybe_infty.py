@@ -21,7 +21,7 @@ from ybalg.algebras import (
     path_algebra,
     scan,
 )
-from ybalg.linfty import sign_odd
+from ybalg.linfty import all_orders, shuffles, sign_odd
 from ybalg.tensoralg import TensorMap, columns, embed_components, word_permute, words
 from infty_helpers import (
     abelian_lie,
@@ -43,13 +43,11 @@ from ybalg.ybe_infty import (
     cybe_infty_residual,
     cyclic_selections,
     double_leibniz_defects,
-    full_selections,
     gl_lie,
     jacobi_infty_check,
     jacobi_infty_residual,
     lie_pair_bracket,
     matrix_algebra,
-    shuffle_selections,
     skew_clause_defects,
 )
 
@@ -294,7 +292,7 @@ class TestPairOperations:
         cases = [(A.mul_basis, (0, 1, 1, 0), 4), (g.bracket_basis, g.degrees, 3)]
         rng = random.Random(40 + n)
         for resolve, degrees, dim in cases:
-            for sel in full_selections(n):
+            for sel in itertools.permutations(range(n)):
                 for i in range(1, n + 1):
                     slots_x, slots_y = sel[:i], (sel[0],) + sel[i:]
                     x = random_element(rng, dim, len(slots_x), lo=-4, hi=4)
@@ -315,16 +313,25 @@ class TestPairOperations:
 class TestSelections:
     @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
     def test_shuffle_counts(self, i, j):
-        n = i + j
-        assert len(shuffle_selections(n, i)) == math.comb(n, i)
+        assert len(shuffles(i, j)) == math.comb(i + j, i)
 
     def test_shuffle_shapes(self):
-        assert shuffle_selections(3, 2) == [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
+        assert shuffles(2, 1) == [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
+        # the shuffle reading's selections increase on head and tail, in this order
+        for n in range(1, 6):
+            for i in range(1, n + 1):
+                assert shuffles(i, n - i) == [
+                    p for p in itertools.permutations(range(n))
+                    if list(p[:i]) == sorted(p[:i]) and list(p[i:]) == sorted(p[i:])
+                ]
 
     def test_full_selections(self):
-        assert sorted(full_selections(3)) == sorted(
-            itertools.permutations(range(3))
-        )
+        # the literal reading takes all of S_n, in this order, whatever the split
+        for n in range(1, 6):
+            for i in range(1, n + 1):
+                assert list(all_orders(i, n - i)) == [
+                    tuple(p) for p in itertools.permutations(range(n))
+                ]
 
     def test_cyclic_selections(self):
         assert cyclic_selections(3) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -519,8 +526,29 @@ class TestAybeInfty:
         lengths = tuple(F.degrees)
         x0 = F.index("x0")
         fam = RnFamily(F.nbasis, {1: {(x0,): ONE}}, degrees=lengths)
-        total = aybe_infty_sum(F, fam, 1, super_degrees=lengths)
+        total = aybe_infty_sum(F, fam, 1)
         assert total == {(F.index("x0x0"),): -ONE}
+
+
+class TestClassicalEqual:
+    def test_suite_family_agrees_on_both_flavours(self):
+        fam = RnFamily(4, {2: {(1, 1): ONE}})
+        assert cybe_infty_residual(gl_lie(2), fam, 3).classical_equal is True
+        assert aybe_infty_residual(matrix_algebra(2), fam, 3).classical_equal is True
+
+    def test_disagreeing_family_on_both_flavours(self):
+        fam = RnFamily(4, {2: {(0, 1): ONE}})
+        for report in (
+            cybe_infty_residual(gl_lie(2), fam, 3),
+            aybe_infty_residual(matrix_algebra(2), fam, 3),
+        ):
+            assert report.classical_equal is False
+            assert report.notes[-1].endswith("equals the classical sum: False")
+
+    def test_none_away_from_n_three(self):
+        fam = RnFamily(4, {2: {(1, 1): ONE}})
+        assert cybe_infty_residual(gl_lie(2), fam, 4).classical_equal is None
+        assert aybe_infty_residual(matrix_algebra(2), fam, 2).classical_equal is None
 
 
 class TestJacobiInfty:
