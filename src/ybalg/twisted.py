@@ -27,10 +27,10 @@ Every realignment above moves whole blocks of slots, so it is applied by
 cutting each word into its blocks and concatenating them in the new order
 (:func:`_regroup`); no slot permutation is expanded.
 
-:func:`check_bracket_extension` checks a map that is not skew on every word
-tuple.  A skew map rests on the theorem that skew classical solutions are the
-twisted Poisson structures: Jacobi on letter triples (the classical residual),
-the rest proved per length pattern by a formal audit, :func:`audit_extension`.
+:func:`check_bracket_extension` scans Jacobi on letter triples (for a skew
+map, the classical residual) and what the formal audit of the map's own
+symmetry, :func:`audit_extension`, leaves open: for a skew map nothing (skew
+classical solutions are the twisted Poisson structures), for any map no Leibniz.
 
 For a space placed in degree 0 the same extension scheme is the classical
 Poisson one on a polynomial algebra (all realignments become trivial);
@@ -283,13 +283,12 @@ def check_bracket_extension(r: TensorMap, max_degree: int) -> BracketReport:
     """Verify antisymmetry, Jacobi, Leibniz, and route agreement up to a degree.
 
     The report carries each family's first failing tuple of basis words of
-    total length at most ``max_degree``.  A skew map is checked on its letter
-    triples for Jacobi and on the length patterns :func:`audit_extension` leaves
-    open; letter triples come first, so each witness is the full scan's.
+    total length at most ``max_degree``.  Only the length patterns that
+    :func:`audit_extension` leaves open for the map's symmetry are scanned,
+    plus Jacobi's letter triples; these come first, so each witness is the
+    full scan's.
     """
-    if not is_skew(r):
-        return _families(r, max_degree)
-    literal = audit_extension(max_degree)
+    literal = audit_extension(max_degree, is_skew(r))
     literal["jacobi"].add((1, 1, 1))
     return _families(r, max_degree, literal)
 
@@ -339,7 +338,7 @@ def _letterwise_jacobi(br: TensorWordBracket, u: Word, v: Word, w: Word) -> Tens
     return sparse.purge(total)
 
 
-def audit_extension(max_degree: int, skew: bool = True) -> dict[str, set[tuple[int, ...]]]:
+def audit_extension(max_degree: int, skew: bool) -> dict[str, set[tuple[int, ...]]]:
     """The length patterns, per family, on which the formal audit fails.
 
     A pattern's words are distinct atoms ``(0, k)`` of a :class:`_FormalBracket`,

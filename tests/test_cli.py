@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,11 +18,13 @@ from ybalg.double import one_variable_lambda_bracket
 from ybalg.fixtures import (
     SkewOrbitForm,
     diagonal_unitary_qybe_solution,
+    random_map,
     search_skew_solutions,
 )
 from ybalg.harness import Job, JobSpec, Report, default_suite, fixture_search, run_suite
 from ybalg.linfty import homotopy_fixture
 from ybalg.tensoralg import TensorMap
+from ybalg.twisted import _families
 from ybalg.ybe_infty import RnFamily, gl_lie, matrix_algebra
 
 
@@ -564,6 +567,18 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "antisymmetry" in out
         assert "jacobi" in out
+
+    def test_poisson_verify_dense_map_that_is_not_skew(self, tmp_path, capsys):
+        r = random_map(6, 2, random.Random(0), density=1.0)
+        assert not ybe.is_skew(r)
+        path = write(tmp_path, "dense6.txt", io.dump_tensor_map(r))
+        assert main(["poisson", "verify", "--r", path, "--max-degree", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "internal error:" not in captured.out + captured.err
+        section = [
+            "--- poisson-verify ---", *_families(r, 4).lines(), "verdict poisson-verify: FAIL"
+        ]
+        assert captured.out.endswith("\n".join(section) + "\nresult: FAIL\n")
 
     def test_quiver_build_path(self, tmp_path, capsys):
         q = Quiver(("u", "v"), (("a", "u", "v"), ("b", "v", "u")))

@@ -356,7 +356,9 @@ def test_skew_grid_sees_jacobi_failures_and_vacuous_degree_two():
     assert check_bracket_extension(r, 2).lines()[2] == "jacobi: PASS"
 
 
-def test_skew_maps_evaluate_only_letter_triples(monkeypatch):
+def record_concrete_evaluations(monkeypatch):
+    """The defect and recursive-route evaluations on a concrete bracket, as
+    ``(name, argument lengths)``; the formal audit's are not recorded."""
     calls = []
     for name in ("twisted_skew_defect", "twisted_jacobi_defect", "twisted_leibniz_defect"):
 
@@ -374,39 +376,87 @@ def test_skew_maps_evaluate_only_letter_triples(monkeypatch):
         return extend_recursive(br, v, w)
 
     monkeypatch.setattr(TensorWordBracket, "extend_recursive", recording_route)
+    return calls
+
+
+def test_skew_maps_evaluate_only_letter_triples(monkeypatch):
+    calls = record_concrete_evaluations(monkeypatch)
     report = check_bracket_extension(skew_grid_map("abelian", 3, 0), 4)
     assert report.passed
     assert calls == [("twisted_jacobi_defect", (1, 1, 1))] * 27
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 3)])
-def test_non_skew_maps_take_the_literal_families(monkeypatch, dim, seed):
+def test_non_skew_maps_evaluate_no_leibniz_defect(monkeypatch, dim, seed):
     r = seeded_non_skew(seed, dim)
     assert not is_skew(r)
-
-    def no_audit(max_degree, skew=True):
-        raise AssertionError("a map that is not skew has no audit to rest on")
-
-    monkeypatch.setattr(twisted, "audit_extension", no_audit)
+    calls = record_concrete_evaluations(monkeypatch)
     report = check_bracket_extension(r, 3)
+    # the audit of a table that is not skew proves Leibniz for every map
+    assert calls and [name for name, _ in calls if name == "twisted_leibniz_defect"] == []
+    monkeypatch.undo()
     assert report.lines() == _families(r, 3).lines()
     assert not report.passed
 
 
+def skew_plus_one_entry(dim, rng):
+    """A random skew map with one entry added, which leaves it not skew."""
+    out_w, in_w = rng.choice(list(words(dim, 2))), rng.choice(list(words(dim, 2)))
+    return random_skew_map(dim, rng) + TensorMap(dim, 2, 2, {(out_w, in_w): 1})
+
+
+NON_SKEW_GRID = [
+    (kind, dim, density, seed)
+    for kind in ("random", "skew+1")
+    for dim in (1, 2, 3, 4)
+    for density in ((0.3, 1.0) if kind == "random" else (None,))
+    for seed in (1, 3)
+]
+
+
+@pytest.mark.parametrize("kind,dim,density,seed", NON_SKEW_GRID)
+def test_non_skew_reports_match_the_literal_families(kind, dim, density, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        r = random_map(dim, 2, rng, density=density)
+    else:
+        r = skew_plus_one_entry(dim, rng)
+    assert not is_skew(r)
+    for max_degree in (2, 3, 4, 5):
+        report = check_bracket_extension(r, max_degree)
+        assert report.lines() == _families(r, max_degree).lines(), (max_degree, report.lines())
+
+
+@st.composite
+def small_maps(draw):
+    """A map on the tensor square of dim 1 to 3 with few small entries,
+    antisymmetrized (so skew) half the time."""
+    dim = draw(st.integers(1, 3))
+    pairs = st.sampled_from(list(words(dim, 2)))
+    entries = draw(st.dictionaries(st.tuples(pairs, pairs), st.integers(-2, 2), max_size=6))
+    r = TensorMap(dim, 2, 2, entries)
+    return r - r.r21() if draw(st.booleans()) else r
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_maps(), st.integers(2, 4))
+def test_reports_match_the_literal_families_for_any_map(r, max_degree):
+    assert check_bracket_extension(r, max_degree).lines() == _families(r, max_degree).lines()
+
+
 def test_patterns_the_audit_leaves_open_are_checked_literally(monkeypatch):
-    # with no pattern settled, the skew path scans every tuple as before
+    # with no pattern settled, every tuple is scanned as by the literal families
     monkeypatch.setattr(
         twisted,
         "audit_extension",
-        lambda max_degree: {
+        lambda max_degree, skew: {
             name: {tuple(map(len, t)) for t in _word_tuples(1, arity, max_degree)}
             for name, arity in (
                 ("antisymmetry", 2), ("jacobi", 3), ("leibniz", 3), ("route-agreement", 2)
             )
         },
     )
-    for kind in ("random", "abelian"):
-        r = skew_grid_map(kind, 2, 1)
+    for r in (skew_grid_map("random", 2, 1), skew_grid_map("abelian", 2, 1), seeded_non_skew(1, 2)):
         assert check_bracket_extension(r, 4).lines() == _families(r, 4).lines()
 
 
@@ -414,8 +464,8 @@ FAMILIES = ("antisymmetry", "jacobi", "leibniz", "route-agreement")
 
 
 def test_audit_reduces_every_pattern_up_to_the_degree_bound():
-    assert audit_extension(BOUNDS["degree"]) == {name: set() for name in FAMILIES}
-    assert audit_extension(BOUNDS["degree"] + 1) == {name: set() for name in FAMILIES}
+    assert audit_extension(BOUNDS["degree"], skew=True) == {name: set() for name in FAMILIES}
+    assert audit_extension(BOUNDS["degree"] + 1, skew=True) == {name: set() for name in FAMILIES}
 
 
 def test_audit_with_a_table_that_is_not_skew_fails():
@@ -436,7 +486,9 @@ def test_audit_sees_a_swapped_jacobi_realignment(monkeypatch):
         return sparse.add(sparse.add(t1, t2), t3)
 
     monkeypatch.setattr(twisted, "twisted_jacobi_defect", swapped)
-    assert audit_extension(BOUNDS["degree"])["jacobi"] == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+    assert audit_extension(BOUNDS["degree"], skew=True)["jacobi"] == {
+        (1, 1, 2), (1, 2, 1), (2, 1, 1)
+    }
 
 
 def test_audit_sees_a_leibniz_rule_without_its_realignment(monkeypatch):
@@ -446,13 +498,13 @@ def test_audit_sees_a_leibniz_rule_without_its_realignment(monkeypatch):
         return sparse.add(terms, sparse.scale(tensor({v: 1}, br.extend(u, w)), -1))
 
     monkeypatch.setattr(twisted, "twisted_leibniz_defect", unaligned)
-    assert audit_extension(BOUNDS["degree"])["leibniz"] == {
+    assert audit_extension(BOUNDS["degree"], skew=True)["leibniz"] == {
         (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)
     }
 
 
 def test_audit_repeats_exactly_in_one_process():
-    assert audit_extension(4) == audit_extension(4)
+    assert audit_extension(4, skew=True) == audit_extension(4, skew=True)
     assert audit_extension(4, skew=False) == audit_extension(4, skew=False)
 
 
