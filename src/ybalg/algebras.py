@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -229,18 +228,44 @@ def free_algebra(dim: int, cap: int, mode: str = "window") -> TruncatedAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Quiver:
+    """Distinct vertex names and uniquely labelled edges; immutable."""
+
+    __slots__ = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]  # (label, source, target)
 
-    def __post_init__(self):
-        labels = [e[0] for e in self.edges]
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str, str], ...]):
+        seen: set[str] = set()
+        for vertex in vertices:
+            if vertex in seen:
+                raise ValueError(f"duplicate vertex {vertex!r}")
+            seen.add(vertex)
+        labels = [e[0] for e in edges]
         if len(set(labels)) != len(labels):
             raise ValueError("edge labels must be unique")
-        for label, src, tgt in self.edges:
-            if src not in self.vertices or tgt not in self.vertices:
+        for label, src, tgt in edges:
+            if src not in seen or tgt not in seen:
                 raise ValueError(f"edge {label} has an endpoint off the vertex list")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Quiver is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Quiver is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def is_strongly_connected(self) -> bool:
         if len(self.vertices) <= 1:

@@ -26,9 +26,9 @@ n-ary checks are their general case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import sparse
 from .algebras import TruncatedAlgebra, TruncationOverflow, first_failure, scan
@@ -250,8 +250,7 @@ def dbjac_residual(db: DoubleBracket, i: int, j: int, k: int) -> Elt3:
     return sparse.purge(total)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     passed: bool
     witness: tuple | None
@@ -265,8 +264,7 @@ class AxiomCheck:
         return f"{self.name}: FAIL at ({args}){tail}"
 
 
-@dataclass(frozen=True)
-class DoubleAxiomReport:
+class DoubleAxiomReport(NamedTuple):
     algebra_kind: str
     checks: tuple[AxiomCheck, ...]
     conventions: tuple[tuple[str, str], ...]
@@ -329,8 +327,7 @@ def double_jacobi_residual_map(r: TensorMap) -> TensorMap:
     return table_residuals(r, JACOBI_PRODUCTS)[0]
 
 
-@dataclass(frozen=True)
-class JacobiToAybeReport:
+class JacobiToAybeReport(NamedTuple):
     dim: int
     r_is_skew: bool
     residual_zero: bool
@@ -400,8 +397,7 @@ def double_lie_iff_skew_aybe(r: TensorMap) -> tuple[bool, bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultCompareReport:
+class MultCompareReport(NamedTuple):
     algebra_kind: str
     leibniz_precondition: bool
     cybe_precondition: bool
@@ -524,8 +520,7 @@ def _diff_op(algebra: TruncatedAlgebra, a: int, t: dict, slots=(0, 1)) -> dict:
     return sparse.purge(out)
 
 
-@dataclass(frozen=True)
-class CommutativeRemarkReport:
+class CommutativeRemarkReport(NamedTuple):
     commutative: bool
     leibniz_precondition: bool
     chain_holds: bool

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import sparse, ybe
 from .linalg import Terms, rank, rref
@@ -221,13 +220,36 @@ def _verify_braid_relations(gens: Sequence[TensorMap]) -> None:
                 )
 
 
-@dataclass(frozen=True)
 class RPermutationAction:
-    """Generators of the twisted ``S_m`` action."""
+    """Generators of the twisted ``S_m`` action; immutable, and its length
+    is the number of generators."""
 
+    __slots__ = ("dim", "m", "generators")
     dim: int
     m: int
     generators: tuple[TensorMap, ...]
+
+    def __init__(self, dim: int, m: int, generators: tuple[TensorMap, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: RPermutationAction is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: RPermutationAction is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.m, self.generators) == (other.dim, other.m, other.generators)
+
+    def __hash__(self):
+        return hash((self.dim, self.m, self.generators))
+
+    def __repr__(self):
+        return f"RPermutationAction(dim={self.dim!r}, m={self.m!r}, generators={self.generators!r})"
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -495,16 +517,14 @@ def hr_component_dual_basis(big_r: TensorMap, m: int) -> list[TensorMap]:
 # the decomposition report
 
 
-@dataclass(frozen=True)
-class PartitionBlock:
+class PartitionBlock(NamedTuple):
     partition: tuple[int, ...]
     rho_dim: int
     comodule_dim: int
     included: bool
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Multiplicity-free decomposition bookkeeping for one twist."""
 
     m: int

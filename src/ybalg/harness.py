@@ -14,10 +14,10 @@ fails before the check proper can run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import double, frt, io, linfty, operad, twisted, ybe, ybe_infty
 from .algebras import (
@@ -85,8 +85,7 @@ def fixture_search(kind: str, dim: int = 2, entry_values=(-1, 0, 1)):
 # job plumbing
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One check: its id, named input files, and string parameters."""
 
     check: str
@@ -108,8 +107,7 @@ class Job:
         return default
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     """Checks to run plus the convention flags and output destination."""
 
     jobs: tuple[Job, ...]
@@ -118,8 +116,7 @@ class JobSpec:
     output_path: str | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Per-check verdicts and section bodies, rendered deterministically."""
 
     version: str

@@ -373,8 +373,11 @@ def dump_rn_family(fam: RnFamily) -> str:
 def _parse_linfty_family(lines: _Lines) -> MultiBracketFamily:
     fields = lines.fields()
     path = lines.path
-    _, labels_text = _single(lines, fields, "labels")
+    n_labels, labels_text = _single(lines, fields, "labels")
     labels = tuple(labels_text.split())
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise SchemaError(f"duplicate label {label!r}", path, n_labels)
     n_deg, degrees_text = _single(lines, fields, "degrees")
     degrees = tuple(_int(t, path, n_deg) for t in degrees_text.split())
     basis = _located(n_deg, path, GradedBasis, labels, degrees)

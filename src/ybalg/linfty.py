@@ -45,9 +45,9 @@ the unary bracket it is the usual odd derivation
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import sparse
 from .algebras import TruncationOverflow, first_failure
@@ -161,14 +161,40 @@ def _axiom_sum(terms) -> dict:
     return sparse.purge(total)
 
 
-@dataclass(frozen=True)
 class GradedBasis:
+    """Distinct generator labels with one integer degree each; immutable."""
+
+    __slots__ = ("labels", "degrees")
     labels: tuple[str, ...]
     degrees: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.degrees):
+    def __init__(self, labels: tuple[str, ...], degrees: tuple[int, ...]):
+        if len(labels) != len(degrees):
             raise ValueError("labels and degrees must align")
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen:
+                raise ValueError(f"duplicate label {label!r}")
+            seen.add(label)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "degrees", degrees)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: GradedBasis is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: GradedBasis is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.degrees) == (other.labels, other.degrees)
+
+    def __hash__(self):
+        return hash((self.labels, self.degrees))
+
+    def __repr__(self):
+        return f"GradedBasis(labels={self.labels!r}, degrees={self.degrees!r})"
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -360,8 +386,7 @@ class ExtendedFamily:
         return _axiom_sum(self.axiom_terms(m, args))
 
 
-@dataclass(frozen=True)
-class ExtensionCheck:
+class ExtensionCheck(NamedTuple):
     name: str
     passed: bool
     witness: tuple | None
@@ -374,8 +399,7 @@ class ExtensionCheck:
         return f"{self.name}: FAIL at {self.witness}{tail}"
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     checks: tuple[ExtensionCheck, ...]
     audit_cross_terms_generated: int
     audit_cross_terms_surviving: int

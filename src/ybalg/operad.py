@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import sparse
 from .linalg import nullspace, rref
@@ -97,8 +96,7 @@ def _expand(tree, ext: ExtendedFamily) -> dict[tuple, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationTerm:
+class RelationTerm(NamedTuple):
     label: str
     build: Callable  # (b1, b2, b3) -> tree
 
@@ -154,8 +152,7 @@ def relation_basis(sym: str) -> list[RelationTerm]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     slot: int
     monomial: tuple  # the cross-term monomial whose coefficient must vanish
     row: tuple[Fraction, ...]
@@ -173,8 +170,7 @@ class Constraint:
         return f"slot {self.slot}, coefficient of {monomial_str(self.monomial)}: {lhs} = 0"
 
 
-@dataclass(frozen=True)
-class ObstructionSystem:
+class ObstructionSystem(NamedTuple):
     sym: str
     constraints: tuple[Constraint, ...]
     nullspace_basis: tuple[tuple[Fraction, ...], ...]
@@ -257,8 +253,7 @@ def _system(sym: str, slots) -> ObstructionSystem:
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     sym: str
     verdict: str  # operad name or "not distributive"
     relation_dim: int

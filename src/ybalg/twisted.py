@@ -44,10 +44,9 @@ evaluates a relation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import sparse
 from .algebras import first_failure
@@ -232,8 +231,7 @@ def _word_tuples(dim: int, arity: int, max_total: int, patterns=None):
                 yield from itertools.product(*(words(dim, n) for n in lengths))
 
 
-@dataclass(frozen=True)
-class BracketCheck:
+class BracketCheck(NamedTuple):
     name: str
     passed: bool
     # first failing instance: argument words plus first nonzero term
@@ -248,14 +246,11 @@ class BracketCheck:
         return f"{self.name}: FAIL at args [{arg_s}] term ({word_s}) = {coeff}"
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     dim: int
     max_degree: int
     checks: tuple[BracketCheck, ...]
-    conventions: tuple[tuple[str, str], ...] = field(
-        default_factory=lambda: tuple(sorted(CONVENTIONS.items()))
-    )
+    conventions: tuple[tuple[str, str], ...] = tuple(sorted(CONVENTIONS.items()))
 
     @property
     def passed(self) -> bool:
@@ -363,8 +358,7 @@ def audit_extension(max_degree: int, skew: bool) -> dict[str, set[tuple[int, ...
     return failed
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     """Object-level correspondence between generator tables and brackets."""
 
     dim: int

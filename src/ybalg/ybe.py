@@ -14,8 +14,8 @@ r21 conventions live in :mod:`ybalg.tensoralg`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import sparse
 from .sparse import Scalar
@@ -255,8 +255,7 @@ def witness_str(witness: tuple[Word, Word, Scalar]) -> str:
     return f"out=({o_s}) in=({i_s}) value={c}"
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Outcome of one residual check, with enough context to reproduce it."""
 
     kind: str
@@ -264,8 +263,8 @@ class ResidualReport:
     passed: bool
     witness: tuple[Word, Word, Scalar] | None
     conventions: tuple[tuple[str, str], ...]
-    preconditions: tuple[tuple[str, bool], ...] = field(default=())
-    notes: tuple[str, ...] = field(default=())
+    preconditions: tuple[tuple[str, bool], ...] = ()
+    notes: tuple[str, ...] = ()
 
     def lines(self) -> list[str]:
         out = [f"check: {self.kind}", f"dim: {self.dim}"]

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import sparse
 from .algebras import TruncatedAlgebra, TruncationOverflow, first_failure, scan
@@ -339,15 +338,13 @@ def classical_aybe_element(
 # reports
 
 
-@dataclass(frozen=True)
-class ReadingResult:
+class ReadingResult(NamedTuple):
     name: str
     zero: bool
     terms: tuple[tuple[Word, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class InftyReport:
+class InftyReport(NamedTuple):
     """Deterministic outcome of one infinity-residual evaluation."""
 
     kind: str
@@ -585,8 +582,7 @@ def double_leibniz_defects(
     return defects, skipped
 
 
-@dataclass(frozen=True)
-class DoubleInftyReport:
+class DoubleInftyReport(NamedTuple):
     """Skew clause, cyclic residual, and double-Leibniz clause, in that order."""
 
     n: int

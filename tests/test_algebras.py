@@ -141,6 +141,12 @@ class TestQuiver:
         with pytest.raises(ValueError):
             Quiver(("1",), (("x", "1", "2"),))
 
+    def test_duplicate_vertex_rejected(self):
+        # the quiver parser refuses the same file, and a path algebra
+        # would otherwise build two idempotents e_a
+        with pytest.raises(ValueError, match="duplicate vertex 'a'"):
+            Quiver(("a", "a"), (("x", "a", "a"),))
+
     def test_primeness_report_mentions_criterion(self):
         lines = structural_primeness_report(double_quiver(one_arrow()))
         text = "\n".join(lines)

@@ -333,6 +333,14 @@ class TestCliExitCodes:
         line = len(text.splitlines()) + 1
         assert f"gl.txt:{line}: unexpected field 'cap'" in captured.err
 
+    def test_duplicate_family_label_is_two(self, tmp_path, capsys):
+        text = "ybalg schema/1 linfty-family\nlabels: x x\ndegrees: 0 1\n"
+        fam_path = write(tmp_path, "fam.txt", text)
+        assert main(["linfty", "check", "--family", fam_path, "--max-m", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fam.txt:2: duplicate label 'x'" in captured.err
+
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert main(["ybe", "cae", "--input", str(tmp_path / "nope.txt")]) == 2
         assert "file not found" in capsys.readouterr().err

@@ -219,6 +219,8 @@ class TestRPermutationAction:
 
     def test_identity_twist_table_is_standard_action(self):
         action = r_permutation_action(identity_twist(), 3)
+        # the length counts the generators s_1, s_2, not the three fields
+        assert len(action) == 2
         table = action_table(action)
         assert len(table) == 6
         for perm, operator in table.items():

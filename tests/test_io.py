@@ -103,8 +103,10 @@ class TestRoundTrips:
         assert back.ops == fam.ops
 
     def test_quiver(self):
-        q = Quiver(("u", "v"), (("a", "u", "v"), ("b", "v", "u")))
-        assert io.parse_text(io.dump_quiver(q)) == q
+        q = Quiver(("u", "v", "w"), (("a", "u", "v"), ("b", "v", "u"), ("c", "w", "w")))
+        back = io.parse_text(io.dump_quiver(q))
+        assert back == q and hash(back) == hash(q)
+        assert io.dump_quiver(back) == io.dump_quiver(q)
 
     def test_relation_vectors(self):
         vectors = [[Fraction(1), Fraction(-1, 2)], [Fraction(0), Fraction(3)]]
@@ -298,10 +300,11 @@ class TestParseErrors:
         "body, where",
         [
             ("labels: a b\ndegrees: 0\n", "f.txt:3: labels and degrees must align"),
+            ("labels: x y x\ndegrees: 0 1 0\n", "f.txt:2: duplicate label 'x'"),
             ("labels: a\ndegrees: 0\nop 2: 0,3 -> 0:1\n", "f.txt:4: generator index out of range"),
             ("labels: a\ndegrees: 0\nop 1: 0 -> 0:1\n", "f.txt:4: value of arity-1 bracket"),
         ],
-        ids=["degrees", "index", "value-degree"],
+        ids=["degrees", "duplicate-label", "index", "value-degree"],
     )
     def test_linfty_family_refusals_carry_their_line(self, body, where):
         assert where in parse_err("ybalg schema/1 linfty-family\n" + body)

@@ -160,6 +160,16 @@ class TestShuffles:
             assert list(sel[2:]) == sorted(sel[2:])
 
 
+class TestGradedBasis:
+    @pytest.mark.parametrize("labels, degrees, message", [
+        (("a", "b"), (0,), "labels and degrees must align"),
+        (("x", "x"), (0, 1), "duplicate label 'x'"),
+    ])
+    def test_refusals(self, labels, degrees, message):
+        with pytest.raises(ValueError, match=message):
+            GradedBasis(labels, degrees)
+
+
 class TestMultiBracketFamily:
     def test_degree_shift_enforced(self):
         basis = GradedBasis(("a", "z"), (0, 0))
